@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from ._seeds import derive_seed
@@ -20,7 +20,6 @@ from .lp_round import (
     RoundingConfig,
     build_restricted,
     solve_restricted,
-    with_seed,
 )
 
 
@@ -29,10 +28,6 @@ class ClosestStringConfig:
     r: int = 2
     rounding: RoundingConfig = RoundingConfig()
     parallel: bool = False
-    # also evaluate every subset member as the anchor; the members agree on
-    # the whole agreement set, so this cannot change the result, but it is
-    # kept selectable for completeness
-    try_all_anchors: bool = False
 
     def __post_init__(self) -> None:
         if self.r < 2:
@@ -60,18 +55,15 @@ def _subset_work(
     subset: tuple[int, ...],
     cfg: ClosestStringConfig,
     enum_budget: int,
-) -> list[_Candidate]:
-    ts = [inst.strings[i] for i in subset]
-    q = agreement_positions(ts)
+) -> _Candidate:
+    # subset members agree on all of q, so the first one serves as the anchor
+    q = agreement_positions([inst.strings[i] for i in subset])
     seed = derive_seed(cfg.rounding.rng_seed, "subset", subset)
-    rounding = with_seed(cfg.rounding, seed)
-    anchors = subset if cfg.try_all_anchors else subset[:1]
-    out: list[_Candidate] = []
-    for anchor_idx in anchors:
-        p = build_restricted(inst, inst.strings[anchor_idx], q)
-        center, cost = solve_restricted(p, rounding, enum_budget=enum_budget)
-        out.append((cost, 1, center))
-    return out
+    p = build_restricted(inst, inst.strings[subset[0]], q)
+    center, cost = solve_restricted(
+        p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
+    )
+    return (cost, 1, center)
 
 
 def solve_closest_string(
@@ -92,14 +84,11 @@ def solve_closest_string(
     subsets = list(subset_candidates(inst, r))
     if cfg.parallel and len(subsets) > 1:
         with ThreadPoolExecutor() as pool:
-            results = pool.map(
-                lambda sub: _subset_work(inst, sub, cfg, enum_budget), subsets
+            candidates.extend(
+                pool.map(lambda sub: _subset_work(inst, sub, cfg, enum_budget), subsets)
             )
-            for chunk in results:
-                candidates.extend(chunk)
     else:
-        for sub in subsets:
-            candidates.extend(_subset_work(inst, sub, cfg, enum_budget))
+        candidates.extend(_subset_work(inst, sub, cfg, enum_budget) for sub in subsets)
 
     radius, _, center = min(candidates, key=_candidate_key)
     return CenterSolution(center, radius, (0,) * inst.n)

@@ -1,7 +1,8 @@
 """Closest Substring solvers.
 
 Two pipelines share the window-tuple enumeration: the small-radius path
-sweeps every patch over the tuple's free positions, while the sampling
+sweeps every patch over the tuple's free positions with the patch-sweep
+kernel it shares with the Closest String solver, while the sampling
 path guesses the center on a random position multiset R, selects one
 window per input string by a scaled proxy score, and hands the selected
 windows to the restricted LP machinery.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,11 +36,10 @@ from .lp_round import (
     RoundingConfig,
     build_restricted,
     solve_restricted,
-    with_seed,
+    sweep_patches,
 )
 
 _SUBSTRING_MODES = ("small_d", "sampling", "auto")
-_PATCH_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -89,64 +89,52 @@ def enumerate_window_tuples(inst: SubstringInstance, r: int) -> Iterator[WindowT
                 yield WindowTuple(picks, windows)
 
 
-def _trivial_window_candidates(
-    inst: SubstringInstance, strings: Sequence[int]
-) -> Iterator[Seq]:
+def _best_solution(
+    inst: SubstringInstance, candidates: Iterable[tuple[int, Seq]]
+) -> CenterSolution:
+    """The first (cost, center) candidate of minimum cost, in enumeration order."""
+    _, center = min(candidates, key=lambda c: c[0])
+    radius, offsets = cost_substring(inst, center)
+    return CenterSolution(center, radius, offsets)
+
+
+def _trivial_costs(inst: SubstringInstance, strings: Sequence[int]) -> Iterator[tuple[int, Seq]]:
+    """Every window of the given strings as a center, with its radius."""
     l = inst.window
     for i in strings:
         s = inst.strings[i]
         for off in range(len(s) - l + 1):
-            yield s.window(off, l)
+            center = s.window(off, l)
+            yield cost_substring(inst, center)[0], center
 
 
-def _max_min_window_costs(inst: SubstringInstance, cands: np.ndarray) -> np.ndarray:
-    """Radius of each candidate row: max over strings of min window distance."""
-    costs = np.zeros(len(cands), dtype=np.int64)
-    for s in inst.strings:
-        wins = _window_matrix(s, inst.window)
-        mism = (cands[:, None, :] != wins[None, :, :]).sum(axis=2).min(axis=1)
-        np.maximum(costs, mism, out=costs)
-    return costs
+def _swept_centers(
+    inst: SubstringInstance, cfg: SubstringConfig
+) -> Iterator[tuple[int, Seq]]:
+    """Per window tuple, the best center that keeps the anchor on Q.
 
-
-def _sweep_patches(
-    inst: SubstringInstance, anchor: Seq, p: PositionSet
-) -> tuple[int, Seq]:
-    """Best compose(anchor, x, p) over all patches x, lexicographic ties."""
+    Every window of every string is one row of the shared patch sweep,
+    restricted to P and charged its distance to the anchor on Q; a
+    string's rows form one group, so the sweep scores a patch by max over
+    strings of min over windows, the candidate's substring radius.
+    """
     k = inst.alphabet.size
-    np_ = len(p)
-    total = k ** np_
-    base = np.array(anchor.data, dtype=np.int16)
-    pos = np.array(p.positions, dtype=np.intp)
-    best_cost = None
-    best_id = -1
-    for lo in range(0, total, _PATCH_CHUNK):
-        hi = min(lo + _PATCH_CHUNK, total)
-        ids = np.arange(lo, hi, dtype=np.int64)
-        cands = np.tile(base, (hi - lo, 1))
-        if np_:
-            digits = np.empty((hi - lo, np_), dtype=np.int16)
-            rem = ids.copy()
-            for j in range(np_ - 1, -1, -1):
-                digits[:, j] = rem % k
-                rem //= k
-            cands[:, pos] = digits
-        costs = _max_min_window_costs(inst, cands)
-        local = int(np.argmin(costs))
-        if best_cost is None or costs[local] < best_cost:
-            best_cost = int(costs[local])
-            best_id = lo + local
-    digits = []
-    rem = best_id
-    for _ in range(np_):
-        digits.append(rem % k)
-        rem //= k
-    patch = Seq(inst.alphabet, tuple(reversed(digits)))
-    return best_cost, compose(anchor, patch, p)
-
-
-# candidate = (radius, enumeration rank, center)
-_Candidate = tuple[int, int, Seq]
+    per_string = [_window_matrix(s, inst.window) for s in inst.strings]
+    wins = np.concatenate(per_string)
+    starts = np.cumsum([0] + [len(w) for w in per_string[:-1]])
+    for wt in enumerate_window_tuples(inst, cfg.r):
+        q = agreement_positions(wt.windows)
+        p = q.complement()
+        if k ** len(p) > cfg.y_budget:
+            raise BudgetExceeded(
+                f"|P|={len(p)} needs {k}^{len(p)} patches, over budget {cfg.y_budget}"
+            )
+        q_idx = np.array(q.positions, dtype=np.intp)
+        p_idx = np.array(p.positions, dtype=np.intp)
+        anchor = np.array(wt.anchor.data, dtype=np.int16)
+        fixed = (wins[:, q_idx] != anchor[q_idx]).sum(axis=1)
+        cost, patch = sweep_patches(wins[:, p_idx], fixed, k, starts)
+        yield cost, compose(wt.anchor, Seq(inst.alphabet, patch), p)
 
 
 def solve_small_substring(
@@ -158,34 +146,10 @@ def solve_small_substring(
     logarithmic; a tuple whose patch count exceeds cfg.y_budget aborts
     with BudgetExceeded.
     """
-    k = inst.alphabet.size
-    best: _Candidate | None = None
-    rank = 0
-
-    def consider(cost: int, center: Seq) -> None:
-        nonlocal best, rank
-        cand = (cost, rank, center)
-        rank += 1
-        if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-            best = cand
-
-    for center in _trivial_window_candidates(inst, range(inst.n)):
-        consider(cost_substring(inst, center)[0], center)
-
-    for wt in enumerate_window_tuples(inst, cfg.r):
-        q = agreement_positions(wt.windows)
-        p = q.complement()
-        if k ** len(p) > cfg.y_budget:
-            raise BudgetExceeded(
-                f"|P|={len(p)} needs {k}^{len(p)} patches, over budget {cfg.y_budget}"
-            )
-        cost, center = _sweep_patches(inst, wt.anchor, p)
-        consider(cost, center)
-
-    assert best is not None
-    radius, _, center = best
-    radius, offsets = cost_substring(inst, center)
-    return CenterSolution(center, radius, offsets)
+    return _best_solution(
+        inst,
+        itertools.chain(_trivial_costs(inst, range(inst.n)), _swept_centers(inst, cfg)),
+    )
 
 
 def sample_size(epsilon: float, n: int, m: int) -> int:
@@ -254,37 +218,13 @@ def _min_feasible_epsilon(n: int, m: int, k: int, y_budget: int) -> float:
     return math.sqrt(4.0 * math.log(n * m) / max_r)
 
 
-def solve_closest_substring(
-    inst: SubstringInstance,
-    cfg: SubstringConfig = SubstringConfig(),
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-) -> CenterSolution:
-    """Sampling-based substring solver, ratio 1 + 1/(2r-1) + 3*epsilon*r
-    with high probability.
-
-    For every window tuple, a position multiset R is drawn once from the
-    free positions (seeded per tuple); every center guess y on R selects
-    one window per string, and the restricted LP pipeline (solved within
-    error epsilon*|P|) produces a candidate center.  All windows of the
-    first string are also tried directly.
-    """
+def _sampled_centers(
+    inst: SubstringInstance, cfg: SubstringConfig, enum_budget: int
+) -> Iterator[tuple[int, Seq]]:
+    """Per window tuple and center guess y, the restricted solve's center."""
     k = inst.alphabet.size
-    l = inst.window
     n = inst.n
     m_max = max(len(s) for s in inst.strings)
-    best: _Candidate | None = None
-    rank = 0
-
-    def consider(cost: int, center: Seq) -> None:
-        nonlocal best, rank
-        cand = (cost, rank, center)
-        rank += 1
-        if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-            best = cand
-
-    for center in _trivial_window_candidates(inst, [0]):
-        consider(cost_substring(inst, center)[0], center)
-
     r_formula = sample_size(cfg.epsilon, n, m_max)
     # the LP stage must stay within error epsilon*|P| overall
     rounding = replace(cfg.rounding, epsilon_prime=cfg.epsilon)
@@ -311,22 +251,35 @@ def solve_closest_substring(
                 problem = build_restricted(sub_inst, wt.anchor, q)
                 seed = derive_seed(cfg.rng_seed, "round", wt.picks, key)
                 center, _ = solve_restricted(
-                    problem, with_seed(rounding, seed), enum_budget=enum_budget
+                    problem, replace(rounding, rng_seed=seed), enum_budget=enum_budget
                 )
                 memo[key] = center
-            consider(cost_substring(inst, center)[0], center)
+            yield cost_substring(inst, center)[0], center
 
-    assert best is not None
-    radius, _, center = best
-    radius, offsets = cost_substring(inst, center)
-    return CenterSolution(center, radius, offsets)
+
+def solve_closest_substring(
+    inst: SubstringInstance,
+    cfg: SubstringConfig = SubstringConfig(),
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
+) -> CenterSolution:
+    """Sampling-based substring solver, ratio 1 + 1/(2r-1) + 3*epsilon*r
+    with high probability.
+
+    For every window tuple, a position multiset R is drawn once from the
+    free positions (seeded per tuple); every center guess y on R selects
+    one window per string, and the restricted LP pipeline (solved within
+    error epsilon*|P|) produces a candidate center.  All windows of the
+    first string are also tried directly.
+    """
+    return _best_solution(
+        inst,
+        itertools.chain(_trivial_costs(inst, [0]), _sampled_centers(inst, cfg, enum_budget)),
+    )
 
 
 def best_trivial_radius(inst: SubstringInstance) -> int:
     """Radius of the best input window used directly as the center."""
-    return min(
-        cost_substring(inst, c)[0] for c in _trivial_window_candidates(inst, range(inst.n))
-    )
+    return min(cost for cost, _ in _trivial_costs(inst, range(inst.n)))
 
 
 def solve_substring(

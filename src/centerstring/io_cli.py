@@ -425,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("randomized", "derandomized", "auto"), default="auto",
                    help="rounding mode")
     p.add_argument("--parallel", action="store_true")
-    p.add_argument("--all-anchors", action="store_true",
-                   help="try every subset member as the anchor")
 
     p = subs.add_parser("solve-substring", help="approximate Closest Substring")
     p.add_argument("file")
@@ -494,8 +492,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             inst = StringInstance(inst.alphabet, inst.strings)
         rounding = RoundingConfig(mode=args.mode, trials=args.trials,
                                   epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
-        cfg = ClosestStringConfig(r=args.r, rounding=rounding, parallel=args.parallel,
-                                  try_all_anchors=args.all_anchors)
+        cfg = ClosestStringConfig(r=args.r, rounding=rounding, parallel=args.parallel)
         sol = solve_closest_string(inst, cfg, enum_budget=args.budget)
         _emit(_solution_json(sol, "string", {
             "r": args.r, "epsilon_prime": args.epsilon_prime,

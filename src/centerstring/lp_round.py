@@ -9,7 +9,7 @@ conditional expectations with exact Poisson-binomial tail probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,8 @@ from .errors import BudgetExceeded, DomainError, EstimatorAtLeastOne, NumericalF
 
 LP_TOLERANCE = 1e-9
 DEFAULT_ENUM_BUDGET = 1 << 20
-_ENUM_CHUNK = 1 << 14
+# cap on the patches * rows * |P| comparisons one sweep chunk makes
+_SWEEP_CELLS = 1 << 20
 
 _ROUNDING_MODES = ("randomized", "derandomized", "auto")
 
@@ -236,6 +237,51 @@ def round_derandomized(frac: FractionalCenter, p: RestrictedProblem, epsilon_pri
     return Seq(p.inst.alphabet, tuple(choices))
 
 
+def sweep_patches(
+    rows: np.ndarray, fixed: np.ndarray, k: int, starts: np.ndarray | None = None
+) -> tuple[int, tuple[int, ...]]:
+    """Exact min-max over every patch x in range(k)^|P|, |P| = rows.shape[1].
+
+    A patch scores the max over groups of the min over the group's rows of
+    fixed[row] + mismatches(row, x); `starts` lists each group's first row
+    (None makes every row its own group).  Patches run in lexicographic
+    order and the first minimum wins.  |P| = 0 is the single empty patch.
+    Returns (score, patch).
+    """
+    nrows, np_ = rows.shape
+    # one contiguous row per position: mismatches accumulate column by
+    # column, whatever the memory order of the caller's rows
+    cols = np.ascontiguousarray(rows.T)
+    total = k ** np_
+    chunk = max(1, _SWEEP_CELLS // (nrows * max(1, np_)))
+    fixed = np.asarray(fixed, dtype=np.int32)
+    best_cost = None
+    best_id = -1
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        rem = np.arange(lo, hi, dtype=np.int64)
+        digits = np.empty((np_, hi - lo), dtype=np.int16)
+        for j in range(np_ - 1, -1, -1):
+            digits[j] = rem % k
+            rem //= k
+        costs = np.empty((hi - lo, nrows), dtype=np.int32)
+        costs[:] = fixed
+        for j in range(np_):
+            costs += digits[j][:, None] != cols[j]
+        if starts is not None:
+            costs = np.minimum.reduceat(costs, starts, axis=1)
+        worst = costs.max(axis=1)
+        local = int(np.argmin(worst))
+        if best_cost is None or worst[local] < best_cost:
+            best_cost = int(worst[local])
+            best_id = lo + local
+    patch = []
+    for _ in range(np_):
+        best_id, digit = divmod(best_id, k)
+        patch.append(digit)
+    return best_cost, tuple(reversed(patch))
+
+
 def enumerate_small_P(p: RestrictedProblem, budget: int = DEFAULT_ENUM_BUDGET) -> Seq:
     """Exact optimizer of the restricted problem by sweeping all patches.
 
@@ -247,32 +293,8 @@ def enumerate_small_P(p: RestrictedProblem, budget: int = DEFAULT_ENUM_BUDGET) -
     total = k ** np_
     if total > budget:
         raise BudgetExceeded(f"{k}^{np_} = {total} patches exceed budget {budget}")
-    if np_ == 0:
-        return Seq(p.inst.alphabet, ())
-
-    rows = _restricted_rows(p)
-    fixed = np.array(p.fixed_costs, dtype=np.int64)
-    best_cost = None
-    best_id = -1
-    for lo in range(0, total, _ENUM_CHUNK):
-        hi = min(lo + _ENUM_CHUNK, total)
-        ids = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, np_), dtype=np.int16)
-        rem = ids.copy()
-        for j in range(np_ - 1, -1, -1):
-            digits[:, j] = rem % k
-            rem //= k
-        costs = ((digits[:, None, :] != rows[None, :, :]).sum(axis=2) + fixed[None, :]).max(axis=1)
-        local = int(np.argmin(costs))
-        if best_cost is None or costs[local] < best_cost:
-            best_cost = int(costs[local])
-            best_id = lo + local
-    digits = []
-    rem = best_id
-    for _ in range(np_):
-        digits.append(rem % k)
-        rem //= k
-    return Seq(p.inst.alphabet, tuple(reversed(digits)))
+    _, patch = sweep_patches(_restricted_rows(p), np.array(p.fixed_costs), k)
+    return Seq(p.inst.alphabet, patch)
 
 
 def enumeration_threshold(n: int, epsilon_prime: float) -> float:
@@ -287,13 +309,14 @@ def solve_restricted(
 ) -> tuple[Seq, int]:
     """Solve the restricted problem and return (full-length center, its cost).
 
-    Dispatch: below the enumeration threshold the patch is found exactly;
-    otherwise the LP is solved and rounded per cfg.mode (auto attempts the
-    derandomized rounding and falls back to randomized when the estimator
-    starts at >= 1).
+    Dispatch: below the enumeration threshold the patch is found exactly,
+    unless its k^|P| patches exceed enum_budget; otherwise the LP is solved
+    and rounded per cfg.mode (auto attempts the derandomized rounding and
+    falls back to randomized when the estimator starts at >= 1).
     """
     np_ = len(p.P)
-    if np_ == 0 or np_ < enumeration_threshold(p.inst.n, cfg.epsilon_prime):
+    small = np_ < enumeration_threshold(p.inst.n, cfg.epsilon_prime)
+    if np_ == 0 or (small and p.inst.alphabet.size ** np_ <= enum_budget):
         patch = enumerate_small_P(p, budget=enum_budget)
     else:
         frac = solve_lp(p)
@@ -309,6 +332,3 @@ def solve_restricted(
     center = compose(p.anchor, patch, p.P)
     return center, cost_string(p.inst, center)
 
-
-def with_seed(cfg: RoundingConfig, seed: int) -> RoundingConfig:
-    return replace(cfg, rng_seed=seed)

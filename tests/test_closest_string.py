@@ -113,15 +113,13 @@ class TestSolveClosestString:
             cfg_par = ClosestStringConfig(r=2, parallel=True)
             assert solve_closest_string(inst, cfg_serial) == solve_closest_string(inst, cfg_par)
 
-    def test_all_anchors_flag_is_result_neutral(self):
-        # subset members agree on the whole agreement set, so the anchor
-        # choice cannot change any candidate
-        rng = np.random.default_rng(59)
-        for _ in range(10):
-            inst = random_instance(rng, 4, 8)
-            a = solve_closest_string(inst, ClosestStringConfig(r=2, try_all_anchors=False))
-            b = solve_closest_string(inst, ClosestStringConfig(r=2, try_all_anchors=True))
-            assert a == b
+    def test_sweep_over_enum_budget_falls_back_to_lp(self):
+        # every subset's |P| lies under the enumeration threshold, but its
+        # 2^|P| patches exceed the budget, so the LP with rounding runs
+        inst = binst("00000000", "11110000", "00111100")
+        sol = solve_closest_string(inst, ClosestStringConfig(r=2), enum_budget=4)
+        assert sol.radius == cost_string(inst, sol.center)
+        assert sol.radius <= exact_closest_string(inst).radius * 2
 
     def test_deterministic(self):
         inst = binst("01010101", "10101010", "00110011", "11001100")

@@ -1,5 +1,6 @@
 """Substring solvers: sample sizing, window selection, both pipelines."""
 
+import itertools
 import math
 
 import numpy as np
@@ -114,6 +115,72 @@ class TestSmallSubstring:
             inst = bsub(texts, 4)
             sol = solve_small_substring(inst, SubstringConfig(r=3))
             assert sol.radius <= best_trivial_radius(inst)
+
+
+def reference_sweep(inst, anchor, p):
+    """Substring patch sweep with full-length candidates: every patch on p,
+    in lexicographic order, composed into the anchor and scored against
+    every window of every string.  Returns (all costs, first best center)."""
+    k = inst.alphabet.size
+    pos = np.array(p.positions, dtype=np.intp)
+    patches = np.array(list(itertools.product(range(k), repeat=len(p))), dtype=np.int16)
+    cands = np.tile(np.array(anchor.data, dtype=np.int16), (len(patches), 1))
+    cands[:, pos] = patches.reshape(len(patches), len(p))
+    costs = np.zeros(len(cands), dtype=np.int64)
+    for s in inst.strings:
+        wins = np.array(
+            [s.window(off, inst.window).data for off in range(len(s) - inst.window + 1)],
+            dtype=np.int16,
+        )
+        mism = (cands[:, None, :] != wins[None, :, :]).sum(axis=2).min(axis=1)
+        np.maximum(costs, mism, out=costs)
+    best = int(np.argmin(costs))
+    return costs, Seq(inst.alphabet, tuple(int(v) for v in cands[best]))
+
+
+def reference_small_substring(inst, r):
+    """solve_small_substring's center by plain loops over the reference sweep;
+    also reports whether some tuple had |P| = 0 and whether some tuple's
+    minimum was reached by more than one patch."""
+    best = None
+    for s in inst.strings:
+        for off in range(len(s) - inst.window + 1):
+            center = s.window(off, inst.window)
+            cost = cost_substring(inst, center)[0]
+            if best is None or cost < best[0]:
+                best = (cost, center)
+    saw_empty_p = saw_tie = False
+    for wt in enumerate_window_tuples(inst, r):
+        p = agreement_positions(wt.windows).complement()
+        costs, center = reference_sweep(inst, wt.anchor, p)
+        saw_empty_p |= len(p) == 0
+        saw_tie |= int((costs == costs.min()).sum()) > 1
+        if int(costs.min()) < best[0]:
+            best = (int(costs.min()), center)
+    return best[1], saw_empty_p, saw_tie
+
+
+class TestSweepReference:
+    def test_small_substring_matches_reference_sweep(self):
+        rng = np.random.default_rng(71)
+        saw_empty_p = saw_tie = False
+        for symbols in ("01", "012", "ACGT"):
+            alphabet = Alphabet.of(symbols)
+            for trial in range(8):
+                l = int(rng.integers(2, 5))
+                n = int(rng.integers(2, 5))
+                r = 2 + trial % 2
+                texts = [
+                    "".join(symbols[v] for v in rng.integers(0, len(symbols), l + int(rng.integers(0, 4))))
+                    for _ in range(n)
+                ]
+                inst = SubstringInstance.from_texts(alphabet, texts, l)
+                center, empty_p, tie = reference_small_substring(inst, r)
+                sol = solve_small_substring(inst, SubstringConfig(r=r))
+                assert sol.center == center, (symbols, texts, l, r)
+                saw_empty_p |= empty_p
+                saw_tie |= tie
+        assert saw_empty_p and saw_tie
 
 
 class TestSelectWindows:

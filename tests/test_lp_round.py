@@ -26,7 +26,7 @@ from centerstring import (
     solve_restricted,
 )
 from centerstring.errors import BudgetExceeded, DomainError, EstimatorAtLeastOne
-from centerstring.lp_round import enumeration_threshold
+from centerstring.lp_round import enumeration_threshold, sweep_patches
 
 
 def binst(*texts):
@@ -109,6 +109,34 @@ class TestSolveLP:
         p = build_restricted(binst("0"), bseq("0"), PositionSet.of([0], 1))
         with pytest.raises(DomainError):
             solve_lp(p)
+
+
+class TestSweepPatches:
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_first_minimum_across_chunks(self, grouped):
+        # every row comes with its complement (the pair forms one group when
+        # grouped), so each patch ties with its complement, which lies in the
+        # other half of the lexicographic order and so in a later chunk
+        rng = np.random.default_rng(23)
+        half = rng.integers(0, 2, (32, 15)).astype(np.int16)
+        rows = np.stack([half, 1 - half], axis=1).reshape(64, 15)
+        fixed = rng.integers(0, 3, 32).repeat(2)
+        patches = np.array(list(itertools.product(range(2), repeat=15)), dtype=np.int16)
+        per_row = (patches[:, None, :] != rows[None, :, :]).sum(axis=2) + fixed
+        if grouped:
+            costs = per_row.reshape(len(patches), 32, 2).min(axis=2).max(axis=1)
+            starts = np.arange(0, 64, 2)
+        else:
+            costs = per_row.max(axis=1)
+            starts = None
+        best = int(np.argmin(costs))
+        expected = (int(costs[best]), tuple(int(v) for v in patches[best]))
+        assert sweep_patches(rows, fixed, 2, starts) == expected
+
+    def test_empty_patch(self):
+        rows = np.zeros((3, 0), dtype=np.int16)
+        assert sweep_patches(rows, np.array([2, 0, 1]), 4) == (2, ())
+        assert sweep_patches(rows, np.array([2, 0, 1]), 4, np.array([0, 2])) == (1, ())
 
 
 class TestEnumerate:
