@@ -46,7 +46,7 @@ def subset_candidates(inst: StringInstance, r: int) -> Iterator[tuple[int, ...]]
 _Candidate = tuple[int, int, Seq]
 
 
-def _candidate_key(c: _Candidate) -> tuple[int, int, tuple[int, ...]]:
+def _candidate_key(c: _Candidate) -> tuple[int, int, bytes]:
     return (c[0], c[1], c[2].data)
 
 

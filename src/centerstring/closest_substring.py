@@ -24,7 +24,6 @@ from .core import (
     Seq,
     StringInstance,
     SubstringInstance,
-    _window_matrix,
     agreement_positions,
     compose,
     cost_substring,
@@ -119,9 +118,8 @@ def _swept_centers(
     strings of min over windows, the candidate's substring radius.
     """
     k = inst.alphabet.size
-    per_string = [_window_matrix(s, inst.window) for s in inst.strings]
-    wins = np.concatenate(per_string)
-    starts = np.cumsum([0] + [len(w) for w in per_string[:-1]])
+    wins = np.concatenate(inst.windows)
+    starts = np.cumsum([0] + [len(w) for w in inst.windows[:-1]])
     for wt in enumerate_window_tuples(inst, cfg.r):
         q = agreement_positions(wt.windows)
         p = q.complement()
@@ -131,7 +129,7 @@ def _swept_centers(
             )
         q_idx = np.array(q.positions, dtype=np.intp)
         p_idx = np.array(p.positions, dtype=np.intp)
-        anchor = np.array(wt.anchor.data, dtype=np.int16)
+        anchor = wt.anchor.arr
         fixed = (wins[:, q_idx] != anchor[q_idx]).sum(axis=1)
         cost, patch = sweep_patches(wins[:, p_idx], fixed, k, starts)
         yield cost, compose(wt.anchor, Seq(inst.alphabet, patch), p)
@@ -183,13 +181,12 @@ def select_windows(
     r_size = len(r_sample)
     r_idx = np.array(r_sample.positions, dtype=np.intp)
     q_idx = np.array(q.positions, dtype=np.intp)
-    y_arr = np.array(y.data, dtype=np.int16)
-    aq_arr = np.array(anchor_q.data, dtype=np.int16)
+    y_arr = y.arr
+    aq_arr = anchor_q.arr
 
     chosen: list[Seq] = []
-    for s in inst.strings:
-        wins = _window_matrix(s, l)
-        d_q = (wins[:, q_idx] != aq_arr).sum(axis=1) if len(q_idx) else np.zeros(len(wins), dtype=np.int64)
+    for s, wins in zip(inst.strings, inst.windows):
+        d_q = (wins[:, q_idx] != aq_arr).sum(axis=1)
         if r_size:
             d_r = (wins[:, r_idx] != y_arr).sum(axis=1)
             # compare d_r*|P|/|R| + d_q exactly via the |R|-scaled integers
@@ -240,7 +237,7 @@ def _sampled_centers(
                 f"{cfg.y_budget}; epsilon >= {eps_min:.4f} would fit"
             )
         anchor_q = restrict(wt.anchor, q)
-        memo: dict[tuple[tuple[int, ...], ...], Seq] = {}
+        memo: dict[tuple[bytes, ...], Seq] = {}
         for y_digits in itertools.product(range(k), repeat=len(r_sample)):
             y = Seq(inst.alphabet, y_digits)
             selected = select_windows(inst, y, r_sample, anchor_q, q)
@@ -249,7 +246,8 @@ def _sampled_centers(
             if center is None:
                 sub_inst = StringInstance(inst.alphabet, tuple(selected))
                 problem = build_restricted(sub_inst, wt.anchor, q)
-                seed = derive_seed(cfg.rng_seed, "round", wt.picks, key)
+                # the seed token keeps the repr of index tuples
+                seed = derive_seed(cfg.rng_seed, "round", wt.picks, tuple(map(tuple, key)))
                 center, _ = solve_restricted(
                     problem, replace(rounding, rng_seed=seed), enum_budget=enum_budget
                 )

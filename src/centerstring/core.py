@@ -3,13 +3,17 @@
 Positions are 0-based throughout the library; only the CLI renders them
 1-based.  All types are immutable after construction, all operations are
 pure functions, so everything here is safe to share across threads.
+A `Seq` stores its alphabet indices once, as `bytes`; `Seq.arr` and the
+instance views (`StringInstance.matrix`, `SubstringInstance.windows`) are
+read-only uint8 arrays over them, the latter computed on first use.  Two
+threads that race on a first use both compute the same view: benign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,6 +39,8 @@ class Alphabet:
     def __post_init__(self) -> None:
         if len(self.symbols) < 2:
             raise DomainError("alphabet needs at least 2 symbols")
+        if len(self.symbols) > 256:
+            raise DomainError("alphabet has more than 256 symbols, the most one byte can index")
         for s in self.symbols:
             if not isinstance(s, str) or len(s) != 1:
                 raise DomainError(f"alphabet symbols must be single characters, got {s!r}")
@@ -66,20 +72,33 @@ DNA = Alphabet.of("ACGT")
 
 @dataclass(frozen=True)
 class Seq:
-    """Immutable symbol string stored as alphabet indices."""
+    """Immutable symbol string of alphabet indices, given as any iterable of
+    integers (ndarrays included) and stored as bytes, one byte each."""
 
     alphabet: Alphabet
-    data: tuple[int, ...]
+    data: bytes
 
     def __post_init__(self) -> None:
         k = self.alphabet.size
-        for v in self.data:
-            if not 0 <= v < k:
-                raise DomainError(f"symbol index {v} out of range for alphabet size {k}")
+        if not isinstance(self.data, bytes):
+            # tolist() and iter() keep bytes() from copying an ndarray's raw
+            # buffer or reading a bare int n as n zero bytes
+            values = self.data.tolist() if isinstance(self.data, np.ndarray) else self.data
+            try:
+                object.__setattr__(self, "data", bytes(iter(values)))
+            except (TypeError, ValueError):
+                raise DomainError(f"symbol indices must be integers in range({k})") from None
+        if self.data and max(self.data) >= k:
+            raise DomainError(f"symbol index {max(self.data)} out of range for alphabet size {k}")
 
     @classmethod
     def from_text(cls, alphabet: Alphabet, text: str) -> "Seq":
-        return cls(alphabet, tuple(alphabet.index(c) for c in text))
+        return cls(alphabet, bytes(map(alphabet.index, text)))
+
+    @property
+    def arr(self) -> np.ndarray:
+        """Read-only uint8 view of the indices (no copy)."""
+        return np.frombuffer(self.data, dtype=np.uint8)
 
     @property
     def text(self) -> str:
@@ -165,6 +184,12 @@ class StringInstance:
     def m(self) -> int:
         return len(self.strings[0])
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only (n, m) uint8 matrix of the strings, one row each."""
+        joined = b"".join([s.data for s in self.strings])
+        return np.frombuffer(joined, dtype=np.uint8).reshape(self.n, self.m)
+
 
 @dataclass(frozen=True)
 class SubstringInstance:
@@ -193,6 +218,13 @@ class SubstringInstance:
     def n(self) -> int:
         return len(self.strings)
 
+    @cached_property
+    def windows(self) -> tuple[np.ndarray, ...]:
+        """Per string, a read-only view with one row per length-L window."""
+        return tuple(
+            np.lib.stride_tricks.sliding_window_view(s.arr, self.window) for s in self.strings
+        )
+
 
 @dataclass(frozen=True)
 class CenterSolution:
@@ -207,29 +239,6 @@ class CenterSolution:
     witnesses: tuple[int, ...]
 
 
-@lru_cache(maxsize=8192)
-def _as_array(s: Seq) -> np.ndarray:
-    arr = np.array(s.data, dtype=np.int16)
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=1024)
-def _strings_matrix(inst: StringInstance) -> np.ndarray:
-    mat = np.array([s.data for s in inst.strings], dtype=np.int16)
-    mat.setflags(write=False)
-    return mat
-
-
-@lru_cache(maxsize=4096)
-def _window_matrix(s: Seq, length: int) -> np.ndarray:
-    """All length-`length` windows of `s`, one row per offset."""
-    arr = _as_array(s)
-    mat = np.lib.stride_tricks.sliding_window_view(arr, length)
-    mat.setflags(write=False)
-    return mat
-
-
 def _check_same_alphabet(a: Seq, b: Seq) -> None:
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("sequences use different alphabets")
@@ -240,16 +249,14 @@ def hamming(a: Seq, b: Seq) -> int:
     _check_same_alphabet(a, b)
     if len(a) != len(b):
         raise LengthMismatch(f"length {len(a)} vs {len(b)}")
-    if not a.data:
-        return 0
-    return int((_as_array(a) != _as_array(b)).sum())
+    return int((a.arr != b.arr).sum())
 
 
 def restrict(s: Seq, t: PositionSet) -> Seq:
     """The subsequence of s at t's positions, honoring multiplicity."""
     if t.frame != len(s):
         raise FrameMismatch(f"position frame {t.frame} vs sequence length {len(s)}")
-    return Seq(s.alphabet, tuple(s.data[j] for j in t.positions))
+    return Seq(s.alphabet, s.arr[list(t.positions)].tobytes())
 
 
 def agreement_positions(ts: Sequence[Seq]) -> PositionSet:
@@ -263,9 +270,9 @@ def agreement_positions(ts: Sequence[Seq]) -> PositionSet:
             raise LengthMismatch("sequences must have equal length")
     if len(ts) == 1:
         return PositionSet(tuple(range(m)), m)
-    mat = np.array([s.data for s in ts], dtype=np.int16)
+    mat = np.frombuffer(b"".join([s.data for s in ts]), dtype=np.uint8).reshape(len(ts), m)
     agree = (mat == mat[0]).all(axis=0)
-    return PositionSet(tuple(int(j) for j in np.flatnonzero(agree)), m)
+    return PositionSet(tuple(np.flatnonzero(agree).tolist()), m)
 
 
 def compose(base: Seq, patch: Seq, p: PositionSet) -> Seq:
@@ -277,10 +284,10 @@ def compose(base: Seq, patch: Seq, p: PositionSet) -> Seq:
     if len(patch) != len(p):
         raise SizeMismatch(f"patch length {len(patch)} vs position set size {len(p)}")
     _check_same_alphabet(base, patch)
-    out = list(base.data)
+    out = bytearray(base.data)
     for j, v in zip(p.positions, patch.data):
         out[j] = v
-    return Seq(base.alphabet, tuple(out))
+    return Seq(base.alphabet, bytes(out))
 
 
 def cost_string(inst: StringInstance, center: Seq) -> int:
@@ -288,8 +295,7 @@ def cost_string(inst: StringInstance, center: Seq) -> int:
     _check_same_alphabet(inst.strings[0], center)
     if len(center) != inst.m:
         raise LengthMismatch(f"center length {len(center)} vs instance length {inst.m}")
-    mat = _strings_matrix(inst)
-    return int((mat != _as_array(center)).sum(axis=1).max())
+    return int((inst.matrix != center.arr).sum(axis=1).max())
 
 
 def cost_substring(inst: SubstringInstance, center: Seq) -> tuple[int, tuple[int, ...]]:
@@ -301,11 +307,11 @@ def cost_substring(inst: SubstringInstance, center: Seq) -> tuple[int, tuple[int
     _check_same_alphabet(inst.strings[0], center)
     if len(center) != inst.window:
         raise LengthMismatch(f"center length {len(center)} vs window {inst.window}")
-    carr = _as_array(center)
+    carr = center.arr
     radius = 0
     offsets = []
-    for s in inst.strings:
-        dists = (_window_matrix(s, inst.window) != carr).sum(axis=1)
+    for wins in inst.windows:
+        dists = (wins != carr).sum(axis=1)
         off = int(np.argmin(dists))  # first occurrence = smallest offset
         offsets.append(off)
         radius = max(radius, int(dists[off]))

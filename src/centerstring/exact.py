@@ -14,8 +14,6 @@ from .core import (
     Seq,
     StringInstance,
     SubstringInstance,
-    _strings_matrix,
-    _window_matrix,
     cost_string,
     cost_substring,
 )
@@ -56,7 +54,7 @@ def exact_closest_string(
     """
     k = inst.alphabet.size
     m = inst.m
-    mat = _strings_matrix(inst)
+    mat = inst.matrix
 
     if branch_and_bound:
         center = Seq(inst.alphabet, _bnb_center(mat, k, m))
@@ -127,8 +125,7 @@ def exact_closest_substring(
         hi = min(lo + _CHUNK, total)
         digits = _chunk_digits(lo, hi, k, l)
         costs = np.zeros(hi - lo, dtype=np.int64)
-        for s in inst.strings:
-            wins = _window_matrix(s, l)
+        for wins in inst.windows:
             mism = (digits[:, None, :] != wins[None, :, :]).sum(axis=2).min(axis=1)
             np.maximum(costs, mism, out=costs)
         local = int(np.argmin(costs))

@@ -170,10 +170,10 @@ def generate_planted(
             shift = rng.integers(1, k, size=d)
             mutant[pos] = (mutant[pos] + shift) % k
         arr[off:off + l] = mutant
-        strings.append(Seq(alpha, tuple(int(v) for v in arr)))
+        strings.append(Seq(alpha, arr))
         offsets.append(off)
     inst = SubstringInstance(alpha, tuple(strings), l)
-    center_seq = Seq(alpha, tuple(int(v) for v in center))
+    center_seq = Seq(alpha, center)
     return inst, PlantedMeta(center_seq.text, d, tuple(offsets))
 
 

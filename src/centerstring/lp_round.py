@@ -22,10 +22,11 @@ from .core import (
     StringInstance,
     compose,
     cost_string,
-    hamming,
-    restrict,
 )
-from .errors import BudgetExceeded, DomainError, EstimatorAtLeastOne, NumericalFailure
+from .errors import (
+    AlphabetMismatch, BudgetExceeded, DomainError, EstimatorAtLeastOne, FrameMismatch,
+    NumericalFailure,
+)
 
 LP_TOLERANCE = 1e-9
 DEFAULT_ENUM_BUDGET = 1 << 20
@@ -75,16 +76,18 @@ class FractionalCenter:
 
 def build_restricted(inst: StringInstance, anchor: Seq, q: PositionSet) -> RestrictedProblem:
     """Fix anchor on q and precompute each string's cost on q."""
-    anchor_q = restrict(anchor, q)
-    fixed = tuple(hamming(restrict(s, q), anchor_q) for s in inst.strings)
-    return RestrictedProblem(inst, q.complement(), q, anchor, fixed)
+    if q.frame != len(anchor) or q.frame != inst.m:
+        raise FrameMismatch(f"position frame {q.frame} vs lengths {len(anchor)} and {inst.m}")
+    if anchor.alphabet != inst.alphabet:
+        raise AlphabetMismatch("anchor and instance use different alphabets")
+    idx = list(q.positions)
+    fixed = (inst.matrix[:, idx] != anchor.arr[idx]).sum(axis=1)
+    return RestrictedProblem(inst, q.complement(), q, anchor, tuple(fixed.tolist()))
 
 
 def _restricted_rows(p: RestrictedProblem) -> np.ndarray:
     """(n, |P|) matrix of the instance strings restricted to P."""
-    idx = np.array(p.P.positions, dtype=np.intp)
-    rows = np.array([s.data for s in p.inst.strings], dtype=np.int16)
-    return rows[:, idx] if len(idx) else rows[:, :0]
+    return p.inst.matrix[:, list(p.P.positions)]
 
 
 def solve_lp(p: RestrictedProblem) -> FractionalCenter:
@@ -104,17 +107,12 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     nvars = 1 + np_ * k
     # one simplex constraint per position
     a_eq = np.zeros((np_, nvars))
-    for j in range(np_):
-        a_eq[j, 1 + j * k:1 + (j + 1) * k] = 1.0
+    a_eq[:, 1:] = np.repeat(np.eye(np_), k, axis=1)
     b_eq = np.ones(np_)
     # one mismatch budget constraint per string: sum chi*x - d <= -fixed_i
     a_ub = np.zeros((n, nvars))
     a_ub[:, 0] = -1.0
-    for i in range(n):
-        for j in range(np_):
-            for a in range(k):
-                if rows[i, j] != a:
-                    a_ub[i, 1 + j * k + a] = 1.0
+    a_ub[:, 1:] = (rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
     b_ub = -np.array(p.fixed_costs, dtype=float)
 
     c = np.zeros(nvars)
@@ -144,9 +142,7 @@ def sample_patch(frac: FractionalCenter, rng: np.random.Generator) -> tuple[int,
 
 
 def _patch_cost(p: RestrictedProblem, patch: Sequence[int]) -> int:
-    rows = _restricted_rows(p)
-    arr = np.array(patch, dtype=np.int16)
-    mism = (rows != arr).sum(axis=1) if len(patch) else np.zeros(p.inst.n, dtype=int)
+    mism = (_restricted_rows(p) != np.array(patch, dtype=np.uint8)).sum(axis=1)
     return int((mism + np.array(p.fixed_costs)).max())
 
 

@@ -1,6 +1,8 @@
 """Closest String solver: examples, oracle sandwiches, determinism."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -125,3 +127,14 @@ class TestSolveClosestString:
         inst = binst("01010101", "10101010", "00110011", "11001100")
         cfg = ClosestStringConfig(r=2, rounding=RoundingConfig(rng_seed=7))
         assert solve_closest_string(inst, cfg) == solve_closest_string(inst, cfg)
+
+    def test_solve_keeps_nothing_alive(self):
+        # solved by no other test: a value-keyed cache filled earlier in the
+        # run would otherwise hide a reference kept to these objects
+        inst = binst("0110100110", "1001011001", "0000111111", "1111000011")
+        sol = solve_closest_string(inst)
+        assert sol.center not in inst.strings  # a composed center, not an input
+        refs = [weakref.ref(inst), weakref.ref(sol.center)]
+        del inst, sol
+        gc.collect()
+        assert [r() for r in refs] == [None, None]

@@ -124,12 +124,12 @@ def reference_sweep(inst, anchor, p):
     k = inst.alphabet.size
     pos = np.array(p.positions, dtype=np.intp)
     patches = np.array(list(itertools.product(range(k), repeat=len(p))), dtype=np.int16)
-    cands = np.tile(np.array(anchor.data, dtype=np.int16), (len(patches), 1))
+    cands = np.tile(np.array(list(anchor.data), dtype=np.int16), (len(patches), 1))
     cands[:, pos] = patches.reshape(len(patches), len(p))
     costs = np.zeros(len(cands), dtype=np.int64)
     for s in inst.strings:
         wins = np.array(
-            [s.window(off, inst.window).data for off in range(len(s) - inst.window + 1)],
+            [list(s.window(off, inst.window).data) for off in range(len(s) - inst.window + 1)],
             dtype=np.int16,
         )
         mism = (cands[:, None, :] != wins[None, :, :]).sum(axis=2).min(axis=1)

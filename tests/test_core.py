@@ -1,5 +1,9 @@
 """Core string/position-set operations: examples and randomized properties."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -55,6 +59,96 @@ class TestAlphabet:
     def test_unknown_symbol_is_hard_error(self):
         with pytest.raises(AlphabetMismatch):
             Seq.from_text(BINARY, "012")
+
+    def test_one_byte_per_symbol_limits_size_to_256(self):
+        symbols = [chr(0x100 + i) for i in range(257)]
+        widest = Alphabet.of(symbols[:256])
+        assert Seq(widest, (255, 0)).text == symbols[255] + symbols[0]
+        with pytest.raises(DomainError):
+            Alphabet.of(symbols)
+
+
+class TestSeqInput:
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64, np.uint64]
+    )
+    def test_integer_array_of_any_dtype_equals_its_list(self, dtype):
+        arr = np.array([1, 0, 3, 2], dtype=dtype)
+        s = Seq(DNA, arr)
+        assert s == Seq(DNA, arr.tolist()) == seq("CATG")
+        assert s.data == b"\x01\x00\x03\x02"
+        assert len(s) == 4
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            (2,),
+            (0, 256),
+            (-1,),
+            b"\x00\x02",
+            np.array([-1, 0]),
+            np.array([0, 2], dtype=np.uint8),
+            (0.5,),
+            (1.0,),
+            np.array([0.0, 1.0]),
+            "01",
+            3,
+            np.int64(2),
+            np.array(1),
+            np.zeros((2, 2), dtype=np.int64),
+            (None,),
+        ],
+    )
+    def test_rejects_indices_outside_the_alphabet_or_not_integers(self, data):
+        with pytest.raises(DomainError):
+            Seq(BINARY, data)
+
+    def test_bytes_give_equality_hash_and_order(self):
+        a = Seq(DNA, (0, 3, 1))
+        b = Seq(DNA, b"\x00\x03\x01")
+        assert a == b and hash(a) == hash(b)
+        assert Seq(DNA, (0, 1)).data < Seq(DNA, (0, 1, 0)).data < Seq(DNA, (1,)).data
+
+    def test_arr_is_a_read_only_uint8_view(self):
+        s = seq("GATTACA")
+        assert s.arr.dtype == np.uint8 and not s.arr.flags.writeable
+        assert s.arr.tolist() == list(s.data)
+        assert np.shares_memory(s.arr, np.frombuffer(s.data, dtype=np.uint8))
+
+    def test_instance_views_are_computed_once(self):
+        inst = StringInstance.from_texts(BINARY, ["0101", "0011"])
+        assert inst.matrix is inst.matrix
+        assert inst.matrix.tolist() == [[0, 1, 0, 1], [0, 0, 1, 1]]
+        assert not inst.matrix.flags.writeable
+        sub = SubstringInstance.from_texts(BINARY, ["0101", "001"], 2)
+        assert sub.windows is sub.windows
+        assert [w.tolist() for w in sub.windows] == [[[0, 1], [1, 0], [0, 1]], [[0, 0], [0, 1]]]
+        assert not any(w.flags.writeable for w in sub.windows)
+
+    def test_concurrent_first_use_of_views_agrees(self):
+        texts = ["ACGT" * 40, "TTGA" * 40, "CAGA" * 40]
+        inst = StringInstance.from_texts(DNA, texts)
+        sub = SubstringInstance.from_texts(DNA, texts, 7)
+        workers = 8  # more threads than cores
+        barrier = threading.Barrier(workers)
+
+        def first_use(_):
+            barrier.wait(timeout=10)
+            return inst.matrix.tolist(), [w.tolist() for w in sub.windows]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                seen = list(pool.map(first_use, range(workers), timeout=30))
+        finally:
+            sys.setswitchinterval(old)
+        expected = (
+            [list(s.data) for s in inst.strings],
+            [[list(s.data[o:o + 7]) for o in range(len(s) - 6)] for s in sub.strings],
+        )
+        assert all(views == expected for views in seen)
+        assert (inst.matrix.tolist(), [w.tolist() for w in sub.windows]) == expected
 
 
 class TestHamming:

@@ -25,7 +25,13 @@ from centerstring import (
     solve_lp,
     solve_restricted,
 )
-from centerstring.errors import BudgetExceeded, DomainError, EstimatorAtLeastOne
+from centerstring.errors import (
+    AlphabetMismatch,
+    BudgetExceeded,
+    DomainError,
+    EstimatorAtLeastOne,
+    FrameMismatch,
+)
 from centerstring.lp_round import enumeration_threshold, sweep_patches
 
 
@@ -61,6 +67,15 @@ class TestBuildRestricted:
 
         p = build_restricted(binst("111"), bseq("000"), PositionSet.of([0, 1, 2], 3))
         assert p.fixed_costs == (3,)
+
+    def test_rejects_mismatched_frame_or_alphabet(self):
+        with pytest.raises(FrameMismatch):
+            build_restricted(binst("01", "10"), bseq("01"), PositionSet.of([0], 3))
+        with pytest.raises(FrameMismatch):
+            build_restricted(binst("01", "10"), bseq("010"), PositionSet.of([0], 3))
+        with pytest.raises(AlphabetMismatch):
+            anchor = Seq.from_text(Alphabet.of("10"), "01")
+            build_restricted(binst("01", "10"), anchor, PositionSet.of([0], 2))
 
     def test_fixed_costs_recomputable(self):
         rng = np.random.default_rng(2)
@@ -110,6 +125,34 @@ class TestSolveLP:
         with pytest.raises(DomainError):
             solve_lp(p)
 
+    def test_matrices_match_loop_reference(self, monkeypatch):
+        import centerstring.lp_round as lp_round
+
+        seen = {}
+        real = lp_round.linprog
+
+        def recording(c, **kw):
+            seen.update(kw)
+            return real(c, **kw)
+
+        monkeypatch.setattr(lp_round, "linprog", recording)
+        dna = Alphabet.of("ACGT")
+        inst = StringInstance.from_texts(dna, ["ACGTTA", "CCGTAA", "GTGTCA"])
+        p = build_restricted(inst, inst.strings[0], PositionSet.of([2, 3], 6))
+        solve_lp(p)
+        k, np_, n = 4, len(p.P), inst.n
+        a_eq = np.zeros((np_, 1 + np_ * k))
+        a_ub = np.zeros((n, 1 + np_ * k))
+        a_ub[:, 0] = -1.0
+        for j, pos in enumerate(p.P.positions):
+            a_eq[j, 1 + j * k:1 + (j + 1) * k] = 1.0
+            for i, s in enumerate(inst.strings):
+                for a in range(k):
+                    if s.data[pos] != a:
+                        a_ub[i, 1 + j * k + a] = 1.0
+        assert np.array_equal(seen["A_eq"], a_eq) and seen["A_eq"].dtype == a_eq.dtype
+        assert np.array_equal(seen["A_ub"], a_ub) and seen["A_ub"].dtype == a_ub.dtype
+
 
 class TestSweepPatches:
     @pytest.mark.parametrize("grouped", [False, True])
@@ -142,7 +185,7 @@ class TestSweepPatches:
 class TestEnumerate:
     def test_empty_p(self):
         p = build_restricted(binst("00"), bseq("11"), PositionSet.of([0, 1], 2))
-        assert enumerate_small_P(p).data == ()
+        assert enumerate_small_P(p).data == b""
 
     def test_tie_breaks_lexicographic(self):
         p = build_restricted(binst("01", "10"), bseq("00"), PositionSet.of([], 2))
