@@ -107,8 +107,27 @@ def _trivial_costs(inst: SubstringInstance, strings: Sequence[int]) -> Iterator[
             yield cost_substring(inst, center)[0], center
 
 
+def _agreed_tuples(
+    inst: SubstringInstance, r: int, y_budget: int
+) -> list[tuple[Seq, PositionSet]]:
+    """(anchor, agreement set Q) of every window tuple, in enumeration order.
+
+    Raises BudgetExceeded at the first tuple whose k^|P| patches exceed
+    y_budget, so an overrun surfaces before any sweep runs.
+    """
+    k = inst.alphabet.size
+    agreed = []
+    for wt in enumerate_window_tuples(inst, r):
+        q = agreement_positions(wt.windows)
+        free = q.frame - len(q)
+        if k ** free > y_budget:
+            raise BudgetExceeded(f"|P|={free} needs {k}^{free} patches, over budget {y_budget}")
+        agreed.append((wt.anchor, q))
+    return agreed
+
+
 def _swept_centers(
-    inst: SubstringInstance, cfg: SubstringConfig
+    inst: SubstringInstance, agreed: list[tuple[Seq, PositionSet]]
 ) -> Iterator[tuple[int, Seq]]:
     """Per window tuple, the best center that keeps the anchor on Q.
 
@@ -120,19 +139,13 @@ def _swept_centers(
     k = inst.alphabet.size
     wins = np.concatenate(inst.windows)
     starts = np.cumsum([0] + [len(w) for w in inst.windows[:-1]])
-    for wt in enumerate_window_tuples(inst, cfg.r):
-        q = agreement_positions(wt.windows)
+    for anchor, q in agreed:
         p = q.complement()
-        if k ** len(p) > cfg.y_budget:
-            raise BudgetExceeded(
-                f"|P|={len(p)} needs {k}^{len(p)} patches, over budget {cfg.y_budget}"
-            )
         q_idx = np.array(q.positions, dtype=np.intp)
         p_idx = np.array(p.positions, dtype=np.intp)
-        anchor = wt.anchor.arr
-        fixed = (wins[:, q_idx] != anchor[q_idx]).sum(axis=1)
+        fixed = (wins[:, q_idx] != anchor.arr[q_idx]).sum(axis=1)
         cost, patch = sweep_patches(wins[:, p_idx], fixed, k, starts)
-        yield cost, compose(wt.anchor, Seq(inst.alphabet, patch), p)
+        yield cost, compose(anchor, Seq(inst.alphabet, patch), p)
 
 
 def solve_small_substring(
@@ -141,12 +154,13 @@ def solve_small_substring(
     """Exhaustive-patch substring solver, ratio at most 1 + 1/(2r-1).
 
     Intended for small optimal radius, where the free-position sets stay
-    logarithmic; a tuple whose patch count exceeds cfg.y_budget aborts
-    with BudgetExceeded.
+    logarithmic; if any window tuple's patch count exceeds cfg.y_budget
+    it raises BudgetExceeded before sweeping anything.
     """
+    agreed = _agreed_tuples(inst, cfg.r, cfg.y_budget)
     return _best_solution(
         inst,
-        itertools.chain(_trivial_costs(inst, range(inst.n)), _swept_centers(inst, cfg)),
+        itertools.chain(_trivial_costs(inst, range(inst.n)), _swept_centers(inst, agreed)),
     )
 
 

@@ -30,7 +30,7 @@ from .errors import (
 
 LP_TOLERANCE = 1e-9
 DEFAULT_ENUM_BUDGET = 1 << 20
-# cap on the patches * rows * |P| comparisons one sweep chunk makes
+# cap on the row x patch cells one sweep chunk scores
 _SWEEP_CELLS = 1 << 20
 
 _ROUNDING_MODES = ("randomized", "derandomized", "auto")
@@ -233,6 +233,16 @@ def round_derandomized(frac: FractionalCenter, p: RestrictedProblem, epsilon_pri
     return Seq(p.inst.alphabet, tuple(choices))
 
 
+def _mismatch_table(cols: np.ndarray, k: int, seed: np.ndarray) -> np.ndarray:
+    """(nrows, k^c) int32 table: seed[row] + mismatches of each row's c
+    columns against every patch over them, patches in lexicographic order."""
+    syms = np.arange(k)
+    table = seed[:, None]
+    for j in range(cols.shape[1]):
+        table = (table[:, :, None] + (cols[:, j, None] != syms)[:, None, :]).reshape(len(cols), -1)
+    return table
+
+
 def sweep_patches(
     rows: np.ndarray, fixed: np.ndarray, k: int, starts: np.ndarray | None = None
 ) -> tuple[int, tuple[int, ...]]:
@@ -243,34 +253,36 @@ def sweep_patches(
     (None makes every row its own group).  Patches run in lexicographic
     order and the first minimum wins.  |P| = 0 is the single empty patch.
     Returns (score, patch).
+
+    Split table: the first h = |P| // 2 positions and the other |P| - h
+    each get a table of every row's mismatches against every patch over
+    them (`fixed` seeds the second), so a patch costs one add of a high
+    and a low table entry per row.  Chunks run over the high patches; a
+    chunk's cost array holds at most max(_SWEEP_CELLS, nrows * k^(|P| - h))
+    int32 cells, k^(|P| - h) being the low table's width.
     """
     nrows, np_ = rows.shape
-    # one contiguous row per position: mismatches accumulate column by
-    # column, whatever the memory order of the caller's rows
-    cols = np.ascontiguousarray(rows.T)
-    total = k ** np_
-    chunk = max(1, _SWEEP_CELLS // (nrows * max(1, np_)))
-    fixed = np.asarray(fixed, dtype=np.int32)
+    h = np_ // 2
+    hi = _mismatch_table(rows[:, :h], k, np.zeros(nrows, dtype=np.int32))
+    lo = _mismatch_table(rows[:, h:], k, np.asarray(fixed, dtype=np.int32))
+    n_lo = lo.shape[1]
+    chunk = max(1, _SWEEP_CELLS // (nrows * n_lo))
+    if starts is not None:
+        groups = list(zip(starts, [*starts[1:], nrows]))
     best_cost = None
     best_id = -1
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((np_, hi - lo), dtype=np.int16)
-        for j in range(np_ - 1, -1, -1):
-            digits[j] = rem % k
-            rem //= k
-        costs = np.empty((hi - lo, nrows), dtype=np.int32)
-        costs[:] = fixed
-        for j in range(np_):
-            costs += digits[j][:, None] != cols[j]
-        if starts is not None:
-            costs = np.minimum.reduceat(costs, starts, axis=1)
-        worst = costs.max(axis=1)
+    for a in range(0, hi.shape[1], chunk):
+        costs = hi[:, a:a + chunk, None] + lo[:, None, :]
+        if starts is None:
+            worst = costs.max(axis=0).ravel()
+        else:
+            # one slice-min per group: np.minimum.reduceat over the row axis
+            # is several times slower than the add itself
+            worst = np.max([costs[s:e].min(axis=0) for s, e in groups], axis=0).ravel()
         local = int(np.argmin(worst))
         if best_cost is None or worst[local] < best_cost:
             best_cost = int(worst[local])
-            best_id = lo + local
+            best_id = a * n_lo + local
     patch = []
     for _ in range(np_):
         best_id, digit = divmod(best_id, k)

@@ -27,6 +27,7 @@ from centerstring import (
     solve_small_substring,
     solve_substring,
 )
+from centerstring import closest_substring
 from centerstring.closest_substring import best_trivial_radius
 from centerstring.errors import BudgetExceeded, DomainError, LengthMismatch
 
@@ -99,6 +100,24 @@ class TestSmallSubstring:
         inst = bsub(["01010101010101010101", "10101010101010101010"], 20)
         with pytest.raises(BudgetExceeded, match=r"\|P\|"):
             solve_small_substring(inst, SubstringConfig(r=2, y_budget=4))
+
+    def test_budget_checked_before_any_sweep(self, monkeypatch):
+        # the support-1 tuples (|P| = 0) come first and fit any budget; the
+        # pair tuple with |P| = 20 must still be refused before they are swept
+        calls = []
+        sweep = closest_substring.sweep_patches
+
+        def counting_sweep(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(closest_substring, "sweep_patches", counting_sweep)
+        inst = bsub(["01010101010101010101", "10101010101010101010"], 20)
+        with pytest.raises(BudgetExceeded, match=r"\|P\|=20"):
+            solve_small_substring(inst, SubstringConfig(r=2, y_budget=4))
+        assert calls == []
+        solve_small_substring(inst, SubstringConfig(r=2, y_budget=1 << 20))
+        assert len(calls) == 3  # two single windows and the pair
 
     def test_oracle_sandwich(self):
         for seed in range(15):

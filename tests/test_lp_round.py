@@ -32,6 +32,7 @@ from centerstring.errors import (
     EstimatorAtLeastOne,
     FrameMismatch,
 )
+from centerstring import lp_round
 from centerstring.lp_round import enumeration_threshold, sweep_patches
 
 
@@ -175,6 +176,55 @@ class TestSweepPatches:
         best = int(np.argmin(costs))
         expected = (int(costs[best]), tuple(int(v) for v in patches[best]))
         assert sweep_patches(rows, fixed, 2, starts) == expected
+
+    def test_cross_chunk_case_spans_two_chunks(self, monkeypatch):
+        # the inputs of test_first_minimum_across_chunks: the winner and the
+        # complement it ties with must be scored in different chunks
+        chunk_lengths = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argmin(self, a):
+                chunk_lengths.append(len(a))
+                return np.argmin(a)
+
+        rng = np.random.default_rng(23)
+        half = rng.integers(0, 2, (32, 15)).astype(np.int16)
+        rows = np.stack([half, 1 - half], axis=1).reshape(64, 15)
+        fixed = rng.integers(0, 3, 32).repeat(2)
+        expected = sweep_patches(rows, fixed, 2)
+        monkeypatch.setattr(lp_round, "np", CountingNumpy())
+        assert sweep_patches(rows, fixed, 2) == expected
+        assert sum(chunk_lengths) == 2 ** 15
+        winner = int("".join(map(str, expected[1])), 2)
+        bounds = np.cumsum(chunk_lengths)
+        chunk_of = lambda patch_id: int(np.searchsorted(bounds, patch_id, side="right"))
+        assert chunk_of(winner) != chunk_of(2 ** 15 - 1 - winner)
+
+    @pytest.mark.parametrize("cells", [1, 64, 1 << 20])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_brute_force(self, monkeypatch, cells, k):
+        # small random rows tie often, so chunk borders split tied patches
+        monkeypatch.setattr(lp_round, "_SWEEP_CELLS", cells)
+        rng = np.random.default_rng(1000 * k + cells)
+        for np_ in range(7):
+            patches = np.array(list(itertools.product(range(k), repeat=np_)), dtype=np.int64)
+            patches = patches.reshape(k ** np_, np_)
+            for nrows in range(1, 8):
+                rows = rng.integers(0, k, (nrows, np_)).astype(np.uint8)
+                fixed = rng.integers(0, 3, nrows)
+                per_row = (patches[:, None, :] != rows[None, :, :]).sum(axis=2) + fixed
+                cuts = sorted(set(rng.integers(1, nrows, 2).tolist())) if nrows > 1 else []
+                for starts in (None, np.array([0, *cuts])):
+                    bounds = [0, *cuts, nrows] if starts is not None else range(nrows + 1)
+                    scores = np.stack(
+                        [per_row[:, s:e].min(axis=1) for s, e in zip(bounds, bounds[1:])]
+                    ).max(axis=0)
+                    best = int(np.argmin(scores))
+                    expected = (int(scores[best]), tuple(int(v) for v in patches[best]))
+                    assert sweep_patches(rows, fixed, k, starts) == expected, (np_, nrows, starts)
 
     def test_empty_patch(self):
         rows = np.zeros((3, 0), dtype=np.int16)
