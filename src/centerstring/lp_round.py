@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._seeds import MASK64
 from .core import (
@@ -117,7 +115,12 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
 
     c = np.zeros(nvars)
     c[0] = 1.0
-    bounds = [(0, None)] + [(0.0, 1.0)] * (np_ * k)
+    # d in [0, inf), every weight in [0, 1]
+    bounds = np.tile([0.0, 1.0], (nvars, 1))
+    bounds[0, 1] = np.inf
+    # imported here: scipy.optimize dominates the package's start-up time
+    from scipy.optimize import linprog
+
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
         raise NumericalFailure(f"LP solver failed: {res.message}")
@@ -141,11 +144,6 @@ def sample_patch(frac: FractionalCenter, rng: np.random.Generator) -> tuple[int,
     return tuple(int(v) for v in idx)
 
 
-def _patch_cost(p: RestrictedProblem, patch: Sequence[int]) -> int:
-    mism = (_restricted_rows(p) != np.array(patch, dtype=np.uint8)).sum(axis=1)
-    return int((mism + np.array(p.fixed_costs)).max())
-
-
 def round_randomized(frac: FractionalCenter, cfg: RoundingConfig) -> Seq:
     """Best of cfg.trials independent rounding draws; ties keep the lowest trial.
 
@@ -153,15 +151,14 @@ def round_randomized(frac: FractionalCenter, cfg: RoundingConfig) -> Seq:
     trials would reproduce the serial result.
     """
     p = frac.problem
-    best_patch: tuple[int, ...] | None = None
-    best_cost = -1
-    for t in range(cfg.trials):
-        rng = np.random.default_rng((cfg.rng_seed + t) & MASK64)
-        patch = sample_patch(frac, rng)
-        cost = _patch_cost(p, patch)
-        if best_patch is None or cost < best_cost:
-            best_patch, best_cost = patch, cost
-    return Seq(p.inst.alphabet, best_patch)
+    patches = np.array([
+        sample_patch(frac, np.random.default_rng((cfg.rng_seed + t) & MASK64))
+        for t in range(cfg.trials)
+    ], dtype=np.uint8)
+    # (trials, n) cost of every string under every trial's patch
+    costs = (patches[:, None, :] != _restricted_rows(p)).sum(axis=2) + np.array(p.fixed_costs)
+    best = int(np.argmin(costs.max(axis=1)))
+    return Seq(p.inst.alphabet, patches[best].tobytes())
 
 
 def round_derandomized(frac: FractionalCenter, p: RestrictedProblem, epsilon_prime: float) -> Seq:
@@ -171,6 +168,13 @@ def round_derandomized(frac: FractionalCenter, p: RestrictedProblem, epsilon_pri
     probability that the string's final cost exceeds objective +
     epsilon_prime*|P|.  Whenever the estimator starts below 1 the returned
     patch is certified to satisfy that bound for every string.
+
+    Tail table: tails[j, i, t] = Pr[#mismatches of string i over positions
+    j.. >= t], shape (|P|+1, n, |P|+2).  Column 0 is exactly 1 (t <= 0) and
+    column |P|+1 exactly 0 (more than the |P| - j remaining positions can
+    give), so a threshold t is looked up at clip(t, 0, |P|+1).  Position j
+    scores all k symbols with one (k, n) lookup in tails[j+1]; ties go to
+    the larger weight, then the smaller symbol.
     """
     if not 0.0 < epsilon_prime <= 1.0:
         raise DomainError("epsilon_prime must be in (0, 1]")
@@ -191,45 +195,40 @@ def round_derandomized(frac: FractionalCenter, p: RestrictedProblem, epsilon_pri
     # per-string mismatch probability at each position under the weights
     q = 1.0 - w[np.arange(np_)[None, :], rows]  # (n, |P|)
 
-    # tails[j][i, t] = Pr[#mismatches of string i over positions j.. >= t]
-    tails: list[np.ndarray] = [np.empty(0)] * (np_ + 1)
-    pmf = np.zeros((n, np_ + 1))
-    pmf[:, 0] = 1.0
-    tails[np_] = np.flip(np.cumsum(np.flip(pmf, axis=1), axis=1), axis=1)
+    # filled with pmf[j, i, t] = Pr[#mismatches of string i over positions
+    # j.. == t] by the backward recurrence, then summed in place into tails
+    last = np_ + 1
+    tails = np.zeros((np_ + 1, n, last + 1))
+    tails[np_, :, 0] = 1.0
     for j in range(np_ - 1, -1, -1):
         qj = q[:, j][:, None]
-        nxt = pmf * (1.0 - qj)
-        nxt[:, 1:] += pmf[:, :-1] * qj
-        pmf = nxt
-        tails[j] = np.flip(np.cumsum(np.flip(pmf, axis=1), axis=1), axis=1)
+        np.multiply(tails[j + 1], 1.0 - qj, out=tails[j])
+        tails[j, :, 1:] += tails[j + 1, :, :-1] * qj
+    rev = tails[:, :, ::-1]
+    np.cumsum(rev, axis=2, out=rev)
+    tails[:, :, 0] = 1.0
+    strings = np.arange(n)
 
-    def tail_lookup(j: int, t_needed: np.ndarray) -> np.ndarray:
-        remaining = np_ - j
-        clamped = np.clip(t_needed, 0, np_)
-        vals = tails[j][np.arange(len(t_needed)), clamped]
-        return np.where(t_needed <= 0, 1.0, np.where(t_needed > remaining, 0.0, vals))
-
-    estimator = float(tail_lookup(0, thresholds).sum())
+    estimator = float(tails[0, strings, np.clip(thresholds, 0, last)].sum())
     if estimator >= 1.0:
         raise EstimatorAtLeastOne(
             f"failure estimator {estimator:.6f} >= 1 for epsilon_prime={epsilon_prime}"
         )
 
+    # chi[j, a, i] = 1 when string i mismatches symbol a at position j
+    chi = (rows.T[:, None, :] != np.arange(k)[:, None]).astype(np.int64)
+    neg_w = (-w).tolist()
     choices: list[int] = []
-    accrued = np.zeros(n, dtype=np.int64)
-    symbols = np.arange(k, dtype=np.int16)
+    # string i violates the bound if it mismatches >= left[i] of the
+    # positions still open
+    left = thresholds.copy()
     for j in range(np_):
-        chi = (rows[:, j][:, None] != symbols[None, :]).astype(np.int64)  # (n, k)
-        best_key = None
-        best_sym = 0
-        for a in range(k):
-            t_needed = thresholds - accrued - chi[:, a]
-            score = float(tail_lookup(j + 1, t_needed).sum())
-            key = (score, -w[j, a], a)
-            if best_key is None or key < best_key:
-                best_key, best_sym = key, a
-        choices.append(best_sym)
-        accrued += chi[:, best_sym]
+        # clip(t, 0, |P|+1); np.clip costs three times as much on these sizes
+        t_needed = np.minimum(np.maximum(left - chi[j], 0), last)  # (k, n)
+        scores = tails[j + 1, strings, t_needed].sum(axis=1).tolist()
+        best = min(range(k), key=lambda a: (scores[a], neg_w[j][a], a))
+        choices.append(best)
+        left -= chi[j, best]
     return Seq(p.inst.alphabet, tuple(choices))
 
 

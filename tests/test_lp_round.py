@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from centerstring.errors import (
     FrameMismatch,
 )
 from centerstring import lp_round
+from centerstring._seeds import MASK64
 from centerstring.lp_round import enumeration_threshold, sweep_patches
 
 
@@ -56,6 +61,101 @@ def brute_force_patch_cost(problem):
         if best is None or worst < best:
             best = worst
     return best
+
+
+def reference_round_derandomized(frac, p, epsilon_prime):
+    """Per-symbol derandomized rounding: one tail array per suffix, one
+    lookup (with clip and two wheres) per (position, symbol)."""
+    if not 0.0 < epsilon_prime <= 1.0:
+        raise DomainError("epsilon_prime must be in (0, 1]")
+    np_ = len(p.P)
+    n = p.inst.n
+    k = p.inst.alphabet.size
+    rows = p.inst.matrix[:, list(p.P.positions)]
+    w = np.array(frac.weights)
+    if np_ == 0:
+        return Seq(p.inst.alphabet, ())
+
+    bound = frac.objective + epsilon_prime * np_
+    thresholds = np.array(
+        [math.floor(bound - f + 1e-12) + 1 for f in p.fixed_costs], dtype=np.int64
+    )
+    q = 1.0 - w[np.arange(np_)[None, :], rows]
+
+    tails = [np.empty(0)] * (np_ + 1)
+    pmf = np.zeros((n, np_ + 1))
+    pmf[:, 0] = 1.0
+    tails[np_] = np.flip(np.cumsum(np.flip(pmf, axis=1), axis=1), axis=1)
+    for j in range(np_ - 1, -1, -1):
+        qj = q[:, j][:, None]
+        nxt = pmf * (1.0 - qj)
+        nxt[:, 1:] += pmf[:, :-1] * qj
+        pmf = nxt
+        tails[j] = np.flip(np.cumsum(np.flip(pmf, axis=1), axis=1), axis=1)
+
+    def tail_lookup(j, t_needed):
+        remaining = np_ - j
+        clamped = np.clip(t_needed, 0, np_)
+        vals = tails[j][np.arange(len(t_needed)), clamped]
+        return np.where(t_needed <= 0, 1.0, np.where(t_needed > remaining, 0.0, vals))
+
+    estimator = float(tail_lookup(0, thresholds).sum())
+    if estimator >= 1.0:
+        raise EstimatorAtLeastOne(
+            f"failure estimator {estimator:.6f} >= 1 for epsilon_prime={epsilon_prime}"
+        )
+
+    choices = []
+    accrued = np.zeros(n, dtype=np.int64)
+    symbols = np.arange(k, dtype=np.int16)
+    for j in range(np_):
+        chi = (rows[:, j][:, None] != symbols[None, :]).astype(np.int64)
+        best_key = None
+        best_sym = 0
+        for a in range(k):
+            t_needed = thresholds - accrued - chi[:, a]
+            score = float(tail_lookup(j + 1, t_needed).sum())
+            key = (score, -w[j, a], a)
+            if best_key is None or key < best_key:
+                best_key, best_sym = key, a
+        choices.append(best_sym)
+        accrued += chi[:, best_sym]
+    return Seq(p.inst.alphabet, tuple(choices))
+
+
+def reference_round_randomized(frac, cfg):
+    """Per-trial randomized rounding: draw, score, keep the first minimum."""
+    p = frac.problem
+    rows = np.array([[s.data[j] for j in p.P.positions] for s in p.inst.strings])
+    best_patch, best_cost = None, -1
+    for t in range(cfg.trials):
+        patch = sample_patch(frac, np.random.default_rng((cfg.rng_seed + t) & MASK64))
+        cost = int(((rows != np.array(patch)).sum(axis=1) + np.array(p.fixed_costs)).max())
+        if best_patch is None or cost < best_cost:
+            best_patch, best_cost = patch, cost
+    return Seq(p.inst.alphabet, best_patch)
+
+
+def random_restricted(rng, k, np_):
+    """A random instance over k symbols with |P| = np_ free positions."""
+    alphabet = Alphabet.of("ACGTX"[:k])
+    m = np_ + int(rng.integers(0, 4))
+    n = int(rng.integers(2, 7))
+    inst = StringInstance(
+        alphabet,
+        tuple(Seq(alphabet, rng.integers(0, k, m)) for _ in range(n)),
+    )
+    q = PositionSet.of(sorted(rng.choice(m, m - np_, replace=False).tolist()), m)
+    return build_restricted(inst, inst.strings[int(rng.integers(0, n))], q)
+
+
+def expected_cost_center(p, weights, cut=0.0):
+    """A FractionalCenter with the given (|P|, k) weights whose objective is
+    the largest expected string cost under them, less `cut`."""
+    rows = p.inst.matrix[:, list(p.P.positions)]
+    expected = (1.0 - weights[np.arange(len(p.P)), rows]).sum(axis=1) + p.fixed_costs
+    objective = max(0.0, float(expected.max()) - cut)
+    return FractionalCenter(p, tuple(map(tuple, weights.tolist())), objective)
 
 
 class TestBuildRestricted:
@@ -127,16 +227,16 @@ class TestSolveLP:
             solve_lp(p)
 
     def test_matrices_match_loop_reference(self, monkeypatch):
-        import centerstring.lp_round as lp_round
+        import scipy.optimize
 
         seen = {}
-        real = lp_round.linprog
+        real = scipy.optimize.linprog
 
         def recording(c, **kw):
             seen.update(kw)
             return real(c, **kw)
 
-        monkeypatch.setattr(lp_round, "linprog", recording)
+        monkeypatch.setattr(scipy.optimize, "linprog", recording)
         dna = Alphabet.of("ACGT")
         inst = StringInstance.from_texts(dna, ["ACGTTA", "CCGTAA", "GTGTCA"])
         p = build_restricted(inst, inst.strings[0], PositionSet.of([2, 3], 6))
@@ -153,6 +253,19 @@ class TestSolveLP:
                         a_ub[i, 1 + j * k + a] = 1.0
         assert np.array_equal(seen["A_eq"], a_eq) and seen["A_eq"].dtype == a_eq.dtype
         assert np.array_equal(seen["A_ub"], a_ub) and seen["A_ub"].dtype == a_ub.dtype
+        bounds = np.array([(0.0, np.inf)] + [(0.0, 1.0)] * (np_ * k))
+        assert np.array_equal(seen["bounds"], bounds) and seen["bounds"].dtype == bounds.dtype
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.optimize is most of the package's start-up time, so the
+        # LP solver is imported only when the first LP is solved
+        code = "import centerstring, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": str(Path(lp_round.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestSweepPatches:
@@ -341,6 +454,76 @@ class TestRounding:
             )
             assert cost <= math.floor(frac.objective + eps * len(p.P) + 1e-9)
         assert checked > 50
+
+    def test_derandomized_matches_per_symbol_reference(self):
+        # LP weights rarely leave the estimator at >= 1; random weights with
+        # an objective cut below their expected cost often do
+        rng = np.random.default_rng(31)
+        outcomes = {"lp": [0, 0], "random": [0, 0]}
+        for k in (2, 3, 4):
+            for _ in range(40):
+                p = random_restricted(rng, k, int(rng.integers(1, 41)))
+                weights = rng.dirichlet(np.ones(k), len(p.P))
+                cut = expected_cost_center(p, weights, float(rng.uniform(0.3, 1.2)) * len(p.P))
+                for kind, frac in (("lp", solve_lp(p)), ("random", cut)):
+                    for eps in (0.5, 0.8, 1.0):
+                        try:
+                            expected = reference_round_derandomized(frac, p, eps)
+                        except EstimatorAtLeastOne as exc:
+                            outcomes[kind][1] += 1
+                            with pytest.raises(EstimatorAtLeastOne) as got:
+                                round_derandomized(frac, p, eps)
+                            assert str(got.value) == str(exc)
+                        else:
+                            outcomes[kind][0] += 1
+                            assert round_derandomized(frac, p, eps) == expected
+        assert outcomes["lp"][0] > 300 and min(outcomes["random"]) > 50, outcomes
+
+    def test_derandomized_ties_match_per_symbol_reference(self):
+        # uniform and tied weights make several symbols score alike, so the
+        # (score, -weight, symbol) tie-break decides
+        rng = np.random.default_rng(37)
+        rounded = 0
+        for k in (2, 3, 4):
+            for trial in range(30):
+                p = random_restricted(rng, k, int(rng.integers(1, 13)))
+                if trial % 3 == 0:
+                    weights = np.full((len(p.P), k), 1.0 / k)
+                else:
+                    weights = rng.choice([0.0, 0.25, 0.5], (len(p.P), k))
+                    weights[np.arange(len(p.P)), rng.integers(0, k, len(p.P))] += 0.5
+                    weights /= weights.sum(axis=1, keepdims=True)
+                frac = expected_cost_center(p, weights)
+                for eps in (0.5, 1.0):
+                    try:
+                        expected = reference_round_derandomized(frac, p, eps)
+                    except EstimatorAtLeastOne:
+                        with pytest.raises(EstimatorAtLeastOne):
+                            round_derandomized(frac, p, eps)
+                    else:
+                        rounded += 1
+                        assert round_derandomized(frac, p, eps) == expected
+        assert rounded > 30
+
+    def test_estimator_of_exactly_one_raises(self):
+        # the only string mismatches the one free position with certainty,
+        # and any mismatch breaks objective + eps' * |P| = 0.5
+        p = build_restricted(binst("1"), bseq("0"), PositionSet.of([], 1))
+        frac = FractionalCenter(p, ((1.0, 0.0),), 0.0)
+        for rounding in (reference_round_derandomized, round_derandomized):
+            with pytest.raises(EstimatorAtLeastOne, match="1.000000 >= 1"):
+                rounding(frac, p, 0.5)
+
+    def test_randomized_matches_per_trial_reference(self):
+        rng = np.random.default_rng(43)
+        for k in (2, 3, 4):
+            for _ in range(30):
+                p = random_restricted(rng, k, int(rng.integers(1, 21)))
+                frac = solve_lp(p)
+                cfg = RoundingConfig(
+                    trials=int(rng.integers(1, 40)), rng_seed=int(rng.integers(0, 2**63))
+                )
+                assert round_randomized(frac, cfg) == reference_round_randomized(frac, cfg)
 
     def test_sample_patch_matches_expected_cost(self):
         # E[d(s_i|P, x)] equals the chi-weighted sum of the weights
