@@ -1,11 +1,12 @@
 """Closest Substring solvers.
 
-Two pipelines share the window-tuple enumeration: the small-radius path
-sweeps every patch over the tuple's free positions with the patch-sweep
-kernel it shares with the Closest String solver, while the sampling
-path guesses the center on a random position multiset R, selects one
-window per input string by a scaled proxy score, and hands the selected
-windows to the restricted LP machinery.
+Two pipelines share the window-tuple enumeration and the per-tuple
+patch sweep: the small-radius path sweeps every patch over each tuple's
+free positions P with the patch-sweep kernel it shares with the Closest
+String solver.  The sampling path sweeps the tuples whose sample R would
+cover P; for the others it guesses the center on a random position
+multiset R, selects one window per input string by a scaled proxy score,
+and hands the selected windows to the restricted LP machinery.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .core import (
     StringInstance,
     SubstringInstance,
     agreement_positions,
-    compose,
     cost_substring,
     restrict,
 )
@@ -108,44 +108,59 @@ def _trivial_costs(inst: SubstringInstance, strings: Sequence[int]) -> Iterator[
 
 
 def _agreed_tuples(
-    inst: SubstringInstance, r: int, y_budget: int
-) -> list[tuple[Seq, PositionSet]]:
-    """(anchor, agreement set Q) of every window tuple, in enumeration order.
+    inst: SubstringInstance, r: int, y_budget: int, epsilon: float | None = None
+) -> list[tuple[tuple[tuple[int, int], ...], Seq, PositionSet]]:
+    """(picks, anchor, agreement set Q) of every window tuple, in enumeration order.
 
-    Raises BudgetExceeded at the first tuple whose k^|P| patches exceed
-    y_budget, so an overrun surfaces before any sweep runs.
+    A tuple enumerates k^|P| patches; on the sampling path (`epsilon`
+    given) it enumerates k^min(|P|, |R|), the guesses on R or, when R
+    covers P, the patches swept.  Raises BudgetExceeded at the first tuple
+    whose count exceeds y_budget, so an overrun surfaces before any sweep,
+    window selection or LP runs.
     """
     k = inst.alphabet.size
+    # |P| <= L, so L caps nothing on the small_d path
+    size = inst.window if epsilon is None else _sample_size_of(inst, epsilon)
     agreed = []
     for wt in enumerate_window_tuples(inst, r):
         q = agreement_positions(wt.windows)
-        free = q.frame - len(q)
-        if k ** free > y_budget:
-            raise BudgetExceeded(f"|P|={free} needs {k}^{free} patches, over budget {y_budget}")
-        agreed.append((wt.anchor, q))
+        count = min(q.frame - len(q), size)
+        if k ** count > y_budget:
+            if epsilon is None:
+                raise BudgetExceeded(f"|P|={count} needs {k}^{count} patches, over budget {y_budget}")
+            raise BudgetExceeded(
+                f"|R|={count} needs {k}^{count} guesses, over budget {y_budget}; "
+                + _budget_hint(inst, y_budget, epsilon)
+            )
+        agreed.append((wt.picks, wt.anchor, q))
     return agreed
 
 
-def _swept_centers(
-    inst: SubstringInstance, agreed: list[tuple[Seq, PositionSet]]
-) -> Iterator[tuple[int, Seq]]:
-    """Per window tuple, the best center that keeps the anchor on Q.
+def _tuple_sweeper(inst: SubstringInstance) -> Callable[[Seq, PositionSet], tuple[int, Seq]]:
+    """The per-tuple patch sweep, with the window rows built once per solve.
 
-    Every window of every string is one row of the shared patch sweep,
-    restricted to P and charged its distance to the anchor on Q; a
-    string's rows form one group, so the sweep scores a patch by max over
-    strings of min over windows, the candidate's substring radius.
+    The returned function gives a window tuple's best center that keeps
+    the anchor on Q, with its radius.  Every window of every string is one
+    row of the shared patch sweep, restricted to P and charged its
+    distance to the anchor on Q; a string's rows form one group, so the
+    sweep scores a patch by max over strings of min over windows, the
+    candidate's substring radius.
     """
     k = inst.alphabet.size
     wins = np.concatenate(inst.windows)
     starts = np.cumsum([0] + [len(w) for w in inst.windows[:-1]])
-    for anchor, q in agreed:
-        p = q.complement()
-        q_idx = np.array(q.positions, dtype=np.intp)
-        p_idx = np.array(p.positions, dtype=np.intp)
-        fixed = (wins[:, q_idx] != anchor.arr[q_idx]).sum(axis=1)
-        cost, patch = sweep_patches(wins[:, p_idx], fixed, k, starts)
-        yield cost, compose(anchor, Seq(inst.alphabet, patch), p)
+
+    def sweep(anchor: Seq, q: PositionSet) -> tuple[int, Seq]:
+        on_q = np.zeros(q.frame, dtype=bool)
+        on_q[list(q.positions)] = True
+        on_p = ~on_q
+        fixed = (wins[:, on_q] != anchor.arr[on_q]).sum(axis=1)
+        cost, patch = sweep_patches(wins[:, on_p], fixed, k, starts)
+        center = anchor.arr.copy()
+        center[on_p] = patch
+        return cost, Seq(inst.alphabet, center.tobytes())
+
+    return sweep
 
 
 def solve_small_substring(
@@ -158,9 +173,13 @@ def solve_small_substring(
     it raises BudgetExceeded before sweeping anything.
     """
     agreed = _agreed_tuples(inst, cfg.r, cfg.y_budget)
+    sweep = _tuple_sweeper(inst)
     return _best_solution(
         inst,
-        itertools.chain(_trivial_costs(inst, range(inst.n)), _swept_centers(inst, agreed)),
+        itertools.chain(
+            _trivial_costs(inst, range(inst.n)),
+            (sweep(anchor, q) for _, anchor, q in agreed),
+        ),
     )
 
 
@@ -174,6 +193,11 @@ def sample_size(epsilon: float, n: int, m: int) -> int:
     if n < 1 or m < 1:
         raise DomainError("n and m must be >= 1")
     return math.ceil(4.0 / (epsilon * epsilon) * math.log(n * m))
+
+
+def _sample_size_of(inst: SubstringInstance, epsilon: float) -> int:
+    """sample_size at the instance's n and longest string."""
+    return sample_size(epsilon, inst.n, max(len(s) for s in inst.strings))
 
 
 def select_windows(
@@ -213,44 +237,61 @@ def select_windows(
 
 
 def _draw_sample(p: PositionSet, size: int, seed: int) -> PositionSet:
-    """Multiset of `size` positions drawn with replacement from p; when the
-    requested size reaches |p| (or is 0), fall back to exhaustive p."""
-    if size <= 0 or size >= len(p):
-        return PositionSet(p.positions, p.frame, multiset=True)
+    """Multiset of `size` positions drawn with replacement from p.
+
+    Only tuples whose sample does not cover P draw one (0 < size < |p|);
+    a covered tuple is swept instead.
+    """
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(p), size=size)
     drawn = sorted(p.positions[i] for i in idx)
     return PositionSet(tuple(drawn), p.frame, multiset=True)
 
 
-def _min_feasible_epsilon(n: int, m: int, k: int, y_budget: int) -> float:
-    """Smallest epsilon whose sample fits the y enumeration budget."""
-    max_r = max(1, math.floor(math.log(y_budget) / math.log(k)))
-    return math.sqrt(4.0 * math.log(n * m) / max_r)
+def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
+    """How to make every tuple fit y_budget on the sampling path: the
+    smallest epsilon in (0, 1] whose sample fits, or, when none does, the
+    budget that fits at this epsilon (k^min(|R|, L), as |P| <= L)."""
+    k = inst.alphabet.size
+    max_r = 0
+    while k ** (max_r + 1) <= y_budget:
+        max_r += 1
+    if max_r:
+        nm = inst.n * max(len(s) for s in inst.strings)
+        # rounded up, so the printed value itself fits
+        eps_min = math.ceil(math.sqrt(4.0 * math.log(nm) / max_r) * 1e4) / 1e4
+        if eps_min <= 1.0:
+            return f"epsilon >= {eps_min:.4f} would fit"
+        needed = f"epsilon >= {eps_min:.4f} would be needed"
+    else:
+        needed = f"a budget below {k} fits no guess"
+    size = min(_sample_size_of(inst, epsilon), inst.window)
+    return f"no epsilon in (0, 1] fits ({needed}); y_budget >= {k}^{size} would fit at epsilon {epsilon}"
 
 
 def _sampled_centers(
-    inst: SubstringInstance, cfg: SubstringConfig, enum_budget: int
+    inst: SubstringInstance,
+    cfg: SubstringConfig,
+    enum_budget: int,
+    agreed: list[tuple[tuple[tuple[int, int], ...], Seq, PositionSet]],
 ) -> Iterator[tuple[int, Seq]]:
-    """Per window tuple and center guess y, the restricted solve's center."""
+    """Per window tuple, the swept center when the sample covers P, and
+    otherwise the restricted solve's center for every guess y on R."""
     k = inst.alphabet.size
-    n = inst.n
-    m_max = max(len(s) for s in inst.strings)
-    r_formula = sample_size(cfg.epsilon, n, m_max)
+    r_formula = _sample_size_of(inst, cfg.epsilon)
+    sweep = _tuple_sweeper(inst)
     # the LP stage must stay within error epsilon*|P| overall
     rounding = replace(cfg.rounding, epsilon_prime=cfg.epsilon)
 
-    for wt in enumerate_window_tuples(inst, cfg.r):
-        q = agreement_positions(wt.windows)
+    for picks, anchor, q in agreed:
+        if q.frame - len(q) <= r_formula:
+            # R would be all of P, so every guess is a whole patch composed
+            # into the anchor: the sweep's best is at least as good as them all
+            yield sweep(anchor, q)
+            continue
         p = q.complement()
-        r_sample = _draw_sample(p, r_formula, derive_seed(cfg.rng_seed, "sample", wt.picks))
-        if k ** len(r_sample) > cfg.y_budget:
-            eps_min = _min_feasible_epsilon(n, m_max, k, cfg.y_budget)
-            raise BudgetExceeded(
-                f"|R|={len(r_sample)} needs {k}^{len(r_sample)} guesses, over budget "
-                f"{cfg.y_budget}; epsilon >= {eps_min:.4f} would fit"
-            )
-        anchor_q = restrict(wt.anchor, q)
+        r_sample = _draw_sample(p, r_formula, derive_seed(cfg.rng_seed, "sample", picks))
+        anchor_q = restrict(anchor, q)
         memo: dict[tuple[bytes, ...], Seq] = {}
         for y_digits in itertools.product(range(k), repeat=len(r_sample)):
             y = Seq(inst.alphabet, y_digits)
@@ -259,9 +300,9 @@ def _sampled_centers(
             center = memo.get(key)
             if center is None:
                 sub_inst = StringInstance(inst.alphabet, tuple(selected))
-                problem = build_restricted(sub_inst, wt.anchor, q)
+                problem = build_restricted(sub_inst, anchor, q)
                 # the seed token keeps the repr of index tuples
-                seed = derive_seed(cfg.rng_seed, "round", wt.picks, tuple(map(tuple, key)))
+                seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
                 center, _ = solve_restricted(
                     problem, replace(rounding, rng_seed=seed), enum_budget=enum_budget
                 )
@@ -277,15 +318,24 @@ def solve_closest_substring(
     """Sampling-based substring solver, ratio 1 + 1/(2r-1) + 3*epsilon*r
     with high probability.
 
-    For every window tuple, a position multiset R is drawn once from the
-    free positions (seeded per tuple); every center guess y on R selects
-    one window per string, and the restricted LP pipeline (solved within
-    error epsilon*|P|) produces a candidate center.  All windows of the
-    first string are also tried directly.
+    For every window tuple the sample size |R| = sample_size(epsilon, n, m)
+    is compared with the free positions P.  When |R| >= |P| the sample
+    would be all of P, so every center guess is a whole patch; the tuple
+    is then swept exactly (the small_d sweep, ratio 1 + 1/(2r-1)), which
+    is at least as good as every guess together.  Otherwise R is drawn
+    once from P (seeded per tuple); every center guess y on R selects one
+    window per string, and the restricted LP pipeline (solved within error
+    epsilon*|P|) produces a candidate center.  All windows of the first
+    string are also tried directly.  cfg.y_budget caps the patches swept
+    or the guesses made per tuple; an overrun raises BudgetExceeded before
+    any tuple is solved.
     """
+    agreed = _agreed_tuples(inst, cfg.r, cfg.y_budget, cfg.epsilon)
     return _best_solution(
         inst,
-        itertools.chain(_trivial_costs(inst, [0]), _sampled_centers(inst, cfg, enum_budget)),
+        itertools.chain(
+            _trivial_costs(inst, [0]), _sampled_centers(inst, cfg, enum_budget, agreed)
+        ),
     )
 
 

@@ -435,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounding-mode", choices=("randomized", "derandomized", "auto"),
                    default="auto")
     p.add_argument("--y-budget", type=int, default=1 << 16,
-                   help="cap on center guesses per window tuple")
+                   help="cap per window tuple on the patches swept (small_d, and "
+                        "sampling tuples whose sample covers the free positions) "
+                        "or on the center guesses (other sampling tuples)")
 
     p = subs.add_parser("exact", help="exact oracle (exponential time)")
     p.add_argument("file")

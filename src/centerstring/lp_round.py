@@ -134,25 +134,35 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     return FractionalCenter(p, tuple(tuple(float(x) for x in row) for row in w), float(objective))
 
 
+def _cumulative_weights(frac: FractionalCenter) -> np.ndarray:
+    """(|P|, k) running sums of the weights, the last column exactly 1."""
+    cum = np.cumsum(np.array(frac.weights), axis=1)
+    cum[:, -1] = 1.0
+    return cum
+
+
+def _draw(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Per position, the first symbol whose running weight exceeds a uniform draw."""
+    u = rng.random(cum.shape[0])
+    return (u[:, None] >= cum).sum(axis=1)
+
+
 def sample_patch(frac: FractionalCenter, rng: np.random.Generator) -> tuple[int, ...]:
     """One independent per-position draw from the fractional weights."""
-    w = np.array(frac.weights)
-    cum = np.cumsum(w, axis=1)
-    cum[:, -1] = 1.0
-    u = rng.random(w.shape[0])
-    idx = (u[:, None] >= cum).sum(axis=1)
-    return tuple(int(v) for v in idx)
+    return tuple(int(v) for v in _draw(_cumulative_weights(frac), rng))
 
 
 def round_randomized(frac: FractionalCenter, cfg: RoundingConfig) -> Seq:
     """Best of cfg.trials independent rounding draws; ties keep the lowest trial.
 
     Trial t uses the derived seed rng_seed + t, so parallel evaluation of
-    trials would reproduce the serial result.
+    trials would reproduce the serial result.  Every trial draws as
+    sample_patch does, from running weights built once per call.
     """
     p = frac.problem
+    cum = _cumulative_weights(frac)
     patches = np.array([
-        sample_patch(frac, np.random.default_rng((cfg.rng_seed + t) & MASK64))
+        _draw(cum, np.random.default_rng((cfg.rng_seed + t) & MASK64))
         for t in range(cfg.trials)
     ], dtype=np.uint8)
     # (trials, n) cost of every string under every trial's patch
@@ -261,6 +271,10 @@ def sweep_patches(
     int32 cells, k^(|P| - h) being the low table's width.
     """
     nrows, np_ = rows.shape
+    if np_ == 0:
+        costs = np.asarray(fixed)
+        worst = costs if starts is None else np.minimum.reduceat(costs, starts)
+        return int(worst.max()), ()
     h = np_ // 2
     hi = _mismatch_table(rows[:, :h], k, np.zeros(nrows, dtype=np.int32))
     lo = _mismatch_table(rows[:, h:], k, np.asarray(fixed, dtype=np.int32))
@@ -275,9 +289,13 @@ def sweep_patches(
         if starts is None:
             worst = costs.max(axis=0).ravel()
         else:
-            # one slice-min per group: np.minimum.reduceat over the row axis
-            # is several times slower than the add itself
-            worst = np.max([costs[s:e].min(axis=0) for s, e in groups], axis=0).ravel()
+            # one slice-min per group, folded in place: np.minimum.reduceat
+            # over the row axis is several times slower than the add itself
+            (s, e), *rest = groups
+            worst = costs[s:e].min(axis=0)
+            for s, e in rest:
+                np.maximum(worst, costs[s:e].min(axis=0), out=worst)
+            worst = worst.ravel()
         local = int(np.argmin(worst))
         if best_cost is None or worst[local] < best_cost:
             best_cost = int(worst[local])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from centerstring import (
     Alphabet,
     PositionSet,
     Seq,
+    StringInstance,
     SubstringConfig,
     SubstringInstance,
     agreement_positions,
+    build_restricted,
     compose,
     cost_substring,
     enumerate_window_tuples,
@@ -24,10 +27,12 @@ from centerstring import (
     sample_size,
     select_windows,
     solve_closest_substring,
+    solve_restricted,
     solve_small_substring,
     solve_substring,
 )
-from centerstring import closest_substring
+from centerstring import closest_substring, lp_round
+from centerstring._seeds import derive_seed
 from centerstring.closest_substring import best_trivial_radius
 from centerstring.errors import BudgetExceeded, DomainError, LengthMismatch
 
@@ -305,6 +310,196 @@ class TestSamplingSolver:
         cfg = SubstringConfig(r=2, epsilon=0.4, y_budget=16, rng_seed=0)
         with pytest.raises(BudgetExceeded, match="epsilon >="):
             solve_closest_substring(inst, cfg)
+
+
+def reference_sampled_solve(inst, cfg):
+    """The sampling solver with every window tuple on the guess loop: R is
+    all of P when the requested size reaches |P| (or is 0) and a seeded
+    draw otherwise, and every guess y on R selects windows whose
+    restricted solve gives a candidate; the first minimum wins."""
+    k = inst.alphabet.size
+    l = inst.window
+    size = sample_size(cfg.epsilon, inst.n, max(len(s) for s in inst.strings))
+    rounding = replace(cfg.rounding, epsilon_prime=cfg.epsilon)
+
+    def candidates():
+        first = inst.strings[0]
+        for off in range(len(first) - l + 1):
+            yield first.window(off, l)
+        for wt in enumerate_window_tuples(inst, cfg.r):
+            q = agreement_positions(wt.windows)
+            p = q.complement()
+            if size <= 0 or size >= len(p):
+                drawn = p.positions
+            else:
+                rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", wt.picks))
+                drawn = tuple(sorted(p.positions[i] for i in rng.integers(0, len(p), size=size)))
+            r_sample = PositionSet(drawn, l, multiset=True)
+            anchor_q = restrict(wt.anchor, q)
+            memo = {}
+            for y in itertools.product(range(k), repeat=len(r_sample)):
+                selected = select_windows(inst, Seq(inst.alphabet, y), r_sample, anchor_q, q)
+                key = tuple(t.data for t in selected)
+                if key not in memo:
+                    sub = StringInstance(inst.alphabet, tuple(selected))
+                    seed = derive_seed(cfg.rng_seed, "round", wt.picks, tuple(map(tuple, key)))
+                    memo[key] = solve_restricted(
+                        build_restricted(sub, wt.anchor, q), replace(rounding, rng_seed=seed)
+                    )[0]
+                yield memo[key]
+
+    best = None
+    for center in candidates():
+        cost = cost_substring(inst, center)[0]
+        if best is None or cost < best[0]:
+            best = (cost, center)
+    return (best[1], *cost_substring(inst, best[1]))
+
+
+def planted_texts(rng, alphabet, lengths, width, d):
+    """Random texts of the given lengths, each holding one center with d changes."""
+    k = len(alphabet)
+    center = rng.integers(0, k, size=width)
+    texts = []
+    for m in lengths:
+        copy = center.copy()
+        pos = rng.choice(width, size=d, replace=False)
+        copy[pos] = (copy[pos] + rng.integers(1, k, size=d)) % k
+        row = rng.integers(0, k, size=m)
+        off = int(rng.integers(0, m - width + 1))
+        row[off:off + width] = copy
+        texts.append("".join(alphabet[v] for v in row))
+    return texts
+
+
+def forbid(monkeypatch, module, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(module, name, fail)
+
+
+def spy(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+class TestCoveredSampleSweep:
+    # (alphabet, string lengths, L, d): every tuple's sample covers its P
+    SHAPES = (
+        ("01", (6, 7, 5), 4, 1),
+        ("01", (5, 6, 6, 5), 4, 2),
+        ("012", (5, 6, 4), 3, 1),
+        ("ACGT", (4, 5, 4), 3, 1),
+        ("ACGT", (5, 4), 4, 2),
+    )
+
+    def test_radius_never_worse_than_guess_loop(self):
+        changed = 0
+        for alphabet, lengths, l, d in self.SHAPES:
+            for seed in range(6):
+                rng = np.random.default_rng([len(alphabet), len(lengths), seed])
+                inst = SubstringInstance.from_texts(
+                    Alphabet.of(alphabet), planted_texts(rng, alphabet, lengths, l, d), l
+                )
+                cfg = SubstringConfig(r=2 + seed % 2, mode="sampling", rng_seed=seed)
+                center, radius, offsets = reference_sampled_solve(inst, cfg)
+                sol = solve_closest_substring(inst, cfg)
+                assert sol.radius <= radius, (alphabet, lengths, seed)
+                changed += sol.center != center
+        # the swept path must be the one taken: some tie resolves differently
+        assert changed > 0
+
+    def test_covered_tuples_skip_guesses_selection_and_lp(self, monkeypatch):
+        for name in ("select_windows", "build_restricted", "solve_restricted"):
+            forbid(monkeypatch, closest_substring, name)
+        forbid(monkeypatch, lp_round, "solve_lp")
+        seeds = spy(monkeypatch, closest_substring, "derive_seed")
+        sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
+        planted, _ = generate_planted("01", 3, 8, 5, 1, 4)
+        # |R| = ceil(4 ln 28) = 14 = |P| on the pair tuple: still covered
+        boundary = bsub(["0" * 14, "1" * 14], 14)
+        for inst in (planted, boundary):
+            sweeps.clear()
+            sol = solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0))
+            assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
+            assert seeds == []
+            assert len(sweeps) == len(list(enumerate_window_tuples(inst, 2)))
+        assert sweeps[-1][0].shape == (2, 14)
+
+    def test_uncovered_tuple_keeps_guess_loop(self, monkeypatch):
+        # |R| = ceil(4 ln 30) = 14 < |P| = 15 on the one pair tuple, whose
+        # 2^14 guesses fit the default budget; the single-window tuples
+        # (|P| = 0) give the same candidate on both paths
+        inst = bsub(["0" * 15, "1" * 15], 15)
+        cfg = SubstringConfig(r=2, epsilon=1.0)
+        center, radius, offsets = reference_sampled_solve(inst, cfg)
+        selections = spy(monkeypatch, closest_substring, "select_windows")
+        lps = spy(monkeypatch, lp_round, "solve_lp")
+        seeds = spy(monkeypatch, closest_substring, "derive_seed")
+        sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
+        sol = solve_closest_substring(inst, cfg)
+        assert (sol.center, sol.radius, sol.witnesses) == (center, radius, offsets)
+        assert len(selections) == 2 ** 14
+        assert len(lps) == 1  # one string each: every guess selects the same windows
+        assert seeds[0] == (0, "sample", ((0, 0), (1, 0)))
+        assert len(sweeps) == 2
+
+    def test_budget_checked_before_any_work(self, monkeypatch):
+        # the single-window tuples come first and fit; the pair tuple's
+        # 2^15 guesses must be refused before any of them is solved
+        for name in ("sweep_patches", "select_windows", "solve_restricted"):
+            forbid(monkeypatch, closest_substring, name)
+        inst = bsub(["01010101010101010101", "10101010101010101010"], 20)
+        with pytest.raises(BudgetExceeded, match=r"\|R\|=15 needs 2\^15 guesses, over budget 4;"):
+            solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0, y_budget=4))
+
+    def test_budget_counts_swept_patches_of_covered_tuples(self):
+        # |P| = 6 <= |R| = 13: the sweep's 2^6 patches are what the budget caps
+        inst = bsub(["000000", "111111", "000111"], 6)
+        with pytest.raises(BudgetExceeded, match=r"\|R\|=6 needs 2\^6 guesses"):
+            solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0, y_budget=63))
+        assert solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0, y_budget=64)).radius == 3
+
+
+class TestBudgetHint:
+    def test_feasible_epsilon_fits(self):
+        rng = np.random.default_rng(3)
+        texts = ["".join(str(int(v)) for v in rng.integers(0, 2, 40)) for _ in range(3)]
+        inst = bsub(texts, 30)
+        cfg = SubstringConfig(r=2, epsilon=0.4, y_budget=1 << 20, rng_seed=0)
+        with pytest.raises(BudgetExceeded, match="epsilon >= ") as err:
+            solve_closest_substring(inst, cfg)
+        eps = float(str(err.value).rsplit("epsilon >= ", 1)[1].split()[0])
+        assert 0.4 < eps <= 1.0
+        assert 2 ** sample_size(eps, 3, 40) <= cfg.y_budget
+        assert 2 ** sample_size(eps - 1e-4, 3, 40) > cfg.y_budget
+        closest_substring._agreed_tuples(inst, 2, cfg.y_budget, eps)  # no raise
+
+    def test_no_feasible_epsilon_names_a_budget(self):
+        # binary 4 x 40, L = 20: epsilon = 1 still needs |R| = 21 > 16, and
+        # no tuple can need more than 2^L
+        inst, _ = generate_planted("01", 4, 40, 20, 2, 0)
+        cfg = SubstringConfig(r=2, epsilon=1.0)
+        with pytest.raises(BudgetExceeded) as err:
+            solve_closest_substring(inst, cfg)
+        msg = str(err.value)
+        assert "no epsilon in (0, 1] fits" in msg
+        assert "epsilon >= 1.1265 would be needed" in msg
+        assert msg.endswith("y_budget >= 2^20 would fit at epsilon 1.0")
+        closest_substring._agreed_tuples(inst, 2, 2 ** 20, 1.0)  # no raise
+
+    def test_budget_below_alphabet_size(self):
+        inst = bsub(["0011", "1100"], 4)
+        with pytest.raises(BudgetExceeded, match=r"a budget below 2 fits no guess\); y_budget >= 2\^4 "):
+            solve_closest_substring(inst, SubstringConfig(r=2, y_budget=1))
 
 
 class TestFact2Empirics:
