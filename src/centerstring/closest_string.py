@@ -2,7 +2,8 @@
 
 Every r-element subset of the inputs fixes its agreement positions from
 the subset and optimizes the rest; every input string is also tried as a
-center directly.  The best candidate wins with deterministic tie-breaks.
+center directly.  The first candidate of minimum radius wins, inputs
+before subsets, the rule the substring solvers share.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ._seeds import derive_seed
 from .core import CenterSolution, Seq, StringInstance, agreement_positions, cost_string
@@ -41,21 +42,13 @@ def subset_candidates(inst: StringInstance, r: int) -> Iterator[tuple[int, ...]]
     return itertools.combinations(range(inst.n), r)
 
 
-# candidate = (radius, step_rank, center); ties prefer lower radius, then
-# direct input centers over subset-derived ones, then the smaller center
-_Candidate = tuple[int, int, Seq]
-
-
-def _candidate_key(c: _Candidate) -> tuple[int, int, bytes]:
-    return (c[0], c[1], c[2].data)
-
-
 def _subset_work(
     inst: StringInstance,
     subset: tuple[int, ...],
     cfg: ClosestStringConfig,
     enum_budget: int,
-) -> _Candidate:
+) -> tuple[int, Seq]:
+    """(radius, center) of one subset's restricted solve."""
     # subset members agree on all of q, so the first one serves as the anchor
     q = agreement_positions([inst.strings[i] for i in subset])
     seed = derive_seed(cfg.rounding.rng_seed, "subset", subset)
@@ -63,7 +56,7 @@ def _subset_work(
     center, cost = solve_restricted(
         p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
     )
-    return (cost, 1, center)
+    return cost, center
 
 
 def solve_closest_string(
@@ -73,13 +66,13 @@ def solve_closest_string(
 ) -> CenterSolution:
     """Approximate center string with ratio at most 1 + 1/(2r-1) + r*eps'.
 
-    r is clamped to n for small instances.  Deterministic for a fixed
-    (instance, config) pair, also under parallel subset evaluation.
+    The candidates are the input strings, then one center per r-subset in
+    lexicographic order; the first of minimum radius wins.  r is clamped
+    to n for small instances.  Deterministic for a fixed (instance,
+    config) pair, also under parallel subset evaluation.
     """
     r = min(cfg.r, inst.n)
-    candidates: list[_Candidate] = [
-        (cost_string(inst, s), 0, s) for s in inst.strings
-    ]
+    candidates = [(cost_string(inst, s), s) for s in inst.strings]
 
     subsets = list(subset_candidates(inst, r))
     if cfg.parallel and len(subsets) > 1:
@@ -90,5 +83,5 @@ def solve_closest_string(
     else:
         candidates.extend(_subset_work(inst, sub, cfg, enum_budget) for sub in subsets)
 
-    radius, _, center = min(candidates, key=_candidate_key)
+    radius, center = min(candidates, key=lambda c: c[0])
     return CenterSolution(center, radius, (0,) * inst.n)

@@ -1,12 +1,14 @@
 """Closest Substring solvers.
 
-Two pipelines share the window-tuple enumeration and the per-tuple
-patch sweep: the small-radius path sweeps every patch over each tuple's
-free positions P with the patch-sweep kernel it shares with the Closest
-String solver.  The sampling path sweeps the tuples whose sample R would
-cover P; for the others it guesses the center on a random position
-multiset R, selects one window per input string by a scaled proxy score,
-and hands the selected windows to the restricted LP machinery.
+One per-tuple loop serves every mode.  Each window tuple either has its
+free positions P solved exactly or has its center guessed on a random
+position multiset R.  A tuple is swept (every patch over P, scored by the
+patch-sweep kernel shared with the Closest String solver) when |P| is at
+most the mode's sweep limit: L for small_d, |R| for sampling, and the
+largest c with k^c <= y_budget for auto.  Otherwise every guess y on R
+selects one window per input string by a scaled proxy score, and the
+selected windows go to the restricted LP machinery.  The first candidate
+of minimum radius, in enumeration order, wins.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,13 +32,7 @@ from .core import (
     restrict,
 )
 from .errors import BudgetExceeded, DomainError, LengthMismatch
-from .lp_round import (
-    DEFAULT_ENUM_BUDGET,
-    RoundingConfig,
-    build_restricted,
-    solve_restricted,
-    sweep_patches,
-)
+from .lp_round import RoundingConfig, build_restricted, solve_restricted, sweep_patches
 
 _SUBSTRING_MODES = ("small_d", "sampling", "auto")
 
@@ -88,51 +84,34 @@ def enumerate_window_tuples(inst: SubstringInstance, r: int) -> Iterator[WindowT
                 yield WindowTuple(picks, windows)
 
 
-def _best_solution(
-    inst: SubstringInstance, candidates: Iterable[tuple[int, Seq]]
-) -> CenterSolution:
-    """The first (cost, center) candidate of minimum cost, in enumeration order."""
-    _, center = min(candidates, key=lambda c: c[0])
-    radius, offsets = cost_substring(inst, center)
-    return CenterSolution(center, radius, offsets)
-
-
-def _trivial_costs(inst: SubstringInstance, strings: Sequence[int]) -> Iterator[tuple[int, Seq]]:
-    """Every window of the given strings as a center, with its radius."""
-    l = inst.window
-    for i in strings:
-        s = inst.strings[i]
-        for off in range(len(s) - l + 1):
-            center = s.window(off, l)
-            yield cost_substring(inst, center)[0], center
-
-
 def _agreed_tuples(
-    inst: SubstringInstance, r: int, y_budget: int, epsilon: float | None = None
-) -> list[tuple[tuple[tuple[int, int], ...], Seq, PositionSet]]:
-    """(picks, anchor, agreement set Q) of every window tuple, in enumeration order.
+    inst: SubstringInstance, cfg: SubstringConfig, mode: str
+) -> list[tuple[tuple[tuple[int, int], ...], Seq, PositionSet, bool]]:
+    """(picks, anchor, agreement set Q, swept) of every window tuple, in
+    enumeration order.
 
-    A tuple enumerates k^|P| patches; on the sampling path (`epsilon`
-    given) it enumerates k^min(|P|, |R|), the guesses on R or, when R
-    covers P, the patches swept.  Raises BudgetExceeded at the first tuple
-    whose count exceeds y_budget, so an overrun surfaces before any sweep,
-    window selection or LP runs.
+    A tuple is swept over its k^|P| patches when its free-position count
+    |P| is at most the mode's sweep limit: L for small_d (every tuple), the
+    sample size |R| for sampling, and the largest c with k^c <= y_budget
+    for auto.  Any other tuple makes k^|R| center guesses on R.  Raises
+    BudgetExceeded at the first tuple whose count exceeds y_budget, so an
+    overrun surfaces before any sweep, window selection or LP runs; outside
+    small_d the message ends with how to make every tuple fit.
     """
     k = inst.alphabet.size
-    # |P| <= L, so L caps nothing on the small_d path
-    size = inst.window if epsilon is None else _sample_size_of(inst, epsilon)
+    size = _sample_size_of(inst, cfg.epsilon)
+    limit = {"small_d": inst.window, "sampling": size, "auto": _max_exponent(k, cfg.y_budget)}[mode]
     agreed = []
-    for wt in enumerate_window_tuples(inst, r):
+    for wt in enumerate_window_tuples(inst, cfg.r):
         q = agreement_positions(wt.windows)
-        count = min(q.frame - len(q), size)
-        if k ** count > y_budget:
-            if epsilon is None:
-                raise BudgetExceeded(f"|P|={count} needs {k}^{count} patches, over budget {y_budget}")
-            raise BudgetExceeded(
-                f"|R|={count} needs {k}^{count} guesses, over budget {y_budget}; "
-                + _budget_hint(inst, y_budget, epsilon)
-            )
-        agreed.append((wt.picks, wt.anchor, q))
+        free = q.frame - len(q)
+        swept = free <= limit
+        count = free if swept else size
+        if k ** count > cfg.y_budget:
+            work = f"|P|={free} needs {k}^{free} patches" if swept else f"|R|={size} needs {k}^{size} guesses"
+            hint = "" if mode == "small_d" else "; " + _budget_hint(inst, cfg.y_budget, cfg.epsilon)
+            raise BudgetExceeded(f"{work}, over budget {cfg.y_budget}{hint}")
+        agreed.append((wt.picks, wt.anchor, q, swept))
     return agreed
 
 
@@ -168,19 +147,12 @@ def solve_small_substring(
 ) -> CenterSolution:
     """Exhaustive-patch substring solver, ratio at most 1 + 1/(2r-1).
 
-    Intended for small optimal radius, where the free-position sets stay
-    logarithmic; if any window tuple's patch count exceeds cfg.y_budget
-    it raises BudgetExceeded before sweeping anything.
+    Sweeps every window tuple.  Intended for small optimal radius, where
+    the free-position sets stay logarithmic; if any window tuple's patch
+    count exceeds cfg.y_budget it raises BudgetExceeded before sweeping
+    anything.
     """
-    agreed = _agreed_tuples(inst, cfg.r, cfg.y_budget)
-    sweep = _tuple_sweeper(inst)
-    return _best_solution(
-        inst,
-        itertools.chain(
-            _trivial_costs(inst, range(inst.n)),
-            (sweep(anchor, q) for _, anchor, q in agreed),
-        ),
-    )
+    return _solve(inst, cfg, "small_d")
 
 
 def sample_size(epsilon: float, n: int, m: int) -> int:
@@ -239,8 +211,9 @@ def select_windows(
 def _draw_sample(p: PositionSet, size: int, seed: int) -> PositionSet:
     """Multiset of `size` positions drawn with replacement from p.
 
-    Only tuples whose sample does not cover P draw one (0 < size < |p|);
-    a covered tuple is swept instead.
+    Only guessed tuples draw one, and then size < |p|: sampling guesses a
+    tuple only when |P| > |R|, and auto only when k^|P| exceeds y_budget
+    while k^|R| fits it.
     """
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(p), size=size)
@@ -248,14 +221,20 @@ def _draw_sample(p: PositionSet, size: int, seed: int) -> PositionSet:
     return PositionSet(tuple(drawn), p.frame, multiset=True)
 
 
+def _max_exponent(k: int, budget: int) -> int:
+    """The largest c with k^c <= budget (budget >= 1)."""
+    c = 0
+    while k ** (c + 1) <= budget:
+        c += 1
+    return c
+
+
 def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
-    """How to make every tuple fit y_budget on the sampling path: the
+    """How to make every tuple fit y_budget in sampling or auto: the
     smallest epsilon in (0, 1] whose sample fits, or, when none does, the
     budget that fits at this epsilon (k^min(|R|, L), as |P| <= L)."""
     k = inst.alphabet.size
-    max_r = 0
-    while k ** (max_r + 1) <= y_budget:
-        max_r += 1
+    max_r = _max_exponent(k, y_budget)
     if max_r:
         nm = inst.n * max(len(s) for s in inst.strings)
         # rounded up, so the printed value itself fits
@@ -269,28 +248,22 @@ def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
     return f"no epsilon in (0, 1] fits ({needed}); y_budget >= {k}^{size} would fit at epsilon {epsilon}"
 
 
-def _sampled_centers(
-    inst: SubstringInstance,
-    cfg: SubstringConfig,
-    enum_budget: int,
-    agreed: list[tuple[tuple[tuple[int, int], ...], Seq, PositionSet]],
-) -> Iterator[tuple[int, Seq]]:
-    """Per window tuple, the swept center when the sample covers P, and
-    otherwise the restricted solve's center for every guess y on R."""
+def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterator[tuple[int, Seq]]:
+    """(radius, center) candidates in enumeration order: per window tuple,
+    its swept center, or else the restricted solve's center for every
+    guess y on R."""
+    agreed = _agreed_tuples(inst, cfg, mode)
     k = inst.alphabet.size
-    r_formula = _sample_size_of(inst, cfg.epsilon)
+    size = _sample_size_of(inst, cfg.epsilon)
     sweep = _tuple_sweeper(inst)
     # the LP stage must stay within error epsilon*|P| overall
     rounding = replace(cfg.rounding, epsilon_prime=cfg.epsilon)
 
-    for picks, anchor, q in agreed:
-        if q.frame - len(q) <= r_formula:
-            # R would be all of P, so every guess is a whole patch composed
-            # into the anchor: the sweep's best is at least as good as them all
+    for picks, anchor, q, swept in agreed:
+        if swept:
             yield sweep(anchor, q)
             continue
-        p = q.complement()
-        r_sample = _draw_sample(p, r_formula, derive_seed(cfg.rng_seed, "sample", picks))
+        r_sample = _draw_sample(q.complement(), size, derive_seed(cfg.rng_seed, "sample", picks))
         anchor_q = restrict(anchor, q)
         memo: dict[tuple[bytes, ...], Seq] = {}
         for y_digits in itertools.product(range(k), repeat=len(r_sample)):
@@ -303,17 +276,20 @@ def _sampled_centers(
                 problem = build_restricted(sub_inst, anchor, q)
                 # the seed token keeps the repr of index tuples
                 seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
-                center, _ = solve_restricted(
-                    problem, replace(rounding, rng_seed=seed), enum_budget=enum_budget
-                )
+                center, _ = solve_restricted(problem, replace(rounding, rng_seed=seed))
                 memo[key] = center
             yield cost_substring(inst, center)[0], center
 
 
+def _solve(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> CenterSolution:
+    """The first candidate of minimum radius under the mode's sweep limit."""
+    _, center = min(_centers(inst, cfg, mode), key=lambda c: c[0])
+    radius, offsets = cost_substring(inst, center)
+    return CenterSolution(center, radius, offsets)
+
+
 def solve_closest_substring(
-    inst: SubstringInstance,
-    cfg: SubstringConfig = SubstringConfig(),
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
+    inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()
 ) -> CenterSolution:
     """Sampling-based substring solver, ratio 1 + 1/(2r-1) + 3*epsilon*r
     with high probability.
@@ -325,41 +301,24 @@ def solve_closest_substring(
     is at least as good as every guess together.  Otherwise R is drawn
     once from P (seeded per tuple); every center guess y on R selects one
     window per string, and the restricted LP pipeline (solved within error
-    epsilon*|P|) produces a candidate center.  All windows of the first
-    string are also tried directly.  cfg.y_budget caps the patches swept
-    or the guesses made per tuple; an overrun raises BudgetExceeded before
-    any tuple is solved.
+    epsilon*|P|) produces a candidate center.  cfg.y_budget caps the
+    patches swept or the guesses made per tuple; an overrun raises
+    BudgetExceeded before any tuple is solved.
     """
-    agreed = _agreed_tuples(inst, cfg.r, cfg.y_budget, cfg.epsilon)
-    return _best_solution(
-        inst,
-        itertools.chain(
-            _trivial_costs(inst, [0]), _sampled_centers(inst, cfg, enum_budget, agreed)
-        ),
-    )
+    return _solve(inst, cfg, "sampling")
 
 
-def best_trivial_radius(inst: SubstringInstance) -> int:
-    """Radius of the best input window used directly as the center."""
-    return min(cost for cost, _ in _trivial_costs(inst, range(inst.n)))
+def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()) -> CenterSolution:
+    """Mode dispatcher: small_d, sampling or auto.
 
-
-def solve_substring(
-    inst: SubstringInstance,
-    cfg: SubstringConfig = SubstringConfig(),
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-) -> CenterSolution:
-    """Mode dispatcher: small_d, sampling, or the auto gate.
-
-    Auto runs the exhaustive path when the best trivial candidate already
-    certifies a radius at most log2 of the input size, the regime where
-    that path is polynomial, and the sampling path otherwise.
+    The modes differ only in the sweep limit on a tuple's free positions
+    (see _agreed_tuples).  Auto sweeps every tuple whose k^|P| patches fit
+    cfg.y_budget and guesses the others on R as sampling does, so its ratio
+    is the small_d bound 1 + 1/(2r-1) whenever every tuple is swept, and
+    the sampling bound otherwise.
     """
     if cfg.mode == "small_d":
         return solve_small_substring(inst, cfg)
     if cfg.mode == "sampling":
-        return solve_closest_substring(inst, cfg, enum_budget=enum_budget)
-    total_symbols = sum(len(s) for s in inst.strings)
-    if best_trivial_radius(inst) <= math.log2(max(2, total_symbols)):
-        return solve_small_substring(inst, cfg)
-    return solve_closest_substring(inst, cfg, enum_budget=enum_budget)
+        return solve_closest_substring(inst, cfg)
+    return _solve(inst, cfg, "auto")

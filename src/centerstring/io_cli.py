@@ -61,17 +61,29 @@ class InstanceFile:
 
     @classmethod
     def parse_json(cls, text: str, alphabet: str | None = None) -> "InstanceFile":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or "strings" not in obj:
             raise DomainError("JSON instance must be an object with a 'strings' list")
-        strings = tuple(str(s) for s in obj["strings"])
+        strings = obj["strings"]
+        if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+            raise DomainError("'strings' must be a list of JSON strings")
+        if not isinstance(obj.get("alphabet", ""), str):
+            raise DomainError("'alphabet' must be a JSON string")
         alpha = alphabet or obj.get("alphabet") or _infer_alphabet(strings)
         planted = None
         if obj.get("planted") is not None:
             p = obj["planted"]
-            planted = PlantedMeta(str(p["center"]), int(p["d"]), tuple(int(o) for o in p["offsets"]))
+            if not isinstance(p, dict) or not {"center", "d", "offsets"} <= p.keys():
+                raise DomainError("'planted' must be an object with 'center', 'd' and 'offsets'")
+            if not isinstance(p["center"], str) or not isinstance(p["offsets"], list):
+                raise DomainError("'planted' needs a string 'center' and an 'offsets' list")
+            offsets = tuple(_json_int(o, "a planted offset") for o in p["offsets"])
+            planted = PlantedMeta(p["center"], _json_int(p["d"], "'planted.d'"), offsets)
         window = obj.get("L")
-        return cls(alpha, strings, None if window is None else int(window), planted)
+        return cls(alpha, tuple(strings), None if window is None else _json_int(window, "'L'"), planted)
 
     @classmethod
     def parse_fasta(cls, text: str, alphabet: str | None = None) -> "InstanceFile":
@@ -130,6 +142,13 @@ class InstanceFile:
         alpha = Alphabet.of(self.alphabet)
         window = self.window if self.window is not None else len(self.strings[0])
         return SubstringInstance.from_texts(alpha, self.strings, window)
+
+
+def _json_int(value: object, what: str) -> int:
+    # bool is a subclass of int, but `true` is no count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def _infer_alphabet(strings: Sequence[str]) -> str:
@@ -330,6 +349,9 @@ def run_bench(
     aborting the suite.  With timing=False the ms column is left blank so
     reports are byte-stable.
     """
+    for algo in algos:
+        if algo not in ALGOS:
+            raise DomainError(f"unknown algorithm {algo!r}; choose from {','.join(ALGOS)}")
     labeled = [
         item if isinstance(item, tuple) else (f"instance{i}", item)
         for i, item in enumerate(suite)
@@ -396,17 +418,21 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, *, substring: bool) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser, *, string: bool, substring: bool) -> None:
+    """Flags of the solve and bench subcommands.  `string` adds the
+    whole-string solver's --epsilon-prime and --budget, `substring` the
+    sampling accuracy --epsilon."""
     sub.add_argument("--r", type=int, default=2, help="subset size (default 2)")
-    sub.add_argument("--epsilon-prime", type=float, default=0.5,
-                     help="rounding accuracy epsilon' (default 0.5)")
+    if string:
+        sub.add_argument("--epsilon-prime", type=float, default=0.5,
+                         help="rounding accuracy epsilon' (default 0.5)")
+        sub.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
+                         help="candidate budget for exhaustive sweeps")
     if substring:
         sub.add_argument("--epsilon", type=float, default=1.0,
                          help="sampling accuracy epsilon (default 1.0)")
     sub.add_argument("--trials", type=int, default=32, help="randomized rounding trials")
     sub.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
-    sub.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
-                     help="candidate budget for exhaustive sweeps")
     sub.add_argument("--format", choices=("auto", "json", "fasta"), default="auto")
     sub.add_argument("--alphabet", default=None, help="explicit alphabet override")
     sub.add_argument("--out", default=None, help="write the result here instead of stdout")
@@ -421,23 +447,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve-string", help="approximate Closest String")
     p.add_argument("file")
-    _add_common_flags(p, substring=False)
+    _add_common_flags(p, string=True, substring=False)
     p.add_argument("--mode", choices=("randomized", "derandomized", "auto"), default="auto",
                    help="rounding mode")
     p.add_argument("--parallel", action="store_true")
 
     p = subs.add_parser("solve-substring", help="approximate Closest Substring")
     p.add_argument("file")
-    _add_common_flags(p, substring=True)
+    _add_common_flags(p, string=False, substring=True)
     p.add_argument("--L", type=int, default=None, help="window length (required for FASTA)")
     p.add_argument("--mode", choices=("small_d", "sampling", "auto"), default="auto",
-                   help="algorithm selection")
+                   help="which window tuples are swept exactly: small_d every one, "
+                        "sampling those with |P| <= |R|, auto those whose patches "
+                        "fit --y-budget; the others guess the center on a sample R")
     p.add_argument("--rounding-mode", choices=("randomized", "derandomized", "auto"),
                    default="auto")
     p.add_argument("--y-budget", type=int, default=1 << 16,
-                   help="cap per window tuple on the patches swept (small_d, and "
-                        "sampling tuples whose sample covers the free positions) "
-                        "or on the center guesses (other sampling tuples)")
+                   help="cap per window tuple on the patches swept or the center "
+                        "guesses made; auto sweeps every tuple whose patches fit it")
 
     p = subs.add_parser("exact", help="exact oracle (exponential time)")
     p.add_argument("file")
@@ -462,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--algos", default="exact,string,small,sampling",
                    help=f"comma-separated subset of {','.join(ALGOS)}")
-    _add_common_flags(p, substring=True)
+    _add_common_flags(p, string=True, substring=True)
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--no-timing", action="store_true",
                    help="blank the ms column for byte-stable reports")
@@ -506,11 +533,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         f = _load(args)
         if f.window is None:
             raise DomainError("window length missing: provide --L or a JSON 'L' field")
-        rounding = RoundingConfig(mode=args.rounding_mode, trials=args.trials,
-                                  epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
+        # the LP stage runs at epsilon' = epsilon, so no --epsilon-prime here
+        rounding = RoundingConfig(mode=args.rounding_mode, trials=args.trials, rng_seed=args.seed)
         cfg = SubstringConfig(r=args.r, epsilon=args.epsilon, rounding=rounding,
                               y_budget=args.y_budget, mode=args.mode, rng_seed=args.seed)
-        sol = solve_substring(f.as_substring_instance(), cfg, enum_budget=args.budget)
+        sol = solve_substring(f.as_substring_instance(), cfg)
         _emit(_solution_json(sol, f"substring/{args.mode}", {
             "r": args.r, "epsilon": args.epsilon, "seed": args.seed,
         }), args.out)
@@ -538,9 +565,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             for path in args.files
         ]
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-        for a in algos:
-            if a not in ALGOS:
-                raise DomainError(f"unknown algorithm {a!r}; choose from {','.join(ALGOS)}")
         report = run_bench(
             suite, algos, r=args.r, epsilon=args.epsilon, epsilon_prime=args.epsilon_prime,
             trials=args.trials, seed=args.seed, oracle_budget=args.budget,

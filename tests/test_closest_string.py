@@ -3,6 +3,7 @@
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from centerstring import (
     Seq,
     StringInstance,
     agreement_positions,
+    build_restricted,
     cost_string,
     exact_closest_string,
     solve_closest_string,
+    solve_restricted,
     subset_candidates,
 )
+from centerstring._seeds import derive_seed
 from centerstring.errors import DomainError
 
 
@@ -114,6 +118,28 @@ class TestSolveClosestString:
             cfg_serial = ClosestStringConfig(r=2, parallel=False)
             cfg_par = ClosestStringConfig(r=2, parallel=True)
             assert solve_closest_string(inst, cfg_serial) == solve_closest_string(inst, cfg_par)
+
+    def test_first_minimum_in_enumeration_order(self):
+        # candidates: the inputs, then one restricted solve per subset in
+        # lexicographic order; the first of minimum radius wins, serial or parallel
+        rng = np.random.default_rng(59)
+        tied = 0
+        for _ in range(10):
+            inst = random_instance(rng, 4, 8)
+            cfg = ClosestStringConfig(r=2)
+            candidates = [(cost_string(inst, s), s) for s in inst.strings]
+            for sub in subset_candidates(inst, 2):
+                q = agreement_positions([inst.strings[i] for i in sub])
+                rounding = replace(cfg.rounding, rng_seed=derive_seed(0, "subset", sub))
+                center, cost = solve_restricted(build_restricted(inst, inst.strings[sub[0]], q), rounding)
+                candidates.append((cost, center))
+            best = min(cost for cost, _ in candidates)
+            first = next(center for cost, center in candidates if cost == best)
+            tied += len({c.data for cost, c in candidates if cost == best}) > 1
+            for parallel in (False, True):
+                sol = solve_closest_string(inst, replace(cfg, parallel=parallel))
+                assert (sol.radius, sol.center) == (best, first)
+        assert tied  # the rule must have picked among distinct centers
 
     def test_sweep_over_enum_budget_falls_back_to_lp(self):
         # every subset's |P| lies under the enumeration threshold, but its

@@ -33,7 +33,6 @@ from centerstring import (
 )
 from centerstring import closest_substring, lp_round
 from centerstring._seeds import derive_seed
-from centerstring.closest_substring import best_trivial_radius
 from centerstring.errors import BudgetExceeded, DomainError, LengthMismatch
 
 
@@ -43,6 +42,16 @@ def bsub(texts, window):
 
 def bseq(text):
     return Seq.from_text(BINARY, text)
+
+
+def best_trivial_radius(inst):
+    """Radius of the best input window used directly as the center."""
+    l = inst.window
+    return min(
+        cost_substring(inst, s.window(off, l))[0]
+        for s in inst.strings
+        for off in range(len(s) - l + 1)
+    )
 
 
 class TestSampleSize:
@@ -437,20 +446,26 @@ class TestCoveredSampleSweep:
     def test_uncovered_tuple_keeps_guess_loop(self, monkeypatch):
         # |R| = ceil(4 ln 30) = 14 < |P| = 15 on the one pair tuple, whose
         # 2^14 guesses fit the default budget; the single-window tuples
-        # (|P| = 0) give the same candidate on both paths
+        # (|P| = 0) give the same candidate on both paths.  Auto guesses
+        # the pair tuple too once its 2^15 patches exceed y_budget.
         inst = bsub(["0" * 15, "1" * 15], 15)
         cfg = SubstringConfig(r=2, epsilon=1.0)
         center, radius, offsets = reference_sampled_solve(inst, cfg)
-        selections = spy(monkeypatch, closest_substring, "select_windows")
-        lps = spy(monkeypatch, lp_round, "solve_lp")
-        seeds = spy(monkeypatch, closest_substring, "derive_seed")
-        sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
-        sol = solve_closest_substring(inst, cfg)
-        assert (sol.center, sol.radius, sol.witnesses) == (center, radius, offsets)
-        assert len(selections) == 2 ** 14
-        assert len(lps) == 1  # one string each: every guess selects the same windows
-        assert seeds[0] == (0, "sample", ((0, 0), (1, 0)))
-        assert len(sweeps) == 2
+        for solver, run_cfg in (
+            (solve_closest_substring, cfg),
+            (solve_substring, replace(cfg, mode="auto", y_budget=2 ** 14)),
+        ):
+            selections = spy(monkeypatch, closest_substring, "select_windows")
+            lps = spy(monkeypatch, lp_round, "solve_lp")
+            seeds = spy(monkeypatch, closest_substring, "derive_seed")
+            sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
+            sol = solver(inst, run_cfg)
+            assert (sol.center, sol.radius, sol.witnesses) == (center, radius, offsets)
+            assert len(selections) == 2 ** 14
+            assert len(lps) == 1  # one string each: every guess selects the same windows
+            assert seeds[0] == (0, "sample", ((0, 0), (1, 0)))
+            assert len(sweeps) == 2
+            monkeypatch.undo()
 
     def test_budget_checked_before_any_work(self, monkeypatch):
         # the single-window tuples come first and fit; the pair tuple's
@@ -464,7 +479,7 @@ class TestCoveredSampleSweep:
     def test_budget_counts_swept_patches_of_covered_tuples(self):
         # |P| = 6 <= |R| = 13: the sweep's 2^6 patches are what the budget caps
         inst = bsub(["000000", "111111", "000111"], 6)
-        with pytest.raises(BudgetExceeded, match=r"\|R\|=6 needs 2\^6 guesses"):
+        with pytest.raises(BudgetExceeded, match=r"\|P\|=6 needs 2\^6 patches"):
             solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0, y_budget=63))
         assert solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0, y_budget=64)).radius == 3
 
@@ -481,7 +496,7 @@ class TestBudgetHint:
         assert 0.4 < eps <= 1.0
         assert 2 ** sample_size(eps, 3, 40) <= cfg.y_budget
         assert 2 ** sample_size(eps - 1e-4, 3, 40) > cfg.y_budget
-        closest_substring._agreed_tuples(inst, 2, cfg.y_budget, eps)  # no raise
+        closest_substring._agreed_tuples(inst, replace(cfg, epsilon=eps), "sampling")  # no raise
 
     def test_no_feasible_epsilon_names_a_budget(self):
         # binary 4 x 40, L = 20: epsilon = 1 still needs |R| = 21 > 16, and
@@ -494,7 +509,7 @@ class TestBudgetHint:
         assert "no epsilon in (0, 1] fits" in msg
         assert "epsilon >= 1.1265 would be needed" in msg
         assert msg.endswith("y_budget >= 2^20 would fit at epsilon 1.0")
-        closest_substring._agreed_tuples(inst, 2, 2 ** 20, 1.0)  # no raise
+        closest_substring._agreed_tuples(inst, replace(cfg, y_budget=2 ** 20), "sampling")  # no raise
 
     def test_budget_below_alphabet_size(self):
         inst = bsub(["0011", "1100"], 4)
@@ -551,3 +566,43 @@ class TestDispatcher:
         inst, _ = generate_planted("01", 3, 8, 5, 0, 3)
         sol = solve_substring(inst, SubstringConfig(r=2, mode="auto"))
         assert sol.radius == 0
+
+    def test_auto_equals_small_d_wherever_small_d_fits(self):
+        # auto sweeps every tuple whose k^|P| patches fit y_budget, so
+        # wherever small_d fits the budget, auto sweeps every tuple as well
+        fitted = refused = 0
+        for alphabet in ("01", "012", "ACGT"):
+            for seed in range(8):
+                rng = np.random.default_rng([5, len(alphabet), seed])
+                l = int(rng.integers(3, 7))
+                lengths = [l + int(rng.integers(0, 4)) for _ in range(int(rng.integers(2, 5)))]
+                texts = planted_texts(rng, alphabet, lengths, l, 1 + seed % 2)
+                inst = SubstringInstance.from_texts(Alphabet.of(alphabet), texts, l)
+                cfg = SubstringConfig(r=2 + seed % 2, y_budget=1 << 6, mode="auto", rng_seed=seed)
+                try:
+                    small = solve_small_substring(inst, cfg)
+                except BudgetExceeded:
+                    refused += 1
+                    continue
+                assert solve_substring(inst, cfg) == small, (alphabet, texts, l)
+                fitted += 1
+        assert fitted and refused
+
+    def test_auto_sweeps_tuples_that_fit_the_budget(self, monkeypatch):
+        # |P| = 15 > |R| = 14 on the pair tuple, but its 2^15 patches fit
+        # the default budget: auto sweeps it, where sampling would guess
+        for name in ("select_windows", "solve_restricted"):
+            forbid(monkeypatch, closest_substring, name)
+        sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
+        inst = bsub(["0" * 15, "1" * 15], 15)
+        sol = solve_substring(inst, SubstringConfig(r=2, mode="auto"))
+        assert sol.radius == 8 == exact_closest_substring(inst).radius
+        assert len(sweeps) == 3
+
+    def test_auto_evaluates_the_cost_once(self, monkeypatch):
+        # no pass over the input windows precedes the tuple loop, and every
+        # tuple of this instance is swept, so only the winner is scored
+        costs = spy(monkeypatch, closest_substring, "cost_substring")
+        inst, _ = generate_planted("01", 3, 8, 5, 1, 3)
+        solve_substring(inst, SubstringConfig(r=2, mode="auto"))
+        assert len(costs) == 1

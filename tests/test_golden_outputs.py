@@ -3,10 +3,12 @@
 `golden_outputs.json` holds seeded instances together with the solver
 output recorded before the patch-sweep kernels were merged; `auto-01-39`
 and `auto-01-40` were re-recorded when the sampling solver began sweeping
-the tuples its sample covers (same radius, another center).  The cases
-cover the whole-string sweep and LP paths (every rounding mode) and the
-substring `small_d`, `sampling` and `auto` paths, over alphabets of size
-2, 3 and 4 and substring inputs of unequal length.  A refactor that
+the tuples its sample covers (same radius, another center), and
+`string_lp-012-15` when the whole-string solver began taking the first
+candidate of minimum radius in enumeration order (same radius, another
+center).  The cases cover the whole-string sweep and LP paths (every
+rounding mode) and the substring `small_d`, `sampling` and `auto` paths,
+over alphabets of size 2, 3 and 4 and substring inputs of unequal length.  A refactor that
 keeps results must keep these bytes.
 
 Run `python tests/test_golden_outputs.py` to rebuild the file from the

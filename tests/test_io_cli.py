@@ -15,6 +15,7 @@ from centerstring import (
     run_bench,
 )
 from centerstring.errors import AlphabetMismatch, DomainError
+from centerstring import io_cli
 from centerstring.io_cli import main, planted_instance_file
 
 
@@ -40,6 +41,23 @@ class TestJsonFormat:
     def test_missing_strings_rejected(self):
         with pytest.raises(DomainError):
             InstanceFile.parse_json('{"alphabet":"01"}')
+
+    @pytest.mark.parametrize("text", [
+        '{"alphabet":"01","strings":"0101"}',  # not a list: once four 1-char strings
+        '{"alphabet":"01","strings":["0101",1]}',
+        '{"alphabet":1,"strings":["0101","1100"]}',
+        '{"alphabet":"01","strings":["0101","1100"],"L":2.7}',  # once truncated to 2
+        '{"alphabet":"01","strings":["0101","1100"],"L":true}',  # once read as 1
+        '{"alphabet":"01","strings":["0101","1100"],"L":2,"planted":{"d":0,"offsets":[0,0]}}',
+        '{"alphabet":"01","strings":["0101"]',
+    ], ids=["strings-text", "string-entry", "alphabet", "L-float", "L-bool", "planted-center", "syntax"])
+    def test_malformed_input_rejected(self, text, tmp_path, capsys):
+        with pytest.raises(DomainError):
+            InstanceFile.parse_json(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve-substring", str(path), "--L", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestFastaFormat:
@@ -146,6 +164,14 @@ class TestBench:
         assert statuses[0] == "ok"
         assert statuses[1].startswith("error")
 
+    def test_unknown_algorithm_rejected_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(io_cli, "_oracle_radius", fail)
+        with pytest.raises(DomainError, match="unknown algorithm 'bogus'"):
+            run_bench(self.suite(1), ["small", "bogus"])
+
     def test_byte_identical_with_fixed_seed(self):
         suite = self.suite()
         a = run_bench(suite, ["exact", "string", "small", "sampling"], seed=5, timing=False)
@@ -191,6 +217,17 @@ class TestCli:
         path.write_text('{"alphabet":"01","strings":["0000","1111"],"L":2}')
         # the CLI treats the strings as a whole-string instance
         assert main(["solve-string", str(path)]) == 0
+
+    @pytest.mark.parametrize("flag", ["--budget", "--epsilon-prime"])
+    def test_solve_substring_has_no_dead_flags(self, flag, tmp_path, capsys):
+        # the substring solvers read neither the sweep budget of the
+        # whole-string solver nor epsilon' (their LP stage runs at epsilon)
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["0000","1111"],"L":2}')
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-substring", str(path), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_cli_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
