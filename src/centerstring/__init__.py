@@ -41,6 +41,7 @@ from .lp_round import (
     RoundingConfig,
     build_restricted,
     enumerate_small_P,
+    restricted_lower_bound,
     round_derandomized,
     round_randomized,
     sample_patch,
@@ -81,6 +82,7 @@ __all__ = [
     "generate_planted",
     "hamming",
     "restrict",
+    "restricted_lower_bound",
     "rho0_diagnostic",
     "round_derandomized",
     "round_randomized",

@@ -4,6 +4,10 @@ Every r-element subset of the inputs fixes its agreement positions from
 the subset and optimizes the rest; every input string is also tried as a
 center directly.  The first candidate of minimum radius wins, inputs
 before subsets, the rule the substring solvers share.
+
+A subset whose restricted lower bound (`restricted_lower_bound`) already
+exceeds the best radius reached so far cannot hold that first minimum, so
+its restricted solve is skipped: no LP, no rounding, no patch sweep.
 """
 
 from __future__ import annotations
@@ -15,13 +19,17 @@ from typing import Iterator
 
 from ._seeds import derive_seed
 from .core import CenterSolution, Seq, StringInstance, agreement_positions, cost_string
-from .errors import DomainError
+from .errors import DomainError, EstimatorAtLeastOne, NumericalFailure
 from .lp_round import (
     DEFAULT_ENUM_BUDGET,
     RoundingConfig,
     build_restricted,
+    restricted_lower_bound,
     solve_restricted,
 )
+
+# the rounding errors a subset can end in; see solve_closest_string
+_ROUNDING_FAILURES = (EstimatorAtLeastOne, NumericalFailure)
 
 
 @dataclass(frozen=True)
@@ -47,15 +55,28 @@ def _subset_work(
     subset: tuple[int, ...],
     cfg: ClosestStringConfig,
     enum_budget: int,
-) -> tuple[int, Seq]:
-    """(radius, center) of one subset's restricted solve."""
+    best: list[int],
+) -> tuple[int, Seq | Exception] | None:
+    """(radius, center) of one subset's restricted solve; (lower bound,
+    error) when that solve fails; None when its lower bound exceeds
+    best[0], the smallest radius reached so far."""
     # subset members agree on all of q, so the first one serves as the anchor
     q = agreement_positions([inst.strings[i] for i in subset])
-    seed = derive_seed(cfg.rounding.rng_seed, "subset", subset)
     p = build_restricted(inst, inst.strings[subset[0]], q)
-    center, cost = solve_restricted(
-        p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
-    )
+    bound = restricted_lower_bound(p)
+    if bound > best[0]:
+        return None
+    seed = derive_seed(cfg.rounding.rng_seed, "subset", subset)
+    try:
+        center, cost = solve_restricted(
+            p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
+        )
+    except _ROUNDING_FAILURES as exc:
+        return bound, exc
+    # unlocked: a racing worker may leave a larger value behind, but every
+    # value stored is a radius some candidate reached, so a skip stays sound
+    if cost < best[0]:
+        best[0] = cost
     return cost, center
 
 
@@ -70,18 +91,34 @@ def solve_closest_string(
     lexicographic order; the first of minimum radius wins.  r is clamped
     to n for small instances.  Deterministic for a fixed (instance,
     config) pair, also under parallel subset evaluation.
+
+    A subset gets no restricted solve when its exact lower bound (see
+    `restricted_lower_bound`) is strictly above the best radius reached
+    so far, which starts at the best input's cost: its candidate could not
+    be the first minimum.  Under parallel=True which subsets are skipped
+    may vary, but the result does not.  A subset whose restricted solve
+    fails (EstimatorAtLeastOne under mode="derandomized", or
+    NumericalFailure from the LP) fails the solve only when its lower
+    bound is at most the radius found, so that a subset that could not
+    win raises nothing whether or not it was skipped.
     """
     r = min(cfg.r, inst.n)
     candidates = [(cost_string(inst, s), s) for s in inst.strings]
+    best = [min(cost for cost, _ in candidates)]
+
+    def work(sub: tuple[int, ...]) -> tuple[int, Seq | Exception] | None:
+        return _subset_work(inst, sub, cfg, enum_budget, best)
 
     subsets = list(subset_candidates(inst, r))
     if cfg.parallel and len(subsets) > 1:
         with ThreadPoolExecutor() as pool:
-            candidates.extend(
-                pool.map(lambda sub: _subset_work(inst, sub, cfg, enum_budget), subsets)
-            )
+            solved = [c for c in pool.map(work, subsets) if c is not None]
     else:
-        candidates.extend(_subset_work(inst, sub, cfg, enum_budget) for sub in subsets)
+        solved = [c for c in map(work, subsets) if c is not None]
+    candidates.extend(c for c in solved if isinstance(c[1], Seq))
 
     radius, center = min(candidates, key=lambda c: c[0])
+    for bound, exc in solved:
+        if isinstance(exc, Exception) and bound <= radius:
+            raise exc
     return CenterSolution(center, radius, (0,) * inst.n)

@@ -79,33 +79,54 @@ def exact_closest_string(
 
 
 def _bnb_center(mat: np.ndarray, k: int, m: int) -> tuple[int, ...]:
+    """Depth-first search over prefixes, symbols in increasing order.
+
+    A loop with an explicit per-depth symbol counter rather than one call
+    per position, so m is not limited by the interpreter's recursion depth.
+    """
     n = len(mat)
     best_radius = m + 1
     best: tuple[int, ...] | None = None
     prefix = [0] * m
     mism = np.zeros(n, dtype=np.int64)
 
-    def recurse(depth: int) -> None:
-        nonlocal best_radius, best, mism
+    def expand(depth: int) -> bool:
+        """Check the node prefix[:depth]; True when its children are to be tried."""
+        nonlocal best_radius, best
         bound = int(mism.max())
         # strict inequality keeps equal-radius branches alive so the
         # lexicographically first optimum is found
         if bound > best_radius:
-            return
+            return False
         if depth == m:
             if bound < best_radius:
                 best_radius = bound
                 best = tuple(prefix)
-            return
-        col = mat[:, depth]
-        for a in range(k):
-            delta = (col != a).astype(np.int64)
-            mism += delta
-            prefix[depth] = a
-            recurse(depth + 1)
-            mism -= delta
+            return False
+        return True
 
-    recurse(0)
+    # nxt[d]: the next symbol to try at position d of the open node
+    # prefix[:d]; added[d]: the mismatches position d's symbol added to mism.
+    # The open nodes are prefix[:0] .. prefix[:depth].
+    nxt = [0] * m
+    added: list[np.ndarray | None] = [None] * m
+    depth = 0 if expand(0) else -1
+    while depth >= 0:
+        if nxt[depth] == k:
+            # every child tried: close the node and undo the symbol that led to it
+            depth -= 1
+            if depth >= 0:
+                mism -= added[depth]
+            continue
+        prefix[depth] = nxt[depth]
+        nxt[depth] += 1
+        added[depth] = (mat[:, depth] != prefix[depth]).astype(np.int64)
+        mism += added[depth]
+        if expand(depth + 1):
+            depth += 1
+            nxt[depth] = 0
+        else:
+            mism -= added[depth]
     assert best is not None
     return best
 

@@ -88,6 +88,21 @@ def _restricted_rows(p: RestrictedProblem) -> np.ndarray:
     return p.inst.matrix[:, list(p.P.positions)]
 
 
+def restricted_lower_bound(p: RestrictedProblem) -> int:
+    """Exact integer lower bound on the cost of every center of p.
+
+    A center equals the anchor on Q, so its distance to string i is
+    fixed_costs[i] plus its distance to row i on P.  The triangle
+    inequality on P then bounds the cost of any center by
+    ceil((f_i + f_j + d_P(s_i, s_j)) / 2) for every pair i, j; i = j
+    gives f_i itself.
+    """
+    rows = _restricted_rows(p)
+    f = np.array(p.fixed_costs, dtype=np.int64)
+    pair = (rows[:, None, :] != rows[None, :, :]).sum(axis=2) + f[:, None] + f[None, :]
+    return int((pair.max() + 1) // 2)
+
+
 def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     """Optimal fractional solution of the 0-1 model's LP relaxation.
 

@@ -2,14 +2,21 @@
 
 import gc
 import itertools
+import math
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from centerstring import (
     BINARY,
+    Alphabet,
+    CenterSolution,
     ClosestStringConfig,
     RoundingConfig,
     Seq,
@@ -18,12 +25,16 @@ from centerstring import (
     build_restricted,
     cost_string,
     exact_closest_string,
+    generate_planted,
+    restricted_lower_bound,
     solve_closest_string,
     solve_restricted,
     subset_candidates,
 )
+from centerstring import closest_string
 from centerstring._seeds import derive_seed
-from centerstring.errors import DomainError
+from centerstring.errors import DomainError, EstimatorAtLeastOne
+from centerstring.lp_round import DEFAULT_ENUM_BUDGET
 
 
 def binst(*texts):
@@ -35,6 +46,56 @@ def random_instance(rng, n, m):
         BINARY,
         tuple(Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m))) for _ in range(n)),
     )
+
+
+def planted_instance(alphabet, n, m, d, seed):
+    """Whole-string planted instance: a random center mutated in d positions per string."""
+    sub, _ = generate_planted(alphabet, n, m, m, d, seed)
+    return StringInstance(sub.alphabet, sub.strings)
+
+
+def disjoint_instance(rng, n, m, d):
+    """Binary, every string is the center flipped on its own d positions, so
+    every pair is at distance 2d and the optimum is d."""
+    center = rng.integers(0, 2, m)
+    order = rng.permutation(m)
+    rows = []
+    for i in range(n):
+        row = center.copy()
+        row[order[i * d:(i + 1) * d]] ^= 1
+        rows.append(Seq(BINARY, tuple(int(v) for v in row)))
+    return StringInstance(BINARY, tuple(rows))
+
+
+def reference_candidates(inst, cfg, enum_budget=DEFAULT_ENUM_BUDGET):
+    """Every candidate of the solver, none skipped: the inputs, then one
+    restricted solve per subset in lexicographic order."""
+    candidates = [(cost_string(inst, s), s) for s in inst.strings]
+    for sub in subset_candidates(inst, min(cfg.r, inst.n)):
+        q = agreement_positions([inst.strings[i] for i in sub])
+        rounding = replace(cfg.rounding, rng_seed=derive_seed(cfg.rounding.rng_seed, "subset", sub))
+        p = build_restricted(inst, inst.strings[sub[0]], q)
+        center, cost = solve_restricted(p, rounding, enum_budget=enum_budget)
+        candidates.append((cost, center))
+    return candidates
+
+
+def reference_solve_closest_string(inst, cfg=ClosestStringConfig(), enum_budget=DEFAULT_ENUM_BUDGET):
+    """The solver without the subset skip: the first candidate of minimum radius."""
+    radius, center = min(reference_candidates(inst, cfg, enum_budget), key=lambda c: c[0])
+    return CenterSolution(center, radius, (0,) * inst.n)
+
+
+def count_restricted_solves(monkeypatch):
+    calls = []
+    solve = closest_string.solve_restricted
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(closest_string, "solve_restricted", counted)
+    return calls
 
 
 class TestSubsetCandidates:
@@ -127,12 +188,7 @@ class TestSolveClosestString:
         for _ in range(10):
             inst = random_instance(rng, 4, 8)
             cfg = ClosestStringConfig(r=2)
-            candidates = [(cost_string(inst, s), s) for s in inst.strings]
-            for sub in subset_candidates(inst, 2):
-                q = agreement_positions([inst.strings[i] for i in sub])
-                rounding = replace(cfg.rounding, rng_seed=derive_seed(0, "subset", sub))
-                center, cost = solve_restricted(build_restricted(inst, inst.strings[sub[0]], q), rounding)
-                candidates.append((cost, center))
+            candidates = reference_candidates(inst, cfg)
             best = min(cost for cost, _ in candidates)
             first = next(center for cost, center in candidates if cost == best)
             tied += len({c.data for cost, c in candidates if cost == best}) > 1
@@ -164,3 +220,104 @@ class TestSolveClosestString:
         del inst, sol
         gc.collect()
         assert [r() for r in refs] == [None, None]
+
+
+class TestSubsetSkip:
+    CONFIGS = [
+        RoundingConfig(mode=mode, epsilon_prime=eps, rng_seed=seed)
+        for seed, (mode, eps) in enumerate(
+            itertools.product(("randomized", "derandomized", "auto"), (0.5, 1.0))
+        )
+    ]
+
+    def test_matches_unpruned_reference(self, monkeypatch):
+        calls = count_restricted_solves(monkeypatch)
+        rng = np.random.default_rng(61)
+        instances = [planted_instance(a, int(rng.integers(3, 7)), 40, 6, seed)
+                     for seed, a in enumerate(("01", "ACG", "ACGT"))]
+        alphabets = [Alphabet.of(a) for a in ("01", "ACG", "ACGT")]
+        for a in alphabets:
+            instances.append(StringInstance(
+                a, tuple(Seq(a, rng.integers(0, a.size, 30)) for _ in range(5))
+            ))
+        for inst in instances:
+            for rounding in self.CONFIGS:
+                cfg = ClosestStringConfig(r=2, rounding=rounding)
+                expected = reference_solve_closest_string(inst, cfg)
+                for parallel in (False, True):
+                    assert solve_closest_string(inst, replace(cfg, parallel=parallel)) == expected
+        subsets = sum(math.comb(inst.n, 2) for inst in instances) * len(self.CONFIGS) * 2
+        assert len(calls) < subsets  # the skip was exercised
+
+    def test_planted_dna_skips_subsets(self, monkeypatch):
+        # every subset of a planted DNA instance takes the LP path; once one
+        # reaches the planted radius, most bounds lie above it
+        inst = planted_instance("ACGT", 10, 120, 12, 3)
+        cfg = ClosestStringConfig(r=2, rounding=RoundingConfig(epsilon_prime=1.0))
+        calls = count_restricted_solves(monkeypatch)
+        sol = solve_closest_string(inst, cfg)
+        assert len(calls) < math.comb(inst.n, 2)
+        assert sol == reference_solve_closest_string(inst, cfg)
+
+    def test_disjoint_binary_skips_nothing(self, monkeypatch):
+        # every pair is at distance 2d, so every bound is d, the optimum: a
+        # bound equal to the best radius never skips
+        inst = disjoint_instance(np.random.default_rng(67), 5, 60, 6)
+        calls = count_restricted_solves(monkeypatch)
+        sol = solve_closest_string(inst)
+        assert len(calls) == math.comb(inst.n, 2)
+        assert sol.radius == 6
+
+    def test_derandomized_failure_of_losing_subset_is_not_raised(self):
+        # budget 1 sends every subset to the LP; at eps' = 0.1 the estimator
+        # of some subsets starts above 1, but none of them could win
+        inst = binst("10110", "01111", "00111", "10101", "01101")
+        cfg = ClosestStringConfig(
+            r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1)
+        )
+        failing = []
+        for sub in subset_candidates(inst, 2):
+            q = agreement_positions([inst.strings[i] for i in sub])
+            rounding = replace(cfg.rounding, rng_seed=derive_seed(0, "subset", sub))
+            p = build_restricted(inst, inst.strings[sub[0]], q)
+            try:
+                solve_restricted(p, rounding, enum_budget=1)
+            except EstimatorAtLeastOne:
+                failing.append(restricted_lower_bound(p))
+        for parallel in (False, True):
+            sol = solve_closest_string(inst, replace(cfg, parallel=parallel), enum_budget=1)
+            assert sol.radius == cost_string(inst, sol.center) == 2
+        assert failing and min(failing) > sol.radius
+
+    def test_derandomized_failure_of_possible_winner_is_raised(self):
+        # here a failing subset's bound is at most the radius of the other
+        # candidates, so it might have won: the solve raises, serial and
+        # parallel alike, with the same error
+        inst = binst("0001111", "0000010", "0001100", "0110100")
+        cfg = ClosestStringConfig(
+            r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1)
+        )
+        errors = []
+        for parallel in (False, True):
+            with pytest.raises(EstimatorAtLeastOne) as exc:
+                solve_closest_string(inst, replace(cfg, parallel=parallel), enum_budget=1)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        with pytest.raises(EstimatorAtLeastOne):
+            reference_solve_closest_string(inst, cfg, enum_budget=1)
+
+    def test_sweep_path_leaves_scipy_unloaded(self):
+        # every subset of this binary instance sweeps its patches; the bound
+        # and the skip must not load scipy (about 40 MB of resident memory)
+        code = (
+            "import sys; from centerstring import BINARY, StringInstance, solve_closest_string\n"
+            "inst = StringInstance.from_texts(BINARY, ['0000001111', '0011110000', '1100000011', '0101010101'])\n"
+            "sol = solve_closest_string(inst)\n"
+            "print(sol.radius, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(closest_string.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            check=True,
+        ).stdout
+        assert out.split(" ", 1)[1].strip() == "[]"

@@ -61,6 +61,13 @@ class TestExactClosestString:
             bnb = exact_closest_string(inst, branch_and_bound=True)
             assert sweep == bnb
 
+    def test_branch_and_bound_past_recursion_limit(self):
+        # the search keeps its own per-position counters, so m may exceed
+        # the interpreter's recursion limit (1000 by default)
+        inst = binst("0" * 1200, "0" * 1200)
+        sol = exact_closest_string(inst, branch_and_bound=True)
+        assert (sol.center.text, sol.radius) == ("0" * 1200, 0)
+
     def test_lower_bound_from_max_pairwise_distance(self):
         rng = np.random.default_rng(73)
         for _ in range(50):

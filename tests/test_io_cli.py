@@ -200,6 +200,13 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["center"] == "001" and result["radius"] == 2
 
+    def test_exact_branch_and_bound_long_strings(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"alphabet": "01", "strings": ["0" * 1200] * 2}))
+        assert main(["exact", str(path), "--branch-and-bound"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["center"] == "0" * 1200 and result["radius"] == 0
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         main(["gen", "--n", "3", "--m", "8", "--L", "5", "--d", "0",

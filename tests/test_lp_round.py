@@ -19,10 +19,12 @@ from centerstring import (
     Seq,
     StringInstance,
     build_restricted,
+    compose,
     cost_string,
     enumerate_small_P,
     hamming,
     restrict,
+    restricted_lower_bound,
     round_derandomized,
     round_randomized,
     sample_patch,
@@ -381,6 +383,46 @@ class TestEnumerate:
                 for s, f in zip(inst.strings, p.fixed_costs)
             )
             assert got == brute_force_patch_cost(p)
+
+
+class TestRestrictedLowerBound:
+    def test_examples(self):
+        # d_P = 3 between the two rows: ceil(3 / 2) = 2, the optimum
+        p = build_restricted(binst("000", "111"), bseq("000"), PositionSet.of([], 3))
+        assert restricted_lower_bound(p) == 2 == brute_force_patch_cost(p)
+        # no free positions: the bound is the anchor's own cost
+        p = build_restricted(binst("0011", "0101"), bseq("0000"), PositionSet.of([0, 1, 2, 3], 4))
+        assert restricted_lower_bound(p) == 2 == cost_string(p.inst, p.anchor)
+        # equal rows on P, fixed costs (0, 2): a single fixed cost is a bound
+        p = build_restricted(binst("0000", "0011"), bseq("0000"), PositionSet.of([2, 3], 4))
+        assert p.fixed_costs == (0, 2)
+        assert restricted_lower_bound(p) == 2 == brute_force_patch_cost(p)
+        # fixed costs (1, 1) and d_P = 1: ceil((1 + 1 + 1) / 2) = 2
+        p = build_restricted(binst("100", "011"), bseq("000"), PositionSet.of([0, 1], 3))
+        assert p.fixed_costs == (1, 1)
+        assert restricted_lower_bound(p) == 2 == brute_force_patch_cost(p)
+
+    def test_below_exact_restricted_optimum(self):
+        rng = np.random.default_rng(19)
+        met = strict = 0
+        for trial in range(300):
+            k = (2, 3, 4)[trial % 3]
+            alphabet = Alphabet.of("ACGT"[:k])
+            np_ = int(rng.integers(0, 9))
+            m = max(1, np_ + int(rng.integers(0, 5)))
+            n = int(rng.integers(1, 8))
+            inst = StringInstance(
+                alphabet, tuple(Seq(alphabet, rng.integers(0, k, m)) for _ in range(n))
+            )
+            anchor = Seq(alphabet, rng.integers(0, k, m))
+            q = PositionSet.of(sorted(rng.choice(m, m - np_, replace=False).tolist()), m)
+            p = build_restricted(inst, anchor, q)
+            optimum = cost_string(inst, compose(anchor, enumerate_small_P(p), p.P))
+            bound = restricted_lower_bound(p)
+            assert bound <= optimum, (trial, bound, optimum)
+            met += bound == optimum
+            strict += bound < optimum
+        assert met > 50 and strict > 0
 
 
 class TestRounding:
