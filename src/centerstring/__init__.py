@@ -25,7 +25,6 @@ from .core import (
 from .closest_string import ClosestStringConfig, solve_closest_string, subset_candidates
 from .closest_substring import (
     SubstringConfig,
-    WindowTuple,
     enumerate_window_tuples,
     sample_size,
     select_windows,
@@ -67,7 +66,6 @@ __all__ = [
     "StringInstance",
     "SubstringConfig",
     "SubstringInstance",
-    "WindowTuple",
     "agreement_positions",
     "best_input_center",
     "build_restricted",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -39,9 +39,14 @@ _SUBSTRING_MODES = ("small_d", "sampling", "auto")
 
 @dataclass(frozen=True)
 class SubstringConfig:
+    """Knobs of the substring solvers.  The LP stage of a guessed tuple
+    rounds in rounding_mode with `trials` attempts, at epsilon' = epsilon
+    and with seeds derived from rng_seed."""
+
     r: int = 2
     epsilon: float = 1.0
-    rounding: RoundingConfig = RoundingConfig()
+    rounding_mode: str = "auto"
+    trials: int = 32
     y_budget: int = 1 << 16
     mode: str = "auto"
     rng_seed: int = 0
@@ -51,44 +56,38 @@ class SubstringConfig:
             raise DomainError("subset size r must be >= 2")
         if not 0.0 < self.epsilon <= 1.0:
             raise DomainError("epsilon must be in (0, 1]")
+        RoundingConfig(mode=self.rounding_mode, trials=self.trials)  # raises with its messages
         if self.y_budget < 1:
             raise DomainError("y_budget must be >= 1")
         if self.mode not in _SUBSTRING_MODES:
             raise DomainError(f"mode must be one of {_SUBSTRING_MODES}")
 
 
-@dataclass(frozen=True)
-class WindowTuple:
-    """r window picks with distinct strings; repeats of a string collapse
-    to one pick, mirroring the rule that two windows chosen from the same
-    string must be identical.  The first pick is the anchor."""
-
-    picks: tuple[tuple[int, int], ...]  # (string index, offset), sorted
-    windows: tuple[Seq, ...]
-
-    @property
-    def anchor(self) -> Seq:
-        return self.windows[0]
+Picks = tuple[tuple[int, int], ...]
 
 
-def enumerate_window_tuples(inst: SubstringInstance, r: int) -> Iterator[WindowTuple]:
-    """All window tuples in deterministic order: support size ascending,
-    then string subsets and offsets lexicographically."""
-    l = inst.window
-    counts = [len(s) - l + 1 for s in inst.strings]
+def enumerate_window_tuples(inst: SubstringInstance, r: int) -> Iterator[Picks]:
+    """The picks ((string index, offset), ...) of every window tuple, in
+    deterministic order: support size ascending, then string subsets and
+    offsets lexicographically.
+
+    The picks name distinct strings: repeats of a string collapse to one
+    pick, mirroring the rule that two windows chosen from the same string
+    must be identical.  The first pick is the anchor.
+    """
+    counts = [len(s) - inst.window + 1 for s in inst.strings]
     for k in range(1, min(r, inst.n) + 1):
         for subset in itertools.combinations(range(inst.n), k):
             for offsets in itertools.product(*(range(counts[i]) for i in subset)):
-                picks = tuple(zip(subset, offsets))
-                windows = tuple(inst.strings[i].window(o, l) for i, o in picks)
-                yield WindowTuple(picks, windows)
+                yield tuple(zip(subset, offsets))
 
 
 def _agreed_tuples(
     inst: SubstringInstance, cfg: SubstringConfig, mode: str
-) -> list[tuple[tuple[tuple[int, int], ...], Seq, PositionSet, bool]]:
-    """(picks, anchor, agreement set Q, swept) of every window tuple, in
-    enumeration order.
+) -> list[tuple[Picks, np.ndarray, np.ndarray, bool]]:
+    """(picks, anchor row, agreement mask on_q, swept) of every window
+    tuple, in enumeration order; on_q marks the positions Q where every
+    picked window equals the anchor.
 
     A tuple is swept over its k^|P| patches when its free-position count
     |P| is at most the mode's sweep limit: L for small_d (every tuple), the
@@ -102,44 +101,18 @@ def _agreed_tuples(
     size = _sample_size_of(inst, cfg.epsilon)
     limit = {"small_d": inst.window, "sampling": size, "auto": _max_exponent(k, cfg.y_budget)}[mode]
     agreed = []
-    for wt in enumerate_window_tuples(inst, cfg.r):
-        q = agreement_positions(wt.windows)
-        free = q.frame - len(q)
+    for picks in enumerate_window_tuples(inst, cfg.r):
+        rows = np.array([inst.windows[i][o] for i, o in picks])
+        on_q = (rows == rows[0]).all(axis=0)
+        free = inst.window - int(on_q.sum())
         swept = free <= limit
         count = free if swept else size
         if k ** count > cfg.y_budget:
             work = f"|P|={free} needs {k}^{free} patches" if swept else f"|R|={size} needs {k}^{size} guesses"
             hint = "" if mode == "small_d" else "; " + _budget_hint(inst, cfg.y_budget, cfg.epsilon)
             raise BudgetExceeded(f"{work}, over budget {cfg.y_budget}{hint}")
-        agreed.append((wt.picks, wt.anchor, q, swept))
+        agreed.append((picks, rows[0], on_q, swept))
     return agreed
-
-
-def _tuple_sweeper(inst: SubstringInstance) -> Callable[[Seq, PositionSet], tuple[int, Seq]]:
-    """The per-tuple patch sweep, with the window rows built once per solve.
-
-    The returned function gives a window tuple's best center that keeps
-    the anchor on Q, with its radius.  Every window of every string is one
-    row of the shared patch sweep, restricted to P and charged its
-    distance to the anchor on Q; a string's rows form one group, so the
-    sweep scores a patch by max over strings of min over windows, the
-    candidate's substring radius.
-    """
-    k = inst.alphabet.size
-    wins = np.concatenate(inst.windows)
-    starts = np.cumsum([0] + [len(w) for w in inst.windows[:-1]])
-
-    def sweep(anchor: Seq, q: PositionSet) -> tuple[int, Seq]:
-        on_q = np.zeros(q.frame, dtype=bool)
-        on_q[list(q.positions)] = True
-        on_p = ~on_q
-        fixed = (wins[:, on_q] != anchor.arr[on_q]).sum(axis=1)
-        cost, patch = sweep_patches(wins[:, on_p], fixed, k, starts)
-        center = anchor.arr.copy()
-        center[on_p] = patch
-        return cost, Seq(inst.alphabet, center.tobytes())
-
-    return sweep
 
 
 def solve_small_substring(
@@ -251,34 +224,48 @@ def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
 def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterator[tuple[int, Seq]]:
     """(radius, center) candidates in enumeration order: per window tuple,
     its swept center, or else the restricted solve's center for every
-    guess y on R."""
+    guess y on R.
+
+    A swept tuple's center keeps the anchor on Q.  Every window of every
+    string is one row of the shared patch sweep, restricted to P and
+    charged its distance to the anchor on Q; a string's rows form one
+    group, so the sweep scores a patch by max over strings of min over
+    windows, the candidate's substring radius.
+    """
     agreed = _agreed_tuples(inst, cfg, mode)
     k = inst.alphabet.size
     size = _sample_size_of(inst, cfg.epsilon)
-    sweep = _tuple_sweeper(inst)
+    wins = np.concatenate(inst.windows)
+    starts = np.cumsum([0] + [len(w) for w in inst.windows[:-1]])
     # the LP stage must stay within error epsilon*|P| overall
-    rounding = replace(cfg.rounding, epsilon_prime=cfg.epsilon)
+    rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
 
-    for picks, anchor, q, swept in agreed:
+    for picks, anchor, on_q, swept in agreed:
         if swept:
-            yield sweep(anchor, q)
+            on_p = ~on_q
+            fixed = (wins[:, on_q] != anchor[on_q]).sum(axis=1)
+            cost, patch = sweep_patches(wins[:, on_p], fixed, k, starts)
+            center = anchor.copy()
+            center[on_p] = patch
+            yield cost, Seq(inst.alphabet, center.tobytes())
             continue
+        windows = [inst.strings[i].window(o, inst.window) for i, o in picks]
+        q = agreement_positions(windows)
         r_sample = _draw_sample(q.complement(), size, derive_seed(cfg.rng_seed, "sample", picks))
-        anchor_q = restrict(anchor, q)
-        memo: dict[tuple[bytes, ...], Seq] = {}
+        anchor_q = restrict(windows[0], q)
+        memo: dict[tuple[bytes, ...], tuple[int, Seq]] = {}
         for y_digits in itertools.product(range(k), repeat=len(r_sample)):
             y = Seq(inst.alphabet, y_digits)
             selected = select_windows(inst, y, r_sample, anchor_q, q)
             key = tuple(t.data for t in selected)
-            center = memo.get(key)
-            if center is None:
+            if key not in memo:
                 sub_inst = StringInstance(inst.alphabet, tuple(selected))
-                problem = build_restricted(sub_inst, anchor, q)
+                problem = build_restricted(sub_inst, windows[0], q)
                 # the seed token keeps the repr of index tuples
                 seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
                 center, _ = solve_restricted(problem, replace(rounding, rng_seed=seed))
-                memo[key] = center
-            yield cost_substring(inst, center)[0], center
+                memo[key] = cost_substring(inst, center)[0], center
+            yield memo[key]
 
 
 def _solve(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> CenterSolution:

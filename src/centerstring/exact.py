@@ -23,14 +23,6 @@ DEFAULT_EXACT_BUDGET = 1 << 20
 _CHUNK = 1 << 14
 
 
-def _digits_of(value: int, base: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        out.append(value % base)
-        value //= base
-    return tuple(reversed(out))
-
-
 def _chunk_digits(lo: int, hi: int, base: int, width: int) -> np.ndarray:
     ids = np.arange(lo, hi, dtype=np.int64)
     digits = np.empty((hi - lo, width), dtype=np.int16)
@@ -52,28 +44,12 @@ def exact_closest_string(
     that count to fit in `budget`; branch_and_bound prunes on the prefix
     lower bound (max mismatches so far) instead and ignores the budget.
     """
-    k = inst.alphabet.size
-    m = inst.m
-    mat = inst.matrix
-
     if branch_and_bound:
-        center = Seq(inst.alphabet, _bnb_center(mat, k, m))
+        center = Seq(inst.alphabet, _bnb_center(inst.matrix, inst.alphabet.size, inst.m))
     else:
-        total = k ** m
-        if total > budget:
-            raise BudgetExceeded(f"{k}^{m} = {total} candidates exceed budget {budget}")
-        best_cost = None
-        best_id = -1
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            digits = _chunk_digits(lo, hi, k, m)
-            costs = (digits[:, None, :] != mat[None, :, :]).sum(axis=2).max(axis=1)
-            local = int(np.argmin(costs))
-            if best_cost is None or costs[local] < best_cost:
-                best_cost = int(costs[local])
-                best_id = lo + local
-        center = Seq(inst.alphabet, _digits_of(best_id, k, m))
-
+        # one window per string: the substring sweep, in the same order
+        whole = SubstringInstance(inst.alphabet, inst.strings, inst.m)
+        center = exact_closest_substring(whole, budget).center
     radius = cost_string(inst, center)
     return CenterSolution(center, radius, (0,) * inst.n)
 
@@ -83,9 +59,11 @@ def _bnb_center(mat: np.ndarray, k: int, m: int) -> tuple[int, ...]:
 
     A loop with an explicit per-depth symbol counter rather than one call
     per position, so m is not limited by the interpreter's recursion depth.
+    The bound starts at the best input string's cost + 1, above the
+    optimum, so the search prunes from the first descent on.
     """
     n = len(mat)
-    best_radius = m + 1
+    best_radius = min(int((mat != row).sum(axis=1).max()) for row in mat) + 1
     best: tuple[int, ...] | None = None
     prefix = [0] * m
     mism = np.zeros(n, dtype=np.int64)
@@ -94,14 +72,13 @@ def _bnb_center(mat: np.ndarray, k: int, m: int) -> tuple[int, ...]:
         """Check the node prefix[:depth]; True when its children are to be tried."""
         nonlocal best_radius, best
         bound = int(mism.max())
-        # strict inequality keeps equal-radius branches alive so the
-        # lexicographically first optimum is found
-        if bound > best_radius:
+        # leaves come in lexicographic order, so a later leaf of equal
+        # radius never wins, and a prefix's bound only grows with depth
+        if bound >= best_radius:
             return False
         if depth == m:
-            if bound < best_radius:
-                best_radius = bound
-                best = tuple(prefix)
+            best_radius = bound
+            best = tuple(prefix)
             return False
         return True
 
@@ -153,7 +130,7 @@ def exact_closest_substring(
         if best_cost is None or costs[local] < best_cost:
             best_cost = int(costs[local])
             best_id = lo + local
-    center = Seq(inst.alphabet, _digits_of(best_id, k, l))
+    center = Seq(inst.alphabet, _chunk_digits(best_id, best_id + 1, k, l)[0])
     radius, offsets = cost_substring(inst, center)
     return CenterSolution(center, radius, offsets)
 

@@ -307,7 +307,7 @@ def _run_algo(
             inst = StringInstance(inst.alphabet, inst.strings)
         return solve_closest_string(inst, ClosestStringConfig(r=r, rounding=rounding))
     cfg = SubstringConfig(
-        r=r, epsilon=epsilon, rounding=rounding,
+        r=r, epsilon=epsilon, trials=trials,
         mode="small_d" if algo == "small" else "sampling", rng_seed=seed,
     )
     sub = f.as_substring_instance()
@@ -534,9 +534,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         if f.window is None:
             raise DomainError("window length missing: provide --L or a JSON 'L' field")
         # the LP stage runs at epsilon' = epsilon, so no --epsilon-prime here
-        rounding = RoundingConfig(mode=args.rounding_mode, trials=args.trials, rng_seed=args.seed)
-        cfg = SubstringConfig(r=args.r, epsilon=args.epsilon, rounding=rounding,
-                              y_budget=args.y_budget, mode=args.mode, rng_seed=args.seed)
+        cfg = SubstringConfig(r=args.r, epsilon=args.epsilon, rounding_mode=args.rounding_mode,
+                              trials=args.trials, y_budget=args.y_budget, mode=args.mode,
+                              rng_seed=args.seed)
         sol = solve_substring(f.as_substring_instance(), cfg)
         _emit(_solution_json(sol, f"substring/{args.mode}", {
             "r": args.r, "epsilon": args.epsilon, "seed": args.seed,

@@ -11,6 +11,7 @@ from centerstring import (
     BINARY,
     Alphabet,
     PositionSet,
+    RoundingConfig,
     Seq,
     StringInstance,
     SubstringConfig,
@@ -67,16 +68,25 @@ class TestSampleSize:
             sample_size(2.0, 3, 3)
 
 
+class TestSubstringConfig:
+    def test_rounding_fields_validated_at_construction(self):
+        with pytest.raises(DomainError, match="mode must be one of"):
+            SubstringConfig(rounding_mode="exact")
+        with pytest.raises(DomainError, match="trials must be >= 1"):
+            SubstringConfig(trials=0)
+        SubstringConfig(rounding_mode="derandomized", trials=1)  # no raise
+
+
 class TestWindowTuples:
     def test_single_string(self):
         inst = bsub(["0101"], 2)
         tuples = list(enumerate_window_tuples(inst, 2))
         # only support size 1 is possible: three windows
-        assert [wt.picks for wt in tuples] == [((0, 0),), ((0, 1),), ((0, 2),)]
+        assert tuples == [((0, 0),), ((0, 1),), ((0, 2),)]
 
     def test_repeat_rule(self):
         inst = bsub(["01", "10"], 2)
-        picks = [wt.picks for wt in enumerate_window_tuples(inst, 2)]
+        picks = list(enumerate_window_tuples(inst, 2))
         # supports of size 1 (a window repeated r times) and size 2
         assert ((0, 0),) in picks and ((1, 0),) in picks
         assert ((0, 0), (1, 0)) in picks
@@ -84,13 +94,6 @@ class TestWindowTuples:
         for p in picks:
             strings = [i for i, _ in p]
             assert len(strings) == len(set(strings))
-
-    def test_windows_match_picks(self):
-        inst = bsub(["0110", "1001"], 2)
-        for wt in enumerate_window_tuples(inst, 2):
-            for (i, off), w in zip(wt.picks, wt.windows):
-                assert w == inst.strings[i].window(off, 2)
-            assert wt.anchor == wt.windows[0]
 
 
 class TestSmallSubstring:
@@ -150,6 +153,11 @@ class TestSmallSubstring:
             assert sol.radius <= best_trivial_radius(inst)
 
 
+def picked_windows(inst, picks):
+    """The windows a tuple's (string, offset) picks name, anchor first."""
+    return [inst.strings[i].window(off, inst.window) for i, off in picks]
+
+
 def reference_sweep(inst, anchor, p):
     """Substring patch sweep with full-length candidates: every patch on p,
     in lexicographic order, composed into the anchor and scored against
@@ -183,9 +191,10 @@ def reference_small_substring(inst, r):
             if best is None or cost < best[0]:
                 best = (cost, center)
     saw_empty_p = saw_tie = False
-    for wt in enumerate_window_tuples(inst, r):
-        p = agreement_positions(wt.windows).complement()
-        costs, center = reference_sweep(inst, wt.anchor, p)
+    for picks in enumerate_window_tuples(inst, r):
+        windows = picked_windows(inst, picks)
+        p = agreement_positions(windows).complement()
+        costs, center = reference_sweep(inst, windows[0], p)
         saw_empty_p |= len(p) == 0
         saw_tie |= int((costs == costs.min()).sum()) > 1
         if int(costs.min()) < best[0]:
@@ -329,31 +338,32 @@ def reference_sampled_solve(inst, cfg):
     k = inst.alphabet.size
     l = inst.window
     size = sample_size(cfg.epsilon, inst.n, max(len(s) for s in inst.strings))
-    rounding = replace(cfg.rounding, epsilon_prime=cfg.epsilon)
+    rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
 
     def candidates():
         first = inst.strings[0]
         for off in range(len(first) - l + 1):
             yield first.window(off, l)
-        for wt in enumerate_window_tuples(inst, cfg.r):
-            q = agreement_positions(wt.windows)
+        for picks in enumerate_window_tuples(inst, cfg.r):
+            windows = picked_windows(inst, picks)
+            q = agreement_positions(windows)
             p = q.complement()
             if size <= 0 or size >= len(p):
                 drawn = p.positions
             else:
-                rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", wt.picks))
+                rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
                 drawn = tuple(sorted(p.positions[i] for i in rng.integers(0, len(p), size=size)))
             r_sample = PositionSet(drawn, l, multiset=True)
-            anchor_q = restrict(wt.anchor, q)
+            anchor_q = restrict(windows[0], q)
             memo = {}
             for y in itertools.product(range(k), repeat=len(r_sample)):
                 selected = select_windows(inst, Seq(inst.alphabet, y), r_sample, anchor_q, q)
                 key = tuple(t.data for t in selected)
                 if key not in memo:
                     sub = StringInstance(inst.alphabet, tuple(selected))
-                    seed = derive_seed(cfg.rng_seed, "round", wt.picks, tuple(map(tuple, key)))
+                    seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
                     memo[key] = solve_restricted(
-                        build_restricted(sub, wt.anchor, q), replace(rounding, rng_seed=seed)
+                        build_restricted(sub, windows[0], q), replace(rounding, rng_seed=seed)
                     )[0]
                 yield memo[key]
 
@@ -459,10 +469,12 @@ class TestCoveredSampleSweep:
             lps = spy(monkeypatch, lp_round, "solve_lp")
             seeds = spy(monkeypatch, closest_substring, "derive_seed")
             sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
+            costs = spy(monkeypatch, closest_substring, "cost_substring")
             sol = solver(inst, run_cfg)
             assert (sol.center, sol.radius, sol.witnesses) == (center, radius, offsets)
             assert len(selections) == 2 ** 14
             assert len(lps) == 1  # one string each: every guess selects the same windows
+            assert len(costs) == 2  # the one distinct selection's center, then the winner's offsets
             assert seeds[0] == (0, "sample", ((0, 0), (1, 0)))
             assert len(sweeps) == 2
             monkeypatch.undo()

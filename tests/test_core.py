@@ -325,3 +325,10 @@ class TestPositionSet:
         p = PositionSet.of([0, 2], 4)
         assert p.complement().positions == (1, 3)
         assert p.complement().complement() == p
+
+
+def test_every_public_name_resolves():
+    import centerstring
+
+    missing = [name for name in centerstring.__all__ if not hasattr(centerstring, name)]
+    assert missing == []

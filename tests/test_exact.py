@@ -1,6 +1,7 @@
 """Exact oracles: golden examples and agreement between search strategies."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestExactClosestString:
         inst = binst("0" * 1200, "0" * 1200)
         sol = exact_closest_string(inst, branch_and_bound=True)
         assert (sol.center.text, sol.radius) == ("0" * 1200, 0)
+
+    def test_branch_and_bound_prunes_from_the_start(self):
+        # bounded by the best input's cost + 1 from the start, the search
+        # never descends toward the all-zero leaf; started at m + 1, and
+        # keeping equal-radius branches, the '01' * 200 pair took about 38 s
+        for text in ("01" * 200, "01" * 600):
+            start = time.perf_counter()
+            sol = exact_closest_string(binst(text, text), branch_and_bound=True)
+            assert time.perf_counter() - start < 10.0
+            assert (sol.center.text, sol.radius) == (text, 0)
 
     def test_lower_bound_from_max_pairwise_distance(self):
         rng = np.random.default_rng(73)

@@ -39,19 +39,19 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 def _solve(case):
     alpha = Alphabet.of(case["alphabet"])
     cfg = case["config"]
-    rounding = RoundingConfig(
-        mode=cfg["rounding_mode"],
-        trials=cfg["trials"],
-        epsilon_prime=cfg["epsilon_prime"],
-        rng_seed=cfg["seed"],
-    )
     if case["solver"] == "string":
+        rounding = RoundingConfig(
+            mode=cfg["rounding_mode"],
+            trials=cfg["trials"],
+            epsilon_prime=cfg["epsilon_prime"],
+            rng_seed=cfg["seed"],
+        )
         inst = StringInstance.from_texts(alpha, case["strings"])
         return solve_closest_string(inst, ClosestStringConfig(r=cfg["r"], rounding=rounding))
     inst = SubstringInstance.from_texts(alpha, case["strings"], case["L"])
     sub_cfg = SubstringConfig(
-        r=cfg["r"], epsilon=cfg["epsilon"], rounding=rounding, mode=cfg["mode"],
-        rng_seed=cfg["seed"],
+        r=cfg["r"], epsilon=cfg["epsilon"], rounding_mode=cfg["rounding_mode"],
+        trials=cfg["trials"], mode=cfg["mode"], rng_seed=cfg["seed"],
     )
     solver = {
         "small_d": solve_small_substring,

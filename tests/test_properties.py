@@ -1,0 +1,82 @@
+"""Property tests: every solver's radius lies between the exact oracle and
+its declared ratio bound, and is the recomputed cost of its center.
+
+Hypothesis runs derandomized, so the examples are the same on every run.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centerstring import (
+    Alphabet,
+    ClosestStringConfig,
+    StringInstance,
+    SubstringConfig,
+    SubstringInstance,
+    cost_string,
+    cost_substring,
+    exact_closest_string,
+    exact_closest_substring,
+    solve_closest_string,
+    solve_substring,
+)
+
+SYMBOLS = {2: "01", 3: "012", 4: "ACGT"}
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def ceil_bound(bound: Fraction, opt: int) -> int:
+    return math.ceil(bound * opt)
+
+
+@st.composite
+def substring_cases(draw):
+    k = draw(st.sampled_from(sorted(SYMBOLS)))
+    l = draw(st.integers(1, 5 if k < 4 else 4))
+    n = draw(st.integers(1, 4))
+    texts = [
+        "".join(SYMBOLS[k][v] for v in draw(st.lists(st.integers(0, k - 1), min_size=l, max_size=l + 3)))
+        for _ in range(n)
+    ]
+    inst = SubstringInstance.from_texts(Alphabet.of(SYMBOLS[k]), texts, l)
+    return inst, draw(st.integers(2, 3)), draw(st.integers(0, 2 ** 16))
+
+
+@st.composite
+def string_cases(draw):
+    k = draw(st.sampled_from(sorted(SYMBOLS)))
+    m = draw(st.integers(1, 7 if k < 4 else 5))
+    n = draw(st.integers(1, 5))
+    texts = [
+        "".join(SYMBOLS[k][v] for v in draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+        for _ in range(n)
+    ]
+    return StringInstance.from_texts(Alphabet.of(SYMBOLS[k]), texts), draw(st.integers(2, 3))
+
+
+@PROPERTY
+@given(substring_cases(), st.sampled_from(["small_d", "sampling", "auto"]))
+def test_substring_radius_between_oracle_and_bound(case, mode):
+    inst, r, seed = case
+    cfg = SubstringConfig(r=r, mode=mode, rng_seed=seed)
+    sol = solve_substring(inst, cfg)
+    opt = exact_closest_substring(inst).radius
+    # small_d sweeps every tuple; the others add the sampling term 3*eps*r
+    bound = 1 + Fraction(1, 2 * r - 1) + (0 if mode == "small_d" else 3 * Fraction(cfg.epsilon) * r)
+    assert opt <= sol.radius <= ceil_bound(bound, opt)
+    assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
+
+
+@PROPERTY
+@given(string_cases())
+def test_string_radius_between_oracle_and_bound(case):
+    inst, r = case
+    cfg = ClosestStringConfig(r=r)
+    sol = solve_closest_string(inst, cfg)
+    opt = exact_closest_string(inst).radius
+    bound = 1 + Fraction(1, 2 * r - 1) + r * Fraction(cfg.rounding.epsilon_prime)
+    assert opt <= sol.radius <= ceil_bound(bound, opt)
+    assert sol.radius == cost_string(inst, sol.center)
