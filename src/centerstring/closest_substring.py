@@ -9,6 +9,11 @@ largest c with k^c <= y_budget for auto.  Otherwise every guess y on R
 selects one window per input string by a scaled proxy score, and the
 selected windows go to the restricted LP machinery.  The first candidate
 of minimum radius, in enumeration order, wins.
+
+A swept candidate depends only on the tuple's agreement mask Q and the
+anchor's letters on Q, not on which windows were picked, so each distinct
+(Q, anchor on Q) pair is swept once per solve and repeats reuse its
+candidate.
 """
 
 from __future__ import annotations
@@ -230,7 +235,9 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
     string is one row of the shared patch sweep, restricted to P and
     charged its distance to the anchor on Q; a string's rows form one
     group, so the sweep scores a patch by max over strings of min over
-    windows, the candidate's substring radius.
+    windows, the candidate's substring radius.  Nothing else of the tuple
+    enters, so a swept tuple whose (Q mask, anchor on Q) pair was already
+    swept in this solve yields that pair's candidate again.
     """
     agreed = _agreed_tuples(inst, cfg, mode)
     k = inst.alphabet.size
@@ -240,14 +247,21 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
     # the LP stage must stay within error epsilon*|P| overall
     rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
 
+    # one key per (Q mask, anchor on Q) pair; the mask's fixed length L
+    # keeps the concatenation unambiguous
+    swept_by_pair: dict[bytes, tuple[int, Seq]] = {}
     for picks, anchor, on_q, swept in agreed:
         if swept:
-            on_p = ~on_q
-            fixed = (wins[:, on_q] != anchor[on_q]).sum(axis=1)
-            cost, patch = sweep_patches(wins[:, on_p], fixed, k, starts)
-            center = anchor.copy()
-            center[on_p] = patch
-            yield cost, Seq(inst.alphabet, center.tobytes())
+            letters = anchor[on_q]
+            pair = on_q.tobytes() + letters.tobytes()
+            if pair not in swept_by_pair:
+                on_p = ~on_q
+                fixed = (wins[:, on_q] != letters).sum(axis=1)
+                cost, patch = sweep_patches(wins[:, on_p], fixed, k, starts)
+                center = anchor.copy()
+                center[on_p] = patch
+                swept_by_pair[pair] = cost, Seq(inst.alphabet, center.tobytes())
+            yield swept_by_pair[pair]
             continue
         windows = [inst.strings[i].window(o, inst.window) for i, o in picks]
         q = agreement_positions(windows)

@@ -21,14 +21,16 @@ from .errors import BudgetExceeded
 
 DEFAULT_EXACT_BUDGET = 1 << 20
 _CHUNK = 1 << 14
+_CELLS = 1 << 20  # (candidate, window) mismatch counts held at once
 
 
 def _chunk_digits(lo: int, hi: int, base: int, width: int) -> np.ndarray:
-    ids = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((hi - lo, width), dtype=np.int16)
-    rem = ids.copy()
+    """(width, hi - lo) base-`base` digits of the ids lo..hi-1, most
+    significant first: row j holds digit j of every id."""
+    rem = np.arange(lo, hi, dtype=np.int64)
+    digits = np.empty((width, hi - lo), dtype=np.uint8)
     for j in range(width - 1, -1, -1):
-        digits[:, j] = rem % base
+        digits[j] = rem % base
         rem //= base
     return digits
 
@@ -123,14 +125,24 @@ def exact_closest_substring(
         hi = min(lo + _CHUNK, total)
         digits = _chunk_digits(lo, hi, k, l)
         costs = np.zeros(hi - lo, dtype=np.int64)
+        # a string's windows go in blocks whose (chunk, block) counts hold at
+        # most max(_CELLS, chunk) cells, summed one position at a time, so
+        # memory stays flat in the string length
+        step = max(1, _CELLS // (hi - lo))
         for wins in inst.windows:
-            mism = (digits[:, None, :] != wins[None, :, :]).sum(axis=2).min(axis=1)
-            np.maximum(costs, mism, out=costs)
+            nearest = np.full(hi - lo, l, dtype=np.int64)
+            for a in range(0, len(wins), step):
+                block = wins[a:a + step].T.copy()
+                mism = np.zeros((hi - lo, block.shape[1]), dtype=np.int16)
+                for j in range(l):
+                    mism += digits[j][:, None] != block[j]
+                np.minimum(nearest, mism.min(axis=1), out=nearest)
+            np.maximum(costs, nearest, out=costs)
         local = int(np.argmin(costs))
         if best_cost is None or costs[local] < best_cost:
             best_cost = int(costs[local])
             best_id = lo + local
-    center = Seq(inst.alphabet, _chunk_digits(best_id, best_id + 1, k, l)[0])
+    center = Seq(inst.alphabet, _chunk_digits(best_id, best_id + 1, k, l)[:, 0])
     radius, offsets = cost_substring(inst, center)
     return CenterSolution(center, radius, offsets)
 

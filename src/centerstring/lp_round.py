@@ -54,11 +54,11 @@ class RoundingConfig:
 
 @dataclass(frozen=True)
 class RestrictedProblem:
-    """Center optimization over free positions P with the anchor fixed on Q."""
+    """Center optimization over free positions P with the anchor fixed on
+    the other positions, whose cost to each string is fixed_costs."""
 
     inst: StringInstance
     P: PositionSet
-    Q: PositionSet
     anchor: Seq
     fixed_costs: tuple[int, ...]
 
@@ -80,7 +80,7 @@ def build_restricted(inst: StringInstance, anchor: Seq, q: PositionSet) -> Restr
         raise AlphabetMismatch("anchor and instance use different alphabets")
     idx = list(q.positions)
     fixed = (inst.matrix[:, idx] != anchor.arr[idx]).sum(axis=1)
-    return RestrictedProblem(inst, q.complement(), q, anchor, tuple(fixed.tolist()))
+    return RestrictedProblem(inst, q.complement(), anchor, tuple(fixed.tolist()))
 
 
 def _restricted_rows(p: RestrictedProblem) -> np.ndarray:

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centerstring import (
     BINARY,
@@ -410,6 +412,17 @@ def spy(monkeypatch, module, name):
     return calls
 
 
+def distinct_sweep_keys(inst, r):
+    """The (agreement set Q, anchor on Q) pairs of inst's window tuples:
+    everything a swept tuple's candidate depends on."""
+    keys = set()
+    for picks in enumerate_window_tuples(inst, r):
+        windows = picked_windows(inst, picks)
+        q = agreement_positions(windows)
+        keys.add((q.positions, restrict(windows[0], q).data))
+    return keys
+
+
 class TestCoveredSampleSweep:
     # (alphabet, string lengths, L, d): every tuple's sample covers its P
     SHAPES = (
@@ -450,7 +463,7 @@ class TestCoveredSampleSweep:
             sol = solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0))
             assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
             assert seeds == []
-            assert len(sweeps) == len(list(enumerate_window_tuples(inst, 2)))
+            assert len(sweeps) == len(distinct_sweep_keys(inst, 2))
         assert sweeps[-1][0].shape == (2, 14)
 
     def test_uncovered_tuple_keeps_guess_loop(self, monkeypatch):
@@ -618,3 +631,72 @@ class TestDispatcher:
         inst, _ = generate_planted("01", 3, 8, 5, 1, 3)
         solve_substring(inst, SubstringConfig(r=2, mode="auto"))
         assert len(costs) == 1
+
+
+class TestSweepDedupe:
+    def test_planted_dna_sweeps_each_key_once(self, monkeypatch):
+        # the substring_small_d shape: about 150 distinct keys over 322 tuples
+        for seed in range(3):
+            inst, _ = generate_planted("ACGT", 4, 12, 6, 1, seed)
+            sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
+            sol = solve_small_substring(inst, SubstringConfig(r=2))
+            keys = distinct_sweep_keys(inst, 2)
+            assert len(sweeps) == len(keys)
+            assert 2 * len(keys) <= len(list(enumerate_window_tuples(inst, 2)))
+            assert sol.center == reference_small_substring(inst, 2)[0]
+            monkeypatch.undo()
+
+    def test_shared_key_sweeps_once(self, monkeypatch):
+        # the pairs (001, 010) and (011, 000) both agree on position 0 only,
+        # where both anchors read 0: one key for two different picks
+        inst = bsub(["001", "010", "011", "000"], 3)
+        sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
+        picks = list(enumerate_window_tuples(inst, 2))
+        cands = list(closest_substring._centers(inst, SubstringConfig(r=2), "small_d"))
+        first, second = picks.index(((0, 0), (1, 0))), picks.index(((2, 0), (3, 0)))
+        assert len(sweeps) == len(distinct_sweep_keys(inst, 2)) == len(picks) - 1
+        assert cands[first] == cands[second]
+        for i in (first, second):
+            windows = picked_windows(inst, picks[i])
+            costs, center = reference_sweep(inst, windows[0], agreement_positions(windows).complement())
+            assert cands[i] == (int(costs.min()), center)
+
+
+@st.composite
+def unequal_length_cases(draw):
+    """Random k = 2/3/4 substring instances whose strings differ in length,
+    with r, y_budget and rng_seed."""
+    symbols = draw(st.sampled_from(("01", "012", "ACGT")))
+    l = draw(st.integers(2, 7 - len(symbols)))
+    lengths = draw(
+        st.lists(st.integers(l, l + 3), min_size=2, max_size=4).filter(lambda ms: len(set(ms)) > 1)
+    )
+    texts = ["".join(draw(st.lists(st.sampled_from(symbols), min_size=m, max_size=m))) for m in lengths]
+    inst = SubstringInstance.from_texts(Alphabet.of(symbols), texts, l)
+    return inst, draw(st.integers(2, 3)), draw(st.sampled_from((1 << 3, 1 << 16))), draw(st.integers(0, 99))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(unequal_length_cases())
+def test_modes_match_references(case):
+    inst, r, y_budget, seed = case
+    cfg = SubstringConfig(r=r, y_budget=y_budget, rng_seed=seed)
+    k = inst.alphabet.size
+    free = max(
+        len(agreement_positions(picked_windows(inst, picks)).complement())
+        for picks in enumerate_window_tuples(inst, r)
+    )
+    if k ** free > y_budget:
+        for mode in ("small_d", "sampling", "auto"):
+            with pytest.raises(BudgetExceeded):
+                solve_substring(inst, replace(cfg, mode=mode))
+        return
+    center, _, _ = reference_small_substring(inst, r)
+    assert solve_small_substring(inst, cfg).center == center
+    # |P| <= L < |R| on every tuple, so sampling and auto sweep them all too
+    assert free < sample_size(cfg.epsilon, inst.n, max(len(s) for s in inst.strings))
+    for mode in ("sampling", "auto"):
+        mode_cfg = replace(cfg, mode=mode)
+        sol = solve_substring(inst, mode_cfg)
+        assert sol.center == center
+        assert sol.radius <= reference_sampled_solve(inst, mode_cfg)[1]
