@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from ._seeds import derive_seed
-from .core import CenterSolution, Seq, StringInstance, agreement_positions, cost_string
+from .core import CenterSolution, Seq, StringInstance, cost_string
 from .errors import DomainError, EstimatorAtLeastOne, NumericalFailure
 from .lp_round import (
     DEFAULT_ENUM_BUDGET,
@@ -60,9 +60,10 @@ def _subset_work(
     """(radius, center) of one subset's restricted solve; (lower bound,
     error) when that solve fails; None when its lower bound exceeds
     best[0], the smallest radius reached so far."""
-    # subset members agree on all of q, so the first one serves as the anchor
-    q = agreement_positions([inst.strings[i] for i in subset])
-    p = build_restricted(inst, inst.strings[subset[0]], q)
+    # subset members agree on all of Q, so the first one serves as the anchor
+    rows = inst.matrix[list(subset)]
+    on_q = (rows == rows[0]).all(axis=0)
+    p = build_restricted(inst, rows[0], on_q)
     bound = restricted_lower_bound(p)
     if bound > best[0]:
         return None

@@ -274,7 +274,7 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
             key = tuple(t.data for t in selected)
             if key not in memo:
                 sub_inst = StringInstance(inst.alphabet, tuple(selected))
-                problem = build_restricted(sub_inst, windows[0], q)
+                problem = build_restricted(sub_inst, anchor, on_q)
                 # the seed token keeps the repr of index tuples
                 seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
                 center, _ = solve_restricted(problem, replace(rounding, rng_seed=seed))

@@ -137,6 +137,12 @@ class InstanceFile:
             return StringInstance.from_texts(alpha, self.strings)
         return SubstringInstance.from_texts(alpha, self.strings, self.window)
 
+    def as_string_instance(self) -> StringInstance:
+        """Whole-string view; an explicit window must equal every string length."""
+        if self.window is not None and any(len(s) != self.window for s in self.strings):
+            raise DomainError("the whole-string solver needs L equal to every string length")
+        return StringInstance.from_texts(Alphabet.of(self.alphabet), self.strings)
+
     def as_substring_instance(self) -> SubstringInstance:
         """View with an explicit window; a whole-string instance gets L=m."""
         alpha = Alphabet.of(self.alphabet)
@@ -300,12 +306,7 @@ def _run_algo(
             return exact_closest_string(inst, budget=budget)
         return exact_closest_substring(inst, budget=budget)
     if algo == "string":
-        inst = f.to_instance()
-        if isinstance(inst, SubstringInstance):
-            if any(len(s) != inst.window for s in inst.strings):
-                raise DomainError("the whole-string solver needs L equal to every string length")
-            inst = StringInstance(inst.alphabet, inst.strings)
-        return solve_closest_string(inst, ClosestStringConfig(r=r, rounding=rounding))
+        return solve_closest_string(f.as_string_instance(), ClosestStringConfig(r=r, rounding=rounding))
     cfg = SubstringConfig(
         r=r, epsilon=epsilon, trials=trials,
         mode="small_d" if algo == "small" else "sampling", rng_seed=seed,
@@ -420,14 +421,12 @@ def _emit(text: str, out: str | None) -> None:
 
 def _add_common_flags(sub: argparse.ArgumentParser, *, string: bool, substring: bool) -> None:
     """Flags of the solve and bench subcommands.  `string` adds the
-    whole-string solver's --epsilon-prime and --budget, `substring` the
-    sampling accuracy --epsilon."""
+    whole-string solver's --epsilon-prime, `substring` the sampling
+    accuracy --epsilon."""
     sub.add_argument("--r", type=int, default=2, help="subset size (default 2)")
     if string:
         sub.add_argument("--epsilon-prime", type=float, default=0.5,
                          help="rounding accuracy epsilon' (default 0.5)")
-        sub.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
-                         help="candidate budget for exhaustive sweeps")
     if substring:
         sub.add_argument("--epsilon", type=float, default=1.0,
                          help="sampling accuracy epsilon (default 1.0)")
@@ -448,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve-string", help="approximate Closest String")
     p.add_argument("file")
     _add_common_flags(p, string=True, substring=False)
+    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
+                   help="patch-sweep cap of a restricted solve")
     p.add_argument("--mode", choices=("randomized", "derandomized", "auto"), default="auto",
                    help="rounding mode")
     p.add_argument("--parallel", action="store_true")
@@ -468,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("exact", help="exact oracle (exponential time)")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET, help="candidate cap")
     p.add_argument("--branch-and-bound", action="store_true",
                    help="prefix-pruned search instead of the plain sweep")
     p.add_argument("--format", choices=("auto", "json", "fasta"), default="auto")
@@ -490,6 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", default="exact,string,small,sampling",
                    help=f"comma-separated subset of {','.join(ALGOS)}")
     _add_common_flags(p, string=True, substring=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
+                   help="the oracle's candidate cap")
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--no-timing", action="store_true",
                    help="blank the ms column for byte-stable reports")
@@ -515,10 +518,7 @@ def _load(args: argparse.Namespace) -> InstanceFile:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "solve-string":
-        f = _load(args)
-        inst = f.to_instance()
-        if isinstance(inst, SubstringInstance):
-            inst = StringInstance(inst.alphabet, inst.strings)
+        inst = _load(args).as_string_instance()
         rounding = RoundingConfig(mode=args.mode, trials=args.trials,
                                   epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
         cfg = ClosestStringConfig(r=args.r, rounding=rounding, parallel=args.parallel)

@@ -1,9 +1,13 @@
 """Restricted center optimization: LP relaxation, rounding, enumeration.
 
-Given an anchor string fixed on an agreement set Q, the remaining free
+Given an anchor row fixed on an agreement set Q, the remaining free
 positions P are optimized either exhaustively (small P) or through the
 fractional LP followed by randomized rounding or derandomization by
 conditional expectations with exact Poisson-binomial tail probabilities.
+
+A `RestrictedProblem` holds read-only arrays built once: the strings on P
+and their costs on Q, which every layer (lower bound, LP, rounding, sweep)
+reads.  Every patch routine returns a (|P|,) uint8 array of indices.
 """
 
 from __future__ import annotations
@@ -14,16 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import MASK64
-from .core import (
-    PositionSet,
-    Seq,
-    StringInstance,
-    compose,
-    cost_string,
-)
+from .core import Seq, StringInstance, cost_string
 from .errors import (
-    AlphabetMismatch, BudgetExceeded, DomainError, EstimatorAtLeastOne, FrameMismatch,
-    NumericalFailure,
+    BudgetExceeded, DomainError, EstimatorAtLeastOne, FrameMismatch, NumericalFailure,
 )
 
 LP_TOLERANCE = 1e-9
@@ -52,53 +49,58 @@ class RoundingConfig:
             raise DomainError("epsilon_prime must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ or __hash__ over ndarrays raises
+@dataclass(frozen=True, eq=False)
 class RestrictedProblem:
-    """Center optimization over free positions P with the anchor fixed on
-    the other positions, whose cost to each string is fixed_costs."""
+    """Center optimization over the free positions P, the anchor row fixed
+    on the agreement set Q.  All read-only arrays: P the sorted intp free
+    positions, anchor the (m,) uint8 row, rows = inst.matrix[:, P] of shape
+    (n, |P|), and fixed the (n,) int64 cost of the anchor to each string on
+    Q; a center costs string i fixed[i] plus its patch's mismatches with rows[i].
+    """
 
     inst: StringInstance
-    P: PositionSet
-    anchor: Seq
-    fixed_costs: tuple[int, ...]
+    P: np.ndarray
+    anchor: np.ndarray
+    rows: np.ndarray
+    fixed: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalCenter:
-    """Fractional per-position symbol weights plus the LP objective."""
+    """The LP objective plus weights, a read-only (|P|, k) float64 array:
+    weights[j, a] is symbol a's weight at free position P[j], rows sum to 1."""
 
     problem: RestrictedProblem
-    weights: tuple[tuple[float, ...], ...]
+    weights: np.ndarray
     objective: float
 
 
-def build_restricted(inst: StringInstance, anchor: Seq, q: PositionSet) -> RestrictedProblem:
-    """Fix anchor on q and precompute each string's cost on q."""
-    if q.frame != len(anchor) or q.frame != inst.m:
-        raise FrameMismatch(f"position frame {q.frame} vs lengths {len(anchor)} and {inst.m}")
-    if anchor.alphabet != inst.alphabet:
-        raise AlphabetMismatch("anchor and instance use different alphabets")
-    idx = list(q.positions)
-    fixed = (inst.matrix[:, idx] != anchor.arr[idx]).sum(axis=1)
-    return RestrictedProblem(inst, q.complement(), anchor, tuple(fixed.tolist()))
-
-
-def _restricted_rows(p: RestrictedProblem) -> np.ndarray:
-    """(n, |P|) matrix of the instance strings restricted to P."""
-    return p.inst.matrix[:, list(p.P.positions)]
+def build_restricted(inst: StringInstance, anchor: np.ndarray, on_q: np.ndarray) -> RestrictedProblem:
+    """Fix the (m,) anchor row where the boolean mask on_q holds and
+    precompute the rows on P and each string's cost on Q."""
+    if len(anchor) != inst.m or len(on_q) != inst.m:
+        raise FrameMismatch(f"anchor length {len(anchor)} and mask length {len(on_q)} vs m={inst.m}")
+    anchor = np.array(anchor, dtype=np.uint8)
+    on_q = np.asarray(on_q, dtype=bool)
+    P = np.flatnonzero(~on_q)
+    fixed = (inst.matrix[:, on_q] != anchor[on_q]).sum(axis=1, dtype=np.int64)
+    p = RestrictedProblem(inst, P, anchor, inst.matrix[:, P], fixed)
+    for a in (p.P, p.anchor, p.rows, p.fixed):  # all fresh arrays
+        a.flags.writeable = False
+    return p
 
 
 def restricted_lower_bound(p: RestrictedProblem) -> int:
     """Exact integer lower bound on the cost of every center of p.
 
     A center equals the anchor on Q, so its distance to string i is
-    fixed_costs[i] plus its distance to row i on P.  The triangle
+    fixed[i] plus its distance to rows[i] on P.  The triangle
     inequality on P then bounds the cost of any center by
     ceil((f_i + f_j + d_P(s_i, s_j)) / 2) for every pair i, j; i = j
     gives f_i itself.
     """
-    rows = _restricted_rows(p)
-    f = np.array(p.fixed_costs, dtype=np.int64)
+    rows, f = p.rows, p.fixed
     pair = (rows[:, None, :] != rows[None, :, :]).sum(axis=2) + f[:, None] + f[None, :]
     return int((pair.max() + 1) // 2)
 
@@ -110,12 +112,10 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     any exact LP method over these |P|*|alphabet|+1 variables and n+|P|
     rows qualifies, HiGHS via scipy is used here.
     """
-    np_ = len(p.P)
+    n, np_ = p.rows.shape
     if np_ < 1:
         raise DomainError("solve_lp needs at least one free position")
     k = p.inst.alphabet.size
-    n = p.inst.n
-    rows = _restricted_rows(p)
 
     nvars = 1 + np_ * k
     # one simplex constraint per position
@@ -125,8 +125,8 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     # one mismatch budget constraint per string: sum chi*x - d <= -fixed_i
     a_ub = np.zeros((n, nvars))
     a_ub[:, 0] = -1.0
-    a_ub[:, 1:] = (rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
-    b_ub = -np.array(p.fixed_costs, dtype=float)
+    a_ub[:, 1:] = (p.rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
+    b_ub = -p.fixed.astype(float)
 
     c = np.zeros(nvars)
     c[0] = 1.0
@@ -146,12 +146,13 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
 
     w = np.clip(res.x[1:].reshape(np_, k), 0.0, 1.0)
     w /= w.sum(axis=1, keepdims=True)
-    return FractionalCenter(p, tuple(tuple(float(x) for x in row) for row in w), float(objective))
+    w.flags.writeable = False
+    return FractionalCenter(p, w, float(objective))
 
 
 def _cumulative_weights(frac: FractionalCenter) -> np.ndarray:
     """(|P|, k) running sums of the weights, the last column exactly 1."""
-    cum = np.cumsum(np.array(frac.weights), axis=1)
+    cum = np.cumsum(frac.weights, axis=1)
     cum[:, -1] = 1.0
     return cum
 
@@ -162,12 +163,12 @@ def _draw(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (u[:, None] >= cum).sum(axis=1)
 
 
-def sample_patch(frac: FractionalCenter, rng: np.random.Generator) -> tuple[int, ...]:
+def sample_patch(frac: FractionalCenter, rng: np.random.Generator) -> np.ndarray:
     """One independent per-position draw from the fractional weights."""
-    return tuple(int(v) for v in _draw(_cumulative_weights(frac), rng))
+    return _draw(_cumulative_weights(frac), rng).astype(np.uint8)
 
 
-def round_randomized(frac: FractionalCenter, cfg: RoundingConfig) -> Seq:
+def round_randomized(frac: FractionalCenter, cfg: RoundingConfig) -> np.ndarray:
     """Best of cfg.trials independent rounding draws; ties keep the lowest trial.
 
     Trial t uses the derived seed rng_seed + t, so parallel evaluation of
@@ -181,12 +182,11 @@ def round_randomized(frac: FractionalCenter, cfg: RoundingConfig) -> Seq:
         for t in range(cfg.trials)
     ], dtype=np.uint8)
     # (trials, n) cost of every string under every trial's patch
-    costs = (patches[:, None, :] != _restricted_rows(p)).sum(axis=2) + np.array(p.fixed_costs)
-    best = int(np.argmin(costs.max(axis=1)))
-    return Seq(p.inst.alphabet, patches[best].tobytes())
+    costs = (patches[:, None, :] != p.rows).sum(axis=2) + p.fixed
+    return patches[int(np.argmin(costs.max(axis=1)))]
 
 
-def round_derandomized(frac: FractionalCenter, p: RestrictedProblem, epsilon_prime: float) -> Seq:
+def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarray:
     """Fix positions left to right, minimizing the exact failure estimator.
 
     The estimator is the sum over strings of the Poisson-binomial tail
@@ -203,22 +203,19 @@ def round_derandomized(frac: FractionalCenter, p: RestrictedProblem, epsilon_pri
     """
     if not 0.0 < epsilon_prime <= 1.0:
         raise DomainError("epsilon_prime must be in (0, 1]")
-    np_ = len(p.P)
-    n = p.inst.n
+    p = frac.problem
+    n, np_ = p.rows.shape
     k = p.inst.alphabet.size
-    rows = _restricted_rows(p)
-    w = np.array(frac.weights)  # (|P|, k)
+    w = frac.weights  # (|P|, k)
     if np_ == 0:
-        return Seq(p.inst.alphabet, ())
+        return np.zeros(0, dtype=np.uint8)
 
     bound = frac.objective + epsilon_prime * np_
     # violation for string i means final count >= k_i
-    thresholds = np.array(
-        [math.floor(bound - f + 1e-12) + 1 for f in p.fixed_costs], dtype=np.int64
-    )
+    thresholds = np.floor(bound - p.fixed + 1e-12).astype(np.int64) + 1
 
     # per-string mismatch probability at each position under the weights
-    q = 1.0 - w[np.arange(np_)[None, :], rows]  # (n, |P|)
+    q = 1.0 - w[np.arange(np_)[None, :], p.rows]  # (n, |P|)
 
     # filled with pmf[j, i, t] = Pr[#mismatches of string i over positions
     # j.. == t] by the backward recurrence, then summed in place into tails
@@ -241,7 +238,7 @@ def round_derandomized(frac: FractionalCenter, p: RestrictedProblem, epsilon_pri
         )
 
     # chi[j, a, i] = 1 when string i mismatches symbol a at position j
-    chi = (rows.T[:, None, :] != np.arange(k)[:, None]).astype(np.int64)
+    chi = (p.rows.T[:, None, :] != np.arange(k)[:, None]).astype(np.int64)
     neg_w = (-w).tolist()
     choices: list[int] = []
     # string i violates the bound if it mismatches >= left[i] of the
@@ -254,7 +251,7 @@ def round_derandomized(frac: FractionalCenter, p: RestrictedProblem, epsilon_pri
         best = min(range(k), key=lambda a: (scores[a], neg_w[j][a], a))
         choices.append(best)
         left -= chi[j, best]
-    return Seq(p.inst.alphabet, tuple(choices))
+    return np.array(choices, dtype=np.uint8)
 
 
 def _mismatch_table(cols: np.ndarray, k: int, seed: np.ndarray) -> np.ndarray:
@@ -322,7 +319,7 @@ def sweep_patches(
     return best_cost, tuple(reversed(patch))
 
 
-def enumerate_small_P(p: RestrictedProblem, budget: int = DEFAULT_ENUM_BUDGET) -> Seq:
+def enumerate_small_P(p: RestrictedProblem, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """Exact optimizer of the restricted problem by sweeping all patches.
 
     Candidates are enumerated in lexicographic alphabet order, so the
@@ -333,8 +330,7 @@ def enumerate_small_P(p: RestrictedProblem, budget: int = DEFAULT_ENUM_BUDGET) -
     total = k ** np_
     if total > budget:
         raise BudgetExceeded(f"{k}^{np_} = {total} patches exceed budget {budget}")
-    _, patch = sweep_patches(_restricted_rows(p), np.array(p.fixed_costs), k)
-    return Seq(p.inst.alphabet, patch)
+    return np.array(sweep_patches(p.rows, p.fixed, k)[1], dtype=np.uint8)
 
 
 def enumeration_threshold(n: int, epsilon_prime: float) -> float:
@@ -363,12 +359,14 @@ def solve_restricted(
         if cfg.mode == "randomized":
             patch = round_randomized(frac, cfg)
         elif cfg.mode == "derandomized":
-            patch = round_derandomized(frac, p, cfg.epsilon_prime)
+            patch = round_derandomized(frac, cfg.epsilon_prime)
         else:
             try:
-                patch = round_derandomized(frac, p, cfg.epsilon_prime)
+                patch = round_derandomized(frac, cfg.epsilon_prime)
             except EstimatorAtLeastOne:
                 patch = round_randomized(frac, cfg)
-    center = compose(p.anchor, patch, p.P)
+    row = p.anchor.copy()
+    row[p.P] = patch
+    center = Seq(p.inst.alphabet, row.tobytes())
     return center, cost_string(p.inst, center)
 

@@ -105,11 +105,11 @@ def restricted_suite():
                 Seq(alpha, tuple(int(v) for v in rng.integers(0, k, m))) for _ in range(n)
             ),
         )
-        anchor = Seq(alpha, tuple(int(v) for v in rng.integers(0, k, m)))
+        anchor = rng.integers(0, k, m).astype(np.uint8)
         p_size = int(rng.integers(1, min(max_p, m) + 1))
-        free = rng.choice(m, size=p_size, replace=False)
-        q = PositionSet.of([j for j in range(m) if j not in set(int(x) for x in free)], m)
-        problem = build_restricted(inst, anchor, q)
+        on_q = np.ones(m, dtype=bool)
+        on_q[rng.choice(m, size=p_size, replace=False)] = False
+        problem = build_restricted(inst, anchor, on_q)
         eps = float((0.4, 0.7, 1.0)[len(suite) % 3])
         suite.append((problem, eps))
     return suite
@@ -118,16 +118,24 @@ def restricted_suite():
 def _sweep_optimum(problem):
     """Direct patch sweep, independent of the library enumeration."""
     k = problem.inst.alphabet.size
-    rows = [tuple(s.data[j] for j in problem.P.positions) for s in problem.inst.strings]
+    rows = [tuple(s.data[j] for j in problem.P) for s in problem.inst.strings]
     best = None
     for digits in itertools.product(range(k), repeat=len(problem.P)):
         worst = max(
             sum(1 for x, y in zip(row, digits) if x != y) + f
-            for row, f in zip(rows, problem.fixed_costs)
+            for row, f in zip(rows, problem.fixed.tolist())
         )
         if best is None or worst < best:
             best = worst
     return best
+
+
+def _patch_cost(problem, patch):
+    """Max over strings of the fixed cost plus the patch's mismatches on P."""
+    return max(
+        int((s.arr[problem.P] != patch).sum()) + f
+        for s, f in zip(problem.inst.strings, problem.fixed.tolist())
+    )
 
 
 def test_criterion_2_restricted_guarantee(restricted_suite):
@@ -137,24 +145,18 @@ def test_criterion_2_restricted_guarantee(restricted_suite):
     skipped = 0
     for problem, eps in restricted_suite:
         opt = _sweep_optimum(problem)
-        patch = enumerate_small_P(problem)
-        got = max(
-            hamming(restrict(s, problem.P), patch) + f
-            for s, f in zip(problem.inst.strings, problem.fixed_costs)
+        assert _patch_cost(problem, enumerate_small_P(problem)) == opt, (
+            "enumerate_small_P missed the optimum"
         )
-        assert got == opt, "enumerate_small_P missed the optimum"
 
         frac = solve_lp(problem)
         try:
-            rounded = round_derandomized(frac, problem, eps)
+            rounded = round_derandomized(frac, eps)
         except EstimatorAtLeastOne:
             skipped += 1
             continue
         solvable += 1
-        cost = max(
-            hamming(restrict(s, problem.P), rounded) + f
-            for s, f in zip(problem.inst.strings, problem.fixed_costs)
-        )
+        cost = _patch_cost(problem, rounded)
         assert cost <= frac.objective + eps * len(problem.P) + 1e-9, (
             "derandomized rounding exceeded dbar + eps'|P|"
         )
@@ -303,9 +305,9 @@ def test_criterion_8_bench_determinism():
 def test_criterion_9_expected_cost_identity():
     """Empirical rounding cost matches the chi-weighted fractional cost."""
     inst = StringInstance.from_texts(BINARY, ["0010", "1101", "0111"])
-    problem = build_restricted(inst, inst.strings[0], PositionSet.of([], 4))
+    problem = build_restricted(inst, inst.matrix[0], np.zeros(4, dtype=bool))
     weights = ((0.3, 0.7), (0.5, 0.5), (0.9, 0.1), (0.25, 0.75))
-    frac = FractionalCenter(problem, weights, 0.0)
+    frac = FractionalCenter(problem, np.array(weights), 0.0)
 
     expected = []
     variances = []

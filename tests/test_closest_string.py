@@ -67,14 +67,20 @@ def disjoint_instance(rng, n, m, d):
     return StringInstance(BINARY, tuple(rows))
 
 
+def agreement_mask(inst, sub):
+    """The agreement mask of the subset's strings, through agreement_positions."""
+    on_q = np.zeros(inst.m, dtype=bool)
+    on_q[list(agreement_positions([inst.strings[i] for i in sub]).positions)] = True
+    return on_q
+
+
 def reference_candidates(inst, cfg, enum_budget=DEFAULT_ENUM_BUDGET):
     """Every candidate of the solver, none skipped: the inputs, then one
     restricted solve per subset in lexicographic order."""
     candidates = [(cost_string(inst, s), s) for s in inst.strings]
     for sub in subset_candidates(inst, min(cfg.r, inst.n)):
-        q = agreement_positions([inst.strings[i] for i in sub])
         rounding = replace(cfg.rounding, rng_seed=derive_seed(cfg.rounding.rng_seed, "subset", sub))
-        p = build_restricted(inst, inst.strings[sub[0]], q)
+        p = build_restricted(inst, inst.strings[sub[0]].arr, agreement_mask(inst, sub))
         center, cost = solve_restricted(p, rounding, enum_budget=enum_budget)
         candidates.append((cost, center))
     return candidates
@@ -171,6 +177,28 @@ class TestSolveClosestString:
                 for sub in subset_candidates(inst, r):
                     q = agreement_positions([inst.strings[i] for i in sub])
                     assert inst.m - len(q) <= r * opt
+
+    def test_subset_masks_match_agreement_positions(self, monkeypatch):
+        # each subset's anchor and mask, read from inst.matrix, are the
+        # first member's row and the agreement_positions of its Seqs
+        seen = []
+        build = closest_string.build_restricted
+
+        def recording(inst, anchor, on_q):
+            seen.append((anchor.tolist(), on_q.tolist()))
+            return build(inst, anchor, on_q)
+
+        monkeypatch.setattr(closest_string, "build_restricted", recording)
+        rng = np.random.default_rng(71)
+        for r in (2, 3):
+            inst = random_instance(rng, 5, 12)
+            seen.clear()
+            solve_closest_string(inst, ClosestStringConfig(r=r))
+            expected = [
+                (list(inst.strings[sub[0]].data), agreement_mask(inst, sub).tolist())
+                for sub in subset_candidates(inst, r)
+            ]
+            assert seen == expected
 
     def test_parallel_matches_serial(self):
         rng = np.random.default_rng(53)
@@ -277,9 +305,8 @@ class TestSubsetSkip:
         )
         failing = []
         for sub in subset_candidates(inst, 2):
-            q = agreement_positions([inst.strings[i] for i in sub])
             rounding = replace(cfg.rounding, rng_seed=derive_seed(0, "subset", sub))
-            p = build_restricted(inst, inst.strings[sub[0]], q)
+            p = build_restricted(inst, inst.strings[sub[0]].arr, agreement_mask(inst, sub))
             try:
                 solve_restricted(p, rounding, enum_budget=1)
             except EstimatorAtLeastOne:

@@ -357,6 +357,7 @@ def reference_sampled_solve(inst, cfg):
                 drawn = tuple(sorted(p.positions[i] for i in rng.integers(0, len(p), size=size)))
             r_sample = PositionSet(drawn, l, multiset=True)
             anchor_q = restrict(windows[0], q)
+            on_q = np.isin(np.arange(l), q.positions)
             memo = {}
             for y in itertools.product(range(k), repeat=len(r_sample)):
                 selected = select_windows(inst, Seq(inst.alphabet, y), r_sample, anchor_q, q)
@@ -365,7 +366,7 @@ def reference_sampled_solve(inst, cfg):
                     sub = StringInstance(inst.alphabet, tuple(selected))
                     seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
                     memo[key] = solve_restricted(
-                        build_restricted(sub, windows[0], q), replace(rounding, rng_seed=seed)
+                        build_restricted(sub, windows[0].arr, on_q), replace(rounding, rng_seed=seed)
                     )[0]
                 yield memo[key]
 

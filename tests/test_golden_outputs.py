@@ -8,8 +8,12 @@ the tuples its sample covers (same radius, another center), and
 candidate of minimum radius in enumeration order (same radius, another
 center).  The cases cover the whole-string sweep and LP paths (every
 rounding mode) and the substring `small_d`, `sampling` and `auto` paths,
-over alphabets of size 2, 3 and 4 and substring inputs of unequal length.  A refactor that
-keeps results must keep these bytes.
+over alphabets of size 2, 3 and 4 and substring inputs of unequal length.
+`sampling-01-41` and `sampling-01-42`, appended later and recorded on the
+code before the restricted problem became arrays, are the only cases
+whose window tuple is guessed, so they alone pin window selection and
+the LP stage of a guessed tuple (rounding `auto` and `randomized`).  A
+refactor that keeps results must keep these bytes.
 
 Run `python tests/test_golden_outputs.py` to rebuild the file from the
 current code; do that only for a change meant to alter solver output.
@@ -32,6 +36,7 @@ from centerstring import (
     solve_small_substring,
     solve_substring,
 )
+from centerstring import closest_substring
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -84,6 +89,21 @@ def test_golden_covers_every_path():
     assert {len(c["alphabet"]) for c in _cases()} == {2, 3, 4}
 
 
+def test_guessed_cases_reach_the_restricted_lp(monkeypatch):
+    built = []
+    build = closest_substring.build_restricted
+
+    def recording(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(closest_substring, "build_restricted", recording)
+    for case in _cases():
+        if case["id"] in ("sampling-01-41", "sampling-01-42"):
+            _solve(case)
+    assert len(built) == 2
+
+
 def _planted(rng, alphabet, lengths, width, d):
     """Texts of the given lengths, each holding the center with d changes."""
     k = len(alphabet)
@@ -98,6 +118,12 @@ def _planted(rng, alphabet, lengths, width, d):
         row[off:off + width] = copy
         texts.append("".join(alphabet[v] for v in row))
     return texts
+
+
+def _complementary_pair(rng, width):
+    """Two binary texts of the given width that differ at every position."""
+    row = rng.integers(0, 2, size=width)
+    return ["".join(map(str, row)), "".join(map(str, 1 - row))]
 
 
 def _build_cases():
@@ -123,6 +149,10 @@ def _build_cases():
         ("auto", "01", 3, (8, 7, 9), 5, 0, 2, "auto", "auto", 0.5, 1.0, 2),
         ("auto", "ACGT", 3, (8, 9, 8), 5, 2, 2, "auto", "auto", 0.5, 1.0, 2),
         ("auto", "01", 2, (6, 6), 6, 3, 2, "auto", "auto", 0.5, 1.0, 3),
+        # d=None: a complementary pair, |P| = L = 15 > |R| = 14, so its one
+        # window tuple is guessed and its selected windows reach the LP
+        ("sampling", "01", 2, (15, 15), 15, None, 2, "sampling", "auto", 0.5, 1.0, 1),
+        ("sampling", "01", 2, (15, 15), 15, None, 2, "sampling", "randomized", 0.5, 1.0, 1),
     ]
     for index, spec in enumerate(string_specs + substring_specs):
         path, alphabet, n, m, l, d, r, mode, rmode, eps_p, eps, count = spec
@@ -130,6 +160,8 @@ def _build_cases():
             rng = np.random.default_rng([index, seed])
             if l is None:
                 strings = _planted(rng, alphabet, [m] * n, m, d)
+            elif d is None:
+                strings = _complementary_pair(rng, l)
             else:
                 strings = _planted(rng, alphabet, list(m), l, d)
             case = {

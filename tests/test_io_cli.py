@@ -219,11 +219,22 @@ class TestCli:
         assert lines[0] == "instance,seed,algo,r,epsilon,radius,oracle,ratio,ms,status"
         assert len(lines) == 3
 
-    def test_solve_string_rejects_substring_file_with_short_window(self, tmp_path):
+    def test_solve_string_rejects_substring_file_with_short_window(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text('{"alphabet":"01","strings":["0000","1111"],"L":2}')
-        # the CLI treats the strings as a whole-string instance
+        # solve-string and bench --algos string apply the same rule
+        assert main(["solve-string", str(path)]) == 2
+        assert "needs L equal to every string length" in capsys.readouterr().err
+        report = run_bench([("s", InstanceFile.load(path))], ["string"], timing=False)
+        assert report.rows[0].status.startswith("error")
+        path.write_text('{"alphabet":"01","strings":["0000","1111"],"L":4}')
         assert main(["solve-string", str(path)]) == 0
+
+    def test_budget_help_names_what_it_caps(self, capsys):
+        for command, text in (("solve-string", "patch-sweep cap"), ("bench", "oracle's candidate cap")):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert text in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("flag", ["--budget", "--epsilon-prime"])
     def test_solve_substring_has_no_dead_flags(self, flag, tmp_path, capsys):
