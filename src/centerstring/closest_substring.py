@@ -10,10 +10,11 @@ selects one window per input string by a scaled proxy score, and the
 selected windows go to the restricted LP machinery.  The first candidate
 of minimum radius, in enumeration order, wins.
 
-A swept candidate depends only on the tuple's agreement mask Q and the
-anchor's letters on Q, not on which windows were picked, so each distinct
-(Q, anchor on Q) pair is swept once per solve and repeats reuse its
-candidate.
+Both run on the tuple's anchor row and boolean agreement mask Q.  A swept
+candidate depends only on Q and the anchor on Q, so each distinct pair is
+swept once per solve.  A guessed tuple scores its guesses in blocks and
+solves each distinct window selection once: a repeat would yield the same
+candidate again, which can never be the first minimum.
 """
 
 from __future__ import annotations
@@ -26,20 +27,16 @@ from typing import Iterator
 import numpy as np
 
 from ._seeds import derive_seed
-from .core import (
-    CenterSolution,
-    PositionSet,
-    Seq,
-    StringInstance,
-    SubstringInstance,
-    agreement_positions,
-    cost_substring,
-    restrict,
-)
+from .core import CenterSolution, Seq, StringInstance, SubstringInstance, cost_substring
+from .core import agreement_positions  # noqa: F401  perfbench's tracer test reads it from this module
 from .errors import BudgetExceeded, DomainError, LengthMismatch
 from .lp_round import RoundingConfig, build_restricted, solve_restricted, sweep_patches
 
 _SUBSTRING_MODES = ("small_d", "sampling", "auto")
+# guesses scored per select_windows call: memory stays flat in k^|R|
+_GUESS_BLOCK = 1 << 14
+# (guess x window x |R|) compares select_windows holds at once
+_SELECT_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -151,52 +148,43 @@ def _sample_size_of(inst: SubstringInstance, epsilon: float) -> int:
 
 
 def select_windows(
-    inst: SubstringInstance,
-    y: Seq,
-    r_sample: PositionSet,
-    anchor_q: Seq,
-    q: PositionSet,
-) -> list[Seq]:
-    """Per input string, the window minimizing
-    d(y, w|_R) * |P|/|R| + d(anchor_q, w|_Q), scored in exact rational
-    arithmetic; ties go to the smallest offset.  With an empty R the score
-    reduces to the Q term alone.
+    inst: SubstringInstance, ys: np.ndarray, r_idx: np.ndarray, anchor: np.ndarray, on_q: np.ndarray
+) -> np.ndarray:
+    """(g, n) offsets: per guess row y of the (g, |R|) uint8 array ys and
+    per input string, the window w minimizing
+    d(y, w|_R) * |P|/|R| + d(anchor, w) on the agreement mask on_q, where
+    r_idx lists R (repeats allowed) and P is the positions off on_q.
+    Scored exactly as d_R * |P| + d_Q * max(|R|, 1), so an empty R leaves
+    the Q term alone; ties go to the smallest offset.
     """
-    if len(y) != len(r_sample):
-        raise LengthMismatch(f"|y|={len(y)} vs |R|={len(r_sample)}")
-    l = q.frame
-    p_size = l - len(set(q.positions))
-    r_size = len(r_sample)
-    r_idx = np.array(r_sample.positions, dtype=np.intp)
-    q_idx = np.array(q.positions, dtype=np.intp)
-    y_arr = y.arr
-    aq_arr = anchor_q.arr
-
-    chosen: list[Seq] = []
-    for s, wins in zip(inst.strings, inst.windows):
-        d_q = (wins[:, q_idx] != aq_arr).sum(axis=1)
-        if r_size:
-            d_r = (wins[:, r_idx] != y_arr).sum(axis=1)
-            # compare d_r*|P|/|R| + d_q exactly via the |R|-scaled integers
-            scores = d_r.astype(np.int64) * p_size + d_q.astype(np.int64) * r_size
-        else:
-            scores = d_q.astype(np.int64)
-        off = int(np.argmin(scores))
-        chosen.append(s.window(off, l))
-    return chosen
+    r_size = len(r_idx)
+    if ys.shape[1] != r_size:
+        raise LengthMismatch(f"|y|={ys.shape[1]} vs |R|={r_size}")
+    p_size = inst.window - int(on_q.sum())
+    letters = anchor[on_q]
+    offsets = np.empty((len(ys), inst.n), dtype=np.intp)
+    for i, wins in enumerate(inst.windows):
+        q_cost = (wins[:, on_q] != letters).sum(axis=1, dtype=np.int64) * max(r_size, 1)
+        sampled = wins[:, r_idx]
+        step = max(1, _SELECT_CELLS // max(1, sampled.size))
+        for a in range(0, len(ys), step):
+            d_r = (ys[a:a + step, None, :] != sampled).sum(axis=2, dtype=np.int64)
+            offsets[a:a + step, i] = np.argmin(d_r * p_size + q_cost, axis=1)
+    return offsets
 
 
-def _draw_sample(p: PositionSet, size: int, seed: int) -> PositionSet:
-    """Multiset of `size` positions drawn with replacement from p.
-
-    Only guessed tuples draw one, and then size < |p|: sampling guesses a
-    tuple only when |P| > |R|, and auto only when k^|P| exceeds y_budget
-    while k^|R| fits it.
-    """
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(p), size=size)
-    drawn = sorted(p.positions[i] for i in idx)
-    return PositionSet(tuple(drawn), p.frame, multiset=True)
+def _guesses(k: int, size: int) -> Iterator[np.ndarray]:
+    """All k^size guesses on R as uint8 rows in lexicographic order, in
+    blocks of at most _GUESS_BLOCK rows: one fixed grid of the low digits
+    under each prefix of the high digits."""
+    low = min(size, _max_exponent(k, _GUESS_BLOCK))
+    ids = np.arange(k ** low)
+    grid = (ids[:, None] // k ** np.arange(low - 1, -1, -1) % k).astype(np.uint8)
+    for prefix in itertools.product(range(k), repeat=size - low):
+        ys = np.empty((len(grid), size), dtype=np.uint8)
+        ys[:, :size - low] = prefix
+        ys[:, size - low:] = grid
+        yield ys
 
 
 def _max_exponent(k: int, budget: int) -> int:
@@ -229,7 +217,8 @@ def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
 def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterator[tuple[int, Seq]]:
     """(radius, center) candidates in enumeration order: per window tuple,
     its swept center, or else the restricted solve's center for every
-    guess y on R.
+    distinct selection its guesses y on R make, at the selection's first
+    guess.
 
     A swept tuple's center keeps the anchor on Q.  Every window of every
     string is one row of the shared patch sweep, restricted to P and
@@ -238,6 +227,10 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
     windows, the candidate's substring radius.  Nothing else of the tuple
     enters, so a swept tuple whose (Q mask, anchor on Q) pair was already
     swept in this solve yields that pair's candidate again.
+
+    A guessed tuple draws R from P (seeded per tuple).  Its selections are
+    keyed by window contents; each new one is solved as a StringInstance
+    whose restricted problem keeps the anchor on Q.
     """
     agreed = _agreed_tuples(inst, cfg, mode)
     k = inst.alphabet.size
@@ -263,23 +256,24 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
                 swept_by_pair[pair] = cost, Seq(inst.alphabet, center.tobytes())
             yield swept_by_pair[pair]
             continue
-        windows = [inst.strings[i].window(o, inst.window) for i, o in picks]
-        q = agreement_positions(windows)
-        r_sample = _draw_sample(q.complement(), size, derive_seed(cfg.rng_seed, "sample", picks))
-        anchor_q = restrict(windows[0], q)
-        memo: dict[tuple[bytes, ...], tuple[int, Seq]] = {}
-        for y_digits in itertools.product(range(k), repeat=len(r_sample)):
-            y = Seq(inst.alphabet, y_digits)
-            selected = select_windows(inst, y, r_sample, anchor_q, q)
-            key = tuple(t.data for t in selected)
-            if key not in memo:
-                sub_inst = StringInstance(inst.alphabet, tuple(selected))
+        free = np.flatnonzero(~on_q)
+        rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
+        r_idx = np.sort(free[rng.integers(0, len(free), size=size)])
+        seen: set[tuple[bytes, ...]] = set()
+        for ys in _guesses(k, size):
+            offsets = select_windows(inst, ys, r_idx, anchor, on_q)
+            _, first = np.unique(offsets, axis=0, return_index=True)
+            for row in offsets[np.sort(first)]:
+                key = tuple(w[o].tobytes() for w, o in zip(inst.windows, row))
+                if key in seen:
+                    continue
+                seen.add(key)
+                sub_inst = StringInstance(inst.alphabet, tuple(Seq(inst.alphabet, t) for t in key))
                 problem = build_restricted(sub_inst, anchor, on_q)
                 # the seed token keeps the repr of index tuples
                 seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
                 center, _ = solve_restricted(problem, replace(rounding, rng_seed=seed))
-                memo[key] = cost_substring(inst, center)[0], center
-            yield memo[key]
+                yield cost_substring(inst, center)[0], center
 
 
 def _solve(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> CenterSolution:
@@ -301,8 +295,9 @@ def solve_closest_substring(
     is then swept exactly (the small_d sweep, ratio 1 + 1/(2r-1)), which
     is at least as good as every guess together.  Otherwise R is drawn
     once from P (seeded per tuple); every center guess y on R selects one
-    window per string, and the restricted LP pipeline (solved within error
-    epsilon*|P|) produces a candidate center.  cfg.y_budget caps the
+    window per string, and each distinct selection goes once through the
+    restricted LP pipeline (solved within error epsilon*|P|), which
+    produces a candidate center.  cfg.y_budget caps the
     patches swept or the guesses made per tuple; an overrun raises
     BudgetExceeded before any tuple is solved.
     """

@@ -471,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET, help="candidate cap")
     p.add_argument("--branch-and-bound", action="store_true",
-                   help="prefix-pruned search instead of the plain sweep")
+                   help="prefix-pruned whole-string search instead of the plain sweep; "
+                        "an instance's L must equal every string length")
     p.add_argument("--format", choices=("auto", "json", "fasta"), default="auto")
     p.add_argument("--alphabet", default=None)
     p.add_argument("--L", type=int, default=None)
@@ -545,7 +546,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "exact":
         f = _load(args)
-        inst = f.to_instance()
+        inst = f.as_string_instance() if args.branch_and_bound else f.to_instance()
         if isinstance(inst, StringInstance):
             sol = exact_closest_string(inst, budget=args.budget,
                                        branch_and_bound=args.branch_and_bound)

@@ -253,7 +253,11 @@ def test_criterion_6_window_selection_empirics():
         else:
             r_sample = PositionSet(p.positions, l, multiset=True)
         y = restrict(star, r_sample)
-        chosen = select_windows(inst, y, r_sample, restrict(witnesses[0], q), q)
+        ys = y.arr[None, :]
+        r_idx = np.array(r_sample.positions, dtype=np.intp)
+        on_q = np.isin(np.arange(l), q.positions)
+        offsets = select_windows(inst, ys, r_idx, witnesses[0].arr, on_q)[0]
+        chosen = [s.window(int(off), l) for s, off in zip(inst.strings, offsets)]
         bound = 2 * eps * len(p)
         if any(
             hamming(star, t) > hamming(star, w) + bound

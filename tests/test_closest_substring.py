@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -227,6 +230,42 @@ class TestSweepReference:
         assert saw_empty_p and saw_tie
 
 
+def reference_select_windows(inst, y, r_sample, anchor_q, q):
+    """Per input string, the offset of the window minimizing
+    d(y, w|_R) * |P|/|R| + d(anchor_q, w|_Q) for the one guess y, from Seq
+    and PositionSet inputs, scored in exact rational arithmetic; ties go
+    to the smallest offset.  With an empty R the score reduces to the Q
+    term alone."""
+    if len(y) != len(r_sample):
+        raise LengthMismatch(f"|y|={len(y)} vs |R|={len(r_sample)}")
+    l = q.frame
+    p_size = l - len(set(q.positions))
+    r_size = len(r_sample)
+    r_idx = np.array(r_sample.positions, dtype=np.intp)
+    q_idx = np.array(q.positions, dtype=np.intp)
+    offsets = []
+    for wins in inst.windows:
+        d_q = (wins[:, q_idx] != anchor_q.arr).sum(axis=1)
+        if r_size:
+            d_r = (wins[:, r_idx] != y.arr).sum(axis=1)
+            # compare d_r*|P|/|R| + d_q exactly via the |R|-scaled integers
+            scores = d_r.astype(np.int64) * p_size + d_q.astype(np.int64) * r_size
+        else:
+            scores = d_q.astype(np.int64)
+        offsets.append(int(np.argmin(scores)))
+    return offsets
+
+
+def windows_at(inst, offsets):
+    """The window at each string's offset."""
+    return [s.window(int(off), inst.window) for s, off in zip(inst.strings, offsets)]
+
+
+def one_guess(y, r_sample):
+    """The guess y and sample R as select_windows' one-row ys and r_idx."""
+    return y.arr[None, :], np.array(r_sample.positions, dtype=np.intp)
+
+
 class TestSelectWindows:
     def test_exhaustive_sample_is_exact_proxy(self):
         # with R = P and y the center's P-letters, the score equals the full
@@ -244,7 +283,8 @@ class TestSelectWindows:
             r_sample = PositionSet(p.positions, l, multiset=True)
             y = restrict(center, p)
             anchor_q = restrict(center, q)
-            chosen = select_windows(inst, y, r_sample, anchor_q, q)
+            offsets = select_windows(inst, *one_guess(y, r_sample), center.arr, mask)
+            chosen = windows_at(inst, offsets[0])
             target = compose(center, anchor_q, q)
             for s, t in zip(inst.strings, chosen):
                 best = min(
@@ -254,37 +294,70 @@ class TestSelectWindows:
 
     def test_single_window_is_forced(self):
         inst = bsub(["01"], 2)
-        q = PositionSet.of([0], 2)
-        got = select_windows(inst, bseq("1"), PositionSet((1,), 2, multiset=True),
-                             bseq("0"), q)
-        assert got[0].text == "01"
+        ys, r_idx = one_guess(bseq("1"), PositionSet((1,), 2, multiset=True))
+        got = select_windows(inst, ys, r_idx, bseq("00").arr, np.array([True, False]))
+        assert windows_at(inst, got[0])[0].text == "01"
 
     def test_hand_scored_example(self):
         a = Alphabet.of("AB")
         inst = SubstringInstance.from_texts(a, ["ABAB"], 2)
-        q = PositionSet.of([1], 2)
-        got = select_windows(
-            inst,
-            Seq.from_text(a, "A"),
-            PositionSet((0,), 2, multiset=True),
-            Seq.from_text(a, "B"),
-            q,
-        )
+        ys, r_idx = one_guess(Seq.from_text(a, "A"), PositionSet((0,), 2, multiset=True))
+        got = select_windows(inst, ys, r_idx, Seq.from_text(a, "AB").arr, np.array([False, True]))
         # window "AB" at offset 0 scores 0, "BA" scores |P| + 1
-        assert got[0].text == "AB"
+        assert windows_at(inst, got[0])[0].text == "AB"
 
     def test_empty_sample_scores_q_only(self):
         inst = bsub(["0011"], 2)
-        q = PositionSet.of([0, 1], 2)
-        got = select_windows(inst, bseq(""), PositionSet((), 2, multiset=True),
-                             bseq("11"), q)
-        assert got[0].text == "11"
+        ys, r_idx = one_guess(bseq(""), PositionSet((), 2, multiset=True))
+        got = select_windows(inst, ys, r_idx, bseq("11").arr, np.array([True, True]))
+        assert windows_at(inst, got[0])[0].text == "11"
 
     def test_length_mismatch(self):
         inst = bsub(["01"], 2)
+        ys, r_idx = one_guess(bseq("01"), PositionSet((0,), 2, multiset=True))
         with pytest.raises(LengthMismatch):
-            select_windows(inst, bseq("01"), PositionSet((0,), 2, multiset=True),
-                           bseq(""), PositionSet.of([], 2))
+            select_windows(inst, ys, r_idx, bseq("00").arr, np.array([False, False]))
+
+
+@st.composite
+def guess_blocks(draw):
+    """A k = 2/3/4 instance with strings of unequal length, an anchor, an
+    agreement mask (empty, full or mixed), a sample R drawn from the free
+    positions with repeats (possibly empty), and a block of guess rows that
+    repeats its first row."""
+    symbols = draw(st.sampled_from(("01", "012", "ACGT")))
+    k = len(symbols)
+    l = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(l, l + 3), min_size=1, max_size=4))
+    texts = ["".join(draw(st.lists(st.sampled_from(symbols), min_size=m, max_size=m))) for m in lengths]
+    inst = SubstringInstance.from_texts(Alphabet.of(symbols), texts, l)
+    anchor = np.array(draw(st.lists(st.integers(0, k - 1), min_size=l, max_size=l)), dtype=np.uint8)
+    kind = draw(st.sampled_from(("empty", "full", "mixed")))
+    if kind == "mixed":
+        on_q = np.array(draw(st.lists(st.booleans(), min_size=l, max_size=l)))
+    else:
+        on_q = np.full(l, kind == "full")
+    free = np.flatnonzero(~on_q).tolist()
+    r = sorted(draw(st.lists(st.sampled_from(free), max_size=6))) if free else []
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=len(r), max_size=len(r)), min_size=1, max_size=5))
+    ys = np.array(rows + rows[:1], dtype=np.uint8).reshape(len(rows) + 1, len(r))
+    return inst, ys, np.array(r, dtype=np.intp), anchor, on_q, draw(st.integers(1, 8))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(guess_blocks())
+def test_select_windows_rows_match_reference(case):
+    inst, ys, r_idx, anchor, on_q, cells = case
+    l = inst.window
+    q = PositionSet.of(np.flatnonzero(on_q).tolist(), l)
+    r_sample = PositionSet(tuple(r_idx.tolist()), l, multiset=True)
+    anchor_q = restrict(Seq(inst.alphabet, anchor.tobytes()), q)
+    # a small cell cap splits every string's compare into several chunks
+    with mock.patch.object(closest_substring, "_SELECT_CELLS", cells):
+        offsets = select_windows(inst, ys, r_idx, anchor, on_q)
+    assert offsets.shape == (len(ys), inst.n) and offsets.dtype == np.intp
+    for y, row in zip(ys, offsets):
+        assert row.tolist() == reference_select_windows(inst, Seq(inst.alphabet, y.tobytes()), r_sample, anchor_q, q)
 
 
 class TestSamplingSolver:
@@ -360,7 +433,8 @@ def reference_sampled_solve(inst, cfg):
             on_q = np.isin(np.arange(l), q.positions)
             memo = {}
             for y in itertools.product(range(k), repeat=len(r_sample)):
-                selected = select_windows(inst, Seq(inst.alphabet, y), r_sample, anchor_q, q)
+                offsets = reference_select_windows(inst, Seq(inst.alphabet, y), r_sample, anchor_q, q)
+                selected = windows_at(inst, offsets)
                 key = tuple(t.data for t in selected)
                 if key not in memo:
                     sub = StringInstance(inst.alphabet, tuple(selected))
@@ -486,12 +560,38 @@ class TestCoveredSampleSweep:
             costs = spy(monkeypatch, closest_substring, "cost_substring")
             sol = solver(inst, run_cfg)
             assert (sol.center, sol.radius, sol.witnesses) == (center, radius, offsets)
-            assert len(selections) == 2 ** 14
+            # every guess in one block: one call with 2^14 rows
+            assert [args[1].shape for args in selections] == [(2 ** 14, 14)]
             assert len(lps) == 1  # one string each: every guess selects the same windows
             assert len(costs) == 2  # the one distinct selection's center, then the winner's offsets
             assert seeds[0] == (0, "sample", ((0, 0), (1, 0)))
             assert len(sweeps) == 2
             monkeypatch.undo()
+
+    def test_repeated_guessed_tuples_finish_quickly(self):
+        # six guessed tuples of 2^16 guesses each under auto; scored one
+        # guess at a time, with one Seq and one select_windows call per
+        # guess, this took about 35 s
+        inst = bsub(["01" * 9] * 3, 17)
+        start = time.perf_counter()
+        sol = solve_substring(inst, SubstringConfig(r=2, mode="auto"))
+        assert time.perf_counter() - start < 10.0
+        assert (sol.center.text, sol.radius) == ("01" * 8 + "0", 0)
+
+    def test_guess_memory_stays_flat(self):
+        # two guessed tuples of 2^18 guesses each: scoring every guess of a
+        # tuple at once peaks near 20 MB, blocks of guesses near 2 MB
+        inst = bsub(["01" * 20, "10" * 20], 39)
+        cfg = SubstringConfig(r=2, epsilon=1.0, y_budget=2 ** 18, mode="sampling")
+        assert sample_size(cfg.epsilon, 2, 40) == 18
+        tracemalloc.start()
+        try:
+            sol = solve_closest_substring(inst, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert sol.radius == 0
 
     def test_budget_checked_before_any_work(self, monkeypatch):
         # the single-window tuples come first and fit; the pair tuple's
@@ -570,7 +670,9 @@ class TestFact2Empirics:
             else:
                 r_sample = PositionSet(p.positions, l, multiset=True)
             y = restrict(star, r_sample)
-            chosen = select_windows(inst, y, r_sample, restrict(witnesses[0], q), q)
+            on_q = np.isin(np.arange(l), q.positions)
+            offsets = select_windows(inst, *one_guess(y, r_sample), witnesses[0].arr, on_q)
+            chosen = windows_at(inst, offsets[0])
             bound = 2 * eps * len(p)
             if any(
                 hamming(star, t) > hamming(star, w) + bound

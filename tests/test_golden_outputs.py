@@ -10,10 +10,13 @@ center).  The cases cover the whole-string sweep and LP paths (every
 rounding mode) and the substring `small_d`, `sampling` and `auto` paths,
 over alphabets of size 2, 3 and 4 and substring inputs of unequal length.
 `sampling-01-41` and `sampling-01-42`, appended later and recorded on the
-code before the restricted problem became arrays, are the only cases
-whose window tuple is guessed, so they alone pin window selection and
-the LP stage of a guessed tuple (rounding `auto` and `randomized`).  A
-refactor that keeps results must keep these bytes.
+code before the restricted problem became arrays, and `sampling-01-43`
+and `sampling-01-44`, recorded on the code before guesses were scored in
+blocks, are the only cases whose window tuple is guessed, so they alone
+pin window selection and the LP stage of a guessed tuple (rounding
+`auto` and `randomized`).  The last two give 4 and 5 distinct window
+selections, so they also pin the order in which the selections are
+solved.  A refactor that keeps results must keep these bytes.
 
 Run `python tests/test_golden_outputs.py` to rebuild the file from the
 current code; do that only for a change meant to alter solver output.
@@ -98,10 +101,14 @@ def test_guessed_cases_reach_the_restricted_lp(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(closest_substring, "build_restricted", recording)
+    counts = {}
     for case in _cases():
-        if case["id"] in ("sampling-01-41", "sampling-01-42"):
+        if case["id"] in ("sampling-01-41", "sampling-01-42", "sampling-01-43", "sampling-01-44"):
+            built.clear()
             _solve(case)
-    assert len(built) == 2
+            counts[case["id"]] = len(built)
+    # one restricted problem per distinct window selection
+    assert counts == {"sampling-01-41": 1, "sampling-01-42": 1, "sampling-01-43": 4, "sampling-01-44": 5}
 
 
 def _planted(rng, alphabet, lengths, width, d):
@@ -178,6 +185,27 @@ def _build_cases():
             }
             case["expect"] = _output(_solve(case))
             specs.append(case)
+    # binary pairs of length 16 at L = 15 whose guessed tuples select 4 and
+    # 5 distinct window selections: these pin the order in which distinct
+    # selections are solved (rng seeds 8 and 12)
+    for strings, seed in (
+        (["0010110110111110", "1101001001000001"], 8),
+        (["1011011111110010", "0100100000001101"], 12),
+    ):
+        case = {
+            "id": f"sampling-01-{len(specs)}",
+            "path": "sampling",
+            "solver": "substring",
+            "alphabet": "01",
+            "strings": strings,
+            "L": 15,
+            "config": {
+                "r": 2, "mode": "sampling", "rounding_mode": "auto", "trials": 8,
+                "epsilon_prime": 0.5, "epsilon": 1.0, "seed": seed,
+            },
+        }
+        case["expect"] = _output(_solve(case))
+        specs.append(case)
     return specs
 
 

@@ -207,6 +207,20 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["center"] == "0" * 1200 and result["radius"] == 0
 
+    def test_exact_branch_and_bound_reads_whole_strings(self, tmp_path, capsys):
+        # with L = m the search runs on the whole strings, past a budget the
+        # plain sweep would refuse; with a shorter L it is refused instead of
+        # falling back to the budgeted substring sweep
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"alphabet": "01", "strings": ["01" * 6, "10" * 6], "L": 12}))
+        assert main(["exact", str(path), "--branch-and-bound", "--budget", "16"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["center"], result["radius"]) == ("0" * 12, 6)
+        strings = ["01" * 11, "10" * 11]
+        path.write_text(json.dumps({"alphabet": "01", "strings": strings, "L": 21}))
+        assert main(["exact", str(path), "--branch-and-bound", "--budget", "1024"]) == 2
+        assert "needs L equal to every string length" in capsys.readouterr().err
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         main(["gen", "--n", "3", "--m", "8", "--L", "5", "--d", "0",
