@@ -43,8 +43,8 @@ def exact_closest_string(
     """True minimum-radius center; ties pick the lexicographically smallest.
 
     The plain sweep enumerates all |alphabet|^m candidates and requires
-    that count to fit in `budget`; branch_and_bound prunes on the prefix
-    lower bound (max mismatches so far) instead and ignores the budget.
+    that count to fit in `budget`; branch_and_bound prunes on a lower bound
+    over pairs of strings instead (see _bnb_center) and ignores the budget.
     """
     if branch_and_bound:
         center = Seq(inst.alphabet, _bnb_center(inst.matrix, inst.alphabet.size, inst.m))
@@ -62,20 +62,29 @@ def _bnb_center(mat: np.ndarray, k: int, m: int) -> tuple[int, ...]:
     A loop with an explicit per-depth symbol counter rather than one call
     per position, so m is not limited by the interpreter's recursion depth.
     The bound starts at the best input string's cost + 1, above the
-    optimum, so the search prunes from the first descent on.
+    optimum, so the search prunes from the first descent on.  A prefix of
+    length t with mism_i mismatches to string i is bounded by the largest
+    ceil((mism_i + mism_j + d(s_i[t:], s_j[t:])) / 2) over pairs i, j: a
+    completion's distances to s_i and s_j sum to at least that numerator
+    (triangle inequality on the suffix), and i = j gives max mism_i.
     """
     n = len(mat)
     best_radius = min(int((mat != row).sum(axis=1).max()) for row in mat) + 1
     best: tuple[int, ...] | None = None
     prefix = [0] * m
     mism = np.zeros(n, dtype=np.int64)
+    # suffix[t][i, j] = d(s_i[t:], s_j[t:]), built once per call
+    suffix = np.zeros((m + 1, n, n), dtype=np.int32)
+    for t in range(m - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + (mat[:, None, t] != mat[None, :, t])
 
     def expand(depth: int) -> bool:
         """Check the node prefix[:depth]; True when its children are to be tried."""
         nonlocal best_radius, best
-        bound = int(mism.max())
-        # leaves come in lexicographic order, so a later leaf of equal
-        # radius never wins, and a prefix's bound only grows with depth
+        bound = (int((mism[:, None] + mism + suffix[depth]).max()) + 1) // 2
+        # no leaf below the node beats the bound, and leaves come in
+        # lexicographic order, so a later leaf of equal radius never wins;
+        # at a leaf the bound is the radius
         if bound >= best_radius:
             return False
         if depth == m:

@@ -21,24 +21,19 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .closest_string import ClosestStringConfig, solve_closest_string
-from .closest_substring import (
-    SubstringConfig,
-    solve_closest_substring,
-    solve_small_substring,
-    solve_substring,
-)
+from .closest_substring import SubstringConfig, solve_substring
 from .core import Alphabet, CenterSolution, Seq, StringInstance, SubstringInstance
 from .errors import CenterStringError, DomainError
 from .exact import DEFAULT_EXACT_BUDGET, exact_closest_string, exact_closest_substring
-from .lp_round import RoundingConfig
+from .lp_round import DEFAULT_ENUM_BUDGET, RoundingConfig
 
 ALGOS = ("exact", "string", "small", "sampling")
 
@@ -132,10 +127,8 @@ class InstanceFile:
         return json.dumps(obj, indent=2) + "\n"
 
     def to_instance(self) -> StringInstance | SubstringInstance:
-        alpha = Alphabet.of(self.alphabet)
-        if self.window is None:
-            return StringInstance.from_texts(alpha, self.strings)
-        return SubstringInstance.from_texts(alpha, self.strings, self.window)
+        """The whole-string view without an L, the substring view with one."""
+        return self.as_string_instance() if self.window is None else self.as_substring_instance()
 
     def as_string_instance(self) -> StringInstance:
         """Whole-string view; an explicit window must equal every string length."""
@@ -144,10 +137,12 @@ class InstanceFile:
         return StringInstance.from_texts(Alphabet.of(self.alphabet), self.strings)
 
     def as_substring_instance(self) -> SubstringInstance:
-        """View with an explicit window; a whole-string instance gets L=m."""
-        alpha = Alphabet.of(self.alphabet)
-        window = self.window if self.window is not None else len(self.strings[0])
-        return SubstringInstance.from_texts(alpha, self.strings, window)
+        """View with an explicit window; a whole-string instance, whose
+        strings must then have equal length, gets L=m."""
+        if self.window is None:
+            whole = self.as_string_instance()
+            return SubstringInstance(whole.alphabet, whole.strings, whole.m)
+        return SubstringInstance.from_texts(Alphabet.of(self.alphabet), self.strings, self.window)
 
 
 def _json_int(value: object, what: str) -> int:
@@ -222,41 +217,33 @@ class BenchRow:
     ms: str
     status: str
 
+    def cells(self) -> list[str]:
+        """The row's CSV and table cells: None blank, epsilon in %g form."""
+        return [
+            "" if value is None else f"{value:g}" if name == "epsilon" else str(value)
+            for name, value in vars(self).items()
+        ]
+
 
 @dataclass
 class BenchReport:
     rows: list[BenchRow]
     bounds_ok: bool
 
-    FIELDS = ("instance", "seed", "algo", "r", "epsilon", "radius", "oracle", "ratio", "ms", "status")
+    FIELDS = tuple(field.name for field in fields(BenchRow))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.FIELDS)
-        for row in self.rows:
-            writer.writerow([
-                row.instance,
-                row.seed,
-                row.algo,
-                "" if row.r is None else row.r,
-                "" if row.epsilon is None else f"{row.epsilon:g}",
-                "" if row.radius is None else row.radius,
-                "" if row.oracle is None else row.oracle,
-                row.ratio,
-                row.ms,
-                row.status,
-            ])
+        writer.writerows(row.cells() for row in self.rows)
         return buf.getvalue()
 
     def to_table(self) -> str:
-        grid = [list(self.FIELDS)]
-        for line in self.to_csv().splitlines()[1:]:
-            grid.append(next(csv.reader([line])))
-        widths = [max(len(r[c]) if c < len(r) else 0 for r in grid) for c in range(len(self.FIELDS))]
+        grid = [list(self.FIELDS)] + [row.cells() for row in self.rows]
+        widths = [max(len(row[c]) for row in grid) for c in range(len(self.FIELDS))]
         return "\n".join(
-            "  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in grid
+            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in grid
         )
 
 
@@ -288,45 +275,33 @@ def _format_ratio(radius: int, oracle: int | None) -> str:
     return f"{radius / oracle:.4f}"
 
 
+def _oracle(f: InstanceFile, budget: int) -> CenterSolution:
+    """The exact oracle of the file's instance type."""
+    inst = f.to_instance()
+    if isinstance(inst, StringInstance):
+        return exact_closest_string(inst, budget=budget)
+    return exact_closest_substring(inst, budget=budget)
+
+
 def _run_algo(
-    algo: str,
-    f: InstanceFile,
-    *,
-    r: int,
-    epsilon: float,
-    epsilon_prime: float,
-    trials: int,
-    seed: int,
-    budget: int,
+    algo: str, f: InstanceFile, *, r: int, epsilon: float, epsilon_prime: float, trials: int, seed: int
 ) -> CenterSolution:
-    rounding = RoundingConfig(mode="auto", trials=trials, epsilon_prime=epsilon_prime, rng_seed=seed)
-    if algo == "exact":
-        inst = f.to_instance()
-        if isinstance(inst, StringInstance):
-            return exact_closest_string(inst, budget=budget)
-        return exact_closest_substring(inst, budget=budget)
+    """One approximate solver on the file: string, small or sampling."""
     if algo == "string":
+        rounding = RoundingConfig(mode="auto", trials=trials, epsilon_prime=epsilon_prime, rng_seed=seed)
         return solve_closest_string(f.as_string_instance(), ClosestStringConfig(r=r, rounding=rounding))
-    cfg = SubstringConfig(
-        r=r, epsilon=epsilon, trials=trials,
-        mode="small_d" if algo == "small" else "sampling", rng_seed=seed,
-    )
-    sub = f.as_substring_instance()
-    if algo == "small":
-        return solve_small_substring(sub, cfg)
-    if algo == "sampling":
-        return solve_closest_substring(sub, cfg)
-    raise DomainError(f"unknown algorithm {algo!r}")
+    mode = {"small": "small_d", "sampling": "sampling"}[algo]
+    cfg = SubstringConfig(r=r, epsilon=epsilon, trials=trials, mode=mode, rng_seed=seed)
+    return solve_substring(f.as_substring_instance(), cfg)
 
 
-def _oracle_radius(f: InstanceFile, budget: int) -> int | None:
+def _attempt(solve: Callable[[], CenterSolution]) -> tuple[CenterSolution | CenterStringError, float]:
+    """The solution or the error of one solve, and its seconds."""
+    t0 = time.perf_counter()
     try:
-        inst = f.to_instance()
-        if isinstance(inst, StringInstance):
-            return exact_closest_string(inst, budget=budget).radius
-        return exact_closest_substring(inst, budget=budget).radius
-    except CenterStringError:
-        return None
+        return solve(), time.perf_counter() - t0
+    except CenterStringError as exc:
+        return exc, time.perf_counter() - t0
 
 
 def run_bench(
@@ -345,10 +320,11 @@ def run_bench(
     """Run each algorithm on each instance and collect a CSV-able report.
 
     Suite items are InstanceFile objects, optionally labeled as
-    (name, InstanceFile) pairs.  Rows keep suite order regardless of
-    completion order; per-instance failures become status rows instead of
-    aborting the suite.  With timing=False the ms column is left blank so
-    reports are byte-stable.
+    (name, InstanceFile) pairs.  The exact oracle runs once per instance:
+    its radius fills the oracle column and its outcome is the exact row.
+    Rows keep suite order regardless of completion order; per-instance
+    failures become status rows instead of aborting the suite.  With
+    timing=False the ms column is left blank so reports are byte-stable.
     """
     for algo in algos:
         if algo not in ALGOS:
@@ -360,23 +336,21 @@ def run_bench(
 
     def work(item: tuple[str, InstanceFile]) -> list[BenchRow]:
         name, f = item
-        oracle = _oracle_radius(f, oracle_budget)
+        exact, exact_s = _attempt(lambda: _oracle(f, oracle_budget))
+        oracle = exact.radius if isinstance(exact, CenterSolution) else None
         rows: list[BenchRow] = []
         for algo in algos:
             eps_col: float | None
             eps_col = {"string": epsilon_prime, "sampling": epsilon, "small": None, "exact": None}[algo]
             r_col = None if algo == "exact" else r
-            t0 = time.perf_counter()
-            try:
-                sol = _run_algo(
-                    algo, f, r=r, epsilon=epsilon, epsilon_prime=epsilon_prime,
-                    trials=trials, seed=seed, budget=oracle_budget,
-                )
-            except CenterStringError as exc:
+            sol, secs = (exact, exact_s) if algo == "exact" else _attempt(lambda: _run_algo(
+                algo, f, r=r, epsilon=epsilon, epsilon_prime=epsilon_prime, trials=trials, seed=seed,
+            ))
+            if isinstance(sol, CenterStringError):
                 rows.append(BenchRow(name, seed, algo, r_col, eps_col, None, oracle, "", "",
-                                     f"error: {exc}"))
+                                     f"error: {sol}"))
                 continue
-            ms = f"{(time.perf_counter() - t0) * 1000.0:.3f}" if timing else ""
+            ms = f"{secs * 1000.0:.3f}" if timing else ""
             rows.append(BenchRow(
                 name, seed, algo, r_col, eps_col, sol.radius, oracle,
                 _format_ratio(sol.radius, oracle), ms, "ok",
@@ -419,6 +393,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _add_io_flags(sub: argparse.ArgumentParser) -> None:
+    """Input and output flags of the subcommands that read instance files."""
+    sub.add_argument("--format", choices=("auto", "json", "fasta"), default="auto",
+                     help="input format (default: json for a .json name or a '{' start, else fasta)")
+    sub.add_argument("--alphabet", default=None, help="explicit alphabet override")
+    sub.add_argument("--out", default=None, help="write the result here instead of stdout")
+
+
 def _add_common_flags(sub: argparse.ArgumentParser, *, string: bool, substring: bool) -> None:
     """Flags of the solve and bench subcommands.  `string` adds the
     whole-string solver's --epsilon-prime, `substring` the sampling
@@ -432,9 +414,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, *, string: bool, substring: 
                          help="sampling accuracy epsilon (default 1.0)")
     sub.add_argument("--trials", type=int, default=32, help="randomized rounding trials")
     sub.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
-    sub.add_argument("--format", choices=("auto", "json", "fasta"), default="auto")
-    sub.add_argument("--alphabet", default=None, help="explicit alphabet override")
-    sub.add_argument("--out", default=None, help="write the result here instead of stdout")
+    _add_io_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve-string", help="approximate Closest String")
     p.add_argument("file")
     _add_common_flags(p, string=True, substring=False)
-    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
                    help="patch-sweep cap of a restricted solve")
     p.add_argument("--mode", choices=("randomized", "derandomized", "auto"), default="auto",
                    help="rounding mode")
@@ -473,10 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch-and-bound", action="store_true",
                    help="prefix-pruned whole-string search instead of the plain sweep; "
                         "an instance's L must equal every string length")
-    p.add_argument("--format", choices=("auto", "json", "fasta"), default="auto")
-    p.add_argument("--alphabet", default=None)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--L", type=int, default=None,
+                   help="window length (Closest Substring); without one the strings are whole")
+    _add_io_flags(p)
 
     p = subs.add_parser("gen", help="generate a planted instance (JSON)")
     p.add_argument("--alphabet", default="01")
@@ -513,48 +492,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _load(args: argparse.Namespace) -> InstanceFile:
     f = InstanceFile.load(args.file, fmt=args.format, alphabet=args.alphabet)
     if getattr(args, "L", None) is not None:
-        f = InstanceFile(f.alphabet, f.strings, args.L, f.planted)
+        f = replace(f, window=args.L)
     return f
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "solve-string":
-        inst = _load(args).as_string_instance()
-        rounding = RoundingConfig(mode=args.mode, trials=args.trials,
-                                  epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
-        cfg = ClosestStringConfig(r=args.r, rounding=rounding, parallel=args.parallel)
-        sol = solve_closest_string(inst, cfg, enum_budget=args.budget)
-        _emit(_solution_json(sol, "string", {
-            "r": args.r, "epsilon_prime": args.epsilon_prime,
-            "epsilon": args.r * args.epsilon_prime, "seed": args.seed,
-        }), args.out)
-        return 0
-
-    if args.command == "solve-substring":
-        f = _load(args)
-        if f.window is None:
-            raise DomainError("window length missing: provide --L or a JSON 'L' field")
-        # the LP stage runs at epsilon' = epsilon, so no --epsilon-prime here
-        cfg = SubstringConfig(r=args.r, epsilon=args.epsilon, rounding_mode=args.rounding_mode,
-                              trials=args.trials, y_budget=args.y_budget, mode=args.mode,
-                              rng_seed=args.seed)
-        sol = solve_substring(f.as_substring_instance(), cfg)
-        _emit(_solution_json(sol, f"substring/{args.mode}", {
-            "r": args.r, "epsilon": args.epsilon, "seed": args.seed,
-        }), args.out)
-        return 0
-
-    if args.command == "exact":
-        f = _load(args)
-        inst = f.as_string_instance() if args.branch_and_bound else f.to_instance()
-        if isinstance(inst, StringInstance):
-            sol = exact_closest_string(inst, budget=args.budget,
-                                       branch_and_bound=args.branch_and_bound)
-        else:
-            sol = exact_closest_substring(inst, budget=args.budget)
-        _emit(_solution_json(sol, "exact", {"budget": args.budget}), args.out)
-        return 0
-
     if args.command == "gen":
         f = planted_instance_file(args.alphabet, args.n, args.m, args.L, args.d, args.seed)
         _emit(f.emit_json(), args.out)
@@ -576,7 +518,33 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(report.to_table())
         return 0 if report.bounds_ok else 1
 
-    raise DomainError(f"unknown command {args.command!r}")
+    f = _load(args)
+    if args.command == "solve-string":
+        rounding = RoundingConfig(mode=args.mode, trials=args.trials,
+                                  epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
+        cfg = ClosestStringConfig(r=args.r, rounding=rounding, parallel=args.parallel)
+        sol = solve_closest_string(f.as_string_instance(), cfg, enum_budget=args.budget)
+        algo, params = "string", {
+            "r": args.r, "epsilon_prime": args.epsilon_prime,
+            "epsilon": args.r * args.epsilon_prime, "seed": args.seed,
+        }
+    elif args.command == "solve-substring":
+        if f.window is None:
+            raise DomainError("window length missing: provide --L or a JSON 'L' field")
+        # the LP stage runs at epsilon' = epsilon, so no --epsilon-prime here
+        cfg = SubstringConfig(r=args.r, epsilon=args.epsilon, rounding_mode=args.rounding_mode,
+                              trials=args.trials, y_budget=args.y_budget, mode=args.mode,
+                              rng_seed=args.seed)
+        sol = solve_substring(f.as_substring_instance(), cfg)
+        algo, params = f"substring/{args.mode}", {"r": args.r, "epsilon": args.epsilon, "seed": args.seed}
+    else:  # exact
+        if args.branch_and_bound:
+            sol = exact_closest_string(f.as_string_instance(), branch_and_bound=True)
+        else:
+            sol = _oracle(f, args.budget)
+        algo, params = "exact", {"budget": args.budget}
+    _emit(_solution_json(sol, algo, params), args.out)
+    return 0
 
 
 if __name__ == "__main__":

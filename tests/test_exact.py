@@ -79,6 +79,15 @@ class TestExactClosestString:
             assert time.perf_counter() - start < 10.0
             assert (sol.center.text, sol.radius) == (text, 0)
 
+    def test_branch_and_bound_prunes_complementary_pair(self):
+        # every prefix has at most 11 mismatches to either string, so a
+        # bound on the prefix alone prunes almost nothing; the pair bound
+        # is 11 at the root
+        start = time.perf_counter()
+        sol = exact_closest_string(binst("01" * 11, "10" * 11), branch_and_bound=True)
+        assert time.perf_counter() - start < 2.0
+        assert (sol.center.text, sol.radius) == ("0" * 22, 11)
+
     def test_lower_bound_from_max_pairwise_distance(self):
         rng = np.random.default_rng(73)
         for _ in range(50):

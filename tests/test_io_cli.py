@@ -1,6 +1,9 @@
 """Ingestion, planted generation, bench harness and CLI round trips."""
 
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -168,9 +171,51 @@ class TestBench:
         def fail(*args):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(io_cli, "_oracle_radius", fail)
+        monkeypatch.setattr(io_cli, "_oracle", fail)
         with pytest.raises(DomainError, match="unknown algorithm 'bogus'"):
             run_bench(self.suite(1), ["small", "bogus"])
+
+    def test_oracle_runs_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counting(solver):
+            def wrapper(inst, **kwargs):
+                calls.append(solver.__name__)
+                return solver(inst, **kwargs)
+            return wrapper
+
+        for name in ("exact_closest_string", "exact_closest_substring"):
+            monkeypatch.setattr(io_cli, name, counting(getattr(io_cli, name)))
+        suite = [
+            ("sub", planted_instance_file("01", 3, 8, 5, 1, 2)),
+            ("whole", InstanceFile("ACGT", ("ACGTAC", "ACGAAC", "TCGTAG"))),
+            ("over", InstanceFile("01", ("0" * 13, "1" * 13))),
+        ]
+        report = run_bench(suite, ["exact", "small"], timing=False, oracle_budget=1 << 12)
+        assert calls == ["exact_closest_substring", "exact_closest_string", "exact_closest_string"]
+        exact_rows = [row for row in report.rows if row.algo == "exact"]
+        assert [row.radius for row in exact_rows] == [row.oracle for row in exact_rows]
+        assert exact_rows[2].status == "error: 2^13 = 8192 candidates exceed budget 4096"
+        assert exact_rows[2].oracle is None and report.rows[5].status == "ok"
+
+    def test_unequal_lengths_without_window_rejected_by_every_algorithm(self):
+        # without an L every algorithm reads whole strings (L = m), so
+        # unequal lengths are refused, not solved at the first string's length
+        report = run_bench([("u", InstanceFile("01", ("01", "0110"), None))], io_cli.ALGOS)
+        assert [row.status for row in report.rows] == ["error: all strings must have equal length"] * 4
+
+    def test_table_cells_equal_csv_cells(self):
+        # a name holding a line separator that the CSV leaves unquoted
+        suite = self.suite(2) + [("odd\u2028name, \"quoted\"", InstanceFile("01", ("01", "0110")))]
+        report = run_bench(suite, io_cli.ALGOS, timing=False)
+        header, *lines = report.to_table().split("\n")
+        starts = [match.start() for match in re.finditer(r"\S+", header)]
+        table = [
+            [line[a:b].rstrip() for a, b in zip(starts, starts[1:] + [None])]
+            for line in [header, *lines]
+        ]
+        assert table == list(csv.reader(io.StringIO(report.to_csv())))
+        assert len(table) == 1 + 4 * 3
 
     def test_byte_identical_with_fixed_seed(self):
         suite = self.suite()
@@ -243,6 +288,18 @@ class TestCli:
         assert report.rows[0].status.startswith("error")
         path.write_text('{"alphabet":"01","strings":["0000","1111"],"L":4}')
         assert main(["solve-string", str(path)]) == 0
+
+    def test_exact_help_describes_io_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["exact", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, phrase in (
+            ("--format {auto,json,fasta}", "input format"),
+            ("--alphabet ALPHABET", "explicit alphabet override"),
+            ("--L L", "window length"),
+            ("--out OUT", "write the result here instead of stdout"),
+        ):
+            assert f"{flag} {phrase}" in text
 
     def test_budget_help_names_what_it_caps(self, capsys):
         for command, text in (("solve-string", "patch-sweep cap"), ("bench", "oracle's candidate cap")):
