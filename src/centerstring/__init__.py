@@ -10,16 +10,13 @@ from .core import (
     BINARY,
     CenterSolution,
     DNA,
-    PositionSet,
     Seq,
     StringInstance,
     SubstringInstance,
     agreement_positions,
-    compose,
     cost_string,
     cost_substring,
     hamming,
-    restrict,
     rho0_diagnostic,
 )
 from .closest_string import ClosestStringConfig, solve_closest_string, subset_candidates
@@ -59,7 +56,6 @@ __all__ = [
     "FractionalCenter",
     "InstanceFile",
     "PlantedMeta",
-    "PositionSet",
     "RestrictedProblem",
     "RoundingConfig",
     "Seq",
@@ -69,7 +65,6 @@ __all__ = [
     "agreement_positions",
     "best_input_center",
     "build_restricted",
-    "compose",
     "cost_string",
     "cost_substring",
     "enumerate_small_P",
@@ -79,7 +74,6 @@ __all__ = [
     "exact_closest_substring",
     "generate_planted",
     "hamming",
-    "restrict",
     "restricted_lower_bound",
     "rho0_diagnostic",
     "round_derandomized",

@@ -17,6 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+import numpy as np
+
 from ._seeds import derive_seed
 from .core import CenterSolution, Seq, StringInstance, cost_string
 from .errors import DomainError, EstimatorAtLeastOne, NumericalFailure
@@ -56,9 +58,9 @@ def _subset_work(
     cfg: ClosestStringConfig,
     enum_budget: int,
     best: list[int],
-) -> tuple[int, Seq | Exception] | None:
-    """(radius, center) of one subset's restricted solve; (lower bound,
-    error) when that solve fails; None when its lower bound exceeds
+) -> tuple[int, np.ndarray | Exception] | None:
+    """(radius, center row) of one subset's restricted solve; (lower
+    bound, error) when that solve fails; None when its lower bound exceeds
     best[0], the smallest radius reached so far."""
     # subset members agree on all of Q, so the first one serves as the anchor
     rows = inst.matrix[list(subset)]
@@ -69,7 +71,7 @@ def _subset_work(
         return None
     seed = derive_seed(cfg.rounding.rng_seed, "subset", subset)
     try:
-        center, cost = solve_restricted(
+        row, cost = solve_restricted(
             p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
         )
     except _ROUNDING_FAILURES as exc:
@@ -78,7 +80,7 @@ def _subset_work(
     # value stored is a radius some candidate reached, so a skip stays sound
     if cost < best[0]:
         best[0] = cost
-    return cost, center
+    return cost, row
 
 
 def solve_closest_string(
@@ -101,13 +103,16 @@ def solve_closest_string(
     fails (EstimatorAtLeastOne under mode="derandomized", or
     NumericalFailure from the LP) fails the solve only when its lower
     bound is at most the radius found, so that a subset that could not
-    win raises nothing whether or not it was skipped.
+    win raises nothing whether or not it was skipped.  An enum_budget
+    below 1 raises DomainError before any subset is solved.
     """
+    if enum_budget < 1:
+        raise DomainError("enum_budget must be >= 1")
     r = min(cfg.r, inst.n)
-    candidates = [(cost_string(inst, s), s) for s in inst.strings]
+    candidates = [(cost_string(inst, s), s.arr) for s in inst.strings]
     best = [min(cost for cost, _ in candidates)]
 
-    def work(sub: tuple[int, ...]) -> tuple[int, Seq | Exception] | None:
+    def work(sub: tuple[int, ...]) -> tuple[int, np.ndarray | Exception] | None:
         return _subset_work(inst, sub, cfg, enum_budget, best)
 
     subsets = list(subset_candidates(inst, r))
@@ -116,10 +121,10 @@ def solve_closest_string(
             solved = [c for c in pool.map(work, subsets) if c is not None]
     else:
         solved = [c for c in map(work, subsets) if c is not None]
-    candidates.extend(c for c in solved if isinstance(c[1], Seq))
+    candidates.extend(c for c in solved if not isinstance(c[1], Exception))
 
-    radius, center = min(candidates, key=lambda c: c[0])
+    radius, row = min(candidates, key=lambda c: c[0])
     for bound, exc in solved:
         if isinstance(exc, Exception) and bound <= radius:
             raise exc
-    return CenterSolution(center, radius, (0,) * inst.n)
+    return CenterSolution(Seq(inst.alphabet, row.tobytes()), radius, (0,) * inst.n)

@@ -10,11 +10,11 @@ selects one window per input string by a scaled proxy score, and the
 selected windows go to the restricted LP machinery.  The first candidate
 of minimum radius, in enumeration order, wins.
 
-Both run on the tuple's anchor row and boolean agreement mask Q.  A swept
-candidate depends only on Q and the anchor on Q, so each distinct pair is
-swept once per solve.  A guessed tuple scores its guesses in blocks and
-solves each distinct window selection once: a repeat would yield the same
-candidate again, which can never be the first minimum.
+Both run on the tuple's anchor row and boolean agreement mask Q, and a
+candidate is a (radius, center row) pair.  A repeated candidate can never
+be the first minimum, so it is dropped where first seen: the pre-pass keeps
+one swept tuple per (Q, anchor on Q) pair, all a swept candidate depends
+on, and a guessed tuple solves each distinct window selection once.
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ def enumerate_window_tuples(inst: SubstringInstance, r: int) -> Iterator[Picks]:
 def _agreed_tuples(
     inst: SubstringInstance, cfg: SubstringConfig, mode: str
 ) -> list[tuple[Picks, np.ndarray, np.ndarray, bool]]:
-    """(picks, anchor row, agreement mask on_q, swept) of every window
-    tuple, in enumeration order; on_q marks the positions Q where every
+    """(picks, anchor row, agreement mask on_q, swept) of the window
+    tuples in enumeration order, keeping only the first swept tuple of each
+    (Q mask, anchor on Q) pair; on_q marks the positions Q where every
     picked window equals the anchor.
 
     A tuple is swept over its k^|P| patches when its free-position count
@@ -103,6 +104,7 @@ def _agreed_tuples(
     size = _sample_size_of(inst, cfg.epsilon)
     limit = {"small_d": inst.window, "sampling": size, "auto": _max_exponent(k, cfg.y_budget)}[mode]
     agreed = []
+    swept_pairs: set[bytes] = set()  # the mask's fixed length L keeps keys unambiguous
     for picks in enumerate_window_tuples(inst, cfg.r):
         rows = np.array([inst.windows[i][o] for i, o in picks])
         on_q = (rows == rows[0]).all(axis=0)
@@ -113,7 +115,13 @@ def _agreed_tuples(
             work = f"|P|={free} needs {k}^{free} patches" if swept else f"|R|={size} needs {k}^{size} guesses"
             hint = "" if mode == "small_d" else "; " + _budget_hint(inst, cfg.y_budget, cfg.epsilon)
             raise BudgetExceeded(f"{work}, over budget {cfg.y_budget}{hint}")
-        agreed.append((picks, rows[0], on_q, swept))
+        if swept:
+            pair = on_q.tobytes() + rows[0, on_q].tobytes()
+            if pair in swept_pairs:
+                continue
+            swept_pairs.add(pair)
+        # a copy, so that the tuple's rows are freed
+        agreed.append((picks, rows[0].copy(), on_q, swept))
     return agreed
 
 
@@ -214,23 +222,22 @@ def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
     return f"no epsilon in (0, 1] fits ({needed}); y_budget >= {k}^{size} would fit at epsilon {epsilon}"
 
 
-def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterator[tuple[int, Seq]]:
-    """(radius, center) candidates in enumeration order: per window tuple,
-    its swept center, or else the restricted solve's center for every
-    distinct selection its guesses y on R make, at the selection's first
-    guess.
+def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterator[tuple[int, np.ndarray]]:
+    """(radius, center row) candidates in enumeration order: per kept
+    window tuple, its swept center, or else the restricted solve's center
+    for every distinct selection its guesses y on R make, at the
+    selection's first guess.
 
     A swept tuple's center keeps the anchor on Q.  Every window of every
     string is one row of the shared patch sweep, restricted to P and
     charged its distance to the anchor on Q; a string's rows form one
     group, so the sweep scores a patch by max over strings of min over
-    windows, the candidate's substring radius.  Nothing else of the tuple
-    enters, so a swept tuple whose (Q mask, anchor on Q) pair was already
-    swept in this solve yields that pair's candidate again.
+    windows, the candidate's substring radius.
 
     A guessed tuple draws R from P (seeded per tuple).  Its selections are
     keyed by window contents; each new one is solved as a StringInstance
-    whose restricted problem keeps the anchor on Q.
+    whose restricted problem keeps the anchor on Q, and its center is
+    scored by cost_substring.
     """
     agreed = _agreed_tuples(inst, cfg, mode)
     k = inst.alphabet.size
@@ -240,21 +247,14 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
     # the LP stage must stay within error epsilon*|P| overall
     rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
 
-    # one key per (Q mask, anchor on Q) pair; the mask's fixed length L
-    # keeps the concatenation unambiguous
-    swept_by_pair: dict[bytes, tuple[int, Seq]] = {}
     for picks, anchor, on_q, swept in agreed:
         if swept:
-            letters = anchor[on_q]
-            pair = on_q.tobytes() + letters.tobytes()
-            if pair not in swept_by_pair:
-                on_p = ~on_q
-                fixed = (wins[:, on_q] != letters).sum(axis=1)
-                cost, patch = sweep_patches(wins[:, on_p], fixed, k, starts)
-                center = anchor.copy()
-                center[on_p] = patch
-                swept_by_pair[pair] = cost, Seq(inst.alphabet, center.tobytes())
-            yield swept_by_pair[pair]
+            on_p = ~on_q
+            fixed = (wins[:, on_q] != anchor[on_q]).sum(axis=1)
+            cost, patch = sweep_patches(wins[:, on_p], fixed, k, starts)
+            center = anchor.copy()
+            center[on_p] = patch
+            yield cost, center
             continue
         free = np.flatnonzero(~on_q)
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
@@ -273,12 +273,13 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
                 # the seed token keeps the repr of index tuples
                 seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
                 center, _ = solve_restricted(problem, replace(rounding, rng_seed=seed))
-                yield cost_substring(inst, center)[0], center
+                yield cost_substring(inst, Seq(inst.alphabet, center.tobytes()))[0], center
 
 
 def _solve(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> CenterSolution:
     """The first candidate of minimum radius under the mode's sweep limit."""
-    _, center = min(_centers(inst, cfg, mode), key=lambda c: c[0])
+    _, row = min(_centers(inst, cfg, mode), key=lambda c: c[0])
+    center = Seq(inst.alphabet, row.tobytes())
     radius, offsets = cost_substring(inst, center)
     return CenterSolution(center, radius, offsets)
 

@@ -1,4 +1,4 @@
-"""Strings, alphabets, Hamming geometry and position-set algebra.
+"""Strings, alphabets, instances and Hamming geometry.
 
 Positions are 0-based throughout the library; only the CLI renders them
 1-based.  All types are immutable after construction, all operations are
@@ -7,6 +7,7 @@ A `Seq` stores its alphabet indices once, as `bytes`; `Seq.arr` and the
 instance views (`StringInstance.matrix`, `SubstringInstance.windows`) are
 read-only uint8 arrays over them, the latter computed on first use.  Two
 threads that race on a first use both compute the same view: benign.
+Position sets are (m,) boolean masks, as `agreement_positions` returns.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,9 +23,7 @@ from .errors import (
     AlphabetMismatch,
     DomainError,
     EmptyInput,
-    FrameMismatch,
     LengthMismatch,
-    SizeMismatch,
     WindowTooLong,
 )
 
@@ -114,43 +113,6 @@ class Seq:
 
     def __str__(self) -> str:
         return self.text
-
-
-@dataclass(frozen=True)
-class PositionSet:
-    """Sorted 0-based positions inside a frame; optionally a multiset."""
-
-    positions: tuple[int, ...]
-    frame: int
-    multiset: bool = False
-
-    def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise DomainError("frame must be nonnegative")
-        prev = -1
-        for p in self.positions:
-            if not 0 <= p < self.frame:
-                raise DomainError(f"position {p} outside frame {self.frame}")
-            if p < prev or (p == prev and not self.multiset):
-                raise DomainError("positions must be sorted, strictly increasing for a plain set")
-            prev = p
-
-    @classmethod
-    def of(cls, positions: Iterable[int], frame: int, multiset: bool = False) -> "PositionSet":
-        return cls(tuple(sorted(positions)), frame, multiset)
-
-    def complement(self) -> "PositionSet":
-        present = set(self.positions)
-        return PositionSet(tuple(p for p in range(self.frame) if p not in present), self.frame)
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.positions)
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.positions
 
 
 @dataclass(frozen=True)
@@ -252,15 +214,9 @@ def hamming(a: Seq, b: Seq) -> int:
     return int((a.arr != b.arr).sum())
 
 
-def restrict(s: Seq, t: PositionSet) -> Seq:
-    """The subsequence of s at t's positions, honoring multiplicity."""
-    if t.frame != len(s):
-        raise FrameMismatch(f"position frame {t.frame} vs sequence length {len(s)}")
-    return Seq(s.alphabet, s.arr[list(t.positions)].tobytes())
-
-
-def agreement_positions(ts: Sequence[Seq]) -> PositionSet:
-    """Positions where all given equal-length sequences carry the same symbol."""
+def agreement_positions(ts: Sequence[Seq]) -> np.ndarray:
+    """Read-only (m,) bool mask of the positions where all given
+    equal-length sequences carry the same symbol."""
     if not ts:
         raise EmptyInput("need at least one sequence")
     m = len(ts[0])
@@ -268,26 +224,10 @@ def agreement_positions(ts: Sequence[Seq]) -> PositionSet:
         _check_same_alphabet(ts[0], s)
         if len(s) != m:
             raise LengthMismatch("sequences must have equal length")
-    if len(ts) == 1:
-        return PositionSet(tuple(range(m)), m)
     mat = np.frombuffer(b"".join([s.data for s in ts]), dtype=np.uint8).reshape(len(ts), m)
     agree = (mat == mat[0]).all(axis=0)
-    return PositionSet(tuple(np.flatnonzero(agree).tolist()), m)
-
-
-def compose(base: Seq, patch: Seq, p: PositionSet) -> Seq:
-    """A copy of base overwritten with patch at the positions of p."""
-    if p.multiset:
-        raise DomainError("compose requires a plain position set")
-    if p.frame != len(base):
-        raise FrameMismatch(f"position frame {p.frame} vs base length {len(base)}")
-    if len(patch) != len(p):
-        raise SizeMismatch(f"patch length {len(patch)} vs position set size {len(p)}")
-    _check_same_alphabet(base, patch)
-    out = bytearray(base.data)
-    for j, v in zip(p.positions, patch.data):
-        out[j] = v
-    return Seq(base.alphabet, bytes(out))
+    agree.flags.writeable = False
+    return agree
 
 
 def cost_string(inst: StringInstance, center: Seq) -> int:

@@ -14,11 +14,7 @@ class AlphabetMismatch(CenterStringError):
 
 
 class FrameMismatch(CenterStringError):
-    """A position set indexes a different frame than the sequence it is applied to."""
-
-
-class SizeMismatch(CenterStringError):
-    """A patch and its position set disagree in size."""
+    """An anchor row or position mask has a different length than the strings it is applied to."""
 
 
 class EmptyInput(CenterStringError):

@@ -393,15 +393,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_io_flags(sub: argparse.ArgumentParser) -> None:
+_OUT_HELP = "write the result here instead of stdout"
+
+
+def _add_io_flags(sub: argparse.ArgumentParser, out_help: str = _OUT_HELP) -> None:
     """Input and output flags of the subcommands that read instance files."""
     sub.add_argument("--format", choices=("auto", "json", "fasta"), default="auto",
                      help="input format (default: json for a .json name or a '{' start, else fasta)")
     sub.add_argument("--alphabet", default=None, help="explicit alphabet override")
-    sub.add_argument("--out", default=None, help="write the result here instead of stdout")
+    sub.add_argument("--out", default=None, help=out_help)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, *, string: bool, substring: bool) -> None:
+def _add_common_flags(
+    sub: argparse.ArgumentParser, *, string: bool, substring: bool, out_help: str = _OUT_HELP
+) -> None:
     """Flags of the solve and bench subcommands.  `string` adds the
     whole-string solver's --epsilon-prime, `substring` the sampling
     accuracy --epsilon."""
@@ -414,7 +419,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, *, string: bool, substring: 
                          help="sampling accuracy epsilon (default 1.0)")
     sub.add_argument("--trials", type=int, default=32, help="randomized rounding trials")
     sub.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
-    _add_io_flags(sub)
+    _add_io_flags(sub, out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,10 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("exact", help="exact oracle (exponential time)")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET, help="candidate cap")
+    p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
+                   help="candidate cap of the plain sweep")
     p.add_argument("--branch-and-bound", action="store_true",
                    help="prefix-pruned whole-string search instead of the plain sweep; "
-                        "an instance's L must equal every string length")
+                        "it has no candidate cap, and an instance's L must equal every "
+                        "string length")
     p.add_argument("--L", type=int, default=None,
                    help="window length (Closest Substring); without one the strings are whole")
     _add_io_flags(p)
@@ -470,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--algos", default="exact,string,small,sampling",
                    help=f"comma-separated subset of {','.join(ALGOS)}")
-    _add_common_flags(p, string=True, substring=True)
+    _add_common_flags(p, string=True, substring=True,
+                      out_help="also write the report as CSV here; the table still goes to stdout")
     p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
                    help="the oracle's candidate cap")
     p.add_argument("--parallel", action="store_true")
@@ -537,12 +545,13 @@ def _dispatch(args: argparse.Namespace) -> int:
                               rng_seed=args.seed)
         sol = solve_substring(f.as_substring_instance(), cfg)
         algo, params = f"substring/{args.mode}", {"r": args.r, "epsilon": args.epsilon, "seed": args.seed}
-    else:  # exact
+    else:  # exact; params name only the cap that applied
         if args.branch_and_bound:
             sol = exact_closest_string(f.as_string_instance(), branch_and_bound=True)
+            algo, params = "exact", {"branch_and_bound": True}
         else:
             sol = _oracle(f, args.budget)
-        algo, params = "exact", {"budget": args.budget}
+            algo, params = "exact", {"budget": args.budget}
     _emit(_solution_json(sol, algo, params), args.out)
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import MASK64
-from .core import Seq, StringInstance, cost_string
+from .core import StringInstance
 from .errors import (
     BudgetExceeded, DomainError, EstimatorAtLeastOne, FrameMismatch, NumericalFailure,
 )
@@ -342,8 +342,9 @@ def solve_restricted(
     p: RestrictedProblem,
     cfg: RoundingConfig,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
-) -> tuple[Seq, int]:
-    """Solve the restricted problem and return (full-length center, its cost).
+) -> tuple[np.ndarray, int]:
+    """Solve the restricted problem; return the (m,) uint8 anchor with the
+    patch written on P, and its cost over the strings, read from fixed and rows.
 
     Dispatch: below the enumeration threshold the patch is found exactly,
     unless its k^|P| patches exceed enum_budget; otherwise the LP is solved
@@ -367,6 +368,5 @@ def solve_restricted(
                 patch = round_randomized(frac, cfg)
     row = p.anchor.copy()
     row[p.P] = patch
-    center = Seq(p.inst.alphabet, row.tobytes())
-    return center, cost_string(p.inst, center)
+    return row, int((p.fixed + (p.rows != patch).sum(axis=1)).max())
 

@@ -17,21 +17,18 @@ from centerstring import (
     Alphabet,
     ClosestStringConfig,
     FractionalCenter,
-    PositionSet,
     RoundingConfig,
     Seq,
     StringInstance,
     SubstringConfig,
     agreement_positions,
     build_restricted,
-    compose,
     cost_substring,
     enumerate_small_P,
     exact_closest_string,
     exact_closest_substring,
     generate_planted,
     hamming,
-    restrict,
     round_derandomized,
     run_bench,
     sample_patch,
@@ -242,21 +239,20 @@ def test_criterion_6_window_selection_empirics():
         _, offsets = cost_substring(inst, center)
         witnesses = [s.window(off, l) for s, off in zip(inst.strings, offsets)]
         q = agreement_positions(witnesses[:2])
-        p = q.complement()
-        star = compose(center, restrict(witnesses[0], q), q)
+        p = np.flatnonzero(~q)
+        # the center with the first witness's letters on Q
+        star_row = center.arr.copy()
+        star_row[q] = witnesses[0].arr[q]
+        star = Seq(inst.alphabet, star_row)
         size = sample_size(eps, n, m)
         if 0 < size < len(p):
             genuine += 1
             rng = np.random.default_rng(10_000 + seed)
-            drawn = sorted(p.positions[i] for i in rng.integers(0, len(p), size))
-            r_sample = PositionSet(tuple(drawn), l, multiset=True)
+            r_idx = np.sort(p[rng.integers(0, len(p), size)])
         else:
-            r_sample = PositionSet(p.positions, l, multiset=True)
-        y = restrict(star, r_sample)
-        ys = y.arr[None, :]
-        r_idx = np.array(r_sample.positions, dtype=np.intp)
-        on_q = np.isin(np.arange(l), q.positions)
-        offsets = select_windows(inst, ys, r_idx, witnesses[0].arr, on_q)[0]
+            r_idx = p
+        ys = star.arr[r_idx][None, :]
+        offsets = select_windows(inst, ys, r_idx, witnesses[0].arr, q)[0]
         chosen = [s.window(int(off), l) for s, off in zip(inst.strings, offsets)]
         bound = 2 * eps * len(p)
         if any(

@@ -26,6 +26,7 @@ from centerstring import (
     cost_string,
     exact_closest_string,
     generate_planted,
+    hamming,
     restricted_lower_bound,
     solve_closest_string,
     solve_restricted,
@@ -69,9 +70,7 @@ def disjoint_instance(rng, n, m, d):
 
 def agreement_mask(inst, sub):
     """The agreement mask of the subset's strings, through agreement_positions."""
-    on_q = np.zeros(inst.m, dtype=bool)
-    on_q[list(agreement_positions([inst.strings[i] for i in sub]).positions)] = True
-    return on_q
+    return agreement_positions([inst.strings[i] for i in sub])
 
 
 def reference_candidates(inst, cfg, enum_budget=DEFAULT_ENUM_BUDGET):
@@ -81,8 +80,8 @@ def reference_candidates(inst, cfg, enum_budget=DEFAULT_ENUM_BUDGET):
     for sub in subset_candidates(inst, min(cfg.r, inst.n)):
         rounding = replace(cfg.rounding, rng_seed=derive_seed(cfg.rounding.rng_seed, "subset", sub))
         p = build_restricted(inst, inst.strings[sub[0]].arr, agreement_mask(inst, sub))
-        center, cost = solve_restricted(p, rounding, enum_budget=enum_budget)
-        candidates.append((cost, center))
+        row, cost = solve_restricted(p, rounding, enum_budget=enum_budget)
+        candidates.append((cost, Seq(inst.alphabet, row)))
     return candidates
 
 
@@ -176,7 +175,11 @@ class TestSolveClosestString:
             for r in (2, 3):
                 for sub in subset_candidates(inst, r):
                     q = agreement_positions([inst.strings[i] for i in sub])
-                    assert inst.m - len(q) <= r * opt
+                    assert inst.m - int(q.sum()) <= r * opt
+                    # every position where two members differ is free
+                    assert inst.m - int(q.sum()) >= max(
+                        hamming(inst.strings[i], inst.strings[j]) for i in sub for j in sub
+                    )
 
     def test_subset_masks_match_agreement_positions(self, monkeypatch):
         # each subset's anchor and mask, read from inst.matrix, are the
@@ -232,6 +235,16 @@ class TestSolveClosestString:
         sol = solve_closest_string(inst, ClosestStringConfig(r=2), enum_budget=4)
         assert sol.radius == cost_string(inst, sol.center)
         assert sol.radius <= exact_closest_string(inst).radius * 2
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_enum_budget_below_one_refused_before_any_subset(self, monkeypatch, budget):
+        # identical strings give a subset with |P| = 0, whose one empty
+        # patch used to surface as a BudgetExceeded of 2^0 > budget
+        calls = count_restricted_solves(monkeypatch)
+        for inst in (binst("0110", "0110", "0110"), binst("0110", "1001", "0011")):
+            with pytest.raises(DomainError, match="enum_budget must be >= 1"):
+                solve_closest_string(inst, enum_budget=budget)
+        assert calls == []
 
     def test_deterministic(self):
         inst = binst("01010101", "10101010", "00110011", "11001100")

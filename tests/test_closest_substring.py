@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from centerstring import (
     BINARY,
     Alphabet,
-    PositionSet,
     RoundingConfig,
     Seq,
     StringInstance,
@@ -23,13 +22,11 @@ from centerstring import (
     SubstringInstance,
     agreement_positions,
     build_restricted,
-    compose,
     cost_substring,
     enumerate_window_tuples,
     exact_closest_substring,
     generate_planted,
     hamming,
-    restrict,
     sample_size,
     select_windows,
     solve_closest_substring,
@@ -163,12 +160,13 @@ def picked_windows(inst, picks):
     return [inst.strings[i].window(off, inst.window) for i, off in picks]
 
 
-def reference_sweep(inst, anchor, p):
-    """Substring patch sweep with full-length candidates: every patch on p,
-    in lexicographic order, composed into the anchor and scored against
-    every window of every string.  Returns (all costs, first best center)."""
+def reference_sweep(inst, anchor, pos):
+    """Substring patch sweep with full-length candidates: every patch on
+    the sorted free positions pos, in lexicographic order, composed into
+    the anchor and scored against every window of every string.  Returns
+    (all costs, first best center)."""
     k = inst.alphabet.size
-    pos = np.array(p.positions, dtype=np.intp)
+    p = pos
     patches = np.array(list(itertools.product(range(k), repeat=len(p))), dtype=np.int16)
     cands = np.tile(np.array(list(anchor.data), dtype=np.int16), (len(patches), 1))
     cands[:, pos] = patches.reshape(len(patches), len(p))
@@ -198,7 +196,7 @@ def reference_small_substring(inst, r):
     saw_empty_p = saw_tie = False
     for picks in enumerate_window_tuples(inst, r):
         windows = picked_windows(inst, picks)
-        p = agreement_positions(windows).complement()
+        p = np.flatnonzero(~agreement_positions(windows))
         costs, center = reference_sweep(inst, windows[0], p)
         saw_empty_p |= len(p) == 0
         saw_tie |= int((costs == costs.min()).sum()) > 1
@@ -230,19 +228,19 @@ class TestSweepReference:
         assert saw_empty_p and saw_tie
 
 
-def reference_select_windows(inst, y, r_sample, anchor_q, q):
+def reference_select_windows(inst, y, r_idx, anchor_q, q):
     """Per input string, the offset of the window minimizing
     d(y, w|_R) * |P|/|R| + d(anchor_q, w|_Q) for the one guess y, from Seq
-    and PositionSet inputs, scored in exact rational arithmetic; ties go
-    to the smallest offset.  With an empty R the score reduces to the Q
-    term alone."""
-    if len(y) != len(r_sample):
-        raise LengthMismatch(f"|y|={len(y)} vs |R|={len(r_sample)}")
-    l = q.frame
-    p_size = l - len(set(q.positions))
-    r_size = len(r_sample)
-    r_idx = np.array(r_sample.positions, dtype=np.intp)
-    q_idx = np.array(q.positions, dtype=np.intp)
+    inputs, the sorted sample positions r_idx (repeats allowed) and the
+    agreement mask q, scored in exact rational arithmetic; ties go to the
+    smallest offset.  With an empty R the score reduces to the Q term
+    alone."""
+    if len(y) != len(r_idx):
+        raise LengthMismatch(f"|y|={len(y)} vs |R|={len(r_idx)}")
+    l = len(q)
+    p_size = l - int(q.sum())
+    r_size = len(r_idx)
+    q_idx = np.flatnonzero(q)
     offsets = []
     for wins in inst.windows:
         d_q = (wins[:, q_idx] != anchor_q.arr).sum(axis=1)
@@ -261,15 +259,15 @@ def windows_at(inst, offsets):
     return [s.window(int(off), inst.window) for s, off in zip(inst.strings, offsets)]
 
 
-def one_guess(y, r_sample):
-    """The guess y and sample R as select_windows' one-row ys and r_idx."""
-    return y.arr[None, :], np.array(r_sample.positions, dtype=np.intp)
+def one_guess(y, r_idx):
+    """The guess y and sample positions R as select_windows' one-row ys and r_idx."""
+    return y.arr[None, :], np.array(r_idx, dtype=np.intp)
 
 
 class TestSelectWindows:
     def test_exhaustive_sample_is_exact_proxy(self):
         # with R = P and y the center's P-letters, the score equals the full
-        # Hamming distance to compose(anchor_q on Q, y on P)
+        # Hamming distance to the center, anchor_q on Q and y on P
         rng = np.random.default_rng(67)
         for _ in range(20):
             m = int(rng.integers(6, 12))
@@ -278,14 +276,12 @@ class TestSelectWindows:
             inst = bsub(texts, l)
             center = Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, l)))
             mask = rng.random(l) < 0.5
-            q = PositionSet.of([int(j) for j in np.flatnonzero(mask)], l)
-            p = q.complement()
-            r_sample = PositionSet(p.positions, l, multiset=True)
-            y = restrict(center, p)
-            anchor_q = restrict(center, q)
-            offsets = select_windows(inst, *one_guess(y, r_sample), center.arr, mask)
+            p = np.flatnonzero(~mask)
+            y = Seq(BINARY, center.arr[p])
+            offsets = select_windows(inst, *one_guess(y, p), center.arr, mask)
             chosen = windows_at(inst, offsets[0])
-            target = compose(center, anchor_q, q)
+            # anchor_q on Q and y on P spell the center itself
+            target = center
             for s, t in zip(inst.strings, chosen):
                 best = min(
                     hamming(target, s.window(off, l)) for off in range(len(s) - l + 1)
@@ -294,27 +290,27 @@ class TestSelectWindows:
 
     def test_single_window_is_forced(self):
         inst = bsub(["01"], 2)
-        ys, r_idx = one_guess(bseq("1"), PositionSet((1,), 2, multiset=True))
+        ys, r_idx = one_guess(bseq("1"), [1])
         got = select_windows(inst, ys, r_idx, bseq("00").arr, np.array([True, False]))
         assert windows_at(inst, got[0])[0].text == "01"
 
     def test_hand_scored_example(self):
         a = Alphabet.of("AB")
         inst = SubstringInstance.from_texts(a, ["ABAB"], 2)
-        ys, r_idx = one_guess(Seq.from_text(a, "A"), PositionSet((0,), 2, multiset=True))
+        ys, r_idx = one_guess(Seq.from_text(a, "A"), [0])
         got = select_windows(inst, ys, r_idx, Seq.from_text(a, "AB").arr, np.array([False, True]))
         # window "AB" at offset 0 scores 0, "BA" scores |P| + 1
         assert windows_at(inst, got[0])[0].text == "AB"
 
     def test_empty_sample_scores_q_only(self):
         inst = bsub(["0011"], 2)
-        ys, r_idx = one_guess(bseq(""), PositionSet((), 2, multiset=True))
+        ys, r_idx = one_guess(bseq(""), [])
         got = select_windows(inst, ys, r_idx, bseq("11").arr, np.array([True, True]))
         assert windows_at(inst, got[0])[0].text == "11"
 
     def test_length_mismatch(self):
         inst = bsub(["01"], 2)
-        ys, r_idx = one_guess(bseq("01"), PositionSet((0,), 2, multiset=True))
+        ys, r_idx = one_guess(bseq("01"), [0])
         with pytest.raises(LengthMismatch):
             select_windows(inst, ys, r_idx, bseq("00").arr, np.array([False, False]))
 
@@ -348,16 +344,13 @@ def guess_blocks(draw):
 @given(guess_blocks())
 def test_select_windows_rows_match_reference(case):
     inst, ys, r_idx, anchor, on_q, cells = case
-    l = inst.window
-    q = PositionSet.of(np.flatnonzero(on_q).tolist(), l)
-    r_sample = PositionSet(tuple(r_idx.tolist()), l, multiset=True)
-    anchor_q = restrict(Seq(inst.alphabet, anchor.tobytes()), q)
+    anchor_q = Seq(inst.alphabet, anchor[on_q])
     # a small cell cap splits every string's compare into several chunks
     with mock.patch.object(closest_substring, "_SELECT_CELLS", cells):
         offsets = select_windows(inst, ys, r_idx, anchor, on_q)
     assert offsets.shape == (len(ys), inst.n) and offsets.dtype == np.intp
     for y, row in zip(ys, offsets):
-        assert row.tolist() == reference_select_windows(inst, Seq(inst.alphabet, y.tobytes()), r_sample, anchor_q, q)
+        assert row.tolist() == reference_select_windows(inst, Seq(inst.alphabet, y.tobytes()), r_idx, anchor_q, on_q)
 
 
 class TestSamplingSolver:
@@ -422,26 +415,25 @@ def reference_sampled_solve(inst, cfg):
         for picks in enumerate_window_tuples(inst, cfg.r):
             windows = picked_windows(inst, picks)
             q = agreement_positions(windows)
-            p = q.complement()
+            p = np.flatnonzero(~q)
             if size <= 0 or size >= len(p):
-                drawn = p.positions
+                r_idx = p
             else:
                 rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
-                drawn = tuple(sorted(p.positions[i] for i in rng.integers(0, len(p), size=size)))
-            r_sample = PositionSet(drawn, l, multiset=True)
-            anchor_q = restrict(windows[0], q)
-            on_q = np.isin(np.arange(l), q.positions)
+                r_idx = np.sort(p[rng.integers(0, len(p), size=size)])
+            anchor_q = Seq(inst.alphabet, windows[0].arr[q])
             memo = {}
-            for y in itertools.product(range(k), repeat=len(r_sample)):
-                offsets = reference_select_windows(inst, Seq(inst.alphabet, y), r_sample, anchor_q, q)
+            for y in itertools.product(range(k), repeat=len(r_idx)):
+                offsets = reference_select_windows(inst, Seq(inst.alphabet, y), r_idx, anchor_q, q)
                 selected = windows_at(inst, offsets)
                 key = tuple(t.data for t in selected)
                 if key not in memo:
                     sub = StringInstance(inst.alphabet, tuple(selected))
                     seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
-                    memo[key] = solve_restricted(
-                        build_restricted(sub, windows[0].arr, on_q), replace(rounding, rng_seed=seed)
-                    )[0]
+                    row, _ = solve_restricted(
+                        build_restricted(sub, windows[0].arr, q), replace(rounding, rng_seed=seed)
+                    )
+                    memo[key] = Seq(inst.alphabet, row)
                 yield memo[key]
 
     best = None
@@ -494,7 +486,7 @@ def distinct_sweep_keys(inst, r):
     for picks in enumerate_window_tuples(inst, r):
         windows = picked_windows(inst, picks)
         q = agreement_positions(windows)
-        keys.add((q.positions, restrict(windows[0], q).data))
+        keys.add((q.tobytes(), windows[0].arr[q].tobytes()))
     return keys
 
 
@@ -659,19 +651,20 @@ class TestFact2Empirics:
             _, offsets = cost_substring(inst, center)
             witnesses = [s.window(off, l) for s, off in zip(inst.strings, offsets)]
             q = agreement_positions(witnesses[:2])
-            p = q.complement()
-            star = compose(center, restrict(witnesses[0], q), q)
+            p = np.flatnonzero(~q)
+            # the center with the first witness's letters on Q
+            star_row = center.arr.copy()
+            star_row[q] = witnesses[0].arr[q]
+            star = Seq(BINARY, star_row)
             size = sample_size(eps, n, m)
             if 0 < size < len(p):
                 genuine += 1
                 rng = np.random.default_rng(1000 + seed)
-                drawn = sorted(p.positions[i] for i in rng.integers(0, len(p), size))
-                r_sample = PositionSet(tuple(drawn), l, multiset=True)
+                r_idx = np.sort(p[rng.integers(0, len(p), size)])
             else:
-                r_sample = PositionSet(p.positions, l, multiset=True)
-            y = restrict(star, r_sample)
-            on_q = np.isin(np.arange(l), q.positions)
-            offsets = select_windows(inst, *one_guess(y, r_sample), witnesses[0].arr, on_q)
+                r_idx = p
+            y = Seq(BINARY, star.arr[r_idx])
+            offsets = select_windows(inst, *one_guess(y, r_idx), witnesses[0].arr, q)
             chosen = windows_at(inst, offsets[0])
             bound = 2 * eps * len(p)
             if any(
@@ -751,18 +744,55 @@ class TestSweepDedupe:
 
     def test_shared_key_sweeps_once(self, monkeypatch):
         # the pairs (001, 010) and (011, 000) both agree on position 0 only,
-        # where both anchors read 0: one key for two different picks
+        # where both anchors read 0: one key for two different picks, so
+        # the second tuple yields no candidate
         inst = bsub(["001", "010", "011", "000"], 3)
+        cfg = SubstringConfig(r=2)
         sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
         picks = list(enumerate_window_tuples(inst, 2))
-        cands = list(closest_substring._centers(inst, SubstringConfig(r=2), "small_d"))
-        first, second = picks.index(((0, 0), (1, 0))), picks.index(((2, 0), (3, 0)))
-        assert len(sweeps) == len(distinct_sweep_keys(inst, 2)) == len(picks) - 1
-        assert cands[first] == cands[second]
-        for i in (first, second):
-            windows = picked_windows(inst, picks[i])
-            costs, center = reference_sweep(inst, windows[0], agreement_positions(windows).complement())
-            assert cands[i] == (int(costs.min()), center)
+        kept = [t[0] for t in closest_substring._agreed_tuples(inst, cfg, "small_d")]
+        cands = dict(zip(kept, closest_substring._centers(inst, cfg, "small_d")))
+        first, second = ((0, 0), (1, 0)), ((2, 0), (3, 0))
+        assert len(sweeps) == len(distinct_sweep_keys(inst, 2)) == len(picks) - 1 == len(cands)
+        assert first in cands and second not in cands
+        windows = picked_windows(inst, first)
+        costs, center = reference_sweep(inst, windows[0], np.flatnonzero(~agreement_positions(windows)))
+        cost, row = cands[first]
+        assert (cost, Seq(inst.alphabet, row)) == (int(costs.min()), center)
+
+    @pytest.mark.parametrize("texts, l, mode, guessed", [
+        # the small_d shape of the benchmark, at n = 5 and m = 40: every tuple swept
+        (None, 6, "small_d", 0),
+        # |R| = 16 < |P| = 17 on the two pairs of complementary strings,
+        # while the pair of equal strings repeats a single window's key
+        (["0" * 17, "1" * 17, "0" * 17], 17, "sampling", 2),
+    ])
+    def test_pre_pass_keeps_one_tuple_per_swept_key(self, texts, l, mode, guessed):
+        if texts is None:
+            inst, _ = generate_planted("ACGT", 5, 40, l, 1, 0)
+        else:
+            inst = bsub(texts, l)
+        cfg = SubstringConfig(r=2)
+        inst.windows  # built on first use, outside the traced pre-pass
+        tracemalloc.start()
+        try:
+            agreed = closest_substring._agreed_tuples(inst, cfg, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = l if mode == "small_d" else sample_size(cfg.epsilon, inst.n, len(inst.strings[0]))
+        swept_keys, tuples = set(), 0
+        for picks in enumerate_window_tuples(inst, 2):
+            windows = picked_windows(inst, picks)
+            q = agreement_positions(windows)
+            tuples += 1
+            if l - int(q.sum()) <= limit:
+                swept_keys.add((q.tobytes(), windows[0].arr[q].tobytes()))
+        assert sum(not swept for *_, swept in agreed) == guessed
+        assert len(agreed) == len(swept_keys) + guessed < tuples
+        # every kept anchor is its own small array, not a view of the tuple's rows
+        assert all(anchor.base is None for _, anchor, _, _ in agreed)
+        assert peak < 3e6
 
 
 @st.composite
@@ -786,7 +816,7 @@ def test_modes_match_references(case):
     cfg = SubstringConfig(r=r, y_budget=y_budget, rng_seed=seed)
     k = inst.alphabet.size
     free = max(
-        len(agreement_positions(picked_windows(inst, picks)).complement())
+        inst.window - int(agreement_positions(picked_windows(inst, picks)).sum())
         for picks in enumerate_window_tuples(inst, r)
     )
     if k ** free > y_budget:

@@ -1,4 +1,4 @@
-"""Core string/position-set operations: examples and randomized properties."""
+"""Core string operations and position masks: examples and randomized properties."""
 
 import sys
 import threading
@@ -11,25 +11,20 @@ from centerstring import (
     BINARY,
     DNA,
     Alphabet,
-    PositionSet,
     Seq,
     StringInstance,
     SubstringInstance,
     agreement_positions,
-    compose,
     cost_string,
     cost_substring,
     hamming,
-    restrict,
     rho0_diagnostic,
 )
 from centerstring.errors import (
     AlphabetMismatch,
     DomainError,
     EmptyInput,
-    FrameMismatch,
     LengthMismatch,
-    SizeMismatch,
     WindowTooLong,
 )
 
@@ -182,58 +177,16 @@ class TestHamming:
             assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
             assert (hamming(a, b) == 0) == (a == b)
 
-
-class TestRestrictCompose:
-    def test_restrict_examples(self):
-        s = seq("ABCD", Alphabet.of("ABCD"))
-        assert restrict(s, PositionSet.of([0, 2], 4)).text == "AC"
-        assert restrict(s, PositionSet.of([], 4)).text == ""
-        multi = PositionSet((1, 1, 3), 4, multiset=True)
-        assert restrict(s, multi).text == "BBD"
-
-    def test_restrict_frame_mismatch(self):
-        with pytest.raises(FrameMismatch):
-            restrict(bseq("01"), PositionSet.of([0], 3))
-
-    def test_compose_examples(self):
-        a = Alphabet.of("AB")
-        assert compose(
-            Seq.from_text(a, "AAAA"), Seq.from_text(a, "BB"), PositionSet.of([1, 3], 4)
-        ).text == "ABAB"
-        assert compose(
-            Seq.from_text(a, "AAAA"), Seq.from_text(a, ""), PositionSet.of([], 4)
-        ).text == "AAAA"
-        assert compose(bseq("00"), bseq("11"), PositionSet.of([0, 1], 2)).text == "11"
-
-    def test_compose_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            compose(bseq("0000"), bseq("1"), PositionSet.of([1, 3], 4))
-
-    def test_compose_restrict_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            m = int(rng.integers(1, 14))
-            base = Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m)))
-            mask = rng.random(m) < 0.4
-            p = PositionSet.of([int(j) for j in np.flatnonzero(mask)], m)
-            patch = Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, len(p))))
-            composed = compose(base, patch, p)
-            assert restrict(composed, p) == patch
-            q = p.complement()
-            assert restrict(composed, q) == restrict(base, q)
-
     def test_partition_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             m = int(rng.integers(1, 14))
             a = Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m)))
             b = Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m)))
-            mask = rng.random(m) < 0.5
-            p = PositionSet.of([int(j) for j in np.flatnonzero(mask)], m)
-            q = p.complement()
-            assert hamming(a, b) == hamming(restrict(a, p), restrict(b, p)) + hamming(
-                restrict(a, q), restrict(b, q)
-            )
+            p = rng.random(m) < 0.5
+            a_p, b_p = Seq(BINARY, a.arr[p]), Seq(BINARY, b.arr[p])
+            a_q, b_q = Seq(BINARY, a.arr[~p]), Seq(BINARY, b.arr[~p])
+            assert hamming(a, b) == hamming(a_p, b_p) + hamming(a_q, b_q)
 
 
 class TestAgreement:
@@ -241,9 +194,17 @@ class TestAgreement:
         a = Alphabet.of("ABCXYZ")
         assert agreement_positions(
             [Seq.from_text(a, "AAB"), Seq.from_text(a, "AAC")]
-        ).positions == (0, 1)
-        assert agreement_positions([Seq.from_text(a, "XYZ")]).positions == (0, 1, 2)
-        assert agreement_positions([bseq("01"), bseq("10")]).positions == ()
+        ).tolist() == [True, True, False]
+        assert agreement_positions([Seq.from_text(a, "XYZ")]).tolist() == [True, True, True]
+        assert agreement_positions([bseq("01"), bseq("10")]).tolist() == [False, False]
+
+    def test_returns_read_only_bool_mask(self):
+        q = agreement_positions([bseq("0110"), bseq("0100")])
+        assert q.dtype == bool and q.shape == (4,)
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0] = False
+        assert not agreement_positions([bseq("01")]).flags.writeable
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -254,7 +215,8 @@ class TestAgreement:
             agreement_positions([bseq("0"), bseq("00")])
 
     def test_size_bound_against_any_center(self):
-        # |P| <= sum of distances to any center, so |Q| >= m - r*cost
+        # |P| <= sum of distances to any center, so |Q| >= m - r*cost; and
+        # a position where two strings differ is free, so |Q| <= m - d(s, t)
         rng = np.random.default_rng(23)
         for _ in range(50):
             m = int(rng.integers(4, 12))
@@ -263,7 +225,8 @@ class TestAgreement:
             inst = StringInstance(BINARY, tuple(strs))
             center = Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m)))
             q = agreement_positions(strs)
-            assert len(q) >= m - n * cost_string(inst, center)
+            assert int(q.sum()) >= m - n * cost_string(inst, center)
+            assert int(q.sum()) <= m - max(hamming(s, t) for s in strs for t in strs)
 
 
 class TestCosts:
@@ -310,21 +273,6 @@ class TestRho0:
     def test_rejects_nonpositive_reference(self):
         with pytest.raises(DomainError):
             rho0_diagnostic([bseq("00")], 0)
-
-
-class TestPositionSet:
-    def test_plain_rejects_duplicates(self):
-        with pytest.raises(DomainError):
-            PositionSet((1, 1), 3)
-
-    def test_positions_must_fit_frame(self):
-        with pytest.raises(DomainError):
-            PositionSet.of([3], 3)
-
-    def test_complement(self):
-        p = PositionSet.of([0, 2], 4)
-        assert p.complement().positions == (1, 3)
-        assert p.complement().complement() == p
 
 
 def test_every_public_name_resolves():

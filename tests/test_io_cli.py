@@ -277,6 +277,37 @@ class TestCli:
         lines = csv_out.read_text().splitlines()
         assert lines[0] == "instance,seed,algo,r,epsilon,radius,oracle,ratio,ms,status"
         assert len(lines) == 3
+        # --out adds the CSV file; the table still goes to stdout, as the help says
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].split() == lines[0].split(",") and len(table) == 3
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--out OUT also write the report as CSV here; the table still goes to stdout" in help_text
+
+    def test_exact_params_name_only_the_cap_that_applied(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["000","111"]}')
+        assert main(["exact", str(path), "--budget", "64"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == {"budget": 64}
+        # the prefix search has no candidate cap, so no budget is reported
+        for extra in ([], ["--budget", "64"]):
+            assert main(["exact", str(path), "--branch-and-bound", *extra]) == 0
+            result = json.loads(capsys.readouterr().out)
+            assert result["params"] == {"branch_and_bound": True}
+            assert (result["center"], result["radius"]) == ("001", 2)
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_solve_string_refuses_budget_below_one(self, budget, tmp_path, capsys):
+        # identical strings give a subset with |P| = 0; the others never
+        # reached the sweep and went to the LP silently
+        path = tmp_path / "s.json"
+        for strings in ('["0110","0110"]', '["0110","1001","0011"]'):
+            path.write_text('{"alphabet":"01","strings":%s}' % strings)
+            assert main(["solve-string", str(path), "--budget", budget]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: enum_budget must be >= 1\n"
 
     def test_solve_string_rejects_substring_file_with_short_window(self, tmp_path, capsys):
         path = tmp_path / "s.json"

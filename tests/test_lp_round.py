@@ -593,12 +593,12 @@ class TestRounding:
 class TestSolveRestricted:
     def test_identical_instance(self):
         p = build_restricted(binst("0101", "0101"), bseq("0101").arr, on(4))
-        center, cost = solve_restricted(p, RoundingConfig())
-        assert cost == 0 and center.text == "0101"
+        row, cost = solve_restricted(p, RoundingConfig())
+        assert cost == 0 and row.tolist() == [0, 1, 0, 1]
 
     def test_symmetric_pair(self):
         p = build_restricted(binst("00", "11"), bseq("00").arr, on(2))
-        center, cost = solve_restricted(p, RoundingConfig())
+        row, cost = solve_restricted(p, RoundingConfig())
         assert cost == 1
 
     def test_threshold_value(self):
@@ -608,9 +608,50 @@ class TestSolveRestricted:
     def test_center_composes_anchor(self):
         inst = binst("0011", "1100")
         p = build_restricted(inst, bseq("0110").arr, on(4, 0, 3))
-        center, cost = solve_restricted(p, RoundingConfig())
-        assert center.text[0] + center.text[3] == "00"
-        assert cost == cost_string(inst, center)
+        row, cost = solve_restricted(p, RoundingConfig())
+        assert row.dtype == np.uint8 and [row[0], row[3]] == [0, 0]
+        assert cost == cost_string(inst, Seq(BINARY, row))
+
+    @pytest.mark.parametrize("path", ["sweep", "derandomized", "randomized"])
+    def test_cost_and_anchor_on_every_path(self, monkeypatch, path):
+        # the returned cost, read from fixed and rows, is the cost of the
+        # returned row over the instance, and the row keeps the anchor on Q
+        taken = []
+        for name in ("enumerate_small_P", "round_derandomized", "round_randomized"):
+            def spy(*args, _name=name, _fn=getattr(lp_round, name), **kwargs):
+                taken.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(lp_round, name, spy)
+        # at eps' = 0.3 every |P| <= 11 lies under the enumeration threshold;
+        # budget 1 sends every |P| >= 1 problem to the LP
+        mode, eps, budget = {
+            "sweep": ("auto", 0.3, lp_round.DEFAULT_ENUM_BUDGET),
+            "derandomized": ("derandomized", 1.0, 1),
+            "randomized": ("randomized", 1.0, 1),
+        }[path]
+        cfg = RoundingConfig(mode=mode, trials=4, epsilon_prime=eps, rng_seed=5)
+        rng = np.random.default_rng(61)
+        solved = 0
+        for _ in range(30):
+            k = int(rng.integers(2, 5))
+            alpha = Alphabet.of("ABCD"[:k])
+            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 12))
+            inst = StringInstance(alpha, tuple(Seq(alpha, rng.integers(0, k, m)) for _ in range(n)))
+            anchor = rng.integers(0, k, m).astype(np.uint8)
+            on_q = rng.random(m) < 0.4
+            p = build_restricted(inst, anchor, on_q)
+            taken.clear()
+            try:
+                row, cost = solve_restricted(p, cfg, enum_budget=budget)
+            except EstimatorAtLeastOne:
+                continue
+            if len(p.P):
+                assert taken[-1] == ("enumerate_small_P" if path == "sweep" else f"round_{path}")
+            solved += 1
+            assert row.shape == (m,) and row.dtype == np.uint8
+            assert np.array_equal(row[on_q], anchor[on_q])
+            assert cost == cost_string(inst, Seq(alpha, row))
+        assert solved >= 10
 
     def test_deterministic_across_modes_with_seed(self):
         inst = binst("010101010101", "101010101010", "001100110011")
@@ -619,4 +660,4 @@ class TestSolveRestricted:
             cfg = RoundingConfig(mode=mode, trials=8, epsilon_prime=1.0, rng_seed=99)
             a = solve_restricted(p, cfg)
             b = solve_restricted(p, cfg)
-            assert a == b
+            assert np.array_equal(a[0], b[0]) and a[1] == b[1]
