@@ -16,8 +16,6 @@ from .core import (
     agreement_positions,
     cost_string,
     cost_substring,
-    hamming,
-    rho0_diagnostic,
 )
 from .closest_string import ClosestStringConfig, solve_closest_string, subset_candidates
 from .closest_substring import (
@@ -29,7 +27,7 @@ from .closest_substring import (
     solve_small_substring,
     solve_substring,
 )
-from .exact import best_input_center, exact_closest_string, exact_closest_substring
+from .exact import exact_closest_string, exact_closest_substring
 from .io_cli import BenchReport, InstanceFile, PlantedMeta, generate_planted, run_bench
 from .lp_round import (
     FractionalCenter,
@@ -63,7 +61,6 @@ __all__ = [
     "SubstringConfig",
     "SubstringInstance",
     "agreement_positions",
-    "best_input_center",
     "build_restricted",
     "cost_string",
     "cost_substring",
@@ -73,9 +70,7 @@ __all__ = [
     "exact_closest_string",
     "exact_closest_substring",
     "generate_planted",
-    "hamming",
     "restricted_lower_bound",
-    "rho0_diagnostic",
     "round_derandomized",
     "round_randomized",
     "run_bench",

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from ._seeds import derive_seed
-from .core import CenterSolution, Seq, StringInstance, cost_string
+from .core import CenterSolution, Seq, StringInstance
 from .errors import DomainError, EstimatorAtLeastOne, NumericalFailure
 from .lp_round import (
     DEFAULT_ENUM_BUDGET,
@@ -109,7 +109,7 @@ def solve_closest_string(
     if enum_budget < 1:
         raise DomainError("enum_budget must be >= 1")
     r = min(cfg.r, inst.n)
-    candidates = [(cost_string(inst, s), s.arr) for s in inst.strings]
+    candidates = [(int((inst.matrix != row).sum(axis=1).max()), row) for row in inst.matrix]
     best = [min(cost for cost, _ in candidates)]
 
     def work(sub: tuple[int, ...]) -> tuple[int, np.ndarray | Exception] | None:

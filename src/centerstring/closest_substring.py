@@ -235,9 +235,9 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
     windows, the candidate's substring radius.
 
     A guessed tuple draws R from P (seeded per tuple).  Its selections are
-    keyed by window contents; each new one is solved as a StringInstance
-    whose restricted problem keeps the anchor on Q, and its center is
-    scored by cost_substring.
+    keyed by window contents; each new one is solved as the StringInstance
+    of its selected windows, whose restricted problem keeps the anchor on
+    Q, and its center is scored on every window like a swept one.
     """
     agreed = _agreed_tuples(inst, cfg, mode)
     k = inst.alphabet.size
@@ -259,21 +259,21 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
         free = np.flatnonzero(~on_q)
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
         r_idx = np.sort(free[rng.integers(0, len(free), size=size)])
-        seen: set[tuple[bytes, ...]] = set()
+        seen: set[bytes] = set()
         for ys in _guesses(k, size):
             offsets = select_windows(inst, ys, r_idx, anchor, on_q)
             _, first = np.unique(offsets, axis=0, return_index=True)
             for row in offsets[np.sort(first)]:
-                key = tuple(w[o].tobytes() for w, o in zip(inst.windows, row))
+                selected = wins[starts + row]
+                key = selected.tobytes()  # windows of one length L: unambiguous
                 if key in seen:
                     continue
                 seen.add(key)
-                sub_inst = StringInstance(inst.alphabet, tuple(Seq(inst.alphabet, t) for t in key))
-                problem = build_restricted(sub_inst, anchor, on_q)
+                problem = build_restricted(StringInstance(inst.alphabet, selected), anchor, on_q)
                 # the seed token keeps the repr of index tuples
-                seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
+                seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, selected.tolist())))
                 center, _ = solve_restricted(problem, replace(rounding, rng_seed=seed))
-                yield cost_substring(inst, Seq(inst.alphabet, center.tobytes()))[0], center
+                yield int(np.minimum.reduceat((wins != center).sum(axis=1), starts).max()), center
 
 
 def _solve(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> CenterSolution:

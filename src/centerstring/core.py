@@ -3,18 +3,19 @@
 Positions are 0-based throughout the library; only the CLI renders them
 1-based.  All types are immutable after construction, all operations are
 pure functions, so everything here is safe to share across threads.
-A `Seq` stores its alphabet indices once, as `bytes`; `Seq.arr` and the
-instance views (`StringInstance.matrix`, `SubstringInstance.windows`) are
-read-only uint8 arrays over them, the latter computed on first use.  Two
-threads that race on a first use both compute the same view: benign.
-Position sets are (m,) boolean masks, as `agreement_positions` returns.
+An instance holds its input strings as read-only uint8 arrays of alphabet
+indices, validated and copied once by its constructor: the (n, m)
+`StringInstance.matrix`, and the `SubstringInstance.strings` rows with
+their `windows` views.  `from_texts` builds them from text.  A `Seq`
+stores its indices as `bytes`; it is the type of a solution's center and
+the text form of a string.  Position sets are (m,) boolean masks, as
+`agreement_positions` returns.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,26 +70,49 @@ BINARY = Alphabet.of("01")
 DNA = Alphabet.of("ACGT")
 
 
+def _indices(strings: object, k: int) -> tuple[np.ndarray, list[int]]:
+    """The strings' symbol indices joined into one read-only uint8 array of
+    its own, and the offset at which each string ends in it.
+
+    A string may be bytes, an ndarray of any integer dtype or an iterable
+    of integers; anything but flat runs of integers in range(k) raises
+    DomainError.  The strings are checked and copied together, so that
+    parsing a large batch of small instances stays cheap.
+    """
+    try:
+        arrays = [
+            np.frombuffer(s, dtype=np.uint8) if isinstance(s, bytes)
+            # list() takes any iterable and refuses a bare integer or numpy scalar
+            else s if isinstance(s, np.ndarray) else np.array(list(s))
+            for s in strings
+        ]
+    except (TypeError, ValueError, OverflowError):
+        arrays = None
+    if arrays is None or any(a.ndim != 1 or (a.size and a.dtype.kind not in "iu") for a in arrays):
+        raise DomainError(f"symbol indices must be integers in range({k})")
+    flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.uint8)
+    # rows of mixed dtypes may join as float64, which still orders every integer
+    if flat.size and (flat.max() >= k or (flat.dtype.kind != "u" and flat.min() < 0)):
+        bad = flat.max() if flat.max() >= k else flat.min()
+        raise DomainError(f"symbol index {bad} out of range for alphabet size {k}")
+    flat = flat.astype(np.uint8)
+    flat.flags.writeable = False
+    return flat, list(itertools.accumulate(len(a) for a in arrays))
+
+
 @dataclass(frozen=True)
 class Seq:
-    """Immutable symbol string of alphabet indices, given as any iterable of
-    integers (ndarrays included) and stored as bytes, one byte each."""
+    """Immutable symbol string of alphabet indices, given as bytes or as
+    any iterable of integers (ndarrays included) and stored as bytes, one
+    byte each: the type of a center and the text form of a string."""
 
     alphabet: Alphabet
     data: bytes
 
     def __post_init__(self) -> None:
-        k = self.alphabet.size
+        arr, _ = _indices([self.data], self.alphabet.size)
         if not isinstance(self.data, bytes):
-            # tolist() and iter() keep bytes() from copying an ndarray's raw
-            # buffer or reading a bare int n as n zero bytes
-            values = self.data.tolist() if isinstance(self.data, np.ndarray) else self.data
-            try:
-                object.__setattr__(self, "data", bytes(iter(values)))
-            except (TypeError, ValueError):
-                raise DomainError(f"symbol indices must be integers in range({k})") from None
-        if self.data and max(self.data) >= k:
-            raise DomainError(f"symbol index {max(self.data)} out of range for alphabet size {k}")
+            object.__setattr__(self, "data", arr.tobytes())
 
     @classmethod
     def from_text(cls, alphabet: Alphabet, text: str) -> "Seq":
@@ -103,11 +127,6 @@ class Seq:
     def text(self) -> str:
         return "".join(self.alphabet.symbols[v] for v in self.data)
 
-    def window(self, offset: int, length: int) -> "Seq":
-        if offset < 0 or offset + length > len(self.data):
-            raise DomainError(f"window [{offset}, {offset + length}) outside sequence of length {len(self.data)}")
-        return Seq(self.alphabet, self.data[offset:offset + length])
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -115,77 +134,80 @@ class Seq:
         return self.text
 
 
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ or __hash__ over ndarrays raises
+@dataclass(frozen=True, eq=False)
 class StringInstance:
-    """n strings of one common length m over one alphabet."""
+    """n strings of one common length m over one alphabet, held as a
+    read-only (n, m) uint8 matrix of its own, one row per string.  The
+    matrix may be given as any 2-D integer array or as a sequence of rows,
+    each bytes, an integer ndarray or an iterable of integers."""
 
     alphabet: Alphabet
-    strings: tuple[Seq, ...]
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.strings:
+        flat, ends = _indices(self.matrix, self.alphabet.size)
+        if not ends:
             raise EmptyInput("instance needs at least one string")
-        m = len(self.strings[0])
+        m = ends[0]
+        if ends != [m * (i + 1) for i in range(len(ends))]:
+            raise LengthMismatch("all strings must have equal length")
         if m < 1:
             raise DomainError("strings must be nonempty")
-        for s in self.strings:
-            if s.alphabet != self.alphabet:
-                raise AlphabetMismatch("all strings must share the instance alphabet")
-            if len(s) != m:
-                raise LengthMismatch("all strings must have equal length")
+        object.__setattr__(self, "matrix", flat.reshape(len(ends), m))
 
     @classmethod
     def from_texts(cls, alphabet: Alphabet, texts: Sequence[str]) -> "StringInstance":
-        return cls(alphabet, tuple(Seq.from_text(alphabet, t) for t in texts))
+        return cls(alphabet, [bytes(map(alphabet.index, t)) for t in texts])
 
     @property
     def n(self) -> int:
-        return len(self.strings)
+        return self.matrix.shape[0]
 
     @property
     def m(self) -> int:
-        return len(self.strings[0])
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Read-only (n, m) uint8 matrix of the strings, one row each."""
-        joined = b"".join([s.data for s in self.strings])
-        return np.frombuffer(joined, dtype=np.uint8).reshape(self.n, self.m)
+        return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubstringInstance:
-    """n strings (lengths may differ) plus a target window length L."""
+    """n strings (lengths may differ) plus a target window length L.
+
+    strings holds a read-only uint8 row of its own per string, each given
+    as bytes, an integer ndarray or an iterable of integers; windows holds
+    per string a read-only view with one row per length-L window.
+    """
 
     alphabet: Alphabet
-    strings: tuple[Seq, ...]
+    strings: tuple[np.ndarray, ...]
     window: int
+    windows: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.strings:
+        flat, ends = _indices(self.strings, self.alphabet.size)
+        if not ends:
             raise EmptyInput("instance needs at least one string")
-        if self.window < 1:
+        l = self.window
+        if l < 1:
             raise DomainError("window length must be >= 1")
-        for s in self.strings:
-            if s.alphabet != self.alphabet:
-                raise AlphabetMismatch("all strings must share the instance alphabet")
-            if len(s) < self.window:
-                raise WindowTooLong(f"window {self.window} exceeds a string of length {len(s)}")
+        spans = list(zip([0, *ends[:-1]], ends))
+        for start, end in spans:
+            if end - start < l:
+                raise WindowTooLong(f"window {l} exceeds a string of length {end - start}")
+        # every length-L window of the joined strings, as sliding_window_view
+        # would give them but in one call per instance; each string keeps the
+        # rows that start and end inside it
+        joined = np.ndarray((len(flat) - l + 1, l), np.uint8, buffer=flat, strides=(1, 1))
+        object.__setattr__(self, "strings", tuple(flat[a:b] for a, b in spans))
+        object.__setattr__(self, "windows", tuple(joined[a:b - l + 1] for a, b in spans))
 
     @classmethod
     def from_texts(cls, alphabet: Alphabet, texts: Sequence[str], window: int) -> "SubstringInstance":
-        return cls(alphabet, tuple(Seq.from_text(alphabet, t) for t in texts), window)
+        return cls(alphabet, [bytes(map(alphabet.index, t)) for t in texts], window)
 
     @property
     def n(self) -> int:
         return len(self.strings)
-
-    @cached_property
-    def windows(self) -> tuple[np.ndarray, ...]:
-        """Per string, a read-only view with one row per length-L window."""
-        return tuple(
-            np.lib.stride_tricks.sliding_window_view(s.arr, self.window) for s in self.strings
-        )
 
 
 @dataclass(frozen=True)
@@ -201,17 +223,9 @@ class CenterSolution:
     witnesses: tuple[int, ...]
 
 
-def _check_same_alphabet(a: Seq, b: Seq) -> None:
-    if a.alphabet != b.alphabet:
+def _check_alphabet(alphabet: Alphabet, s: Seq) -> None:
+    if s.alphabet != alphabet:
         raise AlphabetMismatch("sequences use different alphabets")
-
-
-def hamming(a: Seq, b: Seq) -> int:
-    """Number of positions where a and b differ."""
-    _check_same_alphabet(a, b)
-    if len(a) != len(b):
-        raise LengthMismatch(f"length {len(a)} vs {len(b)}")
-    return int((a.arr != b.arr).sum())
 
 
 def agreement_positions(ts: Sequence[Seq]) -> np.ndarray:
@@ -221,7 +235,7 @@ def agreement_positions(ts: Sequence[Seq]) -> np.ndarray:
         raise EmptyInput("need at least one sequence")
     m = len(ts[0])
     for s in ts[1:]:
-        _check_same_alphabet(ts[0], s)
+        _check_alphabet(ts[0].alphabet, s)
         if len(s) != m:
             raise LengthMismatch("sequences must have equal length")
     mat = np.frombuffer(b"".join([s.data for s in ts]), dtype=np.uint8).reshape(len(ts), m)
@@ -232,7 +246,7 @@ def agreement_positions(ts: Sequence[Seq]) -> np.ndarray:
 
 def cost_string(inst: StringInstance, center: Seq) -> int:
     """Max Hamming distance from center to the instance strings."""
-    _check_same_alphabet(inst.strings[0], center)
+    _check_alphabet(inst.alphabet, center)
     if len(center) != inst.m:
         raise LengthMismatch(f"center length {len(center)} vs instance length {inst.m}")
     return int((inst.matrix != center.arr).sum(axis=1).max())
@@ -244,7 +258,7 @@ def cost_substring(inst: SubstringInstance, center: Seq) -> tuple[int, tuple[int
     Returns (radius, per-string offsets); window ties break toward the
     smallest offset.
     """
-    _check_same_alphabet(inst.strings[0], center)
+    _check_alphabet(inst.alphabet, center)
     if len(center) != inst.window:
         raise LengthMismatch(f"center length {len(center)} vs window {inst.window}")
     carr = center.arr
@@ -256,14 +270,3 @@ def cost_substring(inst: SubstringInstance, center: Seq) -> tuple[int, tuple[int
         offsets.append(off)
         radius = max(radius, int(dists[off]))
     return radius, tuple(offsets)
-
-
-def rho0_diagnostic(ts: Sequence[Seq], d_ref: int) -> Fraction:
-    """Max pairwise Hamming distance divided by a reference radius."""
-    if d_ref <= 0:
-        raise DomainError("d_ref must be positive")
-    worst = 0
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            worst = max(worst, hamming(ts[i], ts[j]))
-    return Fraction(worst, d_ref)

@@ -50,7 +50,7 @@ def exact_closest_string(
         center = Seq(inst.alphabet, _bnb_center(inst.matrix, inst.alphabet.size, inst.m))
     else:
         # one window per string: the substring sweep, in the same order
-        whole = SubstringInstance(inst.alphabet, inst.strings, inst.m)
+        whole = SubstringInstance(inst.alphabet, inst.matrix, inst.m)
         center = exact_closest_substring(whole, budget).center
     radius = cost_string(inst, center)
     return CenterSolution(center, radius, (0,) * inst.n)
@@ -155,13 +155,3 @@ def exact_closest_substring(
     radius, offsets = cost_substring(inst, center)
     return CenterSolution(center, radius, offsets)
 
-
-def best_input_center(inst: StringInstance) -> CenterSolution:
-    """The classic 2-approximation: the best input string used as center."""
-    best_i = 0
-    best_cost = cost_string(inst, inst.strings[0])
-    for i in range(1, inst.n):
-        c = cost_string(inst, inst.strings[i])
-        if c < best_cost:
-            best_i, best_cost = i, c
-    return CenterSolution(inst.strings[best_i], best_cost, (0,) * inst.n)

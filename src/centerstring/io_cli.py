@@ -141,7 +141,7 @@ class InstanceFile:
         strings must then have equal length, gets L=m."""
         if self.window is None:
             whole = self.as_string_instance()
-            return SubstringInstance(whole.alphabet, whole.strings, whole.m)
+            return SubstringInstance(whole.alphabet, whole.matrix, whole.m)
         return SubstringInstance.from_texts(Alphabet.of(self.alphabet), self.strings, self.window)
 
 
@@ -179,7 +179,7 @@ def generate_planted(
         raise DomainError(f"d={d} must lie in [0, L]")
     rng = np.random.default_rng(seed)
     center = rng.integers(0, k, size=l)
-    strings: list[Seq] = []
+    strings: list[np.ndarray] = []
     offsets: list[int] = []
     for _ in range(n):
         arr = rng.integers(0, k, size=m)
@@ -190,7 +190,7 @@ def generate_planted(
             shift = rng.integers(1, k, size=d)
             mutant[pos] = (mutant[pos] + shift) % k
         arr[off:off + l] = mutant
-        strings.append(Seq(alpha, arr))
+        strings.append(arr)
         offsets.append(off)
     inst = SubstringInstance(alpha, tuple(strings), l)
     center_seq = Seq(alpha, center)
@@ -201,7 +201,7 @@ def planted_instance_file(
     alphabet: str, n: int, m: int, l: int, d: int, seed: int
 ) -> InstanceFile:
     inst, meta = generate_planted(alphabet, n, m, l, d, seed)
-    return InstanceFile(alphabet, tuple(s.text for s in inst.strings), l, meta)
+    return InstanceFile(alphabet, tuple(Seq(inst.alphabet, s).text for s in inst.strings), l, meta)
 
 
 @dataclass(frozen=True)

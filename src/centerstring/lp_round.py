@@ -57,6 +57,8 @@ class RestrictedProblem:
     positions, anchor the (m,) uint8 row, rows = inst.matrix[:, P] of shape
     (n, |P|), and fixed the (n,) int64 cost of the anchor to each string on
     Q; a center costs string i fixed[i] plus its patch's mismatches with rows[i].
+    inst is kept for n and the alphabet size, which the solvers and
+    perfbench's patch-count and LP-size hooks read from it.
     """
 
     inst: StringInstance

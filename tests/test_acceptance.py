@@ -21,14 +21,12 @@ from centerstring import (
     Seq,
     StringInstance,
     SubstringConfig,
-    agreement_positions,
     build_restricted,
     cost_substring,
     enumerate_small_P,
     exact_closest_string,
     exact_closest_substring,
     generate_planted,
-    hamming,
     round_derandomized,
     run_bench,
     sample_patch,
@@ -51,7 +49,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 def _random_binary_instance(rng, n, m):
     return StringInstance(
         BINARY,
-        tuple(Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m))) for _ in range(n)),
+        [rng.integers(0, 2, m) for _ in range(n)],
     )
 
 
@@ -96,12 +94,7 @@ def restricted_suite():
         max_p = int(math.log(4096) / math.log(k))
         n = int(rng.integers(2, 6))
         m = int(rng.integers(2, 13))
-        inst = StringInstance(
-            alpha,
-            tuple(
-                Seq(alpha, tuple(int(v) for v in rng.integers(0, k, m))) for _ in range(n)
-            ),
-        )
+        inst = StringInstance(alpha, [rng.integers(0, k, m) for _ in range(n)])
         anchor = rng.integers(0, k, m).astype(np.uint8)
         p_size = int(rng.integers(1, min(max_p, m) + 1))
         on_q = np.ones(m, dtype=bool)
@@ -115,7 +108,7 @@ def restricted_suite():
 def _sweep_optimum(problem):
     """Direct patch sweep, independent of the library enumeration."""
     k = problem.inst.alphabet.size
-    rows = [tuple(s.data[j] for j in problem.P) for s in problem.inst.strings]
+    rows = [tuple(s[problem.P].tolist()) for s in problem.inst.matrix]
     best = None
     for digits in itertools.product(range(k), repeat=len(problem.P)):
         worst = max(
@@ -130,8 +123,8 @@ def _sweep_optimum(problem):
 def _patch_cost(problem, patch):
     """Max over strings of the fixed cost plus the patch's mismatches on P."""
     return max(
-        int((s.arr[problem.P] != patch).sum()) + f
-        for s, f in zip(problem.inst.strings, problem.fixed.tolist())
+        int((s[problem.P] != patch).sum()) + f
+        for s, f in zip(problem.inst.matrix, problem.fixed.tolist())
     )
 
 
@@ -237,13 +230,12 @@ def test_criterion_6_window_selection_empirics():
         inst, meta = generate_planted("01", n, m, l, d, seed)
         center = Seq.from_text(inst.alphabet, meta.center)
         _, offsets = cost_substring(inst, center)
-        witnesses = [s.window(off, l) for s, off in zip(inst.strings, offsets)]
-        q = agreement_positions(witnesses[:2])
+        witnesses = [w[off] for w, off in zip(inst.windows, offsets)]
+        q = witnesses[0] == witnesses[1]
         p = np.flatnonzero(~q)
         # the center with the first witness's letters on Q
-        star_row = center.arr.copy()
-        star_row[q] = witnesses[0].arr[q]
-        star = Seq(inst.alphabet, star_row)
+        star = center.arr.copy()
+        star[q] = witnesses[0][q]
         size = sample_size(eps, n, m)
         if 0 < size < len(p):
             genuine += 1
@@ -251,12 +243,12 @@ def test_criterion_6_window_selection_empirics():
             r_idx = np.sort(p[rng.integers(0, len(p), size)])
         else:
             r_idx = p
-        ys = star.arr[r_idx][None, :]
-        offsets = select_windows(inst, ys, r_idx, witnesses[0].arr, q)[0]
-        chosen = [s.window(int(off), l) for s, off in zip(inst.strings, offsets)]
+        ys = star[r_idx][None, :]
+        offsets = select_windows(inst, ys, r_idx, witnesses[0], q)[0]
+        chosen = [w[off] for w, off in zip(inst.windows, offsets)]
         bound = 2 * eps * len(p)
         if any(
-            hamming(star, t) > hamming(star, w) + bound
+            int((star != t).sum()) > int((star != w).sum()) + bound
             for t, w in zip(chosen, witnesses)
         ):
             violations += 1
@@ -311,10 +303,10 @@ def test_criterion_9_expected_cost_identity():
 
     expected = []
     variances = []
-    for s in inst.strings:
-        mu = sum(1.0 - weights[j][s.data[j]] for j in range(4))
+    for s in inst.matrix:
+        mu = sum(1.0 - weights[j][s[j]] for j in range(4))
         var = sum(
-            (1.0 - weights[j][s.data[j]]) * weights[j][s.data[j]] for j in range(4)
+            (1.0 - weights[j][s[j]]) * weights[j][s[j]] for j in range(4)
         )
         expected.append(mu)
         variances.append(var)
@@ -324,8 +316,8 @@ def test_criterion_9_expected_cost_identity():
     totals = np.zeros(inst.n)
     for _ in range(draws):
         patch = sample_patch(frac, rng)
-        for i, s in enumerate(inst.strings):
-            totals[i] += sum(1 for x, y in zip(s.data, patch) if x != y)
+        for i, s in enumerate(inst.matrix):
+            totals[i] += sum(1 for x, y in zip(s, patch) if x != y)
 
     max_sigma = 0.0
     for i in range(inst.n):

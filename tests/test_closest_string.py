@@ -26,7 +26,6 @@ from centerstring import (
     cost_string,
     exact_closest_string,
     generate_planted,
-    hamming,
     restricted_lower_bound,
     solve_closest_string,
     solve_restricted,
@@ -45,7 +44,7 @@ def binst(*texts):
 def random_instance(rng, n, m):
     return StringInstance(
         BINARY,
-        tuple(Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m))) for _ in range(n)),
+        [rng.integers(0, 2, m) for _ in range(n)],
     )
 
 
@@ -64,22 +63,27 @@ def disjoint_instance(rng, n, m, d):
     for i in range(n):
         row = center.copy()
         row[order[i * d:(i + 1) * d]] ^= 1
-        rows.append(Seq(BINARY, tuple(int(v) for v in row)))
-    return StringInstance(BINARY, tuple(rows))
+        rows.append(row)
+    return StringInstance(BINARY, rows)
+
+
+def seqs(inst):
+    """The instance's strings as Seqs, one per matrix row."""
+    return [Seq(inst.alphabet, row) for row in inst.matrix]
 
 
 def agreement_mask(inst, sub):
     """The agreement mask of the subset's strings, through agreement_positions."""
-    return agreement_positions([inst.strings[i] for i in sub])
+    return agreement_positions([seqs(inst)[i] for i in sub])
 
 
 def reference_candidates(inst, cfg, enum_budget=DEFAULT_ENUM_BUDGET):
     """Every candidate of the solver, none skipped: the inputs, then one
     restricted solve per subset in lexicographic order."""
-    candidates = [(cost_string(inst, s), s) for s in inst.strings]
+    candidates = [(cost_string(inst, s), s) for s in seqs(inst)]
     for sub in subset_candidates(inst, min(cfg.r, inst.n)):
         rounding = replace(cfg.rounding, rng_seed=derive_seed(cfg.rounding.rng_seed, "subset", sub))
-        p = build_restricted(inst, inst.strings[sub[0]].arr, agreement_mask(inst, sub))
+        p = build_restricted(inst, inst.matrix[sub[0]], agreement_mask(inst, sub))
         row, cost = solve_restricted(p, rounding, enum_budget=enum_budget)
         candidates.append((cost, Seq(inst.alphabet, row)))
     return candidates
@@ -147,7 +151,7 @@ class TestSolveClosestString:
         for _ in range(30):
             inst = random_instance(rng, int(rng.integers(2, 6)), int(rng.integers(3, 11)))
             sol = solve_closest_string(inst, ClosestStringConfig(r=2))
-            assert sol.radius <= min(cost_string(inst, s) for s in inst.strings)
+            assert sol.radius <= min(cost_string(inst, s) for s in seqs(inst))
 
     def test_oracle_sandwich_binary(self):
         rng = np.random.default_rng(43)
@@ -174,11 +178,11 @@ class TestSolveClosestString:
             opt = exact_closest_string(inst).radius
             for r in (2, 3):
                 for sub in subset_candidates(inst, r):
-                    q = agreement_positions([inst.strings[i] for i in sub])
+                    q = agreement_mask(inst, sub)
                     assert inst.m - int(q.sum()) <= r * opt
                     # every position where two members differ is free
                     assert inst.m - int(q.sum()) >= max(
-                        hamming(inst.strings[i], inst.strings[j]) for i in sub for j in sub
+                        int((inst.matrix[i] != inst.matrix[j]).sum()) for i in sub for j in sub
                     )
 
     def test_subset_masks_match_agreement_positions(self, monkeypatch):
@@ -198,7 +202,7 @@ class TestSolveClosestString:
             seen.clear()
             solve_closest_string(inst, ClosestStringConfig(r=r))
             expected = [
-                (list(inst.strings[sub[0]].data), agreement_mask(inst, sub).tolist())
+                (inst.matrix[sub[0]].tolist(), agreement_mask(inst, sub).tolist())
                 for sub in subset_candidates(inst, r)
             ]
             assert seen == expected
@@ -256,7 +260,7 @@ class TestSolveClosestString:
         # run would otherwise hide a reference kept to these objects
         inst = binst("0110100110", "1001011001", "0000111111", "1111000011")
         sol = solve_closest_string(inst)
-        assert sol.center not in inst.strings  # a composed center, not an input
+        assert sol.center not in seqs(inst)  # a composed center, not an input
         refs = [weakref.ref(inst), weakref.ref(sol.center)]
         del inst, sol
         gc.collect()
@@ -279,7 +283,7 @@ class TestSubsetSkip:
         alphabets = [Alphabet.of(a) for a in ("01", "ACG", "ACGT")]
         for a in alphabets:
             instances.append(StringInstance(
-                a, tuple(Seq(a, rng.integers(0, a.size, 30)) for _ in range(5))
+                a, [rng.integers(0, a.size, 30) for _ in range(5)]
             ))
         for inst in instances:
             for rounding in self.CONFIGS:
@@ -319,7 +323,7 @@ class TestSubsetSkip:
         failing = []
         for sub in subset_candidates(inst, 2):
             rounding = replace(cfg.rounding, rng_seed=derive_seed(0, "subset", sub))
-            p = build_restricted(inst, inst.strings[sub[0]].arr, agreement_mask(inst, sub))
+            p = build_restricted(inst, inst.matrix[sub[0]], agreement_mask(inst, sub))
             try:
                 solve_restricted(p, rounding, enum_budget=1)
             except EstimatorAtLeastOne:

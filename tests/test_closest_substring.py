@@ -26,7 +26,6 @@ from centerstring import (
     enumerate_window_tuples,
     exact_closest_substring,
     generate_planted,
-    hamming,
     sample_size,
     select_windows,
     solve_closest_substring,
@@ -47,12 +46,22 @@ def bseq(text):
     return Seq.from_text(BINARY, text)
 
 
+def window(inst, i, off):
+    """String i's window at offset off, as a Seq."""
+    return Seq(inst.alphabet, inst.strings[i][off:off + inst.window])
+
+
+def dist(a, b):
+    """Hamming distance of two equal-length Seqs."""
+    return int((a.arr != b.arr).sum())
+
+
 def best_trivial_radius(inst):
     """Radius of the best input window used directly as the center."""
     l = inst.window
     return min(
-        cost_substring(inst, s.window(off, l))[0]
-        for s in inst.strings
+        cost_substring(inst, window(inst, i, off))[0]
+        for i, s in enumerate(inst.strings)
         for off in range(len(s) - l + 1)
     )
 
@@ -157,7 +166,7 @@ class TestSmallSubstring:
 
 def picked_windows(inst, picks):
     """The windows a tuple's (string, offset) picks name, anchor first."""
-    return [inst.strings[i].window(off, inst.window) for i, off in picks]
+    return [window(inst, i, off) for i, off in picks]
 
 
 def reference_sweep(inst, anchor, pos):
@@ -173,8 +182,7 @@ def reference_sweep(inst, anchor, pos):
     costs = np.zeros(len(cands), dtype=np.int64)
     for s in inst.strings:
         wins = np.array(
-            [list(s.window(off, inst.window).data) for off in range(len(s) - inst.window + 1)],
-            dtype=np.int16,
+            [s[off:off + inst.window] for off in range(len(s) - inst.window + 1)], dtype=np.int16
         )
         mism = (cands[:, None, :] != wins[None, :, :]).sum(axis=2).min(axis=1)
         np.maximum(costs, mism, out=costs)
@@ -187,9 +195,9 @@ def reference_small_substring(inst, r):
     also reports whether some tuple had |P| = 0 and whether some tuple's
     minimum was reached by more than one patch."""
     best = None
-    for s in inst.strings:
+    for i, s in enumerate(inst.strings):
         for off in range(len(s) - inst.window + 1):
-            center = s.window(off, inst.window)
+            center = window(inst, i, off)
             cost = cost_substring(inst, center)[0]
             if best is None or cost < best[0]:
                 best = (cost, center)
@@ -256,7 +264,7 @@ def reference_select_windows(inst, y, r_idx, anchor_q, q):
 
 def windows_at(inst, offsets):
     """The window at each string's offset."""
-    return [s.window(int(off), inst.window) for s, off in zip(inst.strings, offsets)]
+    return [window(inst, i, int(off)) for i, off in enumerate(offsets)]
 
 
 def one_guess(y, r_idx):
@@ -282,11 +290,9 @@ class TestSelectWindows:
             chosen = windows_at(inst, offsets[0])
             # anchor_q on Q and y on P spell the center itself
             target = center
-            for s, t in zip(inst.strings, chosen):
-                best = min(
-                    hamming(target, s.window(off, l)) for off in range(len(s) - l + 1)
-                )
-                assert hamming(target, t) == best
+            for i, (s, t) in enumerate(zip(inst.strings, chosen)):
+                best = min(dist(target, window(inst, i, off)) for off in range(len(s) - l + 1))
+                assert dist(target, t) == best
 
     def test_single_window_is_forced(self):
         inst = bsub(["01"], 2)
@@ -409,9 +415,8 @@ def reference_sampled_solve(inst, cfg):
     rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
 
     def candidates():
-        first = inst.strings[0]
-        for off in range(len(first) - l + 1):
-            yield first.window(off, l)
+        for off in range(len(inst.strings[0]) - l + 1):
+            yield window(inst, 0, off)
         for picks in enumerate_window_tuples(inst, cfg.r):
             windows = picked_windows(inst, picks)
             q = agreement_positions(windows)
@@ -428,7 +433,7 @@ def reference_sampled_solve(inst, cfg):
                 selected = windows_at(inst, offsets)
                 key = tuple(t.data for t in selected)
                 if key not in memo:
-                    sub = StringInstance(inst.alphabet, tuple(selected))
+                    sub = StringInstance(inst.alphabet, [t.arr for t in selected])
                     seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
                     row, _ = solve_restricted(
                         build_restricted(sub, windows[0].arr, q), replace(rounding, rng_seed=seed)
@@ -555,7 +560,8 @@ class TestCoveredSampleSweep:
             # every guess in one block: one call with 2^14 rows
             assert [args[1].shape for args in selections] == [(2 ** 14, 14)]
             assert len(lps) == 1  # one string each: every guess selects the same windows
-            assert len(costs) == 2  # the one distinct selection's center, then the winner's offsets
+            # the winner's offsets only: a guessed center is scored on the window arrays
+            assert len(costs) == 1
             assert seeds[0] == (0, "sample", ((0, 0), (1, 0)))
             assert len(sweeps) == 2
             monkeypatch.undo()
@@ -649,7 +655,7 @@ class TestFact2Empirics:
             inst, meta = generate_planted("01", n, m, l, d, seed)
             center = bseq(meta.center)
             _, offsets = cost_substring(inst, center)
-            witnesses = [s.window(off, l) for s, off in zip(inst.strings, offsets)]
+            witnesses = [window(inst, i, off) for i, off in enumerate(offsets)]
             q = agreement_positions(witnesses[:2])
             p = np.flatnonzero(~q)
             # the center with the first witness's letters on Q
@@ -668,7 +674,7 @@ class TestFact2Empirics:
             chosen = windows_at(inst, offsets[0])
             bound = 2 * eps * len(p)
             if any(
-                hamming(star, t) > hamming(star, w) + bound
+                dist(star, t) > dist(star, w) + bound
                 for t, w in zip(chosen, witnesses)
             ):
                 violations += 1
@@ -773,7 +779,6 @@ class TestSweepDedupe:
         else:
             inst = bsub(texts, l)
         cfg = SubstringConfig(r=2)
-        inst.windows  # built on first use, outside the traced pre-pass
         tracemalloc.start()
         try:
             agreed = closest_substring._agreed_tuples(inst, cfg, mode)

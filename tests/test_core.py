@@ -1,9 +1,5 @@
 """Core string operations and position masks: examples and randomized properties."""
 
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -13,12 +9,13 @@ from centerstring import (
     Alphabet,
     Seq,
     StringInstance,
+    SubstringConfig,
     SubstringInstance,
     agreement_positions,
     cost_string,
     cost_substring,
-    hamming,
-    rho0_diagnostic,
+    solve_closest_string,
+    solve_substring,
 )
 from centerstring.errors import (
     AlphabetMismatch,
@@ -63,10 +60,29 @@ class TestAlphabet:
             Alphabet.of(symbols)
 
 
+INTEGER_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64, np.uint64]
+# one string's indices that a binary Seq or instance row must refuse
+BAD_BINARY_INDICES = [
+    (2,),
+    (0, 256),
+    (-1,),
+    b"\x00\x02",
+    np.array([-1, 0]),
+    np.array([0, 2], dtype=np.uint8),
+    (0.5,),
+    (1.0,),
+    np.array([0.0, 1.0]),
+    "01",
+    3,
+    np.int64(2),
+    np.array(1),
+    np.zeros((2, 2), dtype=np.int64),
+    (None,),
+]
+
+
 class TestSeqInput:
-    @pytest.mark.parametrize(
-        "dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64, np.uint64]
-    )
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES)
     def test_integer_array_of_any_dtype_equals_its_list(self, dtype):
         arr = np.array([1, 0, 3, 2], dtype=dtype)
         s = Seq(DNA, arr)
@@ -74,26 +90,7 @@ class TestSeqInput:
         assert s.data == b"\x01\x00\x03\x02"
         assert len(s) == 4
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            (2,),
-            (0, 256),
-            (-1,),
-            b"\x00\x02",
-            np.array([-1, 0]),
-            np.array([0, 2], dtype=np.uint8),
-            (0.5,),
-            (1.0,),
-            np.array([0.0, 1.0]),
-            "01",
-            3,
-            np.int64(2),
-            np.array(1),
-            np.zeros((2, 2), dtype=np.int64),
-            (None,),
-        ],
-    )
+    @pytest.mark.parametrize("data", BAD_BINARY_INDICES)
     def test_rejects_indices_outside_the_alphabet_or_not_integers(self, data):
         with pytest.raises(DomainError):
             Seq(BINARY, data)
@@ -110,83 +107,96 @@ class TestSeqInput:
         assert s.arr.tolist() == list(s.data)
         assert np.shares_memory(s.arr, np.frombuffer(s.data, dtype=np.uint8))
 
-    def test_instance_views_are_computed_once(self):
-        inst = StringInstance.from_texts(BINARY, ["0101", "0011"])
-        assert inst.matrix is inst.matrix
-        assert inst.matrix.tolist() == [[0, 1, 0, 1], [0, 0, 1, 1]]
-        assert not inst.matrix.flags.writeable
-        sub = SubstringInstance.from_texts(BINARY, ["0101", "001"], 2)
-        assert sub.windows is sub.windows
-        assert [w.tolist() for w in sub.windows] == [[[0, 1], [1, 0], [0, 1]], [[0, 0], [0, 1]]]
-        assert not any(w.flags.writeable for w in sub.windows)
 
-    def test_concurrent_first_use_of_views_agrees(self):
-        texts = ["ACGT" * 40, "TTGA" * 40, "CAGA" * 40]
-        inst = StringInstance.from_texts(DNA, texts)
-        sub = SubstringInstance.from_texts(DNA, texts, 7)
-        workers = 8  # more threads than cores
-        barrier = threading.Barrier(workers)
+class TestInstanceInput:
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+    def test_integer_rows_of_any_dtype_equal_the_texts(self, dtype):
+        rows = np.array([[1, 0, 3, 2], [0, 0, 1, 3]], dtype=dtype)
+        texts = ["CATG", "AACT"]
+        assert StringInstance(DNA, rows).matrix.tolist() == StringInstance.from_texts(DNA, texts).matrix.tolist()
+        sub = SubstringInstance(DNA, list(rows), 2)
+        assert [s.tolist() for s in sub.strings] == rows.tolist()
+        assert [s.dtype for s in sub.strings] == [np.uint8, np.uint8]
 
-        def first_use(_):
-            barrier.wait(timeout=10)
-            return inst.matrix.tolist(), [w.tolist() for w in sub.windows]
+    @pytest.mark.parametrize("data", BAD_BINARY_INDICES)
+    def test_rejects_rows_outside_the_alphabet_or_not_integers(self, data):
+        with pytest.raises(DomainError):
+            StringInstance(BINARY, [(0,), data])
+        with pytest.raises(DomainError):
+            SubstringInstance(BINARY, [(0,), data], 1)
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(workers) as pool:
-                seen = list(pool.map(first_use, range(workers), timeout=30))
-        finally:
-            sys.setswitchinterval(old)
-        expected = (
-            [list(s.data) for s in inst.strings],
-            [[list(s.data[o:o + 7]) for o in range(len(s) - 6)] for s in sub.strings],
-        )
-        assert all(views == expected for views in seen)
-        assert (inst.matrix.tolist(), [w.tolist() for w in sub.windows]) == expected
+    def test_rows_of_mixed_dtypes_are_checked_together(self):
+        # int64 and uint64 join as float64: the negative index must still be seen
+        with pytest.raises(DomainError):
+            StringInstance(BINARY, [np.array([1], dtype=np.uint64), np.array([-1])])
+        mixed = StringInstance(BINARY, [np.array([1], dtype=np.uint64), np.array([0], dtype=np.int8)])
+        assert mixed.matrix.dtype == np.uint8 and mixed.matrix.tolist() == [[1], [0]]
 
+    @pytest.mark.parametrize("matrix", [3, None, np.array([0, 1]), "01"])
+    def test_rejects_a_matrix_that_is_no_sequence_of_rows(self, matrix):
+        with pytest.raises(DomainError):
+            StringInstance(BINARY, matrix)
 
-class TestHamming:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [("ACGT", "ACGT", 0), ("ACGT", "ACGA", 1)],
-    )
-    def test_examples_dna(self, a, b, expected):
-        assert hamming(seq(a), seq(b)) == expected
-
-    def test_all_positions_differ(self):
-        assert hamming(bseq("0000"), bseq("1111")) == 4
-
-    def test_length_mismatch(self):
+    def test_ragged_rows_raise_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            hamming(bseq("00"), bseq("000"))
+            StringInstance(BINARY, [(0, 1), (1,)])
+        with pytest.raises(LengthMismatch):
+            StringInstance.from_texts(BINARY, ["01", "0"])
 
-    def test_alphabet_mismatch(self):
+    def test_no_rows_and_no_columns(self):
+        for empty in ([], (), np.zeros((0, 3), dtype=np.uint8)):
+            with pytest.raises(EmptyInput):
+                StringInstance(BINARY, empty)
+            with pytest.raises(EmptyInput):
+                SubstringInstance(BINARY, empty, 1)
+        with pytest.raises(EmptyInput):
+            StringInstance.from_texts(BINARY, [])
+        for no_columns in ([(), ()], np.zeros((2, 0), dtype=np.uint8)):
+            with pytest.raises(DomainError):
+                StringInstance(BINARY, no_columns)
+
+    def test_window_longer_than_a_string(self):
+        with pytest.raises(WindowTooLong):
+            SubstringInstance(BINARY, [(0, 1, 0), (1, 1)], 3)
+        with pytest.raises(WindowTooLong):
+            SubstringInstance(BINARY, [(0, 1), ()], 1)
+        with pytest.raises(DomainError):
+            SubstringInstance(BINARY, [(0, 1)], 0)
+
+    def test_from_texts_rejects_a_foreign_symbol(self):
         with pytest.raises(AlphabetMismatch):
-            hamming(bseq("01"), seq("AC"))
+            StringInstance.from_texts(BINARY, ["01", "02"])
+        with pytest.raises(AlphabetMismatch):
+            SubstringInstance.from_texts(BINARY, ["01", "2"], 1)
 
-    def test_symmetry_and_triangle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            m = int(rng.integers(1, 12))
-            a, b, c = (
-                Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m)))
-                for _ in range(3)
-            )
-            assert hamming(a, b) == hamming(b, a)
-            assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
-            assert (hamming(a, b) == 0) == (a == b)
+    def test_arrays_and_views_exist_from_construction_read_only(self):
+        inst = StringInstance.from_texts(BINARY, ["0101", "0011"])
+        assert "matrix" in vars(inst) and inst.matrix.dtype == np.uint8
+        assert inst.matrix.tolist() == [[0, 1, 0, 1], [0, 0, 1, 1]]
+        assert (inst.n, inst.m) == (2, 4)
+        sub = SubstringInstance.from_texts(BINARY, ["0101", "001"], 2)
+        assert "windows" in vars(sub)
+        assert [w.tolist() for w in sub.windows] == [[[0, 1], [1, 0], [0, 1]], [[0, 0], [0, 1]]]
+        for arr in (inst.matrix, *sub.strings, *sub.windows):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
 
-    def test_partition_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            m = int(rng.integers(1, 14))
-            a = Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m)))
-            b = Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m)))
-            p = rng.random(m) < 0.5
-            a_p, b_p = Seq(BINARY, a.arr[p]), Seq(BINARY, b.arr[p])
-            a_q, b_q = Seq(BINARY, a.arr[~p]), Seq(BINARY, b.arr[~p])
-            assert hamming(a, b) == hamming(a_p, b_p) + hamming(a_q, b_q)
+    def test_caller_arrays_are_copied(self):
+        rows = np.array([[0, 1, 1, 0, 1, 0], [1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 1, 0]])
+        inst = StringInstance(BINARY, rows)
+        sub = SubstringInstance(BINARY, list(rows), 4)
+        before = (
+            inst.matrix.tolist(), [w.tolist() for w in sub.windows],
+            solve_closest_string(inst), solve_substring(sub, SubstringConfig()),
+        )
+        rows[:] = 1 - rows
+        after = (
+            inst.matrix.tolist(), [w.tolist() for w in sub.windows],
+            solve_closest_string(inst), solve_substring(sub, SubstringConfig()),
+        )
+        assert after == before
+        assert not any(np.shares_memory(rows, a) for a in (inst.matrix, *sub.strings))
 
 
 class TestAgreement:
@@ -221,12 +231,12 @@ class TestAgreement:
         for _ in range(50):
             m = int(rng.integers(4, 12))
             n = int(rng.integers(2, 5))
-            strs = [Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m))) for _ in range(n)]
-            inst = StringInstance(BINARY, tuple(strs))
+            rows = [rng.integers(0, 2, m) for _ in range(n)]
+            inst = StringInstance(BINARY, rows)
             center = Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m)))
-            q = agreement_positions(strs)
+            q = agreement_positions([Seq(BINARY, row) for row in rows])
             assert int(q.sum()) >= m - n * cost_string(inst, center)
-            assert int(q.sum()) <= m - max(hamming(s, t) for s in strs for t in strs)
+            assert int(q.sum()) <= m - max(int((s != t).sum()) for s in rows for t in rows)
 
 
 class TestCosts:
@@ -261,18 +271,6 @@ class TestCosts:
             radius, offsets = cost_substring(sub_inst, center)
             assert radius == cost_string(s_inst, center)
             assert offsets == (0,) * n
-
-
-class TestRho0:
-    def test_examples(self):
-        assert rho0_diagnostic([bseq("00"), bseq("11")], 1) == 2
-        a = Alphabet.of("ab")
-        assert rho0_diagnostic([Seq.from_text(a, "ab"), Seq.from_text(a, "ab")], 5) == 0
-        assert rho0_diagnostic([bseq("000"), bseq("011"), bseq("110")], 2) == 1
-
-    def test_rejects_nonpositive_reference(self):
-        with pytest.raises(DomainError):
-            rho0_diagnostic([bseq("00")], 0)
 
 
 def test_every_public_name_resolves():

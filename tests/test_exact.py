@@ -10,13 +10,10 @@ from centerstring import (
     BINARY,
     Alphabet,
     ClosestStringConfig,
-    Seq,
     StringInstance,
     SubstringInstance,
-    best_input_center,
     exact_closest_string,
     exact_closest_substring,
-    hamming,
     solve_closest_string,
 )
 from centerstring.errors import BudgetExceeded
@@ -29,7 +26,7 @@ def binst(*texts):
 def random_instance(rng, n, m):
     return StringInstance(
         BINARY,
-        tuple(Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m))) for _ in range(n)),
+        [rng.integers(0, 2, m) for _ in range(n)],
     )
 
 
@@ -92,9 +89,8 @@ class TestExactClosestString:
         rng = np.random.default_rng(73)
         for _ in range(50):
             inst = random_instance(rng, int(rng.integers(2, 6)), int(rng.integers(2, 10)))
-            worst_pair = max(
-                hamming(a, b) for i, a in enumerate(inst.strings) for b in inst.strings[i + 1:]
-            )
+            mat = inst.matrix
+            worst_pair = max(int((mat[i] != mat[j]).sum()) for i in range(inst.n) for j in range(i))
             assert exact_closest_string(inst).radius >= math.ceil(worst_pair / 2)
 
     def test_oracle_never_above_approximation(self):
@@ -132,16 +128,3 @@ class TestExactClosestSubstring:
 
         assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
 
-
-class TestBestInputCenter:
-    def test_tie_prefers_smaller_index(self):
-        sol = best_input_center(binst("00", "01"))
-        assert (sol.center.text, sol.radius) == ("00", 1)
-
-    def test_identical_strings(self):
-        sol = best_input_center(binst("0101", "0101"))
-        assert sol.radius == 0
-
-    def test_pairwise_distance_two(self):
-        sol = best_input_center(binst("000", "011", "101"))
-        assert sol.radius == 2

@@ -10,13 +10,17 @@ center).  The cases cover the whole-string sweep and LP paths (every
 rounding mode) and the substring `small_d`, `sampling` and `auto` paths,
 over alphabets of size 2, 3 and 4 and substring inputs of unequal length.
 `sampling-01-41` and `sampling-01-42`, appended later and recorded on the
-code before the restricted problem became arrays, and `sampling-01-43`
-and `sampling-01-44`, recorded on the code before guesses were scored in
-blocks, are the only cases whose window tuple is guessed, so they alone
-pin window selection and the LP stage of a guessed tuple (rounding
-`auto` and `randomized`).  The last two give 4 and 5 distinct window
-selections, so they also pin the order in which the selections are
-solved.  A refactor that keeps results must keep these bytes.
+code before the restricted problem became arrays, `sampling-01-43` and
+`sampling-01-44`, recorded on the code before guesses were scored in
+blocks, and `sampling-012-45`, `auto-012-46`, `sampling-01-47` and
+`auto-01-48`, recorded on the code before instances became arrays, are
+the only cases whose window tuples are guessed, so they alone pin window
+selection and the LP stage of a guessed tuple.  Between them they round
+in all three modes (`derandomized` in 45-47), cover k = 2 and k = 3,
+and reach the guessed path of `auto` through a small y_budget (46, 48).
+Cases 43, 44, 47 and 48 give 4 or 5 distinct window selections, so they
+also pin the order in which the selections are solved.  A refactor that
+keeps results must keep these bytes.
 
 Run `python tests/test_golden_outputs.py` to rebuild the file from the
 current code; do that only for a change meant to alter solver output.
@@ -42,6 +46,11 @@ from centerstring import (
 from centerstring import closest_substring
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
+# the guessed cases and their distinct window selections
+GUESSED = {
+    "sampling-01-41": 1, "sampling-01-42": 1, "sampling-01-43": 4, "sampling-01-44": 5,
+    "sampling-012-45": 1, "auto-012-46": 1, "sampling-01-47": 4, "auto-01-48": 4,
+}
 
 
 def _solve(case):
@@ -60,6 +69,7 @@ def _solve(case):
     sub_cfg = SubstringConfig(
         r=cfg["r"], epsilon=cfg["epsilon"], rounding_mode=cfg["rounding_mode"],
         trials=cfg["trials"], mode=cfg["mode"], rng_seed=cfg["seed"],
+        y_budget=cfg.get("y_budget", SubstringConfig.y_budget),
     )
     solver = {
         "small_d": solve_small_substring,
@@ -103,12 +113,12 @@ def test_guessed_cases_reach_the_restricted_lp(monkeypatch):
     monkeypatch.setattr(closest_substring, "build_restricted", recording)
     counts = {}
     for case in _cases():
-        if case["id"] in ("sampling-01-41", "sampling-01-42", "sampling-01-43", "sampling-01-44"):
+        if case["id"] in GUESSED:
             built.clear()
             _solve(case)
             counts[case["id"]] = len(built)
     # one restricted problem per distinct window selection
-    assert counts == {"sampling-01-41": 1, "sampling-01-42": 1, "sampling-01-43": 4, "sampling-01-44": 5}
+    assert counts == GUESSED
 
 
 def _planted(rng, alphabet, lengths, width, d):
@@ -127,10 +137,13 @@ def _planted(rng, alphabet, lengths, width, d):
     return texts
 
 
-def _complementary_pair(rng, width):
-    """Two binary texts of the given width that differ at every position."""
-    row = rng.integers(0, 2, size=width)
-    return ["".join(map(str, row)), "".join(map(str, 1 - row))]
+def _shifted_pair(rng, alphabet, lengths):
+    """Two texts of the given lengths whose windows at equal offsets differ
+    at every position; over "01", a complementary pair."""
+    k = len(alphabet)
+    row = rng.integers(0, k, size=max(lengths))
+    other = (row + rng.integers(1, k, size=len(row))) % k
+    return ["".join(alphabet[v] for v in r[:m]) for r, m in zip((row, other), lengths)]
 
 
 def _build_cases():
@@ -168,7 +181,7 @@ def _build_cases():
             if l is None:
                 strings = _planted(rng, alphabet, [m] * n, m, d)
             elif d is None:
-                strings = _complementary_pair(rng, l)
+                strings = _shifted_pair(rng, alphabet, m)
             else:
                 strings = _planted(rng, alphabet, list(m), l, d)
             case = {
@@ -202,6 +215,33 @@ def _build_cases():
             "config": {
                 "r": 2, "mode": "sampling", "rounding_mode": "auto", "trials": 8,
                 "epsilon_prime": 0.5, "epsilon": 1.0, "seed": seed,
+            },
+        }
+        case["expect"] = _output(_solve(case))
+        specs.append(case)
+    # shifted pairs whose equal-offset windows make guessed tuples: over
+    # k = 3, and with derandomized rounding, which the cases above leave
+    # out; the binary auto case's y_budget of 2^14 guesses the pairs that
+    # differ at all 15 positions and sweeps the others.  A guessed tuple
+    # makes k^|R| guesses, and |R| >= 14 whenever a window is longer than
+    # |R|, so a k = 4 case (4^14 guesses) would take minutes
+    for alphabet, lengths, width, mode, rmode, y_budget in (
+        ("012", (15, 15), 15, "sampling", "derandomized", 3 ** 14),
+        ("012", (16, 16), 16, "auto", "derandomized", 3 ** 14),
+        ("01", (16, 16), 15, "sampling", "derandomized", 1 << 16),
+        ("01", (16, 16), 15, "auto", "auto", 1 << 14),
+    ):
+        rng = np.random.default_rng([len(specs)])
+        case = {
+            "id": f"{mode}-{alphabet}-{len(specs)}",
+            "path": mode,
+            "solver": "substring",
+            "alphabet": alphabet,
+            "strings": _shifted_pair(rng, alphabet, lengths),
+            "L": width,
+            "config": {
+                "r": 2, "mode": mode, "rounding_mode": rmode, "trials": 8,
+                "epsilon_prime": 0.5, "epsilon": 1.0, "seed": len(specs), "y_budget": y_budget,
             },
         }
         case["expect"] = _output(_solve(case))

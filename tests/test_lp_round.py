@@ -55,8 +55,8 @@ def on(frame, *positions):
 
 def patch_cost(p, patch):
     """Max over strings of the fixed cost plus the patch's mismatches on P,
-    read from the instance strings rather than from p.rows."""
-    return max(int((s.arr[p.P] != patch).sum()) + f for s, f in zip(p.inst.strings, p.fixed))
+    read from the instance matrix rather than from p.rows."""
+    return max(int((s[p.P] != patch).sum()) + f for s, f in zip(p.inst.matrix, p.fixed))
 
 
 def brute_force_patch_cost(problem):
@@ -65,8 +65,8 @@ def brute_force_patch_cost(problem):
     best = None
     for digits in itertools.product(range(k), repeat=len(problem.P)):
         worst = 0
-        for s, fixed in zip(problem.inst.strings, problem.fixed.tolist()):
-            row = tuple(s.data[j] for j in problem.P)
+        for s, fixed in zip(problem.inst.matrix, problem.fixed.tolist()):
+            row = tuple(s[j] for j in problem.P)
             worst = max(worst, sum(1 for x, y in zip(row, digits) if x != y) + fixed)
         if best is None or worst < best:
             best = worst
@@ -137,7 +137,7 @@ def reference_round_derandomized(frac, epsilon_prime):
 def reference_round_randomized(frac, cfg):
     """Per-trial randomized rounding: draw, score, keep the first minimum."""
     p = frac.problem
-    rows = np.array([[s.data[j] for j in p.P] for s in p.inst.strings])
+    rows = np.array([[s[j] for j in p.P] for s in p.inst.matrix])
     best_patch, best_cost = None, -1
     for t in range(cfg.trials):
         patch = sample_patch(frac, np.random.default_rng((cfg.rng_seed + t) & MASK64))
@@ -154,7 +154,7 @@ def random_restricted(rng, k, np_):
     n = int(rng.integers(2, 7))
     inst = StringInstance(
         alphabet,
-        tuple(Seq(alphabet, rng.integers(0, k, m)) for _ in range(n)),
+        [rng.integers(0, k, m) for _ in range(n)],
     )
     q = rng.choice(m, m - np_, replace=False)
     return build_restricted(inst, inst.matrix[int(rng.integers(0, n))], on(m, *q))
@@ -210,14 +210,14 @@ class TestBuildRestricted:
             n = int(rng.integers(1, 5))
             inst = StringInstance(
                 BINARY,
-                tuple(Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m))) for _ in range(n)),
+                [rng.integers(0, 2, m) for _ in range(n)],
             )
             anchor = rng.integers(0, 2, m).astype(np.uint8)
             mask = rng.random(m) < 0.5
             p = build_restricted(inst, anchor, mask)
-            for s, row, fc in zip(inst.strings, p.rows, p.fixed.tolist()):
-                assert fc == sum(1 for j in range(m) if mask[j] and s.data[j] != anchor[j])
-                assert row.tolist() == [s.data[j] for j in range(m) if not mask[j]]
+            for s, row, fc in zip(inst.matrix, p.rows, p.fixed.tolist()):
+                assert fc == sum(1 for j in range(m) if mask[j] and s[j] != anchor[j])
+                assert row.tolist() == [s[j] for j in range(m) if not mask[j]]
             assert p.P.tolist() == [j for j in range(m) if not mask[j]]
 
 
@@ -264,7 +264,7 @@ class TestSolveLP:
         monkeypatch.setattr(scipy.optimize, "linprog", recording)
         dna = Alphabet.of("ACGT")
         inst = StringInstance.from_texts(dna, ["ACGTTA", "CCGTAA", "GTGTCA"])
-        p = build_restricted(inst, inst.strings[0].arr, on(6, 2, 3))
+        p = build_restricted(inst, inst.matrix[0], on(6, 2, 3))
         solve_lp(p)
         k, np_, n = 4, len(p.P), inst.n
         a_eq = np.zeros((np_, 1 + np_ * k))
@@ -272,9 +272,9 @@ class TestSolveLP:
         a_ub[:, 0] = -1.0
         for j, pos in enumerate(p.P):
             a_eq[j, 1 + j * k:1 + (j + 1) * k] = 1.0
-            for i, s in enumerate(inst.strings):
+            for i, s in enumerate(inst.matrix):
                 for a in range(k):
-                    if s.data[pos] != a:
+                    if s[pos] != a:
                         a_ub[i, 1 + j * k + a] = 1.0
         assert np.array_equal(seen["A_eq"], a_eq) and seen["A_eq"].dtype == a_eq.dtype
         assert np.array_equal(seen["A_ub"], a_ub) and seen["A_ub"].dtype == a_ub.dtype
@@ -395,7 +395,7 @@ class TestEnumerate:
             n = int(rng.integers(1, 5))
             inst = StringInstance(
                 BINARY,
-                tuple(Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m))) for _ in range(n)),
+                [rng.integers(0, 2, m) for _ in range(n)],
             )
             anchor = rng.integers(0, 2, m).astype(np.uint8)
             mask = rng.random(m) < 0.4
@@ -430,7 +430,7 @@ class TestRestrictedLowerBound:
             m = max(1, np_ + int(rng.integers(0, 5)))
             n = int(rng.integers(1, 8))
             inst = StringInstance(
-                alphabet, tuple(Seq(alphabet, rng.integers(0, k, m)) for _ in range(n))
+                alphabet, [rng.integers(0, k, m) for _ in range(n)]
             )
             anchor = rng.integers(0, k, m).astype(np.uint8)
             p = build_restricted(inst, anchor, on(m, *rng.choice(m, m - np_, replace=False)))
@@ -484,7 +484,7 @@ class TestRounding:
             n = int(rng.integers(2, 6))
             inst = StringInstance(
                 BINARY,
-                tuple(Seq(BINARY, tuple(int(v) for v in rng.integers(0, 2, m))) for _ in range(n)),
+                [rng.integers(0, 2, m) for _ in range(n)],
             )
             mask = rng.random(m) < 0.3
             p = build_restricted(inst, inst.matrix[0], mask)
@@ -581,8 +581,8 @@ class TestRounding:
         totals = np.zeros(2)
         for _ in range(draws):
             patch = sample_patch(frac, rng)
-            for i, s in enumerate(p.inst.strings):
-                totals[i] += sum(1 for x, y in zip(s.data, patch) if x != y)
+            for i, s in enumerate(p.inst.matrix):
+                totals[i] += sum(1 for x, y in zip(s, patch) if x != y)
         for i in range(2):
             mean = totals[i] / draws
             # each position mismatches with probability 1/2
@@ -636,7 +636,7 @@ class TestSolveRestricted:
             k = int(rng.integers(2, 5))
             alpha = Alphabet.of("ABCD"[:k])
             n, m = int(rng.integers(2, 6)), int(rng.integers(1, 12))
-            inst = StringInstance(alpha, tuple(Seq(alpha, rng.integers(0, k, m)) for _ in range(n)))
+            inst = StringInstance(alpha, [rng.integers(0, k, m) for _ in range(n)])
             anchor = rng.integers(0, k, m).astype(np.uint8)
             on_q = rng.random(m) < 0.4
             p = build_restricted(inst, anchor, on_q)
@@ -655,7 +655,7 @@ class TestSolveRestricted:
 
     def test_deterministic_across_modes_with_seed(self):
         inst = binst("010101010101", "101010101010", "001100110011")
-        p = build_restricted(inst, inst.strings[0].arr, on(12))
+        p = build_restricted(inst, inst.matrix[0], on(12))
         for mode in ("randomized", "derandomized", "auto"):
             cfg = RoundingConfig(mode=mode, trials=8, epsilon_prime=1.0, rng_seed=99)
             a = solve_restricted(p, cfg)
