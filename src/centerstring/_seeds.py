@@ -1,8 +1,9 @@
 """Deterministic seed derivation.
 
 Every random decision in the package flows from a single 64-bit seed.
-Independent streams (per window tuple, per rounding trial) are derived
-here so that parallel and serial execution produce identical output.
+Independent streams (per subset, per window tuple) are derived here from
+the base seed and a token naming the work, so a stream depends on what it
+is for, not on how many draws ran before it.
 """
 
 from __future__ import annotations

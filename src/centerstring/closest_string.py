@@ -5,19 +5,18 @@ the subset and optimizes the rest; every input string is also tried as a
 center directly.  The first candidate of minimum radius wins, inputs
 before subsets, the rule the substring solvers share.
 
-A subset whose restricted lower bound (`restricted_lower_bound`) already
-exceeds the best radius reached so far cannot hold that first minimum, so
-its restricted solve is skipped: no LP, no rounding, no patch sweep.
+The subsets run in one serial loop, in lexicographic order.  A subset
+whose restricted lower bound (`restricted_lower_bound`) already exceeds
+the best radius of the inputs and the subsets before it cannot hold that
+first minimum, so its restricted solve is skipped: no LP, no rounding, no
+patch sweep.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
-
-import numpy as np
 
 from ._seeds import derive_seed
 from .core import CenterSolution, Seq, StringInstance
@@ -38,7 +37,6 @@ _ROUNDING_FAILURES = (EstimatorAtLeastOne, NumericalFailure)
 class ClosestStringConfig:
     r: int = 2
     rounding: RoundingConfig = RoundingConfig()
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.r < 2:
@@ -52,37 +50,6 @@ def subset_candidates(inst: StringInstance, r: int) -> Iterator[tuple[int, ...]]
     return itertools.combinations(range(inst.n), r)
 
 
-def _subset_work(
-    inst: StringInstance,
-    subset: tuple[int, ...],
-    cfg: ClosestStringConfig,
-    enum_budget: int,
-    best: list[int],
-) -> tuple[int, np.ndarray | Exception] | None:
-    """(radius, center row) of one subset's restricted solve; (lower
-    bound, error) when that solve fails; None when its lower bound exceeds
-    best[0], the smallest radius reached so far."""
-    # subset members agree on all of Q, so the first one serves as the anchor
-    rows = inst.matrix[list(subset)]
-    on_q = (rows == rows[0]).all(axis=0)
-    p = build_restricted(inst, rows[0], on_q)
-    bound = restricted_lower_bound(p)
-    if bound > best[0]:
-        return None
-    seed = derive_seed(cfg.rounding.rng_seed, "subset", subset)
-    try:
-        row, cost = solve_restricted(
-            p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
-        )
-    except _ROUNDING_FAILURES as exc:
-        return bound, exc
-    # unlocked: a racing worker may leave a larger value behind, but every
-    # value stored is a radius some candidate reached, so a skip stays sound
-    if cost < best[0]:
-        best[0] = cost
-    return cost, row
-
-
 def solve_closest_string(
     inst: StringInstance,
     cfg: ClosestStringConfig = ClosestStringConfig(),
@@ -93,38 +60,46 @@ def solve_closest_string(
     The candidates are the input strings, then one center per r-subset in
     lexicographic order; the first of minimum radius wins.  r is clamped
     to n for small instances.  Deterministic for a fixed (instance,
-    config) pair, also under parallel subset evaluation.
+    config) pair.
 
     A subset gets no restricted solve when its exact lower bound (see
     `restricted_lower_bound`) is strictly above the best radius reached
     so far, which starts at the best input's cost: its candidate could not
-    be the first minimum.  Under parallel=True which subsets are skipped
-    may vary, but the result does not.  A subset whose restricted solve
-    fails (EstimatorAtLeastOne under mode="derandomized", or
-    NumericalFailure from the LP) fails the solve only when its lower
-    bound is at most the radius found, so that a subset that could not
-    win raises nothing whether or not it was skipped.  An enum_budget
-    below 1 raises DomainError before any subset is solved.
+    be the first minimum.  A subset whose restricted solve fails
+    (EstimatorAtLeastOne under mode="derandomized", or NumericalFailure
+    from the LP) fails the solve only when its lower bound is at most the
+    radius found, so that a subset that could not win raises nothing
+    whether or not it was skipped; of several such subsets the first
+    raises.  An enum_budget below 1 raises DomainError before any subset
+    is solved.
     """
     if enum_budget < 1:
         raise DomainError("enum_budget must be >= 1")
     r = min(cfg.r, inst.n)
-    candidates = [(int((inst.matrix != row).sum(axis=1).max()), row) for row in inst.matrix]
-    best = [min(cost for cost, _ in candidates)]
-
-    def work(sub: tuple[int, ...]) -> tuple[int, np.ndarray | Exception] | None:
-        return _subset_work(inst, sub, cfg, enum_budget, best)
-
-    subsets = list(subset_candidates(inst, r))
-    if cfg.parallel and len(subsets) > 1:
-        with ThreadPoolExecutor() as pool:
-            solved = [c for c in pool.map(work, subsets) if c is not None]
-    else:
-        solved = [c for c in map(work, subsets) if c is not None]
-    candidates.extend(c for c in solved if not isinstance(c[1], Exception))
-
-    radius, row = min(candidates, key=lambda c: c[0])
-    for bound, exc in solved:
-        if isinstance(exc, Exception) and bound <= radius:
+    radius, row = min(
+        ((int((inst.matrix != s).sum(axis=1).max()), s) for s in inst.matrix),
+        key=lambda c: c[0],
+    )
+    failed: list[tuple[int, Exception]] = []
+    for subset in subset_candidates(inst, r):
+        # subset members agree on all of Q, so the first one serves as the anchor
+        rows = inst.matrix[list(subset)]
+        on_q = (rows == rows[0]).all(axis=0)
+        p = build_restricted(inst, rows[0], on_q)
+        bound = restricted_lower_bound(p)
+        if bound > radius:
+            continue
+        seed = derive_seed(cfg.rounding.rng_seed, "subset", subset)
+        try:
+            center, cost = solve_restricted(
+                p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
+            )
+        except _ROUNDING_FAILURES as exc:
+            failed.append((bound, exc))
+            continue
+        if cost < radius:
+            radius, row = cost, center
+    for bound, exc in failed:
+        if bound <= radius:
             raise exc
     return CenterSolution(Seq(inst.alphabet, row.tobytes()), radius, (0,) * inst.n)

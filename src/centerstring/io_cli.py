@@ -436,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="patch-sweep cap of a restricted solve")
     p.add_argument("--mode", choices=("randomized", "derandomized", "auto"), default="auto",
                    help="rounding mode")
-    p.add_argument("--parallel", action="store_true")
 
     p = subs.add_parser("solve-substring", help="approximate Closest Substring")
     p.add_argument("file")
@@ -530,7 +529,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "solve-string":
         rounding = RoundingConfig(mode=args.mode, trials=args.trials,
                                   epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
-        cfg = ClosestStringConfig(r=args.r, rounding=rounding, parallel=args.parallel)
+        cfg = ClosestStringConfig(r=args.r, rounding=rounding)
         sol = solve_closest_string(f.as_string_instance(), cfg, enum_budget=args.budget)
         algo, params = "string", {
             "r": args.r, "epsilon_prime": args.epsilon_prime,

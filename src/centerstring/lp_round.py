@@ -119,15 +119,20 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
         raise DomainError("solve_lp needs at least one free position")
     k = p.inst.alphabet.size
 
+    # imported here: scipy dominates the package's start-up time
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     nvars = 1 + np_ * k
-    # one simplex constraint per position
-    a_eq = np.zeros((np_, nvars))
-    a_eq[:, 1:] = np.repeat(np.eye(np_), k, axis=1)
+    # sparse: a dense a_eq would hold |P|^2*k cells for its |P|*k nonzeros
+    # one simplex constraint per position: its k weights sum to 1; the
+    # weight of symbol a at position j is variable 1 + j*k + a
+    var = np.arange(np_ * k)
+    a_eq = sparse.coo_array((np.ones(np_ * k), (var // k, var + 1)), shape=(np_, nvars))
     b_eq = np.ones(np_)
     # one mismatch budget constraint per string: sum chi*x - d <= -fixed_i
-    a_ub = np.zeros((n, nvars))
-    a_ub[:, 0] = -1.0
-    a_ub[:, 1:] = (p.rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
+    chi = (p.rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
+    a_ub = sparse.coo_array(np.hstack([np.full((n, 1), -1.0), chi]))
     b_ub = -p.fixed.astype(float)
 
     c = np.zeros(nvars)
@@ -135,8 +140,6 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     # d in [0, inf), every weight in [0, 1]
     bounds = np.tile([0.0, 1.0], (nvars, 1))
     bounds[0, 1] = np.inf
-    # imported here: scipy.optimize dominates the package's start-up time
-    from scipy.optimize import linprog
 
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
@@ -173,8 +176,7 @@ def sample_patch(frac: FractionalCenter, rng: np.random.Generator) -> np.ndarray
 def round_randomized(frac: FractionalCenter, cfg: RoundingConfig) -> np.ndarray:
     """Best of cfg.trials independent rounding draws; ties keep the lowest trial.
 
-    Trial t uses the derived seed rng_seed + t, so parallel evaluation of
-    trials would reproduce the serial result.  Every trial draws as
+    Trial t draws from its own stream, seeded rng_seed + t, as
     sample_patch does, from running weights built once per call.
     """
     p = frac.problem
@@ -196,17 +198,23 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
     epsilon_prime*|P|.  Whenever the estimator starts below 1 the returned
     patch is certified to satisfy that bound for every string.
 
-    Tail table: tails[j, i, t] = Pr[#mismatches of string i over positions
-    j.. >= t], shape (|P|+1, n, |P|+2).  Column 0 is exactly 1 (t <= 0) and
-    column |P|+1 exactly 0 (more than the |P| - j remaining positions can
-    give), so a threshold t is looked up at clip(t, 0, |P|+1).  Position j
-    scores all k symbols with one (k, n) lookup in tails[j+1]; ties go to
-    the larger weight, then the smaller symbol.
+    Only live strings, those whose threshold is at most |P|, enter the
+    estimator: a string that needs more mismatches than P has positions
+    can never violate the bound, and its tail terms are exactly 0.0 at
+    every step.  With no live string every score is 0.0, and the patch is
+    the per-position argmax of the weights.
+
+    Tail table: tails[j, i, t] = Pr[#mismatches of live string i over
+    positions j.. >= t], shape (|P|+1, #live, |P|+2).  Column 0 is exactly
+    1 (t <= 0) and column |P|+1 exactly 0 (more than the |P| - j remaining
+    positions can give), so a threshold t is looked up at clip(t, 0, |P|+1).
+    Position j scores all k symbols with one (k, #live) lookup in
+    tails[j+1]; ties go to the larger weight, then the smaller symbol.
     """
     if not 0.0 < epsilon_prime <= 1.0:
         raise DomainError("epsilon_prime must be in (0, 1]")
     p = frac.problem
-    n, np_ = p.rows.shape
+    np_ = len(p.P)
     k = p.inst.alphabet.size
     w = frac.weights  # (|P|, k)
     if np_ == 0:
@@ -215,9 +223,12 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
     bound = frac.objective + epsilon_prime * np_
     # violation for string i means final count >= k_i
     thresholds = np.floor(bound - p.fixed + 1e-12).astype(np.int64) + 1
+    live = thresholds <= np_
+    thresholds, rows = thresholds[live], p.rows[live]
+    n = len(rows)
 
     # per-string mismatch probability at each position under the weights
-    q = 1.0 - w[np.arange(np_)[None, :], p.rows]  # (n, |P|)
+    q = 1.0 - w[np.arange(np_)[None, :], rows]  # (n, |P|)
 
     # filled with pmf[j, i, t] = Pr[#mismatches of string i over positions
     # j.. == t] by the backward recurrence, then summed in place into tails
@@ -240,7 +251,7 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
         )
 
     # chi[j, a, i] = 1 when string i mismatches symbol a at position j
-    chi = (p.rows.T[:, None, :] != np.arange(k)[:, None]).astype(np.int64)
+    chi = (rows.T[:, None, :] != np.arange(k)[:, None]).astype(np.int64)
     neg_w = (-w).tolist()
     choices: list[int] = []
     # string i violates the bound if it mismatches >= left[i] of the

@@ -207,17 +207,9 @@ class TestSolveClosestString:
             ]
             assert seen == expected
 
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(53)
-        for _ in range(10):
-            inst = random_instance(rng, 4, 8)
-            cfg_serial = ClosestStringConfig(r=2, parallel=False)
-            cfg_par = ClosestStringConfig(r=2, parallel=True)
-            assert solve_closest_string(inst, cfg_serial) == solve_closest_string(inst, cfg_par)
-
     def test_first_minimum_in_enumeration_order(self):
         # candidates: the inputs, then one restricted solve per subset in
-        # lexicographic order; the first of minimum radius wins, serial or parallel
+        # lexicographic order; the first of minimum radius wins
         rng = np.random.default_rng(59)
         tied = 0
         for _ in range(10):
@@ -227,9 +219,8 @@ class TestSolveClosestString:
             best = min(cost for cost, _ in candidates)
             first = next(center for cost, center in candidates if cost == best)
             tied += len({c.data for cost, c in candidates if cost == best}) > 1
-            for parallel in (False, True):
-                sol = solve_closest_string(inst, replace(cfg, parallel=parallel))
-                assert (sol.radius, sol.center) == (best, first)
+            sol = solve_closest_string(inst, cfg)
+            assert (sol.radius, sol.center) == (best, first)
         assert tied  # the rule must have picked among distinct centers
 
     def test_sweep_over_enum_budget_falls_back_to_lp(self):
@@ -289,9 +280,8 @@ class TestSubsetSkip:
             for rounding in self.CONFIGS:
                 cfg = ClosestStringConfig(r=2, rounding=rounding)
                 expected = reference_solve_closest_string(inst, cfg)
-                for parallel in (False, True):
-                    assert solve_closest_string(inst, replace(cfg, parallel=parallel)) == expected
-        subsets = sum(math.comb(inst.n, 2) for inst in instances) * len(self.CONFIGS) * 2
+                assert solve_closest_string(inst, cfg) == expected
+        subsets = sum(math.comb(inst.n, 2) for inst in instances) * len(self.CONFIGS)
         assert len(calls) < subsets  # the skip was exercised
 
     def test_planted_dna_skips_subsets(self, monkeypatch):
@@ -328,27 +318,23 @@ class TestSubsetSkip:
                 solve_restricted(p, rounding, enum_budget=1)
             except EstimatorAtLeastOne:
                 failing.append(restricted_lower_bound(p))
-        for parallel in (False, True):
-            sol = solve_closest_string(inst, replace(cfg, parallel=parallel), enum_budget=1)
-            assert sol.radius == cost_string(inst, sol.center) == 2
+        sol = solve_closest_string(inst, cfg, enum_budget=1)
+        assert sol.radius == cost_string(inst, sol.center) == 2
         assert failing and min(failing) > sol.radius
 
     def test_derandomized_failure_of_possible_winner_is_raised(self):
         # here a failing subset's bound is at most the radius of the other
-        # candidates, so it might have won: the solve raises, serial and
-        # parallel alike, with the same error
+        # candidates, so it might have won: the solve raises, with the
+        # error of the unpruned reference
         inst = binst("0001111", "0000010", "0001100", "0110100")
         cfg = ClosestStringConfig(
             r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1)
         )
-        errors = []
-        for parallel in (False, True):
-            with pytest.raises(EstimatorAtLeastOne) as exc:
-                solve_closest_string(inst, replace(cfg, parallel=parallel), enum_budget=1)
-            errors.append(str(exc.value))
-        assert errors[0] == errors[1]
-        with pytest.raises(EstimatorAtLeastOne):
+        with pytest.raises(EstimatorAtLeastOne) as exc:
+            solve_closest_string(inst, cfg, enum_budget=1)
+        with pytest.raises(EstimatorAtLeastOne) as expected:
             reference_solve_closest_string(inst, cfg, enum_budget=1)
+        assert str(exc.value) == str(expected.value)
 
     def test_sweep_path_leaves_scipy_unloaded(self):
         # every subset of this binary instance sweeps its patches; the bound

@@ -350,6 +350,15 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
+    def test_solve_string_has_no_parallel_flag(self, tmp_path, capsys):
+        # the whole-string solver is one serial loop; only bench runs threads
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["0000","1111"]}')
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-string", str(path), "--parallel"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+
     def test_cli_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"alphabet":"01","strings":["01","0"]}')

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,53 @@ def reference_round_derandomized(frac, epsilon_prime):
     return np.array(choices, dtype=np.uint8)
 
 
+def full_table_round_derandomized(frac, epsilon_prime):
+    """The derandomized rounding with every string in the tail table, live
+    or not: a (|P|+1, n, |P|+2) table, one (k, n) lookup per position."""
+    if not 0.0 < epsilon_prime <= 1.0:
+        raise DomainError("epsilon_prime must be in (0, 1]")
+    p = frac.problem
+    n, np_ = p.rows.shape
+    k = p.inst.alphabet.size
+    w = frac.weights
+    if np_ == 0:
+        return np.zeros(0, dtype=np.uint8)
+
+    bound = frac.objective + epsilon_prime * np_
+    thresholds = np.floor(bound - p.fixed + 1e-12).astype(np.int64) + 1
+    q = 1.0 - w[np.arange(np_)[None, :], p.rows]
+
+    last = np_ + 1
+    tails = np.zeros((np_ + 1, n, last + 1))
+    tails[np_, :, 0] = 1.0
+    for j in range(np_ - 1, -1, -1):
+        qj = q[:, j][:, None]
+        np.multiply(tails[j + 1], 1.0 - qj, out=tails[j])
+        tails[j, :, 1:] += tails[j + 1, :, :-1] * qj
+    rev = tails[:, :, ::-1]
+    np.cumsum(rev, axis=2, out=rev)
+    tails[:, :, 0] = 1.0
+    strings = np.arange(n)
+
+    estimator = float(tails[0, strings, np.clip(thresholds, 0, last)].sum())
+    if estimator >= 1.0:
+        raise EstimatorAtLeastOne(
+            f"failure estimator {estimator:.6f} >= 1 for epsilon_prime={epsilon_prime}"
+        )
+
+    chi = (p.rows.T[:, None, :] != np.arange(k)[:, None]).astype(np.int64)
+    neg_w = (-w).tolist()
+    choices = []
+    left = thresholds.copy()
+    for j in range(np_):
+        t_needed = np.minimum(np.maximum(left - chi[j], 0), last)
+        scores = tails[j + 1, strings, t_needed].sum(axis=1).tolist()
+        best = min(range(k), key=lambda a: (scores[a], neg_w[j][a], a))
+        choices.append(best)
+        left -= chi[j, best]
+    return np.array(choices, dtype=np.uint8)
+
+
 def reference_round_randomized(frac, cfg):
     """Per-trial randomized rounding: draw, score, keep the first minimum."""
     p = frac.problem
@@ -147,10 +195,11 @@ def reference_round_randomized(frac, cfg):
     return best_patch
 
 
-def random_restricted(rng, k, np_):
-    """A random instance over k symbols with |P| = np_ free positions."""
+def random_restricted(rng, k, np_, extra=4):
+    """A random instance over k symbols with |P| = np_ free positions and
+    fewer than `extra` agreement positions."""
     alphabet = Alphabet.of("ACGTX"[:k])
-    m = np_ + int(rng.integers(0, 4))
+    m = np_ + int(rng.integers(0, extra))
     n = int(rng.integers(2, 7))
     inst = StringInstance(
         alphabet,
@@ -276,8 +325,11 @@ class TestSolveLP:
                 for a in range(k):
                     if s[pos] != a:
                         a_ub[i, 1 + j * k + a] = 1.0
-        assert np.array_equal(seen["A_eq"], a_eq) and seen["A_eq"].dtype == a_eq.dtype
-        assert np.array_equal(seen["A_ub"], a_ub) and seen["A_ub"].dtype == a_ub.dtype
+        # sparse, with no explicit zeros stored
+        for name, dense in (("A_eq", a_eq), ("A_ub", a_ub)):
+            got = seen[name]
+            assert np.array_equal(got.toarray(), dense) and got.dtype == dense.dtype
+            assert np.count_nonzero(got.data) == got.nnz == np.count_nonzero(dense)
         bounds = np.array([(0.0, np.inf)] + [(0.0, 1.0)] * (np_ * k))
         assert np.array_equal(seen["bounds"], bounds) and seen["bounds"].dtype == bounds.dtype
 
@@ -550,6 +602,48 @@ class TestRounding:
                         rounded += 1
                         assert np.array_equal(round_derandomized(frac, eps), expected)
         assert rounded > 30
+
+    def test_derandomized_matches_full_table_reference(self):
+        # a string whose threshold exceeds |P| leaves the tail table; the
+        # patch and any error must match the table over every string
+        rng = np.random.default_rng(47)
+        rounded = {"none": 0, "some": 0, "all": 0}
+        for k in (2, 3, 4):
+            for _ in range(40):
+                p = random_restricted(rng, k, int(rng.integers(1, 41)), extra=30)
+                weights = rng.dirichlet(np.ones(k), len(p.P))
+                cut = expected_cost_center(p, weights, float(rng.uniform(-0.5, 1.0)) * len(p.P))
+                for frac in (solve_lp(p), cut):
+                    for eps in (0.2, 0.5, 1.0):
+                        try:
+                            expected = full_table_round_derandomized(frac, eps)
+                        except EstimatorAtLeastOne as exc:
+                            with pytest.raises(EstimatorAtLeastOne) as got:
+                                round_derandomized(frac, eps)
+                            assert str(got.value) == str(exc)
+                            continue
+                        assert np.array_equal(round_derandomized(frac, eps), expected)
+                        bound = frac.objective + eps * len(p.P)
+                        live = (np.floor(bound - p.fixed + 1e-12) + 1 <= len(p.P)).sum()
+                        rounded["none" if live == 0 else "all" if live == p.inst.n else "some"] += 1
+        assert min(rounded.values()) > 50, rounded
+
+    def test_derandomized_without_live_strings_builds_no_table(self):
+        # on an LP solution at eps' = 1 every threshold exceeds |P|, as the
+        # objective is at least every fixed cost, so no string is live; a
+        # table over all strings would hold (|P|+1) * n * (|P|+2) float64s
+        rng = np.random.default_rng(53)
+        n, np_ = 6, 400
+        inst = StringInstance(Alphabet.of("ACGT"), rng.integers(0, 4, (n, np_)))
+        frac = solve_lp(build_restricted(inst, inst.matrix[0], np.zeros(np_, dtype=bool)))
+        tracemalloc.start()
+        try:
+            patch = round_derandomized(frac, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(patch, np.argmax(frac.weights, axis=1))
+        assert peak < (np_ + 1) * n * (np_ + 2) * 8 / 10
 
     def test_estimator_of_exactly_one_raises(self):
         # the only string mismatches the one free position with certainty,
