@@ -112,7 +112,9 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
 
     Variables are the objective d plus one weight per (position, symbol);
     any exact LP method over these |P|*|alphabet|+1 variables and n+|P|
-    rows qualifies, HiGHS via scipy is used here.
+    rows qualifies.  HiGHS solves it here through scipy.optimize.milp with
+    no integrality, given one sparse matrix: the n string rows, then the
+    |P| simplex rows.
     """
     n, np_ = p.rows.shape
     if np_ < 1:
@@ -120,28 +122,34 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     k = p.inst.alphabet.size
 
     # imported here: scipy dominates the package's start-up time
-    from scipy import sparse
-    from scipy.optimize import linprog
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csc_array
 
     nvars = 1 + np_ * k
-    # sparse: a dense a_eq would hold |P|^2*k cells for its |P|*k nonzeros
-    # one simplex constraint per position: its k weights sum to 1; the
-    # weight of symbol a at position j is variable 1 + j*k + a
-    var = np.arange(np_ * k)
-    a_eq = sparse.coo_array((np.ones(np_ * k), (var // k, var + 1)), shape=(np_, nvars))
-    b_eq = np.ones(np_)
-    # one mismatch budget constraint per string: sum chi*x - d <= -fixed_i
-    chi = (p.rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
-    a_ub = sparse.coo_array(np.hstack([np.full((n, 1), -1.0), chi]))
-    b_ub = -p.fixed.astype(float)
+    # Compressed columns straight from index arrays, so memory is linear
+    # in |P|: a dense simplex block would hold |P|^2*k cells for its |P|*k
+    # nonzeros.  Column 0 is d, -1 in every string row.  The weight of
+    # symbol a at position j is column 1 + j*k + a: 1 in each string row
+    # i with rows[i, j] != a (string i: sum chi*x - d <= -fixed_i), then 1
+    # in simplex row n + j (position j's k weights sum to 1).  In `entry`
+    # the simplex row of every weight column is the extra last row n.
+    entry = np.ones((n + 1, np_ * k), dtype=bool)
+    entry[:n] = (p.rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
+    var, row = np.nonzero(entry.T)  # column by column, rows ascending
+    indices = np.concatenate([np.arange(n), np.where(row < n, row, n + var // k)])
+    data = np.concatenate([np.full(n, -1.0), np.ones(len(var))])
+    indptr = np.concatenate([[0], n + np.searchsorted(var, np.arange(np_ * k + 1))])
+    a = csc_array((data, indices, indptr), shape=(n + np_, nvars))
 
+    lower = np.concatenate([np.full(n, -np.inf), np.ones(np_)])
+    upper = np.concatenate([-p.fixed.astype(float), np.ones(np_)])
     c = np.zeros(nvars)
     c[0] = 1.0
     # d in [0, inf), every weight in [0, 1]
-    bounds = np.tile([0.0, 1.0], (nvars, 1))
-    bounds[0, 1] = np.inf
+    ub = np.ones(nvars)
+    ub[0] = np.inf
 
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = milp(c, constraints=LinearConstraint(a, lower, upper), bounds=Bounds(0.0, ub))
     if not res.success:
         raise NumericalFailure(f"LP solver failed: {res.message}")
 
@@ -201,8 +209,10 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
     Only live strings, those whose threshold is at most |P|, enter the
     estimator: a string that needs more mismatches than P has positions
     can never violate the bound, and its tail terms are exactly 0.0 at
-    every step.  With no live string every score is 0.0, and the patch is
-    the per-position argmax of the weights.
+    every step.  With no live string every score is 0.0, so the tie rule
+    below picks the per-position argmax of the weights (the smaller
+    symbol on a tie), and that argmax is returned at once, before any
+    mismatch probability or table is built.
 
     Tail table: tails[j, i, t] = Pr[#mismatches of live string i over
     positions j.. >= t], shape (|P|+1, #live, |P|+2).  Column 0 is exactly
@@ -224,6 +234,8 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
     # violation for string i means final count >= k_i
     thresholds = np.floor(bound - p.fixed + 1e-12).astype(np.int64) + 1
     live = thresholds <= np_
+    if not live.any():
+        return np.argmax(w, axis=1).astype(np.uint8)
     thresholds, rows = thresholds[live], p.rows[live]
     n = len(rows)
 

@@ -31,9 +31,9 @@ from centerstring import (
     solve_restricted,
     subset_candidates,
 )
-from centerstring import closest_string
+from centerstring import closest_string, lp_round
 from centerstring._seeds import derive_seed
-from centerstring.errors import DomainError, EstimatorAtLeastOne
+from centerstring.errors import DomainError, EstimatorAtLeastOne, NumericalFailure
 from centerstring.lp_round import DEFAULT_ENUM_BUDGET
 
 
@@ -105,6 +105,32 @@ def count_restricted_solves(monkeypatch):
 
     monkeypatch.setattr(closest_string, "solve_restricted", counted)
     return calls
+
+
+def inject_lp_failures(monkeypatch, fails):
+    """Give the LP of every restricted problem for which fails(index,
+    lower bound) holds, index counting the LPs reached, a failed solver
+    status; return the lower bounds of all LPs reached, in order."""
+    import scipy.optimize
+
+    solve_lp = lp_round.solve_lp
+    reached = []
+
+    def failed(c, **kw):
+        return scipy.optimize.OptimizeResult(
+            status=4, success=False, message=f"injected at LP {len(reached) - 1}", x=None, fun=None,
+        )
+
+    def failing_solve_lp(p):
+        reached.append(restricted_lower_bound(p))
+        if not fails(len(reached) - 1, reached[-1]):
+            return solve_lp(p)
+        with monkeypatch.context() as m:
+            m.setattr(scipy.optimize, "milp", failed)
+            return solve_lp(p)
+
+    monkeypatch.setattr(lp_round, "solve_lp", failing_solve_lp)
+    return reached
 
 
 class TestSubsetCandidates:
@@ -335,6 +361,28 @@ class TestSubsetSkip:
         with pytest.raises(EstimatorAtLeastOne) as expected:
             reference_solve_closest_string(inst, cfg, enum_budget=1)
         assert str(exc.value) == str(expected.value)
+
+    def test_lp_failure_of_losing_subset_is_not_raised(self, monkeypatch):
+        # budget 1 sends every subset to the LP; the final radius is 2 and
+        # two subsets with bound 3 are solved before it is reached, so
+        # their failures cannot have changed the answer
+        inst = binst("1000010", "0011110", "1010010", "1001011")
+        expected = solve_closest_string(inst, enum_budget=1)
+        reached = inject_lp_failures(monkeypatch, lambda i, bound: bound > expected.radius)
+        sol = solve_closest_string(inst, enum_budget=1)
+        assert sol.center == expected.center and sol.radius == expected.radius == 2
+        assert reached == [2, 3, 3, 2, 2, 2]
+
+    @pytest.mark.parametrize("failing", [(5,), (0, 3, 5)])
+    def test_lp_failure_of_possible_winner_is_raised(self, monkeypatch, failing):
+        # a failed LP whose subset bound is at most the radius found (2
+        # here, the last subset's bound included) fails the solve, with
+        # the error of the first such subset
+        inst = binst("1000010", "0011110", "1010010", "1001011")
+        reached = inject_lp_failures(monkeypatch, lambda i, bound: i in failing)
+        with pytest.raises(NumericalFailure, match=f"^LP solver failed: injected at LP {failing[0]}$"):
+            solve_closest_string(inst, enum_budget=1)
+        assert reached == [2, 3, 3, 2, 2, 2]
 
     def test_sweep_path_leaves_scipy_unloaded(self):
         # every subset of this binary instance sweeps its patches; the bound

@@ -33,6 +33,7 @@ from centerstring.errors import (
     DomainError,
     EstimatorAtLeastOne,
     FrameMismatch,
+    NumericalFailure,
 )
 from centerstring import lp_round
 from centerstring._seeds import MASK64
@@ -218,6 +219,34 @@ def expected_cost_center(p, weights, cut=0.0):
     return FractionalCenter(p, weights, objective)
 
 
+def linprog_solve_lp(p):
+    """solve_lp through scipy.optimize.linprog: the string rows as A_ub,
+    the simplex rows as A_eq, the same variables, bounds and post-processing."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, np_ = p.rows.shape
+    k = p.inst.alphabet.size
+    nvars = 1 + np_ * k
+    var = np.arange(np_ * k)
+    a_eq = sparse.coo_array((np.ones(np_ * k), (var // k, var + 1)), shape=(np_, nvars))
+    chi = (p.rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
+    a_ub = sparse.coo_array(np.hstack([np.full((n, 1), -1.0), chi]))
+    c = np.zeros(nvars)
+    c[0] = 1.0
+    bounds = np.tile([0.0, 1.0], (nvars, 1))
+    bounds[0, 1] = np.inf
+    res = linprog(
+        c, A_ub=a_ub, b_ub=-p.fixed.astype(float), A_eq=a_eq, b_eq=np.ones(np_),
+        bounds=bounds, method="highs",
+    )
+    assert res.success
+    objective = max(0.0, math.ceil(res.fun / lp_round.LP_TOLERANCE) * lp_round.LP_TOLERANCE)
+    w = np.clip(res.x[1:].reshape(np_, k), 0.0, 1.0)
+    w /= w.sum(axis=1, keepdims=True)
+    return FractionalCenter(p, w, float(objective))
+
+
 class TestBuildRestricted:
     def test_examples(self):
         p = build_restricted(binst("00"), bseq("00").arr, on(2, 0, 1))
@@ -304,34 +333,84 @@ class TestSolveLP:
         import scipy.optimize
 
         seen = {}
-        real = scipy.optimize.linprog
+        real = scipy.optimize.milp
 
         def recording(c, **kw):
             seen.update(kw)
             return real(c, **kw)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", recording)
+        monkeypatch.setattr(scipy.optimize, "milp", recording)
         dna = Alphabet.of("ACGT")
         inst = StringInstance.from_texts(dna, ["ACGTTA", "CCGTAA", "GTGTCA"])
         p = build_restricted(inst, inst.matrix[0], on(6, 2, 3))
         solve_lp(p)
         k, np_, n = 4, len(p.P), inst.n
-        a_eq = np.zeros((np_, 1 + np_ * k))
-        a_ub = np.zeros((n, 1 + np_ * k))
-        a_ub[:, 0] = -1.0
+        nvars = 1 + np_ * k
+        # the n string rows, then the |P| simplex rows
+        a = np.zeros((n + np_, nvars))
+        a[:n, 0] = -1.0
         for j, pos in enumerate(p.P):
-            a_eq[j, 1 + j * k:1 + (j + 1) * k] = 1.0
+            a[n + j, 1 + j * k:1 + (j + 1) * k] = 1.0
             for i, s in enumerate(inst.matrix):
-                for a in range(k):
-                    if s[pos] != a:
-                        a_ub[i, 1 + j * k + a] = 1.0
+                for sym in range(k):
+                    if s[pos] != sym:
+                        a[i, 1 + j * k + sym] = 1.0
+        fixed = [sum(s[q] != inst.matrix[0][q] for q in (2, 3)) for s in inst.matrix]
+        con = seen["constraints"]
         # sparse, with no explicit zeros stored
-        for name, dense in (("A_eq", a_eq), ("A_ub", a_ub)):
-            got = seen[name]
-            assert np.array_equal(got.toarray(), dense) and got.dtype == dense.dtype
-            assert np.count_nonzero(got.data) == got.nnz == np.count_nonzero(dense)
-        bounds = np.array([(0.0, np.inf)] + [(0.0, 1.0)] * (np_ * k))
-        assert np.array_equal(seen["bounds"], bounds) and seen["bounds"].dtype == bounds.dtype
+        assert np.array_equal(con.A.toarray(), a) and con.A.dtype == a.dtype
+        assert np.count_nonzero(con.A.data) == con.A.nnz == np.count_nonzero(a)
+        assert np.array_equal(con.lb, [-np.inf] * n + [1.0] * np_)
+        assert np.array_equal(con.ub, [-float(f) for f in fixed] + [1.0] * np_)
+        bounds = seen["bounds"]
+        assert np.array_equal(bounds.lb, np.zeros(nvars))
+        assert np.array_equal(bounds.ub, [np.inf] + [1.0] * (np_ * k))
+        assert seen.get("integrality") is None
+
+    def test_matches_linprog_reference_bit_for_bit(self):
+        # the rounding layers read the exact LP vertex, so solve_lp must
+        # return what linprog(method="highs") returns on the same LP,
+        # split into inequality and equality blocks
+        rng = np.random.default_rng(61)
+        sizes = set()
+        for t in range(100):
+            k = (2, 3, 4)[t % 3]
+            p = random_restricted(rng, k, 1 if t % 10 == 0 else int(rng.integers(1, 40)))
+            expected = linprog_solve_lp(p)
+            got = solve_lp(p)
+            assert got.weights.tobytes() == expected.weights.tobytes()
+            assert repr(got.objective) == repr(expected.objective)
+            sizes.add(len(p.P))
+        assert 1 in sizes and len(sizes) > 20
+
+    def test_failed_solver_raises_numerical_failure(self, monkeypatch):
+        import scipy.optimize
+
+        def failing(c, **kw):
+            return scipy.optimize.OptimizeResult(
+                status=4, success=False, message="solver gave up", x=None, fun=None,
+            )
+
+        monkeypatch.setattr(scipy.optimize, "milp", failing)
+        p = build_restricted(binst("01", "10"), bseq("00").arr, on(2))
+        with pytest.raises(NumericalFailure, match="^LP solver failed: solver gave up$"):
+            solve_lp(p)
+
+    def test_memory_linear_in_free_positions(self):
+        # a dense simplex block would hold |P| * (1 + |P|*k) float64s, about
+        # 72 MB here, before the solver copies it
+        rng = np.random.default_rng(67)
+        n, np_, k = 4, 1500, 4
+        inst = StringInstance(Alphabet.of("ACGT"), rng.integers(0, k, (n, np_)))
+        p = build_restricted(inst, inst.matrix[0], np.zeros(np_, dtype=bool))
+        solve_lp(p)  # scipy's imports and caches stay off the count
+        tracemalloc.start()
+        try:
+            solve_lp(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < np_ * (1 + np_ * k) * 8 / 10
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy.optimize is most of the package's start-up time, so the
@@ -644,6 +723,23 @@ class TestRounding:
             tracemalloc.stop()
         assert np.array_equal(patch, np.argmax(frac.weights, axis=1))
         assert peak < (np_ + 1) * n * (np_ + 2) * 8 / 10
+
+    def test_derandomized_without_live_strings_breaks_ties_to_smaller_symbol(self):
+        # every position is free and costs nothing fixed, so at objective 0
+        # and eps' = 1 each threshold is |P| + 1: no string is live, and
+        # each position takes the smallest symbol of largest weight
+        inst = StringInstance.from_texts(Alphabet.of("ACGT"), ["ACGT", "CATG", "GGTA"])
+        p = build_restricted(inst, inst.matrix[0], np.zeros(4, dtype=bool))
+        weights = np.array([
+            [0.0, 0.5, 0.5, 0.0],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.0, 0.0, 0.5, 0.5],
+            [1.0, 0.0, 0.0, 0.0],
+        ])
+        frac = FractionalCenter(p, weights, 0.0)
+        patch = round_derandomized(frac, 1.0)
+        assert patch.tolist() == [1, 0, 2, 0] and patch.dtype == np.uint8
+        assert np.array_equal(reference_round_derandomized(frac, 1.0), patch)
 
     def test_estimator_of_exactly_one_raises(self):
         # the only string mismatches the one free position with certainty,
