@@ -26,7 +26,7 @@ class WindowTooLong(CenterStringError):
 
 
 class BudgetExceeded(CenterStringError):
-    """An exhaustive sweep would enumerate more candidates than allowed."""
+    """A sweep or search would do more work than its budget allows."""
 
 
 class DomainError(CenterStringError):

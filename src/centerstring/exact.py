@@ -35,28 +35,28 @@ def _chunk_digits(lo: int, hi: int, base: int, width: int) -> np.ndarray:
     return digits
 
 
-def exact_closest_string(
-    inst: StringInstance,
-    budget: int = DEFAULT_EXACT_BUDGET,
-    branch_and_bound: bool = False,
-) -> CenterSolution:
+def exact_closest_string(inst: StringInstance, budget: int = DEFAULT_EXACT_BUDGET) -> CenterSolution:
     """True minimum-radius center; ties pick the lexicographically smallest.
 
-    The plain sweep enumerates all |alphabet|^m candidates and requires
-    that count to fit in `budget`; branch_and_bound prunes on a lower bound
-    over pairs of strings instead (see _bnb_center) and ignores the budget.
+    The instance picks the path, and both give that center: the plain
+    sweep over all |alphabet|^m candidates when they fit in `budget`, else
+    the prefix search of _bnb_center, which spends `budget` in pair cells.
     """
-    if branch_and_bound:
-        center = Seq(inst.alphabet, _bnb_center(inst.matrix, inst.alphabet.size, inst.m))
-    else:
+    k, m = inst.alphabet.size, inst.m
+    if k ** m <= budget:
         # one window per string: the substring sweep, in the same order
-        whole = SubstringInstance(inst.alphabet, inst.matrix, inst.m)
+        whole = SubstringInstance(inst.alphabet, inst.matrix, m)
         center = exact_closest_substring(whole, budget).center
+    else:
+        try:
+            center = Seq(inst.alphabet, _bnb_center(inst.matrix, k, m, budget))
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"{k}^{m} candidates exceed budget {budget}; {exc}") from None
     radius = cost_string(inst, center)
     return CenterSolution(center, radius, (0,) * inst.n)
 
 
-def _bnb_center(mat: np.ndarray, k: int, m: int) -> tuple[int, ...]:
+def _bnb_center(mat: np.ndarray, k: int, m: int, budget: int) -> tuple[int, ...]:
     """Depth-first search over prefixes, symbols in increasing order.
 
     A loop with an explicit per-depth symbol counter rather than one call
@@ -67,8 +67,14 @@ def _bnb_center(mat: np.ndarray, k: int, m: int) -> tuple[int, ...]:
     ceil((mism_i + mism_j + d(s_i[t:], s_j[t:])) / 2) over pairs i, j: a
     completion's distances to s_i and s_j sum to at least that numerator
     (triangle inequality on the suffix), and i = j gives max mism_i.
+    `budget` counts pair cells in n x n blocks, m + 1 for the suffix table, then
+    one per prefix checked; BudgetExceeded at the first block past it, so an
+    oversized table is never built.
     """
     n = len(mat)
+    left = budget // (n * n) - (m + 1)  # prefixes the budget allows past the table
+    if left < 0:
+        raise BudgetExceeded(f"the prefix search's {m + 1}x{n}x{n} suffix table exceeds budget {budget}")
     best_radius = min(int((mat != row).sum(axis=1).max()) for row in mat) + 1
     best: tuple[int, ...] | None = None
     prefix = [0] * m
@@ -80,7 +86,10 @@ def _bnb_center(mat: np.ndarray, k: int, m: int) -> tuple[int, ...]:
 
     def expand(depth: int) -> bool:
         """Check the node prefix[:depth]; True when its children are to be tried."""
-        nonlocal best_radius, best
+        nonlocal best_radius, best, left
+        left -= 1
+        if left < 0:
+            raise BudgetExceeded(f"the prefix search ran out of budget {budget} pair cells")
         bound = (int((mism[:, None] + mism + suffix[depth]).max()) + 1) // 2
         # no leaf below the node beats the bound, and leaves come in
         # lexicographic order, so a later leaf of equal radius never wins;

@@ -276,11 +276,10 @@ def _format_ratio(radius: int, oracle: int | None) -> str:
 
 
 def _oracle(f: InstanceFile, budget: int) -> CenterSolution:
-    """The exact oracle of the file's instance type."""
-    inst = f.to_instance()
-    if isinstance(inst, StringInstance):
-        return exact_closest_string(inst, budget=budget)
-    return exact_closest_substring(inst, budget=budget)
+    """The exact oracle; an L equal to every string length means whole strings."""
+    if f.window is None or all(len(s) == f.window for s in f.strings):
+        return exact_closest_string(f.as_string_instance(), budget=budget)
+    return exact_closest_substring(f.as_substring_instance(), budget=budget)
 
 
 def _run_algo(
@@ -326,6 +325,8 @@ def run_bench(
     failures become status rows instead of aborting the suite.  With
     timing=False the ms column is left blank so reports are byte-stable.
     """
+    if not algos:
+        raise DomainError(f"no algorithm given; choose from {','.join(ALGOS)}")
     for algo in algos:
         if algo not in ALGOS:
             raise DomainError(f"unknown algorithm {algo!r}; choose from {','.join(ALGOS)}")
@@ -340,7 +341,6 @@ def run_bench(
         oracle = exact.radius if isinstance(exact, CenterSolution) else None
         rows: list[BenchRow] = []
         for algo in algos:
-            eps_col: float | None
             eps_col = {"string": epsilon_prime, "sampling": epsilon, "small": None, "exact": None}[algo]
             r_col = None if algo == "exact" else r
             sol, secs = (exact, exact_s) if algo == "exact" else _attempt(lambda: _run_algo(
@@ -364,13 +364,10 @@ def run_bench(
         per_instance = [work(item) for item in labeled]
 
     rows = [row for chunk in per_instance for row in chunk]
-    bounds_ok = True
-    for row in rows:
-        if row.status != "ok" or row.oracle is None or row.radius is None:
-            continue
-        bound = _ratio_bound(row.algo, r, epsilon, epsilon_prime)
-        if not _within_bound(row.radius, row.oracle, bound):
-            bounds_ok = False
+    bounds_ok = all(
+        _within_bound(row.radius, row.oracle, _ratio_bound(row.algo, r, epsilon, epsilon_prime))
+        for row in rows if row.status == "ok" and row.oracle is not None and row.radius is not None
+    )
     return BenchReport(rows, bounds_ok)
 
 
@@ -454,13 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("exact", help="exact oracle (exponential time)")
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
-                   help="candidate cap of the plain sweep")
-    p.add_argument("--branch-and-bound", action="store_true",
-                   help="prefix-pruned whole-string search instead of the plain sweep; "
-                        "it has no candidate cap, and an instance's L must equal every "
-                        "string length")
+                   help="the plain sweep's candidate cap; past it, whole strings get the "
+                        "prefix search, whose pair cells it caps too")
     p.add_argument("--L", type=int, default=None,
-                   help="window length (Closest Substring); without one the strings are whole")
+                   help="window length (Closest Substring); without one, or at L = m, the strings are whole")
     _add_io_flags(p)
 
     p = subs.add_parser("gen", help="generate a planted instance (JSON)")
@@ -479,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, string=True, substring=True,
                       out_help="also write the report as CSV here; the table still goes to stdout")
     p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
-                   help="the oracle's candidate cap")
+                   help="the oracle's candidate cap, and its pair-cell cap past it")
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--no-timing", action="store_true",
                    help="blank the ms column for byte-stable reports")
@@ -544,13 +538,9 @@ def _dispatch(args: argparse.Namespace) -> int:
                               rng_seed=args.seed)
         sol = solve_substring(f.as_substring_instance(), cfg)
         algo, params = f"substring/{args.mode}", {"r": args.r, "epsilon": args.epsilon, "seed": args.seed}
-    else:  # exact; params name only the cap that applied
-        if args.branch_and_bound:
-            sol = exact_closest_string(f.as_string_instance(), branch_and_bound=True)
-            algo, params = "exact", {"branch_and_bound": True}
-        else:
-            sol = _oracle(f, args.budget)
-            algo, params = "exact", {"budget": args.budget}
+    else:  # exact
+        sol = _oracle(f, args.budget)
+        algo, params = "exact", {"budget": args.budget}
     _emit(_solution_json(sol, algo, params), args.out)
     return 0
 

@@ -176,6 +176,21 @@ class TestBench:
         with pytest.raises(DomainError, match="unknown algorithm 'bogus'"):
             run_bench(self.suite(1), ["small", "bogus"])
 
+    def test_empty_algorithm_list_rejected_before_any_work(self, monkeypatch, tmp_path, capsys):
+        def fail(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(io_cli, "_oracle", fail)
+        with pytest.raises(DomainError, match="no algorithm given"):
+            run_bench(self.suite(1), [])
+        # the CLI drops blank names, so `--algos ,` is the empty list
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["0000","1111"]}')
+        assert main(["bench", str(path), "--algos", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no algorithm given; choose from exact,string,small,sampling\n"
+
     def test_oracle_runs_once_per_instance(self, monkeypatch):
         calls = []
 
@@ -190,13 +205,18 @@ class TestBench:
         suite = [
             ("sub", planted_instance_file("01", 3, 8, 5, 1, 2)),
             ("whole", InstanceFile("ACGT", ("ACGTAC", "ACGAAC", "TCGTAG"))),
-            ("over", InstanceFile("01", ("0" * 13, "1" * 13))),
+            # past the sweep, and 20 strings give the prefix search a
+            # 14 x 20 x 20 suffix table, also over the budget
+            ("over", InstanceFile("01", ("0" * 13, "1" * 13) * 10)),
         ]
         report = run_bench(suite, ["exact", "small"], timing=False, oracle_budget=1 << 12)
         assert calls == ["exact_closest_substring", "exact_closest_string", "exact_closest_string"]
         exact_rows = [row for row in report.rows if row.algo == "exact"]
         assert [row.radius for row in exact_rows] == [row.oracle for row in exact_rows]
-        assert exact_rows[2].status == "error: 2^13 = 8192 candidates exceed budget 4096"
+        assert exact_rows[2].status == (
+            "error: 2^13 candidates exceed budget 4096; "
+            "the prefix search's 14x20x20 suffix table exceeds budget 4096"
+        )
         assert exact_rows[2].oracle is None and report.rows[5].status == "ok"
 
     def test_unequal_lengths_without_window_rejected_by_every_algorithm(self):
@@ -247,25 +267,40 @@ class TestCli:
         assert result["center"] == "001" and result["radius"] == 2
 
     def test_exact_branch_and_bound_long_strings(self, tmp_path, capsys):
+        # 2^1200 candidates: past the sweep, the prefix search answers
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"alphabet": "01", "strings": ["0" * 1200] * 2}))
-        assert main(["exact", str(path), "--branch-and-bound"]) == 0
+        assert main(["exact", str(path)]) == 0
         result = json.loads(capsys.readouterr().out)
         assert result["center"] == "0" * 1200 and result["radius"] == 0
 
     def test_exact_branch_and_bound_reads_whole_strings(self, tmp_path, capsys):
-        # with L = m the search runs on the whole strings, past a budget the
-        # plain sweep would refuse; with a shorter L it is refused instead of
-        # falling back to the budgeted substring sweep
+        # with L = m the strings are whole, so past the sweep's budget the
+        # prefix search runs on them; with a shorter L only the substring
+        # sweep applies, and it refuses
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"alphabet": "01", "strings": ["01" * 6, "10" * 6], "L": 12}))
-        assert main(["exact", str(path), "--branch-and-bound", "--budget", "16"]) == 0
+        assert main(["exact", str(path), "--budget", "1024"]) == 0
         result = json.loads(capsys.readouterr().out)
         assert (result["center"], result["radius"]) == ("0" * 12, 6)
+        assert main(["exact", str(path), "--budget", "16"]) == 2
+        assert capsys.readouterr().err == (
+            "error: 2^12 candidates exceed budget 16; "
+            "the prefix search's 13x2x2 suffix table exceeds budget 16\n"
+        )
         strings = ["01" * 11, "10" * 11]
         path.write_text(json.dumps({"alphabet": "01", "strings": strings, "L": 21}))
-        assert main(["exact", str(path), "--branch-and-bound", "--budget", "1024"]) == 2
-        assert "needs L equal to every string length" in capsys.readouterr().err
+        assert main(["exact", str(path), "--budget", "1024"]) == 2
+        assert capsys.readouterr().err == "error: 2^21 = 2097152 candidates exceed budget 1024\n"
+
+    def test_exact_has_no_branch_and_bound_flag(self, tmp_path, capsys):
+        # the instance picks the sweep or the prefix search, so no flag does
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["000","111"]}')
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", str(path), "--branch-and-bound"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --branch-and-bound" in capsys.readouterr().err
 
     def test_bench_writes_csv(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
@@ -287,16 +322,22 @@ class TestCli:
         assert "--out OUT also write the report as CSV here; the table still goes to stdout" in help_text
 
     def test_exact_params_name_only_the_cap_that_applied(self, tmp_path, capsys):
+        # one budget caps both paths, so params hold it whichever ran: the
+        # sweep fits 2^3 candidates in 2^20 or 64; 2^12 candidates exceed
+        # 1024, and the prefix search fits in it with 152 pair cells
         path = tmp_path / "s.json"
-        path.write_text('{"alphabet":"01","strings":["000","111"]}')
-        assert main(["exact", str(path), "--budget", "64"]) == 0
-        assert json.loads(capsys.readouterr().out)["params"] == {"budget": 64}
-        # the prefix search has no candidate cap, so no budget is reported
-        for extra in ([], ["--budget", "64"]):
-            assert main(["exact", str(path), "--branch-and-bound", *extra]) == 0
+        short = {"alphabet": "01", "strings": ["000", "111"]}
+        long = {"alphabet": "01", "strings": ["01" * 6, "10" * 6]}
+        for inst, extra, budget, answer in (
+            (short, [], 1 << 20, ("001", 2)),
+            (short, ["--budget", "64"], 64, ("001", 2)),
+            (long, ["--budget", "1024"], 1024, ("0" * 12, 6)),
+        ):
+            path.write_text(json.dumps(inst))
+            assert main(["exact", str(path), *extra]) == 0
             result = json.loads(capsys.readouterr().out)
-            assert result["params"] == {"branch_and_bound": True}
-            assert (result["center"], result["radius"]) == ("001", 2)
+            assert result["params"] == {"budget": budget}
+            assert (result["center"], result["radius"]) == answer
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_solve_string_refuses_budget_below_one(self, budget, tmp_path, capsys):
@@ -334,7 +375,12 @@ class TestCli:
             assert f"{flag} {phrase}" in text
 
     def test_budget_help_names_what_it_caps(self, capsys):
-        for command, text in (("solve-string", "patch-sweep cap"), ("bench", "oracle's candidate cap")):
+        for command, text in (
+            ("solve-string", "patch-sweep cap"),
+            ("bench", "oracle's candidate cap"),
+            ("exact", "the plain sweep's candidate cap; past it, whole strings get the prefix search, "
+                      "whose pair cells it caps too"),
+        ):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             assert text in " ".join(capsys.readouterr().out.split())
