@@ -104,15 +104,13 @@ class InstanceFile:
         return cls(alpha, tuple(strings))
 
     @classmethod
-    def load(cls, path: str | Path, fmt: str = "auto", alphabet: str | None = None) -> "InstanceFile":
+    def load(cls, path: str | Path, alphabet: str | None = None) -> "InstanceFile":
+        """Read a JSON instance if the name ends in .json or the text starts
+        with '{' (after whitespace), else a FASTA one."""
         text = Path(path).read_text()
-        if fmt == "auto":
-            fmt = "json" if str(path).endswith(".json") or text.lstrip().startswith("{") else "fasta"
-        if fmt == "json":
+        if str(path).endswith(".json") or text.lstrip().startswith("{"):
             return cls.parse_json(text, alphabet)
-        if fmt == "fasta":
-            return cls.parse_fasta(text, alphabet)
-        raise DomainError(f"unknown format {fmt!r}")
+        return cls.parse_fasta(text, alphabet)
 
     def emit_json(self) -> str:
         obj: dict = {"alphabet": self.alphabet, "strings": list(self.strings)}
@@ -247,26 +245,6 @@ class BenchReport:
         )
 
 
-def _ratio_bound(algo: str, r: int, epsilon: float, epsilon_prime: float) -> Fraction:
-    """Declared worst-case radius/optimum ratio per algorithm."""
-    base = 1 + Fraction(1, 2 * r - 1)
-    if algo == "exact":
-        return Fraction(1)
-    if algo == "string":
-        return base + Fraction(epsilon_prime) * r
-    if algo == "small":
-        return base
-    if algo == "sampling":
-        return base + 3 * Fraction(epsilon) * r
-    raise DomainError(f"unknown algorithm {algo!r}")
-
-
-def _within_bound(radius: int, oracle: int, bound: Fraction) -> bool:
-    if oracle == 0:
-        return radius == 0
-    return radius <= math.ceil(bound * oracle)
-
-
 def _format_ratio(radius: int, oracle: int | None) -> str:
     if oracle is None:
         return ""
@@ -282,16 +260,49 @@ def _oracle(f: InstanceFile, budget: int) -> CenterSolution:
     return exact_closest_substring(f.as_substring_instance(), budget=budget)
 
 
-def _run_algo(
-    algo: str, f: InstanceFile, *, r: int, epsilon: float, epsilon_prime: float, trials: int, seed: int
-) -> CenterSolution:
-    """One approximate solver on the file: string, small or sampling."""
-    if algo == "string":
+@dataclass(frozen=True)
+class _BenchAlgo:
+    """What one bench algorithm name means: its configured solve (None for
+    exact, whose row is the oracle's own outcome), its r and epsilon
+    columns, and its declared worst-case radius/optimum ratio."""
+
+    solve: Callable[[InstanceFile], CenterSolution] | None
+    r: int | None
+    epsilon: float | None
+    bound: Fraction
+
+
+def _bench_algos(
+    algos: Sequence[str], *, r: int, epsilon: float, epsilon_prime: float, trials: int, seed: int
+) -> dict[str, _BenchAlgo]:
+    """The table of the requested algorithms, built before any instance
+    is solved: an unknown name, or a parameter outside the domain of a
+    requested algorithm's config, raises DomainError here."""
+    if not algos:
+        raise DomainError(f"no algorithm given; choose from {','.join(ALGOS)}")
+
+    def string() -> Callable[[InstanceFile], CenterSolution]:
         rounding = RoundingConfig(mode="auto", trials=trials, epsilon_prime=epsilon_prime, rng_seed=seed)
-        return solve_closest_string(f.as_string_instance(), ClosestStringConfig(r=r, rounding=rounding))
-    mode = {"small": "small_d", "sampling": "sampling"}[algo]
-    cfg = SubstringConfig(r=r, epsilon=epsilon, trials=trials, mode=mode, rng_seed=seed)
-    return solve_substring(f.as_substring_instance(), cfg)
+        cfg = ClosestStringConfig(r=r, rounding=rounding)
+        return lambda f: solve_closest_string(f.as_string_instance(), cfg)
+
+    def substring(mode: str) -> Callable[[InstanceFile], CenterSolution]:
+        cfg = SubstringConfig(r=r, epsilon=epsilon, trials=trials, mode=mode, rng_seed=seed)
+        return lambda f: solve_substring(f.as_substring_instance(), cfg)
+
+    base = 1 + Fraction(1, 2 * r - 1)
+    # each solve is built before its bound, so its config refuses an
+    # epsilon out of domain, NaN included, before Fraction reads it
+    makers = {
+        "exact": lambda: _BenchAlgo(None, None, None, Fraction(1)),
+        "string": lambda: _BenchAlgo(string(), r, epsilon_prime, base + r * Fraction(epsilon_prime)),
+        "small": lambda: _BenchAlgo(substring("small_d"), r, None, base),
+        "sampling": lambda: _BenchAlgo(substring("sampling"), r, epsilon, base + 3 * r * Fraction(epsilon)),
+    }
+    for algo in algos:
+        if algo not in makers:
+            raise DomainError(f"unknown algorithm {algo!r}; choose from {','.join(ALGOS)}")
+    return {algo: makers[algo]() for algo in algos}
 
 
 def _attempt(solve: Callable[[], CenterSolution]) -> tuple[CenterSolution | CenterStringError, float]:
@@ -304,7 +315,7 @@ def _attempt(solve: Callable[[], CenterSolution]) -> tuple[CenterSolution | Cent
 
 
 def run_bench(
-    suite: Sequence[InstanceFile | tuple[str, InstanceFile]],
+    suite: Sequence[tuple[str, InstanceFile]],
     algos: Sequence[str],
     *,
     r: int = 2,
@@ -316,24 +327,17 @@ def run_bench(
     parallel: bool = False,
     timing: bool = True,
 ) -> BenchReport:
-    """Run each algorithm on each instance and collect a CSV-able report.
+    """Run each algorithm on each (name, InstanceFile) pair of the suite
+    and collect a CSV-able report.
 
-    Suite items are InstanceFile objects, optionally labeled as
-    (name, InstanceFile) pairs.  The exact oracle runs once per instance:
+    The algorithm table is built first, so a bad name or parameter raises
+    DomainError before any work.  The exact oracle runs once per instance:
     its radius fills the oracle column and its outcome is the exact row.
     Rows keep suite order regardless of completion order; per-instance
     failures become status rows instead of aborting the suite.  With
     timing=False the ms column is left blank so reports are byte-stable.
     """
-    if not algos:
-        raise DomainError(f"no algorithm given; choose from {','.join(ALGOS)}")
-    for algo in algos:
-        if algo not in ALGOS:
-            raise DomainError(f"unknown algorithm {algo!r}; choose from {','.join(ALGOS)}")
-    labeled = [
-        item if isinstance(item, tuple) else (f"instance{i}", item)
-        for i, item in enumerate(suite)
-    ]
+    table = _bench_algos(algos, r=r, epsilon=epsilon, epsilon_prime=epsilon_prime, trials=trials, seed=seed)
 
     def work(item: tuple[str, InstanceFile]) -> list[BenchRow]:
         name, f = item
@@ -341,32 +345,30 @@ def run_bench(
         oracle = exact.radius if isinstance(exact, CenterSolution) else None
         rows: list[BenchRow] = []
         for algo in algos:
-            eps_col = {"string": epsilon_prime, "sampling": epsilon, "small": None, "exact": None}[algo]
-            r_col = None if algo == "exact" else r
-            sol, secs = (exact, exact_s) if algo == "exact" else _attempt(lambda: _run_algo(
-                algo, f, r=r, epsilon=epsilon, epsilon_prime=epsilon_prime, trials=trials, seed=seed,
-            ))
+            spec = table[algo]
+            sol, secs = (exact, exact_s) if spec.solve is None else _attempt(lambda: spec.solve(f))
             if isinstance(sol, CenterStringError):
-                rows.append(BenchRow(name, seed, algo, r_col, eps_col, None, oracle, "", "",
+                rows.append(BenchRow(name, seed, algo, spec.r, spec.epsilon, None, oracle, "", "",
                                      f"error: {sol}"))
                 continue
             ms = f"{secs * 1000.0:.3f}" if timing else ""
             rows.append(BenchRow(
-                name, seed, algo, r_col, eps_col, sol.radius, oracle,
+                name, seed, algo, spec.r, spec.epsilon, sol.radius, oracle,
                 _format_ratio(sol.radius, oracle), ms, "ok",
             ))
         return rows
 
-    if parallel and len(labeled) > 1:
+    if parallel and len(suite) > 1:
         with ThreadPoolExecutor() as pool:
-            per_instance = list(pool.map(work, labeled))
+            per_instance = list(pool.map(work, suite))
     else:
-        per_instance = [work(item) for item in labeled]
+        per_instance = [work(item) for item in suite]
 
     rows = [row for chunk in per_instance for row in chunk]
+    # at oracle 0 the ceiling is 0, so only radius 0 is within any bound
     bounds_ok = all(
-        _within_bound(row.radius, row.oracle, _ratio_bound(row.algo, r, epsilon, epsilon_prime))
-        for row in rows if row.status == "ok" and row.oracle is not None and row.radius is not None
+        row.radius <= math.ceil(table[row.algo].bound * row.oracle)
+        for row in rows if row.status == "ok" and row.oracle is not None
     )
     return BenchReport(rows, bounds_ok)
 
@@ -395,8 +397,6 @@ _OUT_HELP = "write the result here instead of stdout"
 
 def _add_io_flags(sub: argparse.ArgumentParser, out_help: str = _OUT_HELP) -> None:
     """Input and output flags of the subcommands that read instance files."""
-    sub.add_argument("--format", choices=("auto", "json", "fasta"), default="auto",
-                     help="input format (default: json for a .json name or a '{' start, else fasta)")
     sub.add_argument("--alphabet", default=None, help="explicit alphabet override")
     sub.add_argument("--out", default=None, help=out_help)
 
@@ -491,7 +491,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _load(args: argparse.Namespace) -> InstanceFile:
-    f = InstanceFile.load(args.file, fmt=args.format, alphabet=args.alphabet)
+    f = InstanceFile.load(args.file, alphabet=args.alphabet)
     if getattr(args, "L", None) is not None:
         f = replace(f, window=args.L)
     return f
@@ -504,10 +504,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "bench":
-        suite = [
-            (Path(path).name, InstanceFile.load(path, fmt=args.format, alphabet=args.alphabet))
-            for path in args.files
-        ]
+        suite = [(Path(path).name, InstanceFile.load(path, alphabet=args.alphabet)) for path in args.files]
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
         report = run_bench(
             suite, algos, r=args.r, epsilon=args.epsilon, epsilon_prime=args.epsilon_prime,
@@ -543,7 +540,3 @@ def _dispatch(args: argparse.Namespace) -> int:
         algo, params = "exact", {"budget": args.budget}
     _emit(_solution_json(sol, algo, params), args.out)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -143,6 +143,10 @@ class TestSubsetCandidates:
         with pytest.raises(DomainError):
             list(subset_candidates(binst("0", "1"), 3))
 
+    def test_r_below_two_rejected(self):
+        with pytest.raises(DomainError, match="subset size r must be >= 2"):
+            ClosestStringConfig(r=1)
+
 
 class TestSolveClosestString:
     def test_identical_strings(self):

@@ -77,6 +77,8 @@ class TestSampleSize:
             sample_size(0.0, 3, 3)
         with pytest.raises(DomainError):
             sample_size(2.0, 3, 3)
+        with pytest.raises(DomainError, match="n and m must be >= 1"):
+            sample_size(1.0, 0, 5)
 
 
 class TestSubstringConfig:
@@ -86,6 +88,17 @@ class TestSubstringConfig:
         with pytest.raises(DomainError, match="trials must be >= 1"):
             SubstringConfig(trials=0)
         SubstringConfig(rounding_mode="derandomized", trials=1)  # no raise
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"r": 1}, "subset size r must be >= 2"),
+        ({"epsilon": 0.0}, "epsilon must be in"),
+        ({"epsilon": 1.5}, "epsilon must be in"),
+        ({"y_budget": 0}, "y_budget must be >= 1"),
+        ({"mode": "bogus"}, "mode must be one of"),
+    ], ids=["r", "epsilon-0", "epsilon-1.5", "y-budget", "mode"])
+    def test_own_fields_validated_at_construction(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            SubstringConfig(**kwargs)
 
 
 class TestWindowTuples:

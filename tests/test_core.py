@@ -48,6 +48,10 @@ class TestAlphabet:
         with pytest.raises(DomainError):
             Alphabet.of("AAB")
 
+    def test_rejects_multi_character_symbols(self):
+        with pytest.raises(DomainError, match="single characters, got 'ab'"):
+            Alphabet(("ab", "c"))
+
     def test_unknown_symbol_is_hard_error(self):
         with pytest.raises(AlphabetMismatch):
             Seq.from_text(BINARY, "012")
@@ -254,6 +258,19 @@ class TestCosts:
         assert cost_substring(inst2, bseq("01")) == (0, (0,))
         inst3 = SubstringInstance.from_texts(BINARY, ["0000", "1111"], 2)
         assert cost_substring(inst3, bseq("01")) == (1, (0, 0))
+
+    def test_center_of_wrong_length_or_alphabet_rejected(self):
+        inst = StringInstance.from_texts(BINARY, ["000", "011"])
+        sub = SubstringInstance.from_texts(BINARY, ["0000", "0110"], 2)
+        with pytest.raises(LengthMismatch, match="center length 2 vs instance length 3"):
+            cost_string(inst, bseq("00"))
+        with pytest.raises(LengthMismatch, match="center length 3 vs window 2"):
+            cost_substring(sub, bseq("000"))
+        ab = Alphabet.of("AB")
+        with pytest.raises(AlphabetMismatch, match="different alphabets"):
+            cost_string(inst, Seq.from_text(ab, "ABA"))
+        with pytest.raises(AlphabetMismatch, match="different alphabets"):
+            cost_substring(sub, Seq.from_text(ab, "AB"))
 
     def test_window_too_long(self):
         with pytest.raises(WindowTooLong):

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,39 @@ class TestFastaFormat:
         f = InstanceFile.parse_fasta(">x\nACGN\n", alphabet="ACGT")
         with pytest.raises(AlphabetMismatch):
             f.to_instance()
+
+    def test_blank_lines_and_headerless_body(self):
+        f = InstanceFile.parse_fasta("\n>one\n\nAC\n  \nGT\n\n>two\nTTGA\n")
+        assert f.strings == ("ACGT", "TTGA")
+        # a body before any header is one record
+        f = InstanceFile.parse_fasta("acgt\nac\n>two\nTTTTTT\n")
+        assert f.strings == ("ACGTAC", "TTTTTT")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no sequences found in FASTA input"),
+        ("\n  \n", "no sequences found in FASTA input"),
+        # a header opens a record, so this one is an empty string
+        (">only a header\n", "strings must be nonempty"),
+    ])
+    def test_no_sequence_rejected(self, text, message, tmp_path, capsys):
+        path = tmp_path / "empty.fa"
+        path.write_text(text)
+        assert main(["exact", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_format_follows_name_or_first_symbol(self, tmp_path):
+        # JSON for a .json name or a '{' start, else FASTA; no switch overrides it
+        text = '{"alphabet":"01","strings":["0101","1100"]}'
+        for name in ("a.json", "a.txt"):
+            (tmp_path / name).write_text("  \n" + text)
+            assert InstanceFile.load(tmp_path / name) == InstanceFile("01", ("0101", "1100"))
+        (tmp_path / "b.txt").write_text(">x\n0101\n>y\n1100\n")
+        assert InstanceFile.load(tmp_path / "b.txt") == InstanceFile("01", ("0101", "1100"))
+        (tmp_path / "c.json").write_text(">x\n0101\n")
+        with pytest.raises(DomainError, match="invalid JSON"):
+            InstanceFile.load(tmp_path / "c.json")
 
     def test_fasta_and_json_solve_identically(self, tmp_path):
         strings = ["ACGTACG", "TACGTAC", "GACGTAA"]
@@ -190,6 +227,35 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no algorithm given; choose from exact,string,small,sampling\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--r", "1"], "subset size r must be >= 2"),
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--epsilon-prime", "2", "--algos", "string"], "epsilon_prime must be in (0, 1]"),
+        (["--epsilon", "0", "--algos", "small"], "epsilon must be in (0, 1]"),
+        (["--epsilon", "nan", "--algos", "sampling"], "epsilon must be in (0, 1]"),
+    ], ids=["r", "trials", "epsilon-prime", "epsilon", "epsilon-nan"])
+    def test_bad_parameters_rejected_before_any_work(self, flags, message, monkeypatch, tmp_path, capsys):
+        # every requested algorithm is configured before the first instance,
+        # so a parameter outside its domain is no row of errors but exit 2
+        def fail(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(io_cli, "_oracle", fail)
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["0000","1111"]}')
+        assert main(["bench", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_parameters_of_algorithms_not_requested_are_not_checked(self, tmp_path, capsys):
+        # exact reads no r and small no epsilon', so neither is refused for them
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["0000","1111"]}')
+        assert main(["bench", str(path), "--algos", "exact", "--r", "1", "--no-timing"]) == 0
+        assert main(["bench", str(path), "--algos", "small", "--epsilon-prime", "2", "--no-timing"]) == 0
+        assert [line.split()[2] for line in capsys.readouterr().out.splitlines()[1::2]] == ["exact", "small"]
 
     def test_oracle_runs_once_per_instance(self, monkeypatch):
         calls = []
@@ -367,12 +433,53 @@ class TestCli:
             main(["exact", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         for flag, phrase in (
-            ("--format {auto,json,fasta}", "input format"),
             ("--alphabet ALPHABET", "explicit alphabet override"),
             ("--L L", "window length"),
             ("--out OUT", "write the result here instead of stdout"),
         ):
             assert f"{flag} {phrase}" in text
+
+    @pytest.mark.parametrize("command", ["solve-string", "solve-substring", "exact", "bench"])
+    def test_no_format_flag(self, command, tmp_path, capsys):
+        # the name or the first symbol picks the parser, so no flag does
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["0000","1111"]}')
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path), "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+    def test_window_from_the_command_line(self, tmp_path, capsys):
+        # --L gives a file without an L its window, for both subcommands
+        path = tmp_path / "s.fa"
+        path.write_text(">a\n00110\n>b\n11001\n")
+        assert main(["solve-substring", str(path), "--L", "3", "--mode", "small_d"]) == 0
+        assert json.loads(capsys.readouterr().out)["radius"] == 0
+        assert main(["exact", str(path), "--L", "3"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["center"], result["radius"], result["offsets_1based"]) == ("001", 0, [1, 3])
+        # without --L the strings are whole
+        assert main(["exact", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["radius"] == 3
+
+    def test_solve_substring_needs_a_window(self, tmp_path, capsys):
+        path = tmp_path / "s.fa"
+        path.write_text(">a\n0011\n>b\n1100\n")
+        assert main(["solve-substring", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: window length missing: provide --L or a JSON 'L' field\n"
+
+    def test_package_runs_as_a_module(self):
+        # `python -m centerstring` is the CLI, without runpy's warning about
+        # a module the package has already imported
+        env = {**os.environ, "PYTHONPATH": str(Path(io_cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "centerstring", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: centerstring ")
 
     def test_budget_help_names_what_it_caps(self, capsys):
         for command, text in (

@@ -581,6 +581,13 @@ class TestRounding:
         assert round_randomized(frac, cfg).tolist() == [0, 1]
         assert round_derandomized(frac, 1.0).tolist() == [0, 1]
 
+    def test_epsilon_prime_domain(self):
+        with pytest.raises(DomainError, match=r"epsilon_prime must be in \(0, 1\]"):
+            RoundingConfig(epsilon_prime=0)
+        frac = solve_lp(build_restricted(binst("0", "1"), bseq("0").arr, on(1)))
+        with pytest.raises(DomainError, match=r"epsilon_prime must be in \(0, 1\]"):
+            round_derandomized(frac, 0)
+
     def test_randomized_is_reproducible(self):
         p = build_restricted(binst("0", "1"), bseq("0").arr, on(1))
         frac = solve_lp(p)
@@ -802,7 +809,7 @@ class TestSolveRestricted:
         assert row.dtype == np.uint8 and [row[0], row[3]] == [0, 0]
         assert cost == cost_string(inst, Seq(BINARY, row))
 
-    @pytest.mark.parametrize("path", ["sweep", "derandomized", "randomized"])
+    @pytest.mark.parametrize("path", ["sweep", "derandomized", "randomized", "fallback"])
     def test_cost_and_anchor_on_every_path(self, monkeypatch, path):
         # the returned cost, read from fixed and rows, is the cost of the
         # returned row over the instance, and the row keeps the anchor on Q
@@ -813,15 +820,17 @@ class TestSolveRestricted:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(lp_round, name, spy)
         # at eps' = 0.3 every |P| <= 11 lies under the enumeration threshold;
-        # budget 1 sends every |P| >= 1 problem to the LP
+        # budget 1 sends every |P| >= 1 problem to the LP, where at eps' = 0.1
+        # auto meets estimators that start at >= 1 and falls back
         mode, eps, budget = {
             "sweep": ("auto", 0.3, lp_round.DEFAULT_ENUM_BUDGET),
             "derandomized": ("derandomized", 1.0, 1),
             "randomized": ("randomized", 1.0, 1),
+            "fallback": ("auto", 0.1, 1),
         }[path]
         cfg = RoundingConfig(mode=mode, trials=4, epsilon_prime=eps, rng_seed=5)
         rng = np.random.default_rng(61)
-        solved = 0
+        solved = fallbacks = 0
         for _ in range(30):
             k = int(rng.integers(2, 5))
             alpha = Alphabet.of("ABCD"[:k])
@@ -835,13 +844,24 @@ class TestSolveRestricted:
                 row, cost = solve_restricted(p, cfg, enum_budget=budget)
             except EstimatorAtLeastOne:
                 continue
-            if len(p.P):
+            if len(p.P) and path == "fallback":
+                # the patch is the derandomized one if its estimator starts
+                # below 1, else the randomized one, never the LP argmax
+                if taken == ["round_derandomized"]:
+                    patch = round_derandomized(solve_lp(p), eps)
+                else:
+                    assert taken == ["round_derandomized", "round_randomized"]
+                    patch = round_randomized(solve_lp(p), cfg)
+                    fallbacks += 1
+                assert np.array_equal(row[p.P], patch)
+            elif len(p.P):
                 assert taken[-1] == ("enumerate_small_P" if path == "sweep" else f"round_{path}")
             solved += 1
             assert row.shape == (m,) and row.dtype == np.uint8
             assert np.array_equal(row[on_q], anchor[on_q])
             assert cost == cost_string(inst, Seq(alpha, row))
         assert solved >= 10
+        assert path != "fallback" or fallbacks >= 5
 
     def test_deterministic_across_modes_with_seed(self):
         inst = binst("010101010101", "101010101010", "001100110011")
