@@ -1,7 +1,9 @@
 """Closest Substring solvers.
 
-One per-tuple loop serves every mode.  Each window tuple either has its
-free positions P solved exactly or has its center guessed on a random
+`solve_substring` runs one per-tuple loop for every mode; the paper's two
+algorithms, `solve_small_substring` and `solve_closest_substring`, are it
+with the mode fixed to small_d or sampling.  Each window tuple either has
+its free positions P solved exactly or has its center guessed on a random
 position multiset R.  A tuple is swept (every patch over P, scored by the
 patch-sweep kernel shared with the Closest String solver) when |P| is at
 most the mode's sweep limit: L for small_d, |R| for sampling, and the
@@ -85,7 +87,7 @@ def enumerate_window_tuples(inst: SubstringInstance, r: int) -> Iterator[Picks]:
 
 
 def _agreed_tuples(
-    inst: SubstringInstance, cfg: SubstringConfig, mode: str
+    inst: SubstringInstance, cfg: SubstringConfig
 ) -> list[tuple[Picks, np.ndarray, np.ndarray, bool]]:
     """(picks, anchor row, agreement mask on_q, swept) of the window
     tuples in enumeration order, keeping only the first swept tuple of each
@@ -93,7 +95,7 @@ def _agreed_tuples(
     picked window equals the anchor.
 
     A tuple is swept over its k^|P| patches when its free-position count
-    |P| is at most the mode's sweep limit: L for small_d (every tuple), the
+    |P| is at most cfg.mode's sweep limit: L for small_d (every tuple), the
     sample size |R| for sampling, and the largest c with k^c <= y_budget
     for auto.  Any other tuple makes k^|R| center guesses on R.  Raises
     BudgetExceeded at the first tuple whose count exceeds y_budget, so an
@@ -102,7 +104,7 @@ def _agreed_tuples(
     """
     k = inst.alphabet.size
     size = _sample_size_of(inst, cfg.epsilon)
-    limit = {"small_d": inst.window, "sampling": size, "auto": _max_exponent(k, cfg.y_budget)}[mode]
+    limit = {"small_d": inst.window, "sampling": size, "auto": _max_exponent(k, cfg.y_budget)}[cfg.mode]
     agreed = []
     swept_pairs: set[bytes] = set()  # the mask's fixed length L keeps keys unambiguous
     for picks in enumerate_window_tuples(inst, cfg.r):
@@ -113,7 +115,7 @@ def _agreed_tuples(
         count = free if swept else size
         if k ** count > cfg.y_budget:
             work = f"|P|={free} needs {k}^{free} patches" if swept else f"|R|={size} needs {k}^{size} guesses"
-            hint = "" if mode == "small_d" else "; " + _budget_hint(inst, cfg.y_budget, cfg.epsilon)
+            hint = "" if cfg.mode == "small_d" else "; " + _budget_hint(inst, cfg.y_budget, cfg.epsilon)
             raise BudgetExceeded(f"{work}, over budget {cfg.y_budget}{hint}")
         if swept:
             pair = on_q.tobytes() + rows[0, on_q].tobytes()
@@ -123,19 +125,6 @@ def _agreed_tuples(
         # a copy, so that the tuple's rows are freed
         agreed.append((picks, rows[0].copy(), on_q, swept))
     return agreed
-
-
-def solve_small_substring(
-    inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()
-) -> CenterSolution:
-    """Exhaustive-patch substring solver, ratio at most 1 + 1/(2r-1).
-
-    Sweeps every window tuple.  Intended for small optimal radius, where
-    the free-position sets stay logarithmic; if any window tuple's patch
-    count exceeds cfg.y_budget it raises BudgetExceeded before sweeping
-    anything.
-    """
-    return _solve(inst, cfg, "small_d")
 
 
 def sample_size(epsilon: float, n: int, m: int) -> int:
@@ -222,7 +211,7 @@ def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
     return f"no epsilon in (0, 1] fits ({needed}); y_budget >= {k}^{size} would fit at epsilon {epsilon}"
 
 
-def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterator[tuple[int, np.ndarray]]:
+def _centers(inst: SubstringInstance, cfg: SubstringConfig) -> Iterator[tuple[int, np.ndarray]]:
     """(radius, center row) candidates in enumeration order: per kept
     window tuple, its swept center, or else the restricted solve's center
     for every distinct selection its guesses y on R make, at the
@@ -239,7 +228,7 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
     of its selected windows, whose restricted problem keeps the anchor on
     Q, and its center is scored on every window like a swept one.
     """
-    agreed = _agreed_tuples(inst, cfg, mode)
+    agreed = _agreed_tuples(inst, cfg)
     k = inst.alphabet.size
     size = _sample_size_of(inst, cfg.epsilon)
     wins = np.concatenate(inst.windows)
@@ -276,46 +265,51 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> Iterat
                 yield int(np.minimum.reduceat((wins != center).sum(axis=1), starts).max()), center
 
 
-def _solve(inst: SubstringInstance, cfg: SubstringConfig, mode: str) -> CenterSolution:
-    """The first candidate of minimum radius under the mode's sweep limit."""
-    _, row = min(_centers(inst, cfg, mode), key=lambda c: c[0])
+def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()) -> CenterSolution:
+    """The substring solver: the first candidate of minimum radius over
+    the window tuples, each swept or guessed under cfg.mode's sweep limit
+    (see _agreed_tuples).
+
+    small_d sweeps every tuple, ratio 1 + 1/(2r-1); sampling sweeps the
+    tuples with |P| <= |R| and guesses the others on R, ratio
+    1 + 1/(2r-1) + 3*epsilon*r with high probability.  Auto sweeps every
+    tuple whose k^|P| patches fit cfg.y_budget and guesses the others as
+    sampling does, so its ratio is the small_d bound whenever every tuple
+    is swept, and the sampling bound otherwise.
+    """
+    _, row = min(_centers(inst, cfg), key=lambda c: c[0])
     center = Seq(inst.alphabet, row.tobytes())
     radius, offsets = cost_substring(inst, center)
     return CenterSolution(center, radius, offsets)
 
 
+def solve_small_substring(
+    inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()
+) -> CenterSolution:
+    """solve_substring in small_d mode, ratio at most 1 + 1/(2r-1).
+
+    Sweeps every window tuple.  Intended for small optimal radius, where
+    the free-position sets stay logarithmic; if any window tuple's patch
+    count exceeds cfg.y_budget it raises BudgetExceeded before sweeping
+    anything.
+    """
+    return solve_substring(inst, replace(cfg, mode="small_d"))
+
+
 def solve_closest_substring(
     inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()
 ) -> CenterSolution:
-    """Sampling-based substring solver, ratio 1 + 1/(2r-1) + 3*epsilon*r
+    """solve_substring in sampling mode, ratio 1 + 1/(2r-1) + 3*epsilon*r
     with high probability.
 
-    For every window tuple the sample size |R| = sample_size(epsilon, n, m)
-    is compared with the free positions P.  When |R| >= |P| the sample
-    would be all of P, so every center guess is a whole patch; the tuple
-    is then swept exactly (the small_d sweep, ratio 1 + 1/(2r-1)), which
-    is at least as good as every guess together.  Otherwise R is drawn
-    once from P (seeded per tuple); every center guess y on R selects one
-    window per string, and each distinct selection goes once through the
-    restricted LP pipeline (solved within error epsilon*|P|), which
-    produces a candidate center.  cfg.y_budget caps the
-    patches swept or the guesses made per tuple; an overrun raises
-    BudgetExceeded before any tuple is solved.
+    A tuple whose free positions P number at most the sample size
+    |R| = sample_size(epsilon, n, m) is swept exactly (ratio
+    1 + 1/(2r-1)): every center guess on R would be a whole patch.  Any
+    other tuple draws R once from P (seeded per tuple); every guess y on
+    R selects one window per string, and each distinct selection goes
+    once through the restricted LP pipeline (solved within error
+    epsilon*|P|).  cfg.y_budget caps the patches swept or the guesses
+    made per tuple; an overrun raises BudgetExceeded before any tuple is
+    solved.
     """
-    return _solve(inst, cfg, "sampling")
-
-
-def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()) -> CenterSolution:
-    """Mode dispatcher: small_d, sampling or auto.
-
-    The modes differ only in the sweep limit on a tuple's free positions
-    (see _agreed_tuples).  Auto sweeps every tuple whose k^|P| patches fit
-    cfg.y_budget and guesses the others on R as sampling does, so its ratio
-    is the small_d bound 1 + 1/(2r-1) whenever every tuple is swept, and
-    the sampling bound otherwise.
-    """
-    if cfg.mode == "small_d":
-        return solve_small_substring(inst, cfg)
-    if cfg.mode == "sampling":
-        return solve_closest_substring(inst, cfg)
-    return _solve(inst, cfg, "auto")
+    return solve_substring(inst, replace(cfg, mode="sampling"))

@@ -62,9 +62,6 @@ class Alphabet:
         except KeyError:
             raise AlphabetMismatch(f"symbol {symbol!r} not in alphabet {''.join(self.symbols)!r}") from None
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._lookup
-
 
 BINARY = Alphabet.of("01")
 DNA = Alphabet.of("ACGT")

@@ -29,11 +29,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .closest_string import ClosestStringConfig, solve_closest_string
-from .closest_substring import SubstringConfig, solve_substring
+from .closest_substring import _SUBSTRING_MODES, SubstringConfig, solve_substring
 from .core import Alphabet, CenterSolution, Seq, StringInstance, SubstringInstance
 from .errors import CenterStringError, DomainError
 from .exact import DEFAULT_EXACT_BUDGET, exact_closest_string, exact_closest_substring
-from .lp_round import DEFAULT_ENUM_BUDGET, RoundingConfig
+from .lp_round import _ROUNDING_MODES, DEFAULT_ENUM_BUDGET, RoundingConfig
 
 ALGOS = ("exact", "string", "small", "sampling")
 
@@ -318,11 +318,11 @@ def run_bench(
     suite: Sequence[tuple[str, InstanceFile]],
     algos: Sequence[str],
     *,
-    r: int = 2,
-    epsilon: float = 1.0,
-    epsilon_prime: float = 0.5,
-    trials: int = 32,
-    seed: int = 0,
+    r: int = ClosestStringConfig.r,
+    epsilon: float = SubstringConfig.epsilon,
+    epsilon_prime: float = RoundingConfig.epsilon_prime,
+    trials: int = RoundingConfig.trials,
+    seed: int = RoundingConfig.rng_seed,
     oracle_budget: int = DEFAULT_EXACT_BUDGET,
     parallel: bool = False,
     timing: bool = True,
@@ -330,13 +330,16 @@ def run_bench(
     """Run each algorithm on each (name, InstanceFile) pair of the suite
     and collect a CSV-able report.
 
-    The algorithm table is built first, so a bad name or parameter raises
-    DomainError before any work.  The exact oracle runs once per instance:
-    its radius fills the oracle column and its outcome is the exact row.
+    The algorithm table is built first, so a bad name or parameter, or an
+    oracle_budget below 1, raises DomainError before any work.  The exact
+    oracle runs once per instance: its radius fills the oracle column and
+    its outcome is the exact row.
     Rows keep suite order regardless of completion order; per-instance
     failures become status rows instead of aborting the suite.  With
     timing=False the ms column is left blank so reports are byte-stable.
     """
+    if oracle_budget < 1:
+        raise DomainError("oracle_budget must be >= 1")
     table = _bench_algos(algos, r=r, epsilon=epsilon, epsilon_prime=epsilon_prime, trials=trials, seed=seed)
 
     def work(item: tuple[str, InstanceFile]) -> list[BenchRow]:
@@ -406,16 +409,19 @@ def _add_common_flags(
 ) -> None:
     """Flags of the solve and bench subcommands.  `string` adds the
     whole-string solver's --epsilon-prime, `substring` the sampling
-    accuracy --epsilon."""
-    sub.add_argument("--r", type=int, default=2, help="subset size (default 2)")
+    accuracy --epsilon.  Defaults are the configs' own: the whole-string
+    ones when `string`, else SubstringConfig's."""
+    defaults = RoundingConfig if string else SubstringConfig
+    r = ClosestStringConfig.r if string else SubstringConfig.r
+    sub.add_argument("--r", type=int, default=r, help=f"subset size (default {r})")
     if string:
-        sub.add_argument("--epsilon-prime", type=float, default=0.5,
-                         help="rounding accuracy epsilon' (default 0.5)")
+        sub.add_argument("--epsilon-prime", type=float, default=RoundingConfig.epsilon_prime,
+                         help=f"rounding accuracy epsilon' (default {RoundingConfig.epsilon_prime})")
     if substring:
-        sub.add_argument("--epsilon", type=float, default=1.0,
-                         help="sampling accuracy epsilon (default 1.0)")
-    sub.add_argument("--trials", type=int, default=32, help="randomized rounding trials")
-    sub.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
+        sub.add_argument("--epsilon", type=float, default=SubstringConfig.epsilon,
+                         help=f"sampling accuracy epsilon (default {SubstringConfig.epsilon})")
+    sub.add_argument("--trials", type=int, default=defaults.trials, help="randomized rounding trials")
+    sub.add_argument("--seed", type=int, default=defaults.rng_seed, help="master 64-bit seed")
     _add_io_flags(sub, out_help)
 
 
@@ -431,20 +437,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, string=True, substring=False)
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
                    help="patch-sweep cap of a restricted solve")
-    p.add_argument("--mode", choices=("randomized", "derandomized", "auto"), default="auto",
+    p.add_argument("--mode", choices=_ROUNDING_MODES, default=RoundingConfig.mode,
                    help="rounding mode")
 
     p = subs.add_parser("solve-substring", help="approximate Closest Substring")
     p.add_argument("file")
     _add_common_flags(p, string=False, substring=True)
     p.add_argument("--L", type=int, default=None, help="window length (required for FASTA)")
-    p.add_argument("--mode", choices=("small_d", "sampling", "auto"), default="auto",
+    p.add_argument("--mode", choices=_SUBSTRING_MODES, default=SubstringConfig.mode,
                    help="which window tuples are swept exactly: small_d every one, "
                         "sampling those with |P| <= |R|, auto those whose patches "
                         "fit --y-budget; the others guess the center on a sample R")
-    p.add_argument("--rounding-mode", choices=("randomized", "derandomized", "auto"),
-                   default="auto")
-    p.add_argument("--y-budget", type=int, default=1 << 16,
+    p.add_argument("--rounding-mode", choices=_ROUNDING_MODES, default=SubstringConfig.rounding_mode)
+    p.add_argument("--y-budget", type=int, default=SubstringConfig.y_budget,
                    help="cap per window tuple on the patches swept or the center "
                         "guesses made; auto sweeps every tuple whose patches fit it")
 

@@ -633,7 +633,7 @@ class TestBudgetHint:
         assert 0.4 < eps <= 1.0
         assert 2 ** sample_size(eps, 3, 40) <= cfg.y_budget
         assert 2 ** sample_size(eps - 1e-4, 3, 40) > cfg.y_budget
-        closest_substring._agreed_tuples(inst, replace(cfg, epsilon=eps), "sampling")  # no raise
+        closest_substring._agreed_tuples(inst, replace(cfg, epsilon=eps, mode="sampling"))  # no raise
 
     def test_no_feasible_epsilon_names_a_budget(self):
         # binary 4 x 40, L = 20: epsilon = 1 still needs |R| = 21 > 16, and
@@ -646,7 +646,7 @@ class TestBudgetHint:
         assert "no epsilon in (0, 1] fits" in msg
         assert "epsilon >= 1.1265 would be needed" in msg
         assert msg.endswith("y_budget >= 2^20 would fit at epsilon 1.0")
-        closest_substring._agreed_tuples(inst, replace(cfg, y_budget=2 ** 20), "sampling")  # no raise
+        closest_substring._agreed_tuples(inst, replace(cfg, y_budget=2 ** 20, mode="sampling"))  # no raise
 
     def test_budget_below_alphabet_size(self):
         inst = bsub(["0011", "1100"], 4)
@@ -769,8 +769,9 @@ class TestSweepDedupe:
         cfg = SubstringConfig(r=2)
         sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
         picks = list(enumerate_window_tuples(inst, 2))
-        kept = [t[0] for t in closest_substring._agreed_tuples(inst, cfg, "small_d")]
-        cands = dict(zip(kept, closest_substring._centers(inst, cfg, "small_d")))
+        small = replace(cfg, mode="small_d")
+        kept = [t[0] for t in closest_substring._agreed_tuples(inst, small)]
+        cands = dict(zip(kept, closest_substring._centers(inst, small)))
         first, second = ((0, 0), (1, 0)), ((2, 0), (3, 0))
         assert len(sweeps) == len(distinct_sweep_keys(inst, 2)) == len(picks) - 1 == len(cands)
         assert first in cands and second not in cands
@@ -794,7 +795,7 @@ class TestSweepDedupe:
         cfg = SubstringConfig(r=2)
         tracemalloc.start()
         try:
-            agreed = closest_substring._agreed_tuples(inst, cfg, mode)
+            agreed = closest_substring._agreed_tuples(inst, replace(cfg, mode=mode))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

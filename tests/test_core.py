@@ -108,6 +108,7 @@ class TestSeqInput:
     def test_arr_is_a_read_only_uint8_view(self):
         s = seq("GATTACA")
         assert s.arr.dtype == np.uint8 and not s.arr.flags.writeable
+        assert str(s) == s.text == "GATTACA"
         assert s.arr.tolist() == list(s.data)
         assert np.shares_memory(s.arr, np.frombuffer(s.data, dtype=np.uint8))
 

@@ -1,6 +1,8 @@
 """Ingestion, planted generation, bench harness and CLI round trips."""
 
+import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -13,9 +15,12 @@ import numpy as np
 import pytest
 
 from centerstring import (
+    ClosestStringConfig,
     InstanceFile,
+    RoundingConfig,
     Seq,
     StringInstance,
+    SubstringConfig,
     SubstringInstance,
     cost_substring,
     exact_closest_substring,
@@ -23,7 +28,7 @@ from centerstring import (
     run_bench,
 )
 from centerstring.errors import AlphabetMismatch, DomainError
-from centerstring import io_cli
+from centerstring import closest_substring, io_cli, lp_round
 from centerstring.io_cli import main, planted_instance_file
 
 
@@ -57,8 +62,11 @@ class TestJsonFormat:
         '{"alphabet":"01","strings":["0101","1100"],"L":2.7}',  # once truncated to 2
         '{"alphabet":"01","strings":["0101","1100"],"L":true}',  # once read as 1
         '{"alphabet":"01","strings":["0101","1100"],"L":2,"planted":{"d":0,"offsets":[0,0]}}',
+        '{"alphabet":"01","strings":["0101","1100"],"L":2,"planted":{"center":10,"d":0,"offsets":[0,0]}}',
+        '{"alphabet":"01","strings":["0101","1100"],"L":2,"planted":{"center":"10","d":0,"offsets":0}}',
         '{"alphabet":"01","strings":["0101"]',
-    ], ids=["strings-text", "string-entry", "alphabet", "L-float", "L-bool", "planted-center", "syntax"])
+    ], ids=["strings-text", "string-entry", "alphabet", "L-float", "L-bool", "planted-center",
+            "planted-center-type", "planted-offsets-type", "syntax"])
     def test_malformed_input_rejected(self, text, tmp_path, capsys):
         with pytest.raises(DomainError):
             InstanceFile.parse_json(text)
@@ -167,6 +175,9 @@ class TestGeneratePlanted:
             generate_planted("01", 3, 4, 5, 0, 0)  # L > m
         with pytest.raises(DomainError):
             generate_planted("01", 3, 8, 5, 6, 0)  # d > L
+        for n, m, l in [(0, 8, 5), (3, 0, 1), (3, 8, 0)]:
+            with pytest.raises(DomainError, match="n, m, L must all be >= 1"):
+                generate_planted("01", n, m, l, 0, 0)
 
 
 class TestBench:
@@ -234,7 +245,9 @@ class TestBench:
         (["--epsilon-prime", "2", "--algos", "string"], "epsilon_prime must be in (0, 1]"),
         (["--epsilon", "0", "--algos", "small"], "epsilon must be in (0, 1]"),
         (["--epsilon", "nan", "--algos", "sampling"], "epsilon must be in (0, 1]"),
-    ], ids=["r", "trials", "epsilon-prime", "epsilon", "epsilon-nan"])
+        (["--budget", "0"], "oracle_budget must be >= 1"),
+        (["--budget", "-3", "--algos", "exact"], "oracle_budget must be >= 1"),
+    ], ids=["r", "trials", "epsilon-prime", "epsilon", "epsilon-nan", "budget-0", "budget-negative"])
     def test_bad_parameters_rejected_before_any_work(self, flags, message, monkeypatch, tmp_path, capsys):
         # every requested algorithm is configured before the first instance,
         # so a parameter outside its domain is no row of errors but exit 2
@@ -309,6 +322,35 @@ class TestBench:
         a = run_bench(suite, ["exact", "string", "small", "sampling"], seed=5, timing=False)
         b = run_bench(suite, ["exact", "string", "small", "sampling"], seed=5, timing=False)
         assert a.to_csv() == b.to_csv()
+
+
+# per subcommand, each flag that maps to a config field: its dest and the
+# (config, field) pairs it feeds
+CONFIG_FLAGS = {
+    "solve-string": {
+        "r": [(ClosestStringConfig, "r")],
+        "epsilon_prime": [(RoundingConfig, "epsilon_prime")],
+        "trials": [(RoundingConfig, "trials")],
+        "seed": [(RoundingConfig, "rng_seed")],
+        "mode": [(RoundingConfig, "mode")],
+    },
+    "solve-substring": {
+        "r": [(SubstringConfig, "r")],
+        "epsilon": [(SubstringConfig, "epsilon")],
+        "trials": [(SubstringConfig, "trials")],
+        "seed": [(SubstringConfig, "rng_seed")],
+        "mode": [(SubstringConfig, "mode")],
+        "rounding_mode": [(SubstringConfig, "rounding_mode")],
+        "y_budget": [(SubstringConfig, "y_budget")],
+    },
+    "bench": {
+        "r": [(ClosestStringConfig, "r"), (SubstringConfig, "r")],
+        "epsilon": [(SubstringConfig, "epsilon")],
+        "epsilon_prime": [(RoundingConfig, "epsilon_prime")],
+        "trials": [(RoundingConfig, "trials"), (SubstringConfig, "trials")],
+        "seed": [(RoundingConfig, "rng_seed"), (SubstringConfig, "rng_seed")],
+    },
+}
 
 
 class TestCli:
@@ -491,6 +533,23 @@ class TestCli:
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             assert text in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_FLAGS))
+    def test_flag_defaults_are_the_config_defaults(self, command):
+        subs = next(a for a in io_cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in subs.choices[command]._actions}
+        for dest, feeds in CONFIG_FLAGS[command].items():
+            for cfg, name in feeds:
+                assert actions[dest].default == getattr(cfg(), name), (dest, cfg.__name__)
+        substring = command == "solve-substring"
+        modes = {"mode": closest_substring._SUBSTRING_MODES if substring else lp_round._ROUNDING_MODES,
+                 "rounding_mode": lp_round._ROUNDING_MODES}
+        for dest in modes.keys() & actions.keys():
+            assert actions[dest].choices == modes[dest], dest
+        if command == "bench":
+            keywords = inspect.signature(run_bench).parameters
+            for dest in CONFIG_FLAGS[command]:
+                assert keywords[dest].default == actions[dest].default, dest
 
     @pytest.mark.parametrize("flag", ["--budget", "--epsilon-prime"])
     def test_solve_substring_has_no_dead_flags(self, flag, tmp_path, capsys):

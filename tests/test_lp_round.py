@@ -424,6 +424,14 @@ class TestSolveLP:
         assert out.strip() == "[]"
 
 
+def as_tuple(result):
+    """(score, patch) with the patch as a tuple of ints, once its dtype is
+    checked to be the uint8 every patch routine returns."""
+    score, patch = result
+    assert patch.dtype == np.uint8 and patch.ndim == 1
+    return score, tuple(patch.tolist())
+
+
 class TestSweepPatches:
     @pytest.mark.parametrize("grouped", [False, True])
     def test_first_minimum_across_chunks(self, grouped):
@@ -444,7 +452,7 @@ class TestSweepPatches:
             starts = None
         best = int(np.argmin(costs))
         expected = (int(costs[best]), tuple(int(v) for v in patches[best]))
-        assert sweep_patches(rows, fixed, 2, starts) == expected
+        assert as_tuple(sweep_patches(rows, fixed, 2, starts)) == expected
 
     def test_cross_chunk_case_spans_two_chunks(self, monkeypatch):
         # the inputs of test_first_minimum_across_chunks: the winner and the
@@ -463,9 +471,9 @@ class TestSweepPatches:
         half = rng.integers(0, 2, (32, 15)).astype(np.int16)
         rows = np.stack([half, 1 - half], axis=1).reshape(64, 15)
         fixed = rng.integers(0, 3, 32).repeat(2)
-        expected = sweep_patches(rows, fixed, 2)
+        expected = as_tuple(sweep_patches(rows, fixed, 2))
         monkeypatch.setattr(lp_round, "np", CountingNumpy())
-        assert sweep_patches(rows, fixed, 2) == expected
+        assert as_tuple(sweep_patches(rows, fixed, 2)) == expected
         assert sum(chunk_lengths) == 2 ** 15
         winner = int("".join(map(str, expected[1])), 2)
         bounds = np.cumsum(chunk_lengths)
@@ -493,12 +501,12 @@ class TestSweepPatches:
                     ).max(axis=0)
                     best = int(np.argmin(scores))
                     expected = (int(scores[best]), tuple(int(v) for v in patches[best]))
-                    assert sweep_patches(rows, fixed, k, starts) == expected, (np_, nrows, starts)
+                    assert as_tuple(sweep_patches(rows, fixed, k, starts)) == expected, (np_, nrows, starts)
 
     def test_empty_patch(self):
         rows = np.zeros((3, 0), dtype=np.int16)
-        assert sweep_patches(rows, np.array([2, 0, 1]), 4) == (2, ())
-        assert sweep_patches(rows, np.array([2, 0, 1]), 4, np.array([0, 2])) == (1, ())
+        assert as_tuple(sweep_patches(rows, np.array([2, 0, 1]), 4)) == (2, ())
+        assert as_tuple(sweep_patches(rows, np.array([2, 0, 1]), 4, np.array([0, 2]))) == (1, ())
 
 
 class TestEnumerate:
