@@ -10,7 +10,9 @@ most the mode's sweep limit: L for small_d, |R| for sampling, and the
 largest c with k^c <= y_budget for auto.  Otherwise every guess y on R
 selects one window per input string by a scaled proxy score, and the
 selected windows go to the restricted LP machinery.  The first candidate
-of minimum radius, in enumeration order, wins.
+of minimum radius, in enumeration order, wins.  The solution counts the
+guessed tuples (`CenterSolution.guessed_tuples`), so it says itself which
+ratio holds: the small_d one when none was guessed, the sampling one else.
 
 Both run on the tuple's anchor row and boolean agreement mask Q, and a
 candidate is a (radius, center row) pair.  A repeated candidate can never
@@ -211,11 +213,13 @@ def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
     return f"no epsilon in (0, 1] fits ({needed}); y_budget >= {k}^{size} would fit at epsilon {epsilon}"
 
 
-def _centers(inst: SubstringInstance, cfg: SubstringConfig) -> Iterator[tuple[int, np.ndarray]]:
+def _centers(
+    inst: SubstringInstance, cfg: SubstringConfig, agreed: list[tuple[Picks, np.ndarray, np.ndarray, bool]]
+) -> Iterator[tuple[int, np.ndarray]]:
     """(radius, center row) candidates in enumeration order: per kept
-    window tuple, its swept center, or else the restricted solve's center
-    for every distinct selection its guesses y on R make, at the
-    selection's first guess.
+    window tuple of agreed (as _agreed_tuples returns them), its swept
+    center, or else the restricted solve's center for every distinct
+    selection its guesses y on R make, at the selection's first guess.
 
     A swept tuple's center keeps the anchor on Q.  Every window of every
     string is one row of the shared patch sweep, restricted to P and
@@ -228,7 +232,6 @@ def _centers(inst: SubstringInstance, cfg: SubstringConfig) -> Iterator[tuple[in
     of its selected windows, whose restricted problem keeps the anchor on
     Q, and its center is scored on every window like a swept one.
     """
-    agreed = _agreed_tuples(inst, cfg)
     k = inst.alphabet.size
     size = _sample_size_of(inst, cfg.epsilon)
     wins = np.concatenate(inst.windows)
@@ -275,12 +278,14 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     1 + 1/(2r-1) + 3*epsilon*r with high probability.  Auto sweeps every
     tuple whose k^|P| patches fit cfg.y_budget and guesses the others as
     sampling does, so its ratio is the small_d bound whenever every tuple
-    is swept, and the sampling bound otherwise.
+    is swept, and the sampling bound otherwise.  The solution's
+    guessed_tuples says which: it counts the kept tuples that were guessed.
     """
-    _, row = min(_centers(inst, cfg), key=lambda c: c[0])
+    agreed = _agreed_tuples(inst, cfg)
+    _, row = min(_centers(inst, cfg, agreed), key=lambda c: c[0])
     center = Seq(inst.alphabet, row.tobytes())
     radius, offsets = cost_substring(inst, center)
-    return CenterSolution(center, radius, offsets)
+    return CenterSolution(center, radius, offsets, sum(not swept for *_, swept in agreed))
 
 
 def solve_small_substring(

@@ -212,12 +212,17 @@ class CenterSolution:
     """A center string, its achieved radius and per-input window offsets.
 
     Offsets are always 0 for the whole-string problem.  The radius is the
-    recomputed cost of the center, never a stale bound.
+    recomputed cost of the center, never a stale bound.  guessed_tuples
+    counts the kept window tuples of a substring solve whose center was
+    guessed on a sample R: at 0 the solve swept every tuple and has ratio
+    1 + 1/(2r-1), else 1 + 1/(2r-1) + 3*epsilon*r with high probability.
+    The whole-string and exact solvers leave it at 0.
     """
 
     center: Seq
     radius: int
     witnesses: tuple[int, ...]
+    guessed_tuples: int = 0
 
 
 def _check_alphabet(alphabet: Alphabet, s: Seq) -> None:

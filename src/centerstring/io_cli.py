@@ -7,8 +7,17 @@ JSON schema:
 FASTA: `>`-header records, sequence lines concatenated, symbols upper-cased;
 the alphabet is the sorted distinct symbol set unless supplied explicitly.
 
+Solution JSON of the solve and exact subcommands:
+    {"algo": "string" | "substring" | "exact", "center": "...", "radius": int,
+     "offsets_1based": [...], "guessed_tuples": int, "params": {...}}
+guessed_tuples counts the substring window tuples whose center was
+guessed (0 elsewhere), so it tells which ratio bound holds; params hold
+every setting that can change the result, at the value the solver used.
+
 CSV columns of the bench report:
     instance,seed,algo,r,epsilon,radius,oracle,ratio,ms,status
+bench exits 0 when every measured ratio is within its declared bound, and
+1 when one is not or when no row measured one.
 """
 
 from __future__ import annotations
@@ -29,13 +38,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .closest_string import ClosestStringConfig, solve_closest_string
-from .closest_substring import _SUBSTRING_MODES, SubstringConfig, solve_substring
+from .closest_substring import SubstringConfig, solve_substring
 from .core import Alphabet, CenterSolution, Seq, StringInstance, SubstringInstance
 from .errors import CenterStringError, DomainError
 from .exact import DEFAULT_EXACT_BUDGET, exact_closest_string, exact_closest_substring
 from .lp_round import _ROUNDING_MODES, DEFAULT_ENUM_BUDGET, RoundingConfig
 
-ALGOS = ("exact", "string", "small", "sampling")
+ALGOS = ("exact", "string", "substring")
 
 
 @dataclass(frozen=True)
@@ -264,12 +273,14 @@ def _oracle(f: InstanceFile, budget: int) -> CenterSolution:
 class _BenchAlgo:
     """What one bench algorithm name means: its configured solve (None for
     exact, whose row is the oracle's own outcome), its r and epsilon
-    columns, and its declared worst-case radius/optimum ratio."""
+    columns, and its declared worst-case radius/optimum ratio: bound, plus
+    guessed when the solution guessed any window tuple."""
 
     solve: Callable[[InstanceFile], CenterSolution] | None
     r: int | None
     epsilon: float | None
     bound: Fraction
+    guessed: Fraction = Fraction(0)
 
 
 def _bench_algos(
@@ -286,8 +297,8 @@ def _bench_algos(
         cfg = ClosestStringConfig(r=r, rounding=rounding)
         return lambda f: solve_closest_string(f.as_string_instance(), cfg)
 
-    def substring(mode: str) -> Callable[[InstanceFile], CenterSolution]:
-        cfg = SubstringConfig(r=r, epsilon=epsilon, trials=trials, mode=mode, rng_seed=seed)
+    def substring() -> Callable[[InstanceFile], CenterSolution]:
+        cfg = SubstringConfig(r=r, epsilon=epsilon, trials=trials, rng_seed=seed)
         return lambda f: solve_substring(f.as_substring_instance(), cfg)
 
     base = 1 + Fraction(1, 2 * r - 1)
@@ -296,8 +307,7 @@ def _bench_algos(
     makers = {
         "exact": lambda: _BenchAlgo(None, None, None, Fraction(1)),
         "string": lambda: _BenchAlgo(string(), r, epsilon_prime, base + r * Fraction(epsilon_prime)),
-        "small": lambda: _BenchAlgo(substring("small_d"), r, None, base),
-        "sampling": lambda: _BenchAlgo(substring("sampling"), r, epsilon, base + 3 * r * Fraction(epsilon)),
+        "substring": lambda: _BenchAlgo(substring(), r, epsilon, base, 3 * r * Fraction(epsilon)),
     }
     for algo in algos:
         if algo not in makers:
@@ -333,7 +343,8 @@ def run_bench(
     The algorithm table is built first, so a bad name or parameter, or an
     oracle_budget below 1, raises DomainError before any work.  The exact
     oracle runs once per instance: its radius fills the oracle column and
-    its outcome is the exact row.
+    its outcome is the exact row.  bounds_ok holds when every ok row with
+    an oracle radius is within its algorithm's bound for that solution.
     Rows keep suite order regardless of completion order; per-instance
     failures become status rows instead of aborting the suite.  With
     timing=False the ms column is left blank so reports are byte-stable.
@@ -342,23 +353,27 @@ def run_bench(
         raise DomainError("oracle_budget must be >= 1")
     table = _bench_algos(algos, r=r, epsilon=epsilon, epsilon_prime=epsilon_prime, trials=trials, seed=seed)
 
-    def work(item: tuple[str, InstanceFile]) -> list[BenchRow]:
+    def work(item: tuple[str, InstanceFile]) -> list[tuple[BenchRow, bool]]:
+        """Each algorithm's row, and whether its ratio, if measured, is within bound."""
         name, f = item
         exact, exact_s = _attempt(lambda: _oracle(f, oracle_budget))
         oracle = exact.radius if isinstance(exact, CenterSolution) else None
-        rows: list[BenchRow] = []
+        rows: list[tuple[BenchRow, bool]] = []
         for algo in algos:
             spec = table[algo]
             sol, secs = (exact, exact_s) if spec.solve is None else _attempt(lambda: spec.solve(f))
             if isinstance(sol, CenterStringError):
-                rows.append(BenchRow(name, seed, algo, spec.r, spec.epsilon, None, oracle, "", "",
-                                     f"error: {sol}"))
+                rows.append((BenchRow(name, seed, algo, spec.r, spec.epsilon, None, oracle, "", "",
+                                      f"error: {sol}"), True))
                 continue
             ms = f"{secs * 1000.0:.3f}" if timing else ""
-            rows.append(BenchRow(
+            bound = spec.bound + spec.guessed if sol.guessed_tuples else spec.bound
+            # at oracle 0 the ceiling is 0, so only radius 0 is within any bound
+            within = oracle is None or sol.radius <= math.ceil(bound * oracle)
+            rows.append((BenchRow(
                 name, seed, algo, spec.r, spec.epsilon, sol.radius, oracle,
                 _format_ratio(sol.radius, oracle), ms, "ok",
-            ))
+            ), within))
         return rows
 
     if parallel and len(suite) > 1:
@@ -367,13 +382,8 @@ def run_bench(
     else:
         per_instance = [work(item) for item in suite]
 
-    rows = [row for chunk in per_instance for row in chunk]
-    # at oracle 0 the ceiling is 0, so only radius 0 is within any bound
-    bounds_ok = all(
-        row.radius <= math.ceil(table[row.algo].bound * row.oracle)
-        for row in rows if row.status == "ok" and row.oracle is not None
-    )
-    return BenchReport(rows, bounds_ok)
+    checked = [pair for chunk in per_instance for pair in chunk]
+    return BenchReport([row for row, _ in checked], all(ok for _, ok in checked))
 
 
 def _solution_json(sol: CenterSolution, algo: str, params: dict) -> str:
@@ -383,6 +393,7 @@ def _solution_json(sol: CenterSolution, algo: str, params: dict) -> str:
         "center": sol.center.text,
         "radius": sol.radius,
         "offsets_1based": [o + 1 for o in sol.witnesses],
+        "guessed_tuples": sol.guessed_tuples,
         "params": params,
     }
     return json.dumps(obj, indent=2) + "\n"
@@ -444,14 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     _add_common_flags(p, string=False, substring=True)
     p.add_argument("--L", type=int, default=None, help="window length (required for FASTA)")
-    p.add_argument("--mode", choices=_SUBSTRING_MODES, default=SubstringConfig.mode,
-                   help="which window tuples are swept exactly: small_d every one, "
-                        "sampling those with |P| <= |R|, auto those whose patches "
-                        "fit --y-budget; the others guess the center on a sample R")
     p.add_argument("--rounding-mode", choices=_ROUNDING_MODES, default=SubstringConfig.rounding_mode)
     p.add_argument("--y-budget", type=int, default=SubstringConfig.y_budget,
                    help="cap per window tuple on the patches swept or the center "
-                        "guesses made; auto sweeps every tuple whose patches fit it")
+                        "guesses made; a tuple whose patches fit it is swept, any "
+                        "other guesses its center on a sample R")
 
     p = subs.add_parser("exact", help="exact oracle (exponential time)")
     p.add_argument("file")
@@ -473,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="run algorithms over instance files")
     p.add_argument("files", nargs="+")
-    p.add_argument("--algos", default="exact,string,small,sampling",
+    p.add_argument("--algos", default=",".join(ALGOS),
                    help=f"comma-separated subset of {','.join(ALGOS)}")
     _add_common_flags(p, string=True, substring=True,
                       out_help="also write the report as CSV here; the table still goes to stdout")
@@ -519,6 +527,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.out:
             Path(args.out).write_text(report.to_csv())
         print(report.to_table())
+        if not any(row.status == "ok" and row.oracle is not None for row in report.rows):
+            print("no ratio was measured: no row is ok with an oracle radius", file=sys.stderr)
+            return 1
         return 0 if report.bounds_ok else 1
 
     f = _load(args)
@@ -526,20 +537,25 @@ def _dispatch(args: argparse.Namespace) -> int:
         rounding = RoundingConfig(mode=args.mode, trials=args.trials,
                                   epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
         cfg = ClosestStringConfig(r=args.r, rounding=rounding)
-        sol = solve_closest_string(f.as_string_instance(), cfg, enum_budget=args.budget)
+        inst = f.as_string_instance()
+        sol = solve_closest_string(inst, cfg, enum_budget=args.budget)
+        # the solver clamps r to n, so epsilon is the ratio term of the r that ran
         algo, params = "string", {
             "r": args.r, "epsilon_prime": args.epsilon_prime,
-            "epsilon": args.r * args.epsilon_prime, "seed": args.seed,
+            "epsilon": min(args.r, inst.n) * args.epsilon_prime, "mode": args.mode,
+            "trials": args.trials, "budget": args.budget, "seed": args.seed,
         }
     elif args.command == "solve-substring":
         if f.window is None:
             raise DomainError("window length missing: provide --L or a JSON 'L' field")
         # the LP stage runs at epsilon' = epsilon, so no --epsilon-prime here
         cfg = SubstringConfig(r=args.r, epsilon=args.epsilon, rounding_mode=args.rounding_mode,
-                              trials=args.trials, y_budget=args.y_budget, mode=args.mode,
-                              rng_seed=args.seed)
+                              trials=args.trials, y_budget=args.y_budget, rng_seed=args.seed)
         sol = solve_substring(f.as_substring_instance(), cfg)
-        algo, params = f"substring/{args.mode}", {"r": args.r, "epsilon": args.epsilon, "seed": args.seed}
+        algo, params = "substring", {
+            "r": args.r, "epsilon": args.epsilon, "rounding_mode": args.rounding_mode,
+            "trials": args.trials, "y_budget": args.y_budget, "seed": args.seed,
+        }
     else:  # exact
         sol = _oracle(f, args.budget)
         algo, params = "exact", {"budget": args.budget}

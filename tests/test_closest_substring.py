@@ -770,8 +770,8 @@ class TestSweepDedupe:
         sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
         picks = list(enumerate_window_tuples(inst, 2))
         small = replace(cfg, mode="small_d")
-        kept = [t[0] for t in closest_substring._agreed_tuples(inst, small)]
-        cands = dict(zip(kept, closest_substring._centers(inst, small)))
+        agreed = closest_substring._agreed_tuples(inst, small)
+        cands = dict(zip([t[0] for t in agreed], closest_substring._centers(inst, small, agreed)))
         first, second = ((0, 0), (1, 0)), ((2, 0), (3, 0))
         assert len(sweeps) == len(distinct_sweep_keys(inst, 2)) == len(picks) - 1 == len(cands)
         assert first in cands and second not in cands

@@ -96,6 +96,13 @@ def test_solver_outputs_match_golden():
     assert mismatched == []
 
 
+def test_guessed_tuples_counted_on_the_guessed_cases_only():
+    # the count is what tells which ratio bound a substring solve has
+    counts = {c["id"]: _solve(c).guessed_tuples for c in _cases()}
+    assert {case for case, count in counts.items() if count > 0} == GUESSED.keys()
+    assert all(counts[c["id"]] == 0 for c in _cases() if c["path"] in ("string_sweep", "string_lp", "small_d"))
+
+
 def test_golden_covers_every_path():
     paths = {c["path"] for c in _cases()}
     assert paths == {"string_sweep", "string_lp", "small_d", "sampling", "auto"}

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from centerstring import (
+    CenterSolution,
     ClosestStringConfig,
     InstanceFile,
     RoundingConfig,
@@ -28,7 +29,7 @@ from centerstring import (
     run_bench,
 )
 from centerstring.errors import AlphabetMismatch, DomainError
-from centerstring import closest_substring, io_cli, lp_round
+from centerstring import io_cli, lp_round
 from centerstring.io_cli import main, planted_instance_file
 
 
@@ -194,15 +195,15 @@ class TestBench:
     def test_planted_zero_gives_unit_ratios(self):
         # L = m so the whole-string algorithm applies as well
         suite = [("z", planted_instance_file("01", 3, 8, 8, 0, 1))]
-        report = run_bench(suite, ["exact", "string", "small", "sampling"], timing=False)
+        report = run_bench(suite, ["exact", "string", "substring"], timing=False)
         assert all(row.status == "ok" for row in report.rows)
         assert all(row.ratio == "1.0000" for row in report.rows)
         assert report.bounds_ok
 
     def test_rows_keep_suite_order_under_parallel(self):
         suite = self.suite(4)
-        serial = run_bench(suite, ["exact", "small"], timing=False)
-        parallel = run_bench(suite, ["exact", "small"], timing=False, parallel=True)
+        serial = run_bench(suite, ["exact", "substring"], timing=False)
+        parallel = run_bench(suite, ["exact", "substring"], timing=False, parallel=True)
         assert serial.to_csv() == parallel.to_csv()
 
     def test_error_rows_do_not_abort(self):
@@ -211,7 +212,7 @@ class TestBench:
             ("good", planted_instance_file("01", 3, 8, 5, 0, 1)),
             ("huge", InstanceFile("01", ("0" * 40, "1" * 40), 30, None)),
         ]
-        report = run_bench(suite, ["small"], timing=False, oracle_budget=1 << 12)
+        report = run_bench(suite, ["substring"], timing=False, oracle_budget=1 << 12)
         statuses = [row.status for row in report.rows]
         assert statuses[0] == "ok"
         assert statuses[1].startswith("error")
@@ -222,7 +223,7 @@ class TestBench:
 
         monkeypatch.setattr(io_cli, "_oracle", fail)
         with pytest.raises(DomainError, match="unknown algorithm 'bogus'"):
-            run_bench(self.suite(1), ["small", "bogus"])
+            run_bench(self.suite(1), ["substring", "bogus"])
 
     def test_empty_algorithm_list_rejected_before_any_work(self, monkeypatch, tmp_path, capsys):
         def fail(*args):
@@ -237,14 +238,14 @@ class TestBench:
         assert main(["bench", str(path), "--algos", ","]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: no algorithm given; choose from exact,string,small,sampling\n"
+        assert captured.err == "error: no algorithm given; choose from exact,string,substring\n"
 
     @pytest.mark.parametrize("flags, message", [
         (["--r", "1"], "subset size r must be >= 2"),
         (["--trials", "0"], "trials must be >= 1"),
         (["--epsilon-prime", "2", "--algos", "string"], "epsilon_prime must be in (0, 1]"),
-        (["--epsilon", "0", "--algos", "small"], "epsilon must be in (0, 1]"),
-        (["--epsilon", "nan", "--algos", "sampling"], "epsilon must be in (0, 1]"),
+        (["--epsilon", "0", "--algos", "substring"], "epsilon must be in (0, 1]"),
+        (["--epsilon", "nan", "--algos", "substring"], "epsilon must be in (0, 1]"),
         (["--budget", "0"], "oracle_budget must be >= 1"),
         (["--budget", "-3", "--algos", "exact"], "oracle_budget must be >= 1"),
     ], ids=["r", "trials", "epsilon-prime", "epsilon", "epsilon-nan", "budget-0", "budget-negative"])
@@ -263,12 +264,12 @@ class TestBench:
         assert captured.err == f"error: {message}\n"
 
     def test_parameters_of_algorithms_not_requested_are_not_checked(self, tmp_path, capsys):
-        # exact reads no r and small no epsilon', so neither is refused for them
+        # exact reads no r and substring no epsilon', so neither is refused for them
         path = tmp_path / "s.json"
         path.write_text('{"alphabet":"01","strings":["0000","1111"]}')
         assert main(["bench", str(path), "--algos", "exact", "--r", "1", "--no-timing"]) == 0
-        assert main(["bench", str(path), "--algos", "small", "--epsilon-prime", "2", "--no-timing"]) == 0
-        assert [line.split()[2] for line in capsys.readouterr().out.splitlines()[1::2]] == ["exact", "small"]
+        assert main(["bench", str(path), "--algos", "substring", "--epsilon-prime", "2", "--no-timing"]) == 0
+        assert [line.split()[2] for line in capsys.readouterr().out.splitlines()[1::2]] == ["exact", "substring"]
 
     def test_oracle_runs_once_per_instance(self, monkeypatch):
         calls = []
@@ -288,7 +289,7 @@ class TestBench:
             # 14 x 20 x 20 suffix table, also over the budget
             ("over", InstanceFile("01", ("0" * 13, "1" * 13) * 10)),
         ]
-        report = run_bench(suite, ["exact", "small"], timing=False, oracle_budget=1 << 12)
+        report = run_bench(suite, ["exact", "substring"], timing=False, oracle_budget=1 << 12)
         assert calls == ["exact_closest_substring", "exact_closest_string", "exact_closest_string"]
         exact_rows = [row for row in report.rows if row.algo == "exact"]
         assert [row.radius for row in exact_rows] == [row.oracle for row in exact_rows]
@@ -302,7 +303,7 @@ class TestBench:
         # without an L every algorithm reads whole strings (L = m), so
         # unequal lengths are refused, not solved at the first string's length
         report = run_bench([("u", InstanceFile("01", ("01", "0110"), None))], io_cli.ALGOS)
-        assert [row.status for row in report.rows] == ["error: all strings must have equal length"] * 4
+        assert [row.status for row in report.rows] == ["error: all strings must have equal length"] * 3
 
     def test_table_cells_equal_csv_cells(self):
         # a name holding a line separator that the CSV leaves unquoted
@@ -315,12 +316,43 @@ class TestBench:
             for line in [header, *lines]
         ]
         assert table == list(csv.reader(io.StringIO(report.to_csv())))
-        assert len(table) == 1 + 4 * 3
+        assert len(table) == 1 + 3 * 3
+
+    def test_no_measured_ratio_exits_one(self, tmp_path, capsys):
+        # at budget 1 the oracle refuses, so the ok rows have no oracle
+        # radius and no ratio is checked: exit 1 with the reason on stderr
+        path = tmp_path / "dna.json"
+        path.write_text(json.dumps({
+            "alphabet": "ACGT", "strings": ["ACGTACGTACGTAC", "ACGTTCGTACGAAC", "TCGTACGTACCTAC"],
+        }))
+        assert main(["bench", str(path), "--budget", "1", "--no-timing"]) == 1
+        captured = capsys.readouterr()
+        header, *rows = captured.out.splitlines()
+        assert [row.split()[2] for row in rows] == list(io_cli.ALGOS)
+        assert "error:" in rows[0] and all(row.split()[-1] == "ok" for row in rows[1:])
+        assert captured.err == "no ratio was measured: no row is ok with an oracle radius\n"
+        # the exact row alone measures a ratio once the oracle solves the file
+        assert main(["bench", str(path), "--algos", "exact", "--no-timing"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("guessed, within", [(0, False), (1, True)])
+    def test_substring_bound_follows_guessed_tuples(self, guessed, within, monkeypatch):
+        # oracle 3 at r = 2, epsilon 1: radius 5 is over the swept ceiling
+        # ceil(4/3 * 3) = 4 and within the guessed one ceil(22/3 * 3) = 22
+        suite = [("c", InstanceFile("01", ("000000", "111111")))]
+
+        def solve(inst, cfg):
+            return CenterSolution(Seq.from_text(inst.alphabet, "000000"), 5, (0, 0), guessed)
+
+        monkeypatch.setattr(io_cli, "solve_substring", solve)
+        report = run_bench(suite, ["exact", "substring"], timing=False)
+        assert [(row.radius, row.oracle) for row in report.rows] == [(3, 3), (5, 3)]
+        assert report.bounds_ok is within
 
     def test_byte_identical_with_fixed_seed(self):
         suite = self.suite()
-        a = run_bench(suite, ["exact", "string", "small", "sampling"], seed=5, timing=False)
-        b = run_bench(suite, ["exact", "string", "small", "sampling"], seed=5, timing=False)
+        a = run_bench(suite, ["exact", "string", "substring"], seed=5, timing=False)
+        b = run_bench(suite, ["exact", "string", "substring"], seed=5, timing=False)
         assert a.to_csv() == b.to_csv()
 
 
@@ -339,7 +371,6 @@ CONFIG_FLAGS = {
         "epsilon": [(SubstringConfig, "epsilon")],
         "trials": [(SubstringConfig, "trials")],
         "seed": [(SubstringConfig, "rng_seed")],
-        "mode": [(SubstringConfig, "mode")],
         "rounding_mode": [(SubstringConfig, "rounding_mode")],
         "y_budget": [(SubstringConfig, "y_budget")],
     },
@@ -358,7 +389,7 @@ class TestCli:
         out = tmp_path / "inst.json"
         assert main(["gen", "--n", "3", "--m", "8", "--L", "5", "--d", "1",
                      "--seed", "3", "--out", str(out)]) == 0
-        assert main(["solve-substring", str(out), "--mode", "small_d"]) == 0
+        assert main(["solve-substring", str(out)]) == 0
         result = json.loads(capsys.readouterr().out)
         f = InstanceFile.load(out)
         inst = f.to_instance()
@@ -415,7 +446,7 @@ class TestCli:
         main(["gen", "--n", "3", "--m", "8", "--L", "5", "--d", "0",
               "--seed", "1", "--out", str(inst)])
         csv_out = tmp_path / "report.csv"
-        code = main(["bench", str(inst), "--algos", "exact,small",
+        code = main(["bench", str(inst), "--algos", "exact,substring",
                      "--no-timing", "--out", str(csv_out)])
         assert code == 0
         lines = csv_out.read_text().splitlines()
@@ -495,7 +526,7 @@ class TestCli:
         # --L gives a file without an L its window, for both subcommands
         path = tmp_path / "s.fa"
         path.write_text(">a\n00110\n>b\n11001\n")
-        assert main(["solve-substring", str(path), "--L", "3", "--mode", "small_d"]) == 0
+        assert main(["solve-substring", str(path), "--L", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["radius"] == 0
         assert main(["exact", str(path), "--L", "3"]) == 0
         result = json.loads(capsys.readouterr().out)
@@ -541,9 +572,7 @@ class TestCli:
         for dest, feeds in CONFIG_FLAGS[command].items():
             for cfg, name in feeds:
                 assert actions[dest].default == getattr(cfg(), name), (dest, cfg.__name__)
-        substring = command == "solve-substring"
-        modes = {"mode": closest_substring._SUBSTRING_MODES if substring else lp_round._ROUNDING_MODES,
-                 "rounding_mode": lp_round._ROUNDING_MODES}
+        modes = {"mode": lp_round._ROUNDING_MODES, "rounding_mode": lp_round._ROUNDING_MODES}
         for dest in modes.keys() & actions.keys():
             assert actions[dest].choices == modes[dest], dest
         if command == "bench":
@@ -561,6 +590,43 @@ class TestCli:
             main(["solve-substring", str(path), flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_solve_substring_has_no_mode_flag(self, tmp_path, capsys):
+        # the solution's guessed_tuples says which ratio holds, so no flag picks it
+        with pytest.raises(SystemExit):
+            main(["solve-substring", "--help"])
+        assert "--mode" not in capsys.readouterr().out
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["0000","1111"],"L":2}')
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-substring", str(path), "--mode", "small_d"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode small_d" in capsys.readouterr().err
+
+    def test_solution_json_records_settings_and_guessed_tuples(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        # r = 5 on 3 strings runs at r = 3, so epsilon = 3 * 0.5
+        path.write_text('{"alphabet":"01","strings":["0000","1111","0011"]}')
+        assert main(["solve-string", str(path), "--r", "5"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["algo"], result["guessed_tuples"]) == ("string", 0)
+        assert result["params"] == {
+            "r": 5, "epsilon_prime": 0.5, "epsilon": 1.5, "mode": "auto",
+            "trials": 32, "budget": 1 << 20, "seed": 0,
+        }
+        assert main(["exact", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["guessed_tuples"] == 0
+        # a complementary pair at L = 15: 2^15 patches fit the default budget,
+        # while at 2^14 its one pair tuple guesses on |R| = 14 positions
+        path.write_text(json.dumps({"alphabet": "01", "strings": ["0" * 15, "1" * 15], "L": 15}))
+        for flags, guessed, y_budget in (([], 0, 1 << 16), (["--y-budget", "16384"], 1, 1 << 14)):
+            assert main(["solve-substring", str(path), *flags]) == 0
+            result = json.loads(capsys.readouterr().out)
+            assert (result["algo"], result["guessed_tuples"]) == ("substring", guessed)
+            assert result["params"] == {
+                "r": 2, "epsilon": 1.0, "rounding_mode": "auto",
+                "trials": 32, "y_budget": y_budget, "seed": 0,
+            }
 
     def test_solve_string_has_no_parallel_flag(self, tmp_path, capsys):
         # the whole-string solver is one serial loop; only bench runs threads

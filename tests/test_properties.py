@@ -64,8 +64,9 @@ def test_substring_radius_between_oracle_and_bound(case, mode):
     cfg = SubstringConfig(r=r, mode=mode, rng_seed=seed)
     sol = solve_substring(inst, cfg)
     opt = exact_closest_substring(inst).radius
-    # small_d sweeps every tuple; the others add the sampling term 3*eps*r
-    bound = 1 + Fraction(1, 2 * r - 1) + (0 if mode == "small_d" else 3 * Fraction(cfg.epsilon) * r)
+    # small_d sweeps every tuple; only a guessed tuple adds the sampling term 3*eps*r
+    assert mode != "small_d" or sol.guessed_tuples == 0
+    bound = 1 + Fraction(1, 2 * r - 1) + (3 * Fraction(cfg.epsilon) * r if sol.guessed_tuples else 0)
     assert opt <= sol.radius <= ceil_bound(bound, opt)
     assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
 
