@@ -18,7 +18,10 @@ Both run on the tuple's anchor row and boolean agreement mask Q, and a
 candidate is a (radius, center row) pair.  A repeated candidate can never
 be the first minimum, so it is dropped where first seen: the pre-pass keeps
 one swept tuple per (Q, anchor on Q) pair, all a swept candidate depends
-on, and a guessed tuple solves each distinct window selection once.
+on, and a guessed tuple solves each distinct window selection once.  Kept
+swept tuples with the same mask Q share P, so one sweep per distinct mask
+scores all of their anchors, and the candidates still come out in
+enumeration order.
 """
 
 from __future__ import annotations
@@ -103,29 +106,47 @@ def _agreed_tuples(
     BudgetExceeded at the first tuple whose count exceeds y_budget, so an
     overrun surfaces before any sweep, window selection or LP runs; outside
     small_d the message ends with how to make every tuple fit.
+
+    The masks are built in bulk, one block per string subset and anchor
+    offset: the tuples of a block share their anchor window, so one
+    broadcast compare per other string gives every mask of the block, and
+    a block holds the product of the other strings' window counts x L
+    cells.  The kept tuples of a block share one anchor array.
     """
     k = inst.alphabet.size
+    l = inst.window
     size = _sample_size_of(inst, cfg.epsilon)
-    limit = {"small_d": inst.window, "sampling": size, "auto": _max_exponent(k, cfg.y_budget)}[cfg.mode]
+    fits = _max_exponent(k, cfg.y_budget)  # the largest count c with k^c <= y_budget
+    limit = {"small_d": l, "sampling": size, "auto": fits}[cfg.mode]
     agreed = []
-    swept_pairs: set[bytes] = set()  # the mask's fixed length L keeps keys unambiguous
+    swept_pairs: set[bytes] = set()
+    t = end = 0
     for picks in enumerate_window_tuples(inst, cfg.r):
-        rows = np.array([inst.windows[i][o] for i, o in picks])
-        on_q = (rows == rows[0]).all(axis=0)
-        free = inst.window - int(on_q.sum())
-        swept = free <= limit
-        count = free if swept else size
-        if k ** count > cfg.y_budget:
-            work = f"|P|={free} needs {k}^{free} patches" if swept else f"|R|={size} needs {k}^{size} guesses"
+        if t == end:
+            # a new block: the tuples of this tuple's strings and anchor offset
+            (i, o), *rest = picks
+            anchor = inst.windows[i][o].copy()
+            on_q = np.ones((1, l), dtype=bool)
+            for j, _ in rest:
+                on_q = (on_q[:, None, :] & (inst.windows[j] == anchor)).reshape(-1, l)
+            free = (l - on_q.sum(axis=1)).tolist()
+            # the (Q mask, anchor on Q) pair of every tuple, l + l bytes each
+            masks, letters = on_q.tobytes(), np.where(on_q, anchor, 0).tobytes()
+            t, end = 0, len(free)
+        p_size = free[t]
+        swept = p_size <= limit
+        if (p_size if swept else size) > fits:
+            work = f"|P|={p_size} needs {k}^{p_size} patches" if swept else f"|R|={size} needs {k}^{size} guesses"
             hint = "" if cfg.mode == "small_d" else "; " + _budget_hint(inst, cfg.y_budget, cfg.epsilon)
             raise BudgetExceeded(f"{work}, over budget {cfg.y_budget}{hint}")
+        kept = True
         if swept:
-            pair = on_q.tobytes() + rows[0, on_q].tobytes()
-            if pair in swept_pairs:
-                continue
+            pair = masks[t * l:(t + 1) * l] + letters[t * l:(t + 1) * l]
+            kept = pair not in swept_pairs
             swept_pairs.add(pair)
-        # a copy, so that the tuple's rows are freed
-        agreed.append((picks, rows[0].copy(), on_q, swept))
+        if kept:
+            agreed.append((picks, anchor, on_q[t], swept))
+        t += 1
     return agreed
 
 
@@ -213,6 +234,25 @@ def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
     return f"no epsilon in (0, 1] fits ({needed}); y_budget >= {k}^{size} would fit at epsilon {epsilon}"
 
 
+def _first_distinct_rows(offsets: np.ndarray, counts: list[int]) -> np.ndarray:
+    """Sorted indices of the first occurrence of each distinct row of the
+    (g, n) offsets, whose column i ranges over counts[i] windows.
+
+    Each row is keyed as one int64 in mixed radix, column by column; the
+    keys are re-ranked densely whenever the next column could overflow
+    them, so distinct rows keep distinct keys.
+    """
+    key = np.zeros(len(offsets), dtype=np.int64)
+    span = 1  # every key is below span
+    for column, count in zip(offsets.T, counts):
+        if span > np.iinfo(np.int64).max // count:
+            ranks, key = np.unique(key, return_inverse=True)
+            span = len(ranks)
+        key = key * count + column
+        span *= count
+    return np.sort(np.unique(key, return_index=True)[1])
+
+
 def _centers(
     inst: SubstringInstance, cfg: SubstringConfig, agreed: list[tuple[Picks, np.ndarray, np.ndarray, bool]]
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -225,7 +265,10 @@ def _centers(
     string is one row of the shared patch sweep, restricted to P and
     charged its distance to the anchor on Q; a string's rows form one
     group, so the sweep scores a patch by max over strings of min over
-    windows, the candidate's substring radius.
+    windows, the candidate's substring radius.  One sweep per distinct
+    mask Q scores all of its swept tuples' anchors, one seed row of Q
+    costs each, before the first candidate is yielded; each candidate is
+    then yielded at its tuple's place in agreed.
 
     A guessed tuple draws R from P (seeded per tuple).  Its selections are
     keyed by window contents; each new one is solved as the StringInstance
@@ -235,18 +278,29 @@ def _centers(
     k = inst.alphabet.size
     size = _sample_size_of(inst, cfg.epsilon)
     wins = np.concatenate(inst.windows)
-    starts = np.cumsum([0] + [len(w) for w in inst.windows[:-1]])
+    counts = [len(w) for w in inst.windows]
+    starts = np.cumsum([0] + counts[:-1])
     # the LP stage must stay within error epsilon*|P| overall
     rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
 
+    # the anchors of the swept tuples per mask Q, in enumeration order
+    anchors: dict[bytes, list[np.ndarray]] = {}
+    for _, anchor, on_q, swept in agreed:
+        if swept:
+            anchors.setdefault(on_q.tobytes(), []).append(anchor)
+    # per mask, its (radius, center row) candidates in the same order
+    swept_centers = {}
+    for mask, mask_anchors in anchors.items():
+        on_q = np.frombuffer(mask, dtype=bool)
+        on_p = ~on_q
+        centers = np.array(mask_anchors)
+        fixed = (wins[:, on_q] != centers[:, None, on_q]).sum(axis=2, dtype=np.int32)
+        costs, centers[:, on_p] = sweep_patches(wins[:, on_p], fixed, k, starts)
+        swept_centers[mask] = zip(costs.tolist(), centers)
+
     for picks, anchor, on_q, swept in agreed:
         if swept:
-            on_p = ~on_q
-            fixed = (wins[:, on_q] != anchor[on_q]).sum(axis=1)
-            cost, patch = sweep_patches(wins[:, on_p], fixed, k, starts)
-            center = anchor.copy()
-            center[on_p] = patch
-            yield cost, center
+            yield next(swept_centers[on_q.tobytes()])
             continue
         free = np.flatnonzero(~on_q)
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
@@ -254,8 +308,7 @@ def _centers(
         seen: set[bytes] = set()
         for ys in _guesses(k, size):
             offsets = select_windows(inst, ys, r_idx, anchor, on_q)
-            _, first = np.unique(offsets, axis=0, return_index=True)
-            for row in offsets[np.sort(first)]:
+            for row in offsets[_first_distinct_rows(offsets, counts)]:
                 selected = wins[starts + row]
                 key = selected.tobytes()  # windows of one length L: unambiguous
                 if key in seen:

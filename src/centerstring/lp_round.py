@@ -279,19 +279,21 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
     return np.array(choices, dtype=np.uint8)
 
 
-def _mismatch_table(cols: np.ndarray, k: int, seed: np.ndarray) -> np.ndarray:
-    """(nrows, k^c) int32 table: seed[row] + mismatches of each row's c
-    columns against every patch over them, patches in lexicographic order."""
-    syms = np.arange(k)
-    table = seed[:, None]
-    for j in range(cols.shape[1]):
-        table = (table[:, :, None] + (cols[:, j, None] != syms)[:, None, :]).reshape(len(cols), -1)
+def _mismatch_table(mism: np.ndarray) -> np.ndarray:
+    """(nrows, k^c) int32 table of each row's mismatches against every patch
+    over c positions, patches in lexicographic order, from the (nrows, c, k)
+    int32 mismatch indicators of those positions."""
+    if mism.shape[1] == 0:
+        return np.zeros((len(mism), 1), dtype=np.int32)
+    table = mism[:, 0]
+    for j in range(1, mism.shape[1]):
+        table = (table[:, :, None] + mism[:, j, None, :]).reshape(len(mism), -1)
     return table
 
 
 def sweep_patches(
     rows: np.ndarray, fixed: np.ndarray, k: int, starts: np.ndarray | None = None
-) -> tuple[int, np.ndarray]:
+) -> tuple[int, np.ndarray] | tuple[np.ndarray, np.ndarray]:
     """Exact min-max over every patch x in range(k)^|P|, |P| = rows.shape[1].
 
     A patch scores the max over groups of the min over the group's rows of
@@ -300,48 +302,68 @@ def sweep_patches(
     order and the first minimum wins.  |P| = 0 is the single empty patch.
     Returns (score, patch), the patch a (|P|,) uint8 array.
 
+    A batch of seed rows, `fixed` of shape (A, nrows), scores the rows
+    under each seed row as A calls with fixed[a] would, and returns an (A,)
+    int64 array of scores and an (A, |P|) uint8 array of patches.
+
     Split table: the first h = |P| // 2 positions and the other |P| - h
     each get a table of every row's mismatches against every patch over
-    them (`fixed` seeds the second), so a patch costs one add of a high
-    and a low table entry per row.  Chunks run over the high patches; a
-    chunk's cost array holds at most max(_SWEEP_CELLS, nrows * k^(|P| - h))
-    int32 cells, k^(|P| - h) being the low table's width.
+    them, built once per call; a chunk of seed rows adds its seeds to the
+    second, so a patch costs one add of a high and a low table entry per
+    row.  Chunks run over (seed row, high patch) pairs, every high patch of
+    a seed row before the next seed row; a chunk's cost array holds at
+    most max(_SWEEP_CELLS, nrows * k^(|P| - h)) int32 cells, k^(|P| - h)
+    being the low table's width.
     """
     nrows, np_ = rows.shape
+    seeds = np.asarray(fixed, dtype=np.int32).reshape(-1, nrows).T  # (nrows, A)
     if np_ == 0:
-        # fast path of every support-1 tuple: 4 us, the split tables 26 us (28 rows, 2-core Xeon)
-        costs = np.asarray(fixed)
-        worst = costs if starts is None else np.minimum.reduceat(costs, starts)
-        return int(worst.max()), np.zeros(0, dtype=np.uint8)
-    h = np_ // 2
-    hi = _mismatch_table(rows[:, :h], k, np.zeros(nrows, dtype=np.int32))
-    lo = _mismatch_table(rows[:, h:], k, np.asarray(fixed, dtype=np.int32))
-    n_lo = lo.shape[1]
-    chunk = max(1, _SWEEP_CELLS // (nrows * n_lo))
-    if starts is not None:
-        groups = list(zip(starts, [*starts[1:], nrows]))
-    best_cost = None
-    best_id = -1
-    for a in range(0, hi.shape[1], chunk):
-        costs = hi[:, a:a + chunk, None] + lo[:, None, :]
-        if starts is None:
-            worst = costs.max(axis=0).ravel()
-        else:
-            # one slice-min per group, folded in place: np.minimum.reduceat
-            # over the row axis is several times slower than the add itself
-            (s, e), *rest = groups
-            worst = costs[s:e].min(axis=0)
-            for s, e in rest:
-                np.maximum(worst, costs[s:e].min(axis=0), out=worst)
-            worst = worst.ravel()
-        local = int(np.argmin(worst))
-        if best_cost is None or worst[local] < best_cost:
-            best_cost = int(worst[local])
-            best_id = a * n_lo + local
-    patch = np.empty(np_, dtype=np.uint8)
-    for j in range(np_ - 1, -1, -1):
-        best_id, patch[j] = divmod(best_id, k)
-    return best_cost, patch
+        worst = seeds if starts is None else np.minimum.reduceat(seeds, starts)
+        scores, ids = worst.max(axis=0), np.zeros(seeds.shape[1], dtype=np.intp)
+    else:
+        h = np_ // 2
+        mism = (rows[:, :, None] != np.arange(k, dtype=rows.dtype)).astype(np.int32)
+        hi, lo = _mismatch_table(mism[:, :h]), _mismatch_table(mism[:, h:])
+        n_hi, n_lo = hi.shape[1], lo.shape[1]
+        pairs = max(1, _SWEEP_CELLS // (nrows * n_lo))
+        hi_step, seed_step = min(pairs, n_hi), max(1, pairs // n_hi)
+        if starts is not None:
+            bounds = starts.tolist()
+            groups = list(zip(bounds, [*bounds[1:], nrows]))
+        parts = []
+        for s in range(0, seeds.shape[1], seed_step):
+            # (nrows, seed rows, n_lo): the low table under each seed row
+            seeded = lo[:, None, :] + seeds[:, s:s + seed_step, None]
+            span = np.arange(seeded.shape[1])
+            for a in range(0, n_hi, hi_step):
+                costs = hi[:, None, a:a + hi_step, None] + seeded[:, :, None, :]
+                if starts is None:
+                    worst = costs.max(axis=0)
+                else:
+                    # one slice-min per group, folded in place: np.minimum.reduceat
+                    # over the row axis is several times slower than the add itself
+                    (b, e), *rest = groups
+                    worst = costs[b:e].min(axis=0)
+                    for b, e in rest:
+                        np.maximum(worst, costs[b:e].min(axis=0), out=worst)
+                del costs  # so that one chunk's costs are alive at a time
+                worst = worst.reshape(len(span), -1)
+                local = np.argmin(worst, axis=1)
+                found = worst[span, local]
+                if a == 0:
+                    best, best_id = found, local
+                else:
+                    # a later chunk holds later patches: it wins only when strictly lower
+                    better = found < best
+                    best = np.where(better, found, best)
+                    best_id = np.where(better, a * n_lo + local, best_id)
+            parts.append((best, best_id))
+        scores, ids = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    digits = range(np_ - 1, -1, -1)
+    patches = np.array([[i // k ** e % k for e in digits] for i in ids.tolist()], dtype=np.uint8)
+    if np.ndim(fixed) == 1:
+        return int(scores[0]), patches[0]
+    return scores.astype(np.int64), patches
 
 
 def enumerate_small_P(p: RestrictedProblem, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:

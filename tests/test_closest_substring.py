@@ -158,7 +158,10 @@ class TestSmallSubstring:
             solve_small_substring(inst, SubstringConfig(r=2, y_budget=4))
         assert calls == []
         solve_small_substring(inst, SubstringConfig(r=2, y_budget=1 << 20))
-        assert len(calls) == 3  # two single windows and the pair
+        # two single windows and the pair, in one sweep per mask: the
+        # single windows share the full mask
+        assert swept_rows(calls) == 3
+        assert len(calls) == 2
 
     def test_oracle_sandwich(self):
         for seed in range(15):
@@ -372,6 +375,24 @@ def test_select_windows_rows_match_reference(case):
         assert row.tolist() == reference_select_windows(inst, Seq(inst.alphabet, y.tobytes()), r_idx, anchor_q, on_q)
 
 
+class TestFirstDistinctRows:
+    def test_matches_unique_rows(self):
+        # rows drawn from a small pool repeat; 40 columns of 1000 windows
+        # need 400 bits, so their keys are re-ranked on the way
+        rng = np.random.default_rng(8)
+        for n, count in ((1, 1), (2, 3), (5, 4), (40, 1000)):
+            pool = rng.integers(0, count, (20, n))
+            offsets = pool[rng.integers(0, len(pool), 300)]
+            _, first = np.unique(offsets, axis=0, return_index=True)
+            got = closest_substring._first_distinct_rows(offsets, [count] * n)
+            assert got.tolist() == sorted(first.tolist())
+
+    def test_keys_never_wrap(self):
+        # keyed without re-ranking, row (1, 0, 0) would be 2^64 and wrap onto row (0, 0, 0)
+        offsets = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+        assert closest_substring._first_distinct_rows(offsets, [2, 2 ** 32, 2 ** 32]).tolist() == [0, 1]
+
+
 class TestSamplingSolver:
     def test_common_exact_substring(self):
         inst = bsub(["00111", "11100", "01110"], 3)
@@ -508,6 +529,17 @@ def distinct_sweep_keys(inst, r):
     return keys
 
 
+def distinct_masks(keys):
+    """The agreement masks Q of a set of distinct_sweep_keys."""
+    return {q for q, _ in keys}
+
+
+def swept_rows(sweeps):
+    """Seed rows the recorded sweep_patches calls scored, the sum of
+    fixed.shape[0]: one per swept (Q, anchor on Q) key."""
+    return sum(len(args[1]) for args in sweeps)
+
+
 class TestCoveredSampleSweep:
     # (alphabet, string lengths, L, d): every tuple's sample covers its P
     SHAPES = (
@@ -548,7 +580,9 @@ class TestCoveredSampleSweep:
             sol = solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0))
             assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
             assert seeds == []
-            assert len(sweeps) == len(distinct_sweep_keys(inst, 2))
+            keys = distinct_sweep_keys(inst, 2)
+            assert swept_rows(sweeps) == len(keys)
+            assert len(sweeps) == len(distinct_masks(keys))
         assert sweeps[-1][0].shape == (2, 14)
 
     def test_uncovered_tuple_keeps_guess_loop(self, monkeypatch):
@@ -576,7 +610,9 @@ class TestCoveredSampleSweep:
             # the winner's offsets only: a guessed center is scored on the window arrays
             assert len(costs) == 1
             assert seeds[0] == (0, "sample", ((0, 0), (1, 0)))
-            assert len(sweeps) == 2
+            # the two single windows, in one sweep of their shared full mask
+            assert swept_rows(sweeps) == 2
+            assert len(sweeps) == 1
             monkeypatch.undo()
 
     def test_repeated_guessed_tuples_finish_quickly(self):
@@ -737,7 +773,9 @@ class TestDispatcher:
         inst = bsub(["0" * 15, "1" * 15], 15)
         sol = solve_substring(inst, SubstringConfig(r=2, mode="auto"))
         assert sol.radius == 8 == exact_closest_substring(inst).radius
-        assert len(sweeps) == 3
+        # the two single windows share one sweep, the pair has its own
+        assert swept_rows(sweeps) == 3
+        assert len(sweeps) == 2
 
     def test_auto_evaluates_the_cost_once(self, monkeypatch):
         # no pass over the input windows precedes the tuple loop, and every
@@ -756,7 +794,8 @@ class TestSweepDedupe:
             sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
             sol = solve_small_substring(inst, SubstringConfig(r=2))
             keys = distinct_sweep_keys(inst, 2)
-            assert len(sweeps) == len(keys)
+            assert swept_rows(sweeps) == len(keys)
+            assert len(sweeps) == len(distinct_masks(keys))
             assert 2 * len(keys) <= len(list(enumerate_window_tuples(inst, 2)))
             assert sol.center == reference_small_substring(inst, 2)[0]
             monkeypatch.undo()
@@ -773,7 +812,9 @@ class TestSweepDedupe:
         agreed = closest_substring._agreed_tuples(inst, small)
         cands = dict(zip([t[0] for t in agreed], closest_substring._centers(inst, small, agreed)))
         first, second = ((0, 0), (1, 0)), ((2, 0), (3, 0))
-        assert len(sweeps) == len(distinct_sweep_keys(inst, 2)) == len(picks) - 1 == len(cands)
+        keys = distinct_sweep_keys(inst, 2)
+        assert swept_rows(sweeps) == len(keys) == len(picks) - 1 == len(cands)
+        assert len(sweeps) == len(distinct_masks(keys))
         assert first in cands and second not in cands
         windows = picked_windows(inst, first)
         costs, center = reference_sweep(inst, windows[0], np.flatnonzero(~agreement_positions(windows)))

@@ -463,9 +463,10 @@ class TestSweepPatches:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def argmin(self, a):
-                chunk_lengths.append(len(a))
-                return np.argmin(a)
+            def argmin(self, a, axis=None):
+                # one seed row: the last axis holds the chunk's patches
+                chunk_lengths.append(a.shape[-1])
+                return np.argmin(a, axis=axis)
 
         rng = np.random.default_rng(23)
         half = rng.integers(0, 2, (32, 15)).astype(np.int16)
@@ -507,6 +508,64 @@ class TestSweepPatches:
         rows = np.zeros((3, 0), dtype=np.int16)
         assert as_tuple(sweep_patches(rows, np.array([2, 0, 1]), 4)) == (2, ())
         assert as_tuple(sweep_patches(rows, np.array([2, 0, 1]), 4, np.array([0, 2]))) == (1, ())
+
+    @pytest.mark.parametrize("cells", [1, 64, 1 << 20])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_seed_batch_matches_single_rows_and_brute_force(self, monkeypatch, cells, k):
+        # small random rows and seeds tie often; cells = 1 and 64 split the
+        # high patches of one seed row, and seed rows, across chunks
+        monkeypatch.setattr(lp_round, "_SWEEP_CELLS", cells)
+        rng = np.random.default_rng(2000 * k + cells)
+        for np_ in range(8):
+            patches = np.array(list(itertools.product(range(k), repeat=np_)), dtype=np.int64)
+            patches = patches.reshape(k ** np_, np_)
+            for nrows in (1, 3, 7):
+                rows = rng.integers(0, k, (nrows, np_)).astype(np.uint8)
+                seeds = rng.integers(0, 3, (int(rng.integers(1, 10)), nrows))
+                mismatches = (patches[:, None, :] != rows[None, :, :]).sum(axis=2)
+                cuts = sorted(set(rng.integers(1, nrows, 2).tolist())) if nrows > 1 else []
+                for starts in (None, np.array([0, *cuts])):
+                    bounds = [0, *cuts, nrows] if starts is not None else range(nrows + 1)
+                    scores, got = sweep_patches(rows, seeds, k, starts)
+                    assert scores.shape == (len(seeds),) and got.shape == (len(seeds), np_)
+                    assert got.dtype == np.uint8
+                    for a, fixed in enumerate(seeds):
+                        per_row = mismatches + fixed
+                        worst = np.stack(
+                            [per_row[:, s:e].min(axis=1) for s, e in zip(bounds, bounds[1:])]
+                        ).max(axis=0)
+                        best = int(np.argmin(worst))
+                        expected = (int(worst[best]), tuple(int(v) for v in patches[best]))
+                        assert (int(scores[a]), tuple(got[a].tolist())) == expected, (np_, nrows, a)
+                        assert as_tuple(sweep_patches(rows, fixed, k, starts)) == expected
+
+    def test_seed_batch_keeps_first_minimum_across_chunks(self):
+        # the complement rows of test_first_minimum_across_chunks, where
+        # every patch ties with its complement in the other chunk, under
+        # several seed rows at once
+        rng = np.random.default_rng(23)
+        half = rng.integers(0, 2, (32, 15)).astype(np.int16)
+        rows = np.stack([half, 1 - half], axis=1).reshape(64, 15)
+        seeds = rng.integers(0, 3, (5, 32)).repeat(2, axis=1)
+        starts = np.arange(0, 64, 2)
+        scores, patches = sweep_patches(rows, seeds, 2, starts)
+        for a, fixed in enumerate(seeds):
+            assert (int(scores[a]), tuple(patches[a].tolist())) == as_tuple(sweep_patches(rows, fixed, 2, starts))
+
+    def test_seed_batch_memory_stays_within_the_chunk_cap(self):
+        # 16 rows over 2^18 patches: an nrows x k^|P| int32 table is 16.8 MB
+        # per seed row, while a chunk holds 2^20 cells, 4.2 MB
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2, (16, 18)).astype(np.uint8)
+        seeds = rng.integers(0, 3, (4, 16))
+        tracemalloc.start()
+        try:
+            scores, _ = sweep_patches(rows, seeds, 2, np.arange(0, 16, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert scores.tolist() == [sweep_patches(rows, fixed, 2, np.arange(0, 16, 4))[0] for fixed in seeds]
 
 
 class TestEnumerate:

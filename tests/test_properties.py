@@ -7,7 +7,7 @@ Hypothesis runs derandomized, so the examples are the same on every run.
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centerstring import (
@@ -32,8 +32,24 @@ def ceil_bound(bound: Fraction, opt: int) -> int:
     return math.ceil(bound * opt)
 
 
+def shifted_pair(bits, extra):
+    """Binary L = 15 pair: the 15 bits and their complement, with the bits
+    of extra (at most one, in front when it is 1, else at the end) added to
+    the complement.  One window pair disagrees everywhere, so |P| = 15 >
+    |R| = 14 there, and that tuple is guessed under sampling, and under
+    auto at y_budget 2^14."""
+    comp = "".join("10"[b] for b in bits)
+    if extra:
+        comp = str(extra[0]) + comp if extra[0] else comp + "0"
+    return SubstringInstance.from_texts(Alphabet.of("01"), ["".join(map(str, bits)), comp], 15)
+
+
 @st.composite
 def substring_cases(draw):
+    if draw(st.integers(0, 5)) == 0:
+        bits = draw(st.lists(st.integers(0, 1), min_size=15, max_size=15))
+        extra = draw(st.lists(st.integers(0, 1), max_size=1))
+        return shifted_pair(bits, extra), 2, draw(st.integers(0, 2 ** 16)), True
     k = draw(st.sampled_from(sorted(SYMBOLS)))
     l = draw(st.integers(1, 5 if k < 4 else 4))
     n = draw(st.integers(1, 4))
@@ -42,7 +58,7 @@ def substring_cases(draw):
         for _ in range(n)
     ]
     inst = SubstringInstance.from_texts(Alphabet.of(SYMBOLS[k]), texts, l)
-    return inst, draw(st.integers(2, 3)), draw(st.integers(0, 2 ** 16))
+    return inst, draw(st.integers(2, 3)), draw(st.integers(0, 2 ** 16)), False
 
 
 @st.composite
@@ -59,13 +75,17 @@ def string_cases(draw):
 
 @PROPERTY
 @given(substring_cases(), st.sampled_from(["small_d", "sampling", "auto"]))
+@example((shifted_pair([0, 1] * 7 + [1], [1]), 2, 0, True), "auto")
 def test_substring_radius_between_oracle_and_bound(case, mode):
-    inst, r, seed = case
-    cfg = SubstringConfig(r=r, mode=mode, rng_seed=seed)
+    inst, r, seed, shifted = case
+    y_budget = 2 ** 14 if shifted and mode == "auto" else SubstringConfig.y_budget
+    cfg = SubstringConfig(r=r, mode=mode, rng_seed=seed, y_budget=y_budget)
     sol = solve_substring(inst, cfg)
     opt = exact_closest_substring(inst).radius
     # small_d sweeps every tuple; only a guessed tuple adds the sampling term 3*eps*r
     assert mode != "small_d" or sol.guessed_tuples == 0
+    # the shifted pairs reach the guessed path in both other modes
+    assert not shifted or mode == "small_d" or sol.guessed_tuples > 0
     bound = 1 + Fraction(1, 2 * r - 1) + (3 * Fraction(cfg.epsilon) * r if sol.guessed_tuples else 0)
     assert opt <= sol.radius <= ceil_bound(bound, opt)
     assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
