@@ -9,19 +9,20 @@ patch-sweep kernel shared with the Closest String solver) when |P| is at
 most the mode's sweep limit: L for small_d, |R| for sampling, and the
 largest c with k^c <= y_budget for auto.  Otherwise every guess y on R
 selects one window per input string by a scaled proxy score, and the
-selected windows go to the restricted LP machinery.  The first candidate
-of minimum radius, in enumeration order, wins.  The solution counts the
-guessed tuples (`CenterSolution.guessed_tuples`), so it says itself which
-ratio holds: the small_d one when none was guessed, the sampling one else.
+selected windows go to the restricted LP machinery.  The candidate of
+smallest (radius, enumeration index) wins, whatever order the candidates
+are scored in.  The solution counts the guessed tuples
+(`CenterSolution.guessed_tuples`), so it says itself which ratio holds:
+the small_d one when none was guessed, the sampling one else.
 
 Both run on the tuple's anchor row and boolean agreement mask Q, and a
 candidate is a (radius, center row) pair.  A repeated candidate can never
-be the first minimum, so it is dropped where first seen: the pre-pass keeps
-one swept tuple per (Q, anchor on Q) pair, all a swept candidate depends
-on, and a guessed tuple solves each distinct window selection once.  Kept
-swept tuples with the same mask Q share P, so one sweep per distinct mask
-scores all of their anchors, and the candidates still come out in
-enumeration order.
+win, as its first copy has a smaller index, so the pre-pass `_plan`
+returns the swept tuples grouped by mask Q, one per (Q, anchor on Q)
+pair, all a swept candidate depends on, and the guessed tuples in
+enumeration order.  Swept tuples with the same Q share P, so one sweep
+per mask scores all of its anchors; a guessed tuple solves each distinct
+window selection once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -91,13 +93,20 @@ def enumerate_window_tuples(inst: SubstringInstance, r: int) -> Iterator[Picks]:
                 yield tuple(zip(subset, offsets))
 
 
-def _agreed_tuples(
-    inst: SubstringInstance, cfg: SubstringConfig
-) -> list[tuple[Picks, np.ndarray, np.ndarray, bool]]:
-    """(picks, anchor row, agreement mask on_q, swept) of the window
-    tuples in enumeration order, keeping only the first swept tuple of each
-    (Q mask, anchor on Q) pair; on_q marks the positions Q where every
-    picked window equals the anchor.
+Swept = dict[bytes, dict[bytes, tuple[int, np.ndarray]]]
+Guessed = list[tuple[int, Picks, np.ndarray, np.ndarray]]
+
+
+def _plan(inst: SubstringInstance, cfg: SubstringConfig) -> tuple[Swept, Guessed]:
+    """The pre-pass over the window tuples, each named by its enumeration
+    index and read as its anchor row and boolean agreement mask on_q (the
+    positions Q where every picked window equals the anchor).
+
+    Returns the swept tuples grouped by mask, masks in first-seen order:
+    per mask Q (as bytes), the (index, anchor) of its tuples keyed by the
+    anchor's letters on Q, so a group keeps the first tuple of each
+    (Q, anchor on Q) pair, all that a swept candidate depends on.  And the
+    guessed tuples as (index, picks, anchor, on_q), in enumeration order.
 
     A tuple is swept over its k^|P| patches when its free-position count
     |P| is at most cfg.mode's sweep limit: L for small_d (every tuple), the
@@ -118,10 +127,10 @@ def _agreed_tuples(
     size = _sample_size_of(inst, cfg.epsilon)
     fits = _max_exponent(k, cfg.y_budget)  # the largest count c with k^c <= y_budget
     limit = {"small_d": l, "sampling": size, "auto": fits}[cfg.mode]
-    agreed = []
-    swept_pairs: set[bytes] = set()
+    swept: Swept = {}
+    guessed: Guessed = []
     t = end = 0
-    for picks in enumerate_window_tuples(inst, cfg.r):
+    for index, picks in enumerate(enumerate_window_tuples(inst, cfg.r)):
         if t == end:
             # a new block: the tuples of this tuple's strings and anchor offset
             (i, o), *rest = picks
@@ -130,36 +139,40 @@ def _agreed_tuples(
             for j, _ in rest:
                 on_q = (on_q[:, None, :] & (inst.windows[j] == anchor)).reshape(-1, l)
             free = (l - on_q.sum(axis=1)).tolist()
-            # the (Q mask, anchor on Q) pair of every tuple, l + l bytes each
+            # the Q mask and the anchor on Q of every tuple, l bytes each
             masks, letters = on_q.tobytes(), np.where(on_q, anchor, 0).tobytes()
             t, end = 0, len(free)
         p_size = free[t]
-        swept = p_size <= limit
-        if (p_size if swept else size) > fits:
-            work = f"|P|={p_size} needs {k}^{p_size} patches" if swept else f"|R|={size} needs {k}^{size} guesses"
+        sweep = p_size <= limit
+        if (p_size if sweep else size) > fits:
+            work = f"|P|={p_size} needs {k}^{p_size} patches" if sweep else f"|R|={size} needs {k}^{size} guesses"
             hint = "" if cfg.mode == "small_d" else "; " + _budget_hint(inst, cfg.y_budget, cfg.epsilon)
             raise BudgetExceeded(f"{work}, over budget {cfg.y_budget}{hint}")
-        kept = True
-        if swept:
-            pair = masks[t * l:(t + 1) * l] + letters[t * l:(t + 1) * l]
-            kept = pair not in swept_pairs
-            swept_pairs.add(pair)
-        if kept:
-            agreed.append((picks, anchor, on_q[t], swept))
+        if sweep:
+            group = swept.setdefault(masks[t * l:(t + 1) * l], {})
+            group.setdefault(letters[t * l:(t + 1) * l], (index, anchor))
+        else:
+            guessed.append((index, picks, anchor, on_q[t]))
         t += 1
-    return agreed
+    return swept, guessed
 
 
 def sample_size(epsilon: float, n: int, m: int) -> int:
     """Number of random positions to draw: ceil((4/eps^2) * ln(n*m)).
 
     Natural log, matching the exp(-eps^2|R|/2) tail the size must defeat.
+    Where the float expression is not finite (eps below about 1e-154) the
+    size is computed exactly in fractions: a huge int, or 0 at n*m = 1.
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError("epsilon must be in (0, 1]")
     if n < 1 or m < 1:
         raise DomainError("n and m must be >= 1")
-    return math.ceil(4.0 / (epsilon * epsilon) * math.log(n * m))
+    log_nm = math.log(n * m)
+    size = 4.0 / (epsilon * epsilon) * log_nm if epsilon * epsilon else math.inf
+    if math.isfinite(size):
+        return math.ceil(size)
+    return math.ceil(4 / Fraction(epsilon) ** 2 * Fraction(log_nm))
 
 
 def _sample_size_of(inst: SubstringInstance, epsilon: float) -> int:
@@ -253,55 +266,53 @@ def _first_distinct_rows(offsets: np.ndarray, counts: list[int]) -> np.ndarray:
     return np.sort(np.unique(key, return_index=True)[1])
 
 
-def _centers(
-    inst: SubstringInstance, cfg: SubstringConfig, agreed: list[tuple[Picks, np.ndarray, np.ndarray, bool]]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(radius, center row) candidates in enumeration order: per kept
-    window tuple of agreed (as _agreed_tuples returns them), its swept
-    center, or else the restricted solve's center for every distinct
-    selection its guesses y on R make, at the selection's first guess.
+def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()) -> CenterSolution:
+    """The substring solver: the candidate of smallest (radius, enumeration
+    index) over the window tuples, each swept or guessed under cfg.mode's
+    sweep limit (see _plan).
 
     A swept tuple's center keeps the anchor on Q.  Every window of every
     string is one row of the shared patch sweep, restricted to P and
     charged its distance to the anchor on Q; a string's rows form one
     group, so the sweep scores a patch by max over strings of min over
-    windows, the candidate's substring radius.  One sweep per distinct
-    mask Q scores all of its swept tuples' anchors, one seed row of Q
-    costs each, before the first candidate is yielded; each candidate is
-    then yielded at its tuple's place in agreed.
+    windows, the candidate's substring radius.  One sweep per mask Q
+    scores all of its swept tuples' anchors, one seed row each.
 
     A guessed tuple draws R from P (seeded per tuple).  Its selections are
     keyed by window contents; each new one is solved as the StringInstance
     of its selected windows, whose restricted problem keeps the anchor on
-    Q, and its center is scored on every window like a swept one.
+    Q, and its center is scored on every window like a swept one.  The
+    selections share their tuple's index, so the first of them wins a tie.
+
+    small_d sweeps every tuple, ratio 1 + 1/(2r-1); sampling sweeps the
+    tuples with |P| <= |R| and guesses the others on R, ratio
+    1 + 1/(2r-1) + 3*epsilon*r with high probability.  Auto sweeps every
+    tuple whose k^|P| patches fit cfg.y_budget and guesses the others as
+    sampling does, so its ratio is the small_d bound whenever every tuple
+    is swept, and the sampling bound otherwise.  The solution's
+    guessed_tuples says which: it counts the guessed tuples.
     """
+    swept, guessed = _plan(inst, cfg)
     k = inst.alphabet.size
-    size = _sample_size_of(inst, cfg.epsilon)
     wins = np.concatenate(inst.windows)
     counts = [len(w) for w in inst.windows]
     starts = np.cumsum([0] + counts[:-1])
+    best = (math.inf, 0, None)  # (radius, enumeration index, center row)
+    for mask, group in swept.items():
+        indices, anchors = zip(*group.values())
+        on_q = np.frombuffer(mask, dtype=bool)
+        centers = np.array(anchors)
+        fixed = (wins[:, on_q] != centers[:, None, on_q]).sum(axis=2, dtype=np.int32)
+        costs, centers[:, ~on_q] = sweep_patches(wins[:, ~on_q], fixed, k, starts)
+        a = int(np.argmin(costs))  # indices ascend, so this is the group's minimum
+        radius = int(costs[a])
+        if (radius, indices[a]) < best[:2]:
+            best = (radius, indices[a], centers[a])
+
+    size = _sample_size_of(inst, cfg.epsilon)
     # the LP stage must stay within error epsilon*|P| overall
     rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
-
-    # the anchors of the swept tuples per mask Q, in enumeration order
-    anchors: dict[bytes, list[np.ndarray]] = {}
-    for _, anchor, on_q, swept in agreed:
-        if swept:
-            anchors.setdefault(on_q.tobytes(), []).append(anchor)
-    # per mask, its (radius, center row) candidates in the same order
-    swept_centers = {}
-    for mask, mask_anchors in anchors.items():
-        on_q = np.frombuffer(mask, dtype=bool)
-        on_p = ~on_q
-        centers = np.array(mask_anchors)
-        fixed = (wins[:, on_q] != centers[:, None, on_q]).sum(axis=2, dtype=np.int32)
-        costs, centers[:, on_p] = sweep_patches(wins[:, on_p], fixed, k, starts)
-        swept_centers[mask] = zip(costs.tolist(), centers)
-
-    for picks, anchor, on_q, swept in agreed:
-        if swept:
-            yield next(swept_centers[on_q.tobytes()])
-            continue
+    for index, picks, anchor, on_q in guessed:
         free = np.flatnonzero(~on_q)
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
         r_idx = np.sort(free[rng.integers(0, len(free), size=size)])
@@ -318,27 +329,13 @@ def _centers(
                 # the seed token keeps the repr of index tuples
                 seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, selected.tolist())))
                 center, _ = solve_restricted(problem, replace(rounding, rng_seed=seed))
-                yield int(np.minimum.reduceat((wins != center).sum(axis=1), starts).max()), center
+                radius = int(np.minimum.reduceat((wins != center).sum(axis=1), starts).max())
+                if (radius, index) < best[:2]:
+                    best = (radius, index, center)
 
-
-def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()) -> CenterSolution:
-    """The substring solver: the first candidate of minimum radius over
-    the window tuples, each swept or guessed under cfg.mode's sweep limit
-    (see _agreed_tuples).
-
-    small_d sweeps every tuple, ratio 1 + 1/(2r-1); sampling sweeps the
-    tuples with |P| <= |R| and guesses the others on R, ratio
-    1 + 1/(2r-1) + 3*epsilon*r with high probability.  Auto sweeps every
-    tuple whose k^|P| patches fit cfg.y_budget and guesses the others as
-    sampling does, so its ratio is the small_d bound whenever every tuple
-    is swept, and the sampling bound otherwise.  The solution's
-    guessed_tuples says which: it counts the kept tuples that were guessed.
-    """
-    agreed = _agreed_tuples(inst, cfg)
-    _, row = min(_centers(inst, cfg, agreed), key=lambda c: c[0])
-    center = Seq(inst.alphabet, row.tobytes())
+    center = Seq(inst.alphabet, best[2].tobytes())
     radius, offsets = cost_substring(inst, center)
-    return CenterSolution(center, radius, offsets, sum(not swept for *_, swept in agreed))
+    return CenterSolution(center, radius, offsets, len(guessed))
 
 
 def solve_small_substring(

@@ -115,8 +115,12 @@ class InstanceFile:
     @classmethod
     def load(cls, path: str | Path, alphabet: str | None = None) -> "InstanceFile":
         """Read a JSON instance if the name ends in .json or the text starts
-        with '{' (after whitespace), else a FASTA one."""
-        text = Path(path).read_text()
+        with '{' (after whitespace), else a FASTA one.  The file must be
+        UTF-8 text."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
         if str(path).endswith(".json") or text.lstrip().startswith("{"):
             return cls.parse_json(text, alphabet)
         return cls.parse_fasta(text, alphabet)
@@ -184,6 +188,8 @@ def generate_planted(
         raise DomainError(f"L={l} exceeds string length m={m}")
     if not 0 <= d <= l:
         raise DomainError(f"d={d} must lie in [0, L]")
+    if seed < 0:
+        raise DomainError(f"seed={seed} must be >= 0")
     rng = np.random.default_rng(seed)
     center = rng.integers(0, k, size=l)
     strings: list[np.ndarray] = []
@@ -498,7 +504,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except CenterStringError as exc:
+    except (CenterStringError, OSError) as exc:
+        # a file that cannot be read or written is refused like any bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

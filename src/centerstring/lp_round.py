@@ -381,8 +381,13 @@ def enumerate_small_P(p: RestrictedProblem, budget: int = DEFAULT_ENUM_BUDGET) -
 
 
 def enumeration_threshold(n: int, epsilon_prime: float) -> float:
-    """Free-position count below which exhaustive enumeration is used."""
-    return 4.0 * math.log(n) / (epsilon_prime * epsilon_prime)
+    """Free-position count below which exhaustive enumeration is used:
+    4 ln(n) / epsilon'^2, which is inf (0 at n = 1) once epsilon'^2
+    underflows to 0."""
+    square = epsilon_prime * epsilon_prime
+    if not square:
+        return math.inf if n > 1 else 0.0
+    return 4.0 * math.log(n) / square
 
 
 def solve_restricted(

@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -79,6 +80,26 @@ class TestSampleSize:
             sample_size(2.0, 3, 3)
         with pytest.raises(DomainError, match="n and m must be >= 1"):
             sample_size(1.0, 0, 5)
+
+    def test_tiny_epsilon_is_exact(self):
+        # the float formula holds wherever it is finite; below about 1e-154
+        # 4/eps^2 overflows, and below about 1.5e-162 eps^2 underflows to 0
+        assert sample_size(1e-150, 3, 7) == math.ceil(4.0 / (1e-150 * 1e-150) * math.log(21))
+        for eps in (1e-154, 1e-160, 1e-200, 5e-324):
+            assert sample_size(eps, 3, 7) == math.ceil(4 / Fraction(eps) ** 2 * Fraction(math.log(21)))
+            assert sample_size(eps, 1, 1) == 0
+
+    def test_tiny_epsilon_solves(self):
+        # every tuple fits |R|, so sampling sweeps them all, as small_d does;
+        # auto guesses the tuple whose patches exceed the budget, and its
+        # 2^|R| guesses cannot fit
+        inst = bsub(["0101100111", "1101001110", "0111001101"], 8)
+        small = solve_small_substring(inst, SubstringConfig(r=2, y_budget=1 << 8))
+        for eps in (1e-154, 1e-200):
+            cfg = SubstringConfig(r=2, epsilon=eps, y_budget=1 << 8)
+            assert solve_closest_substring(inst, cfg) == small
+            with pytest.raises(BudgetExceeded, match=f"at epsilon {eps}$"):
+                solve_substring(inst, replace(cfg, y_budget=4))
 
 
 class TestSubstringConfig:
@@ -669,7 +690,7 @@ class TestBudgetHint:
         assert 0.4 < eps <= 1.0
         assert 2 ** sample_size(eps, 3, 40) <= cfg.y_budget
         assert 2 ** sample_size(eps - 1e-4, 3, 40) > cfg.y_budget
-        closest_substring._agreed_tuples(inst, replace(cfg, epsilon=eps, mode="sampling"))  # no raise
+        closest_substring._plan(inst, replace(cfg, epsilon=eps, mode="sampling"))  # no raise
 
     def test_no_feasible_epsilon_names_a_budget(self):
         # binary 4 x 40, L = 20: epsilon = 1 still needs |R| = 21 > 16, and
@@ -682,7 +703,7 @@ class TestBudgetHint:
         assert "no epsilon in (0, 1] fits" in msg
         assert "epsilon >= 1.1265 would be needed" in msg
         assert msg.endswith("y_budget >= 2^20 would fit at epsilon 1.0")
-        closest_substring._agreed_tuples(inst, replace(cfg, y_budget=2 ** 20, mode="sampling"))  # no raise
+        closest_substring._plan(inst, replace(cfg, y_budget=2 ** 20, mode="sampling"))  # no raise
 
     def test_budget_below_alphabet_size(self):
         inst = bsub(["0011", "1100"], 4)
@@ -803,23 +824,62 @@ class TestSweepDedupe:
     def test_shared_key_sweeps_once(self, monkeypatch):
         # the pairs (001, 010) and (011, 000) both agree on position 0 only,
         # where both anchors read 0: one key for two different picks, so
-        # the second tuple yields no candidate
+        # the second tuple is not kept
         inst = bsub(["001", "010", "011", "000"], 3)
         cfg = SubstringConfig(r=2)
-        sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
+        sweeps = []
+        sweep = closest_substring.sweep_patches
+        monkeypatch.setattr(closest_substring, "sweep_patches",
+                            lambda *args: sweeps.append((args, sweep(*args))) or sweeps[-1][1])
         picks = list(enumerate_window_tuples(inst, 2))
         small = replace(cfg, mode="small_d")
-        agreed = closest_substring._agreed_tuples(inst, small)
-        cands = dict(zip([t[0] for t in agreed], closest_substring._centers(inst, small, agreed)))
+        swept, guessed = closest_substring._plan(inst, small)
+        solve_substring(inst, small)
+        # per kept tuple's picks: its sweep call and its seed row there
+        kept = {
+            picks[index]: (call, row)
+            for call, group in enumerate(swept.values())
+            for row, (index, _) in enumerate(group.values())
+        }
         first, second = ((0, 0), (1, 0)), ((2, 0), (3, 0))
         keys = distinct_sweep_keys(inst, 2)
-        assert swept_rows(sweeps) == len(keys) == len(picks) - 1 == len(cands)
-        assert len(sweeps) == len(distinct_masks(keys))
-        assert first in cands and second not in cands
+        assert swept_rows(args for args, _ in sweeps) == len(keys) == len(picks) - 1 == len(kept)
+        assert len(sweeps) == len(swept) == len(distinct_masks(keys))
+        assert not guessed
+        assert first in kept and second not in kept
         windows = picked_windows(inst, first)
-        costs, center = reference_sweep(inst, windows[0], np.flatnonzero(~agreement_positions(windows)))
-        cost, row = cands[first]
-        assert (cost, Seq(inst.alphabet, row)) == (int(costs.min()), center)
+        p = np.flatnonzero(~agreement_positions(windows))
+        costs, center = reference_sweep(inst, windows[0], p)
+        call, row = kept[first]
+        cost, patches = (result[row] for result in sweeps[call][1])
+        first_center = windows[0].arr.copy()
+        first_center[p] = patches
+        assert (int(cost), Seq(inst.alphabet, first_center)) == (int(costs.min()), center)
+
+    def test_tie_goes_to_the_smaller_index_across_masks(self):
+        # radius 1 is the minimum and no single window reaches it.  The
+        # mask 0110, first seen at tuple 5, reaches it only at tuple 10
+        # (center 1011); the mask 0011, first seen at tuple 6, reaches it
+        # there (center 0001).  Comparing masks in first-seen order would
+        # return 1011; the (radius, index) minimum is tuple 6's 0001.
+        inst = bsub(["01010", "11001", "0011"], 4)
+        picks = list(enumerate_window_tuples(inst, 2))
+        swept, _ = closest_substring._plan(inst, SubstringConfig(r=2, mode="small_d"))
+        minima = []  # per mask in first-seen order: its (radius, index) minimum and center
+        for group in swept.values():
+            cands = []
+            for index, _ in group.values():
+                windows = picked_windows(inst, picks[index])
+                costs, center = reference_sweep(inst, windows[0], np.flatnonzero(~agreement_positions(windows)))
+                cands.append((int(costs.min()), index, center.text))
+            minima.append(min(cands))
+        assert [m for m in minima if m[0] == 1][:2] == [(1, 10, "1011"), (1, 6, "0001")]
+        assert min(m[0] for m in minima) == 1
+        center = reference_small_substring(inst, 2)[0]
+        assert center.text == "0001"
+        for mode in ("small_d", "sampling", "auto"):
+            sol = solve_substring(inst, SubstringConfig(r=2, mode=mode))
+            assert (sol.center, sol.radius, sol.guessed_tuples) == (center, 1, 0)
 
     @pytest.mark.parametrize("texts, l, mode, guessed", [
         # the small_d shape of the benchmark, at n = 5 and m = 40: every tuple swept
@@ -836,22 +896,31 @@ class TestSweepDedupe:
         cfg = SubstringConfig(r=2)
         tracemalloc.start()
         try:
-            agreed = closest_substring._agreed_tuples(inst, replace(cfg, mode=mode))
+            swept, guessed_tuples = closest_substring._plan(inst, replace(cfg, mode=mode))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         limit = l if mode == "small_d" else sample_size(cfg.epsilon, inst.n, len(inst.strings[0]))
-        swept_keys, tuples = set(), 0
-        for picks in enumerate_window_tuples(inst, 2):
+        first_index, tuples = {}, 0  # per swept (Q, anchor on Q) key, its first tuple
+        for index, picks in enumerate(enumerate_window_tuples(inst, 2)):
             windows = picked_windows(inst, picks)
             q = agreement_positions(windows)
             tuples += 1
             if l - int(q.sum()) <= limit:
-                swept_keys.add((q.tobytes(), windows[0].arr[q].tobytes()))
-        assert sum(not swept for *_, swept in agreed) == guessed
-        assert len(agreed) == len(swept_keys) + guessed < tuples
+                first_index.setdefault((q.tobytes(), windows[0].arr[q].tobytes()), index)
+        kept = {
+            (mask, anchor[np.frombuffer(mask, dtype=bool)].tobytes()): (index, anchor)
+            for mask, group in swept.items()
+            for index, anchor in group.values()
+        }
+        assert len(guessed_tuples) == guessed
+        # one kept tuple per (Q, anchor on Q) key, the first with that key
+        assert sum(map(len, swept.values())) == len(kept) == len(first_index)
+        assert {key: index for key, (index, _) in kept.items()} == first_index
+        assert len(kept) + guessed < tuples
         # every kept anchor is its own small array, not a view of the tuple's rows
-        assert all(anchor.base is None for _, anchor, _, _ in agreed)
+        anchors = [anchor for _, anchor in kept.values()] + [anchor for _, _, anchor, _ in guessed_tuples]
+        assert all(anchor.base is None for anchor in anchors)
         assert peak < 3e6
 
 

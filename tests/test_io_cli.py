@@ -179,6 +179,8 @@ class TestGeneratePlanted:
         for n, m, l in [(0, 8, 5), (3, 0, 1), (3, 8, 0)]:
             with pytest.raises(DomainError, match="n, m, L must all be >= 1"):
                 generate_planted("01", n, m, l, 0, 0)
+        with pytest.raises(DomainError, match="seed=-1 must be >= 0"):
+            generate_planted("01", 3, 8, 5, 0, -1)
 
 
 class TestBench:
@@ -641,3 +643,56 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text('{"alphabet":"01","strings":["01","0"]}')
         assert main(["solve-string", str(path)]) == 2
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCliRefusals:
+    """Inputs the CLI refuses with one `error:` line and exit code 2."""
+
+    # each file-reading subcommand, with the flags it needs on a valid file
+    READERS = {"solve-string": [], "solve-substring": ["--L", "2"], "exact": [], "bench": []}
+
+    @pytest.mark.parametrize("command", sorted(READERS))
+    @pytest.mark.parametrize("problem", ["missing", "directory", "not-utf8"])
+    def test_unreadable_input(self, command, problem, tmp_path, capsys):
+        (tmp_path / "latin1.fa").write_bytes(b">s\n\xe9\xe9\n")
+        path = {"missing": tmp_path / "missing.fa", "directory": tmp_path,
+                "not-utf8": tmp_path / "latin1.fa"}[problem]
+        assert main([command, str(path), *self.READERS[command]]) == 2
+        assert one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", [*sorted(READERS), "gen"])
+    def test_unwritable_out(self, command, tmp_path, capsys):
+        out = str(tmp_path / "no-such-dir" / "out")
+        if command == "gen":
+            argv = ["gen", "--n", "2", "--m", "4", "--L", "2", "--d", "0", "--out", out]
+        else:
+            path = tmp_path / "s.json"
+            path.write_text('{"alphabet":"01","strings":["0011","0110"]}')
+            argv = [command, str(path), *self.READERS[command], "--out", out]
+        assert main(argv) == 2
+        assert one_error_line(capsys)
+
+    def test_gen_refuses_a_negative_seed(self, capsys):
+        assert main(["gen", "--n", "2", "--m", "4", "--L", "2", "--d", "0", "--seed", "-1"]) == 2
+        assert one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-substring", "--L", "3", "--epsilon", "1e-200"],
+        ["solve-string", "--epsilon-prime", "1e-200"],
+        ["bench", "--epsilon", "1e-200", "--algos", "substring", "--no-timing"],
+    ], ids=["solve-substring", "solve-string", "bench"])
+    def test_tiny_epsilon_solves(self, argv, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["001101","011001","110100"]}')
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if argv[0] == "bench":
+            assert out.splitlines()[1].endswith("ok")
+        else:
+            assert json.loads(out)["radius"] >= 0

@@ -869,6 +869,13 @@ class TestSolveRestricted:
         assert enumeration_threshold(3, 0.5) == pytest.approx(4 * math.log(3) / 0.25)
         assert 17.5 < enumeration_threshold(3, 0.5) < 17.6
 
+    def test_threshold_of_tiny_epsilon(self):
+        # epsilon'^2 underflows to 0 below about 1.5e-162: every |P| is below
+        # the exact threshold, except at n = 1, where it is 0
+        assert enumeration_threshold(3, 1e-150) == 4.0 * math.log(3) / (1e-150 * 1e-150)
+        assert enumeration_threshold(3, 1e-155) == enumeration_threshold(3, 1e-200) == math.inf
+        assert enumeration_threshold(1, 1e-155) == enumeration_threshold(1, 1e-200) == 0.0
+
     def test_center_composes_anchor(self):
         inst = binst("0011", "1100")
         p = build_restricted(inst, bseq("0110").arr, on(4, 0, 3))
