@@ -34,7 +34,10 @@ class Alphabet:
     """Ordered set of distinct single-character symbols."""
 
     symbols: tuple[str, ...]
-    _lookup: dict = field(init=False, repr=False, compare=False)
+    # str.translate tables: symbol to the character of its index, and
+    # symbol to nothing, which leaves only the text's unknown symbols
+    _codes: dict = field(init=False, repr=False, compare=False)
+    _drop: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.symbols) < 2:
@@ -46,7 +49,8 @@ class Alphabet:
                 raise DomainError(f"alphabet symbols must be single characters, got {s!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise DomainError("alphabet symbols must be distinct")
-        object.__setattr__(self, "_lookup", {s: i for i, s in enumerate(self.symbols)})
+        object.__setattr__(self, "_codes", {ord(s): chr(i) for i, s in enumerate(self.symbols)})
+        object.__setattr__(self, "_drop", dict.fromkeys(map(ord, self.symbols)))
 
     @classmethod
     def of(cls, symbols: str | Iterable[str]) -> "Alphabet":
@@ -56,11 +60,13 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        try:
-            return self._lookup[symbol]
-        except KeyError:
-            raise AlphabetMismatch(f"symbol {symbol!r} not in alphabet {''.join(self.symbols)!r}") from None
+    def encode(self, text: str) -> bytes:
+        """The text's symbol indices, one byte each; the first symbol
+        outside the alphabet raises AlphabetMismatch."""
+        unknown = text.translate(self._drop)
+        if unknown:
+            raise AlphabetMismatch(f"symbol {unknown[0]!r} not in alphabet {''.join(self.symbols)!r}")
+        return text.translate(self._codes).encode("latin-1")
 
 
 BINARY = Alphabet.of("01")
@@ -113,7 +119,7 @@ class Seq:
 
     @classmethod
     def from_text(cls, alphabet: Alphabet, text: str) -> "Seq":
-        return cls(alphabet, bytes(map(alphabet.index, text)))
+        return cls(alphabet, alphabet.encode(text))
 
     @property
     def arr(self) -> np.ndarray:
@@ -155,7 +161,7 @@ class StringInstance:
 
     @classmethod
     def from_texts(cls, alphabet: Alphabet, texts: Sequence[str]) -> "StringInstance":
-        return cls(alphabet, [bytes(map(alphabet.index, t)) for t in texts])
+        return cls(alphabet, [alphabet.encode(t) for t in texts])
 
     @property
     def n(self) -> int:
@@ -200,7 +206,7 @@ class SubstringInstance:
 
     @classmethod
     def from_texts(cls, alphabet: Alphabet, texts: Sequence[str], window: int) -> "SubstringInstance":
-        return cls(alphabet, [bytes(map(alphabet.index, t)) for t in texts], window)
+        return cls(alphabet, [alphabet.encode(t) for t in texts], window)
 
     @property
     def n(self) -> int:

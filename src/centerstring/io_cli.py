@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -405,6 +406,17 @@ def _solution_json(sol: CenterSolution, algo: str, params: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an --out path that cannot be written before any work starts:
+    open it for appending, which creates a missing file and keeps an
+    existing one's bytes, then remove a file the probe created."""
+    if out:
+        existed = os.path.lexists(out)
+        open(out, "a").close()
+        if not existed:
+            os.unlink(out)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -518,6 +530,7 @@ def _load(args: argparse.Namespace) -> InstanceFile:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     if args.command == "gen":
         f = planted_instance_file(args.alphabet, args.n, args.m, args.L, args.d, args.seed)
         _emit(f.emit_json(), args.out)

@@ -335,8 +335,10 @@ class TestSubsetSkip:
 
     def test_derandomized_failure_of_losing_subset_is_not_raised(self):
         # budget 1 sends every subset to the LP; at eps' = 0.1 the estimator
-        # of some subsets starts above 1, but none of them could win
-        inst = binst("10110", "01111", "00111", "10101", "01101")
+        # of some subsets starts above 1, but none of them could win (found
+        # by a seeded search over random binary 5x5..7; it holds with HiGHS
+        # presolve on or off, so it does not hang on one LP vertex)
+        inst = binst("10000", "10100", "00110", "01010", "10010")
         cfg = ClosestStringConfig(
             r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1)
         )

@@ -1,5 +1,7 @@
 """Core string operations and position masks: examples and randomized properties."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ class TestAlphabet:
     def test_index_round_trip(self):
         a = Alphabet.of("ACGT")
         for i, s in enumerate(a.symbols):
-            assert a.index(s) == i
+            assert a.encode(s) == bytes([i])
 
     def test_rejects_single_symbol(self):
         with pytest.raises(DomainError):
@@ -55,6 +57,19 @@ class TestAlphabet:
     def test_unknown_symbol_is_hard_error(self):
         with pytest.raises(AlphabetMismatch):
             Seq.from_text(BINARY, "012")
+
+    def test_encode_names_the_first_unknown_symbol(self):
+        assert BINARY.encode("0110") == bytes([0, 1, 1, 0])
+        # an unknown "\x00" or "\x01" must not pass for the index it spells
+        for text, first in (("01x2y", "x"), ("0\x01", "\x01"), ("\x00", "\x00")):
+            with pytest.raises(AlphabetMismatch, match=re.escape(f"symbol {first!r} not in alphabet '01'")):
+                BINARY.encode(text)
+
+    def test_encode_on_a_wide_alphabet(self):
+        # indices past 127 leave str.translate's ASCII fast path
+        symbols = "".join(chr(0x100 + i) for i in range(256))
+        text = symbols[::-7] + symbols[:3]
+        assert Alphabet.of(symbols).encode(text) == bytes(map(symbols.index, text))
 
     def test_one_byte_per_symbol_limits_size_to_256(self):
         symbols = [chr(0x100 + i) for i in range(257)]

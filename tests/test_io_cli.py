@@ -677,6 +677,31 @@ class TestCliRefusals:
         assert main(argv) == 2
         assert one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", sorted(READERS))
+    def test_unwritable_out_refused_before_any_work(self, command, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for solver in ("solve_closest_string", "solve_substring",
+                       "exact_closest_string", "exact_closest_substring"):
+            monkeypatch.setattr(io_cli, solver, fail)
+        path = tmp_path / "s.json"
+        path.write_text('{"alphabet":"01","strings":["0011","0110"]}')
+        out = tmp_path / "no-such-dir" / "out"
+        assert main([command, str(path), *self.READERS[command], "--out", str(out)]) == 2
+        assert one_error_line(capsys)
+
+    def test_writable_out_probe_leaves_no_file_behind(self, tmp_path, capsys):
+        # the probe removes a file it created at once, so a run that then
+        # fails leaves none, and an existing file keeps its bytes
+        path = tmp_path / "bad.json"
+        path.write_text('{"alphabet":"01","strings":["01","0"]}')
+        out, kept = tmp_path / "out.json", tmp_path / "kept.json"
+        kept.write_text("old")
+        assert main(["solve-string", str(path), "--out", str(out)]) == 2
+        assert main(["solve-string", str(path), "--out", str(kept)]) == 2
+        assert not out.exists() and kept.read_text() == "old"
+
     def test_gen_refuses_a_negative_seed(self, capsys):
         assert main(["gen", "--n", "2", "--m", "4", "--L", "2", "--d", "0", "--seed", "-1"]) == 2
         assert one_error_line(capsys)

@@ -219,9 +219,10 @@ def expected_cost_center(p, weights, cut=0.0):
     return FractionalCenter(p, weights, objective)
 
 
-def linprog_solve_lp(p):
+def linprog_solve_lp(p, presolve=False):
     """solve_lp through scipy.optimize.linprog: the string rows as A_ub,
-    the simplex rows as A_eq, the same variables, bounds and post-processing."""
+    the simplex rows as A_eq, the same variables, bounds, HiGHS options
+    (presolve off, as solve_lp runs it) and post-processing."""
     from scipy import sparse
     from scipy.optimize import linprog
 
@@ -238,7 +239,7 @@ def linprog_solve_lp(p):
     bounds[0, 1] = np.inf
     res = linprog(
         c, A_ub=a_ub, b_ub=-p.fixed.astype(float), A_eq=a_eq, b_eq=np.ones(np_),
-        bounds=bounds, method="highs",
+        bounds=bounds, method="highs", options={"presolve": presolve},
     )
     assert res.success
     objective = max(0.0, math.ceil(res.fun / lp_round.LP_TOLERANCE) * lp_round.LP_TOLERANCE)
@@ -366,11 +367,14 @@ class TestSolveLP:
         assert np.array_equal(bounds.lb, np.zeros(nvars))
         assert np.array_equal(bounds.ub, [np.inf] + [1.0] * (np_ * k))
         assert seen.get("integrality") is None
+        assert seen["options"] == {"presolve": False}
 
     def test_matches_linprog_reference_bit_for_bit(self):
         # the rounding layers read the exact LP vertex, so solve_lp must
-        # return what linprog(method="highs") returns on the same LP,
-        # split into inequality and equality blocks
+        # return what linprog(method="highs") returns on the same LP without
+        # presolve, split into inequality and equality blocks; the optimum
+        # value is unique even where the vertex is not, so presolve on
+        # reaches the same objective within the tolerance
         rng = np.random.default_rng(61)
         sizes = set()
         for t in range(100):
@@ -380,6 +384,8 @@ class TestSolveLP:
             got = solve_lp(p)
             assert got.weights.tobytes() == expected.weights.tobytes()
             assert repr(got.objective) == repr(expected.objective)
+            presolved = linprog_solve_lp(p, presolve=True)
+            assert abs(got.objective - presolved.objective) <= lp_round.LP_TOLERANCE
             sizes.add(len(p.P))
         assert 1 in sizes and len(sizes) > 20
 
