@@ -107,22 +107,56 @@ def restricted_lower_bound(p: RestrictedProblem) -> int:
     return int((pair.max() + 1) // 2)
 
 
+def _run_highs(lp):
+    """Solve the HighsLp lp on a fresh HiGHS solver, console log and
+    presolve off.  Returns HiGHS's model status string, then the column
+    values and the objective, both None unless the model status is
+    optimal: an error from passModel or run fails the LP as well.
+
+    A solver object serves one LP and is never reused, so no basis or
+    other state carries over from one LP to the next.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    solver = highs._Highs()
+    solver.setOptionValue("log_to_console", False)
+    solver.setOptionValue("presolve", "off")
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        return solver.modelStatusToString(highs.HighsModelStatus.kModelError), None, None
+    failed = solver.run() == highs.HighsStatus.kError
+    status = solver.getModelStatus()
+    if failed or status != highs.HighsModelStatus.kOptimal:
+        return solver.modelStatusToString(status), None, None
+    return solver.modelStatusToString(status), solver.getSolution().col_value, solver.getObjectiveValue()
+
+
 def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     """Optimal fractional solution of the 0-1 model's LP relaxation.
 
     Variables are the objective d plus one weight per (position, symbol);
     any exact LP method over these |P|*|alphabet|+1 variables and n+|P|
-    rows qualifies.  HiGHS solves it here through scipy.optimize.milp with
-    no integrality, given one sparse matrix: the n string rows, then the
-    |P| simplex rows.
+    rows qualifies.  HiGHS solves it here (`_run_highs`), through the
+    HiGHS bindings bundled with scipy (`scipy.optimize._highspy`), from
+    one sparse column-wise matrix: the n string rows, then the |P|
+    simplex rows.  Nothing is declared integral.
 
-    HiGHS runs without presolve, which costs more than it saves on LPs
-    this small: on the string_dna benchmark's LPs (about 52 rows and 161
-    columns) HiGHS's own run took 0.78 ms per LP with presolve and
-    0.22 ms without (scipy 1.17.1, 2-core machine).  The optimum value is
-    the same either way, but the optimal vertex, and so the rounding that
-    reads it, may differ; the ratio bound holds for any optimal LP
-    solution.
+    The bindings are called directly because on LPs this small scipy's
+    Python front end costs more than HiGHS itself.  On the string_dna
+    benchmark's LPs (about 52 rows and 161 columns; scipy 1.17.1, HiGHS
+    1.12.0, 2-core machine) a call took 1.17 ms through scipy.optimize's
+    public mixed-integer LP function and takes 0.38 ms here; HiGHS's own
+    run is about 0.2 ms of either, and the front end's option checks,
+    input validation, sparse conversions and per-column result loops
+    made up most of the rest.  HiGHS gets the model and the options that
+    function gave it, less its all-continuous integrality list, and
+    returned the same vertex, bit for bit, on every LP compared.
+
+    HiGHS runs without presolve, which costs more than it saves here:
+    HiGHS's own run took 0.78 ms per LP with presolve.  The optimum value
+    does not depend on presolve or on the HiGHS version, but the optimal
+    vertex, and so the rounding that reads it, may; the ratio bound
+    holds for any optimal LP solution.  A solve that does not end optimal
+    raises NumericalFailure with HiGHS's model status.
     """
     n, np_ = p.rows.shape
     if np_ < 1:
@@ -130,8 +164,7 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     k = p.inst.alphabet.size
 
     # imported here: scipy dominates the package's start-up time
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csc_array
+    from scipy.optimize._highspy import _core as highs
 
     nvars = 1 + np_ * k
     # Compressed columns straight from index arrays, so memory is linear
@@ -145,28 +178,32 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     entry[:n] = (p.rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
     var, row = np.nonzero(entry.T)  # column by column, rows ascending
     indices = np.concatenate([np.arange(n), np.where(row < n, row, n + var // k)])
-    data = np.concatenate([np.full(n, -1.0), np.ones(len(var))])
     indptr = np.concatenate([[0], n + np.searchsorted(var, np.arange(np_ * k + 1))])
-    a = csc_array((data, indices, indptr), shape=(n + np_, nvars))
 
-    lower = np.concatenate([np.full(n, -np.inf), np.ones(np_)])
-    upper = np.concatenate([-p.fixed.astype(float), np.ones(np_)])
-    c = np.zeros(nvars)
-    c[0] = 1.0
+    # the bindings copy lists into HiGHS's vectors faster than arrays
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = nvars
+    lp.num_row_ = lp.a_matrix_.num_row_ = n + np_
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = indptr.tolist()
+    lp.a_matrix_.index_ = indices.tolist()
+    lp.a_matrix_.value_ = [-1.0] * n + [1.0] * len(var)
+    lp.col_cost_ = [1.0] + [0.0] * (nvars - 1)
     # d in [0, inf), every weight in [0, 1]
-    ub = np.ones(nvars)
-    ub[0] = np.inf
+    lp.col_lower_ = [0.0] * nvars
+    lp.col_upper_ = [math.inf] + [1.0] * (nvars - 1)
+    lp.row_lower_ = [-math.inf] * n + [1.0] * np_
+    lp.row_upper_ = (-p.fixed.astype(float)).tolist() + [1.0] * np_
 
-    res = milp(c, constraints=LinearConstraint(a, lower, upper), bounds=Bounds(0.0, ub),
-               options={"presolve": False})
-    if not res.success:
-        raise NumericalFailure(f"LP solver failed: {res.message}")
+    status, x, fun = _run_highs(lp)
+    if x is None:
+        raise NumericalFailure(f"LP solver failed: {status}")
 
     # round the objective up to the tolerance grid so solver slack can never
     # fake infeasibility in later bound checks
-    objective = max(0.0, math.ceil(res.fun / LP_TOLERANCE) * LP_TOLERANCE)
+    objective = max(0.0, math.ceil(fun / LP_TOLERANCE) * LP_TOLERANCE)
 
-    w = np.clip(res.x[1:].reshape(np_, k), 0.0, 1.0)
+    w = np.clip(np.array(x[1:]).reshape(np_, k), 0.0, 1.0)
     w /= w.sum(axis=1, keepdims=True)
     w.flags.writeable = False
     return FractionalCenter(p, w, float(objective))

@@ -87,7 +87,8 @@ def _tight_cases() -> Iterator[tuple[str, Callable]]:
         n, m = int(rng.integers(6, 11)), int(rng.integers(10, 31))
         eps = (0.1, 0.2)[i // 3 % 2]
         inst = StringInstance(binary, rng.integers(0, 2, (n, m)))
-        cfg = ClosestStringConfig(2, RoundingConfig(mode, epsilon_prime=eps, rng_seed=int(rng.integers(1 << 31))))
+        seed = int(rng.integers(1 << 31))
+        cfg = ClosestStringConfig(2, RoundingConfig(mode, epsilon_prime=eps, rng_seed=seed))
         yield (f"tight-{i:03d}-n{n}-m{m}-e{eps}-{mode}",
                lambda inst=inst, cfg=cfg: solve_closest_string(inst, cfg, enum_budget=1))
 
@@ -112,7 +113,8 @@ def _substring_cases() -> Iterator[tuple[str, Callable]]:
         mode = MODES[i // 3 % 3]
         n, window = int(rng.integers(2, 5)), int(rng.integers(2, 8))
         lengths = rng.integers(window, window + 5, n)
-        inst = SubstringInstance(Alphabet.of(alphabet), tuple(rng.integers(0, k, int(size)) for size in lengths), window)
+        strings = tuple(rng.integers(0, k, int(size)) for size in lengths)
+        inst = SubstringInstance(Alphabet.of(alphabet), strings, window)
         budget = 1 << int(rng.integers(3, 17))
         cfg = SubstringConfig(
             r=int(rng.integers(2, 4)), epsilon=EPSILONS[int(rng.integers(len(EPSILONS)))],

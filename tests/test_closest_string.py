@@ -111,22 +111,18 @@ def inject_lp_failures(monkeypatch, fails):
     """Give the LP of every restricted problem for which fails(index,
     lower bound) holds, index counting the LPs reached, a failed solver
     status; return the lower bounds of all LPs reached, in order."""
-    import scipy.optimize
-
     solve_lp = lp_round.solve_lp
     reached = []
 
-    def failed(c, **kw):
-        return scipy.optimize.OptimizeResult(
-            status=4, success=False, message=f"injected at LP {len(reached) - 1}", x=None, fun=None,
-        )
+    def failed(lp):
+        return f"injected at LP {len(reached) - 1}", None, None
 
     def failing_solve_lp(p):
         reached.append(restricted_lower_bound(p))
         if not fails(len(reached) - 1, reached[-1]):
             return solve_lp(p)
         with monkeypatch.context() as m:
-            m.setattr(scipy.optimize, "milp", failed)
+            m.setattr(lp_round, "_run_highs", failed)
             return solve_lp(p)
 
     monkeypatch.setattr(lp_round, "solve_lp", failing_solve_lp)

@@ -219,6 +219,22 @@ def expected_cost_center(p, weights, cut=0.0):
     return FractionalCenter(p, weights, objective)
 
 
+def record_highs_solvers(monkeypatch):
+    """Make every HiGHS solver object solve_lp creates list itself in the
+    returned list, in order."""
+    from scipy.optimize._highspy import _core
+
+    solvers = []
+
+    class Recording(_core._Highs):
+        def __init__(self):
+            super().__init__()
+            solvers.append(self)
+
+    monkeypatch.setattr(_core, "_Highs", Recording)
+    return solvers
+
+
 def linprog_solve_lp(p, presolve=False):
     """solve_lp through scipy.optimize.linprog: the string rows as A_ub,
     the simplex rows as A_eq, the same variables, bounds, HiGHS options
@@ -331,16 +347,7 @@ class TestSolveLP:
             solve_lp(p)
 
     def test_matrices_match_loop_reference(self, monkeypatch):
-        import scipy.optimize
-
-        seen = {}
-        real = scipy.optimize.milp
-
-        def recording(c, **kw):
-            seen.update(kw)
-            return real(c, **kw)
-
-        monkeypatch.setattr(scipy.optimize, "milp", recording)
+        solvers = record_highs_solvers(monkeypatch)
         dna = Alphabet.of("ACGT")
         inst = StringInstance.from_texts(dna, ["ACGTTA", "CCGTAA", "GTGTCA"])
         p = build_restricted(inst, inst.matrix[0], on(6, 2, 3))
@@ -357,17 +364,37 @@ class TestSolveLP:
                     if s[pos] != sym:
                         a[i, 1 + j * k + sym] = 1.0
         fixed = [sum(s[q] != inst.matrix[0][q] for q in (2, 3)) for s in inst.matrix]
-        con = seen["constraints"]
+        (solver,) = solvers
+        lp = solver.getLp()  # the model HiGHS holds
+        assert (lp.num_row_, lp.num_col_) == a.shape
+        matrix = lp.a_matrix_
+        assert matrix.format_ == type(matrix.format_).kColwise
+        data = np.asarray(matrix.value_)
         # sparse, with no explicit zeros stored
-        assert np.array_equal(con.A.toarray(), a) and con.A.dtype == a.dtype
-        assert np.count_nonzero(con.A.data) == con.A.nnz == np.count_nonzero(a)
-        assert np.array_equal(con.lb, [-np.inf] * n + [1.0] * np_)
-        assert np.array_equal(con.ub, [-float(f) for f in fixed] + [1.0] * np_)
-        bounds = seen["bounds"]
-        assert np.array_equal(bounds.lb, np.zeros(nvars))
-        assert np.array_equal(bounds.ub, [np.inf] + [1.0] * (np_ * k))
-        assert seen.get("integrality") is None
-        assert seen["options"] == {"presolve": False}
+        dense = np.zeros(a.shape)
+        for col in range(nvars):
+            cells = slice(matrix.start_[col], matrix.start_[col + 1])
+            dense[np.asarray(matrix.index_[cells]), col] = data[cells]
+        assert np.array_equal(dense, a) and data.dtype == a.dtype
+        assert np.count_nonzero(data) == len(data) == matrix.start_[-1] == np.count_nonzero(a)
+        assert np.array_equal(lp.row_lower_, [-np.inf] * n + [1.0] * np_)
+        assert np.array_equal(lp.row_upper_, [-float(f) for f in fixed] + [1.0] * np_)
+        assert np.array_equal(lp.col_cost_, [1.0] + [0.0] * (np_ * k))
+        assert np.array_equal(lp.col_lower_, np.zeros(nvars))
+        assert np.array_equal(lp.col_upper_, [np.inf] + [1.0] * (np_ * k))
+        assert len(lp.integrality_) == 0
+        assert solver.getOptionValue("presolve")[1] == "off"
+        assert solver.getOptionValue("log_to_console")[1] is False
+
+    def test_every_lp_gets_a_fresh_solver(self, monkeypatch):
+        # no basis carries over: A solved after B gives A's first result
+        solvers = record_highs_solvers(monkeypatch)
+        rng = np.random.default_rng(71)
+        lp_a, lp_b = random_restricted(rng, 4, 25), random_restricted(rng, 4, 25)
+        first, _, again = solve_lp(lp_a), solve_lp(lp_b), solve_lp(lp_a)
+        assert again.weights.tobytes() == first.weights.tobytes()
+        assert repr(again.objective) == repr(first.objective)
+        assert len({id(s) for s in solvers}) == 3
 
     def test_matches_linprog_reference_bit_for_bit(self):
         # the rounding layers read the exact LP vertex, so solve_lp must
@@ -390,16 +417,29 @@ class TestSolveLP:
         assert 1 in sizes and len(sizes) > 20
 
     def test_failed_solver_raises_numerical_failure(self, monkeypatch):
-        import scipy.optimize
-
-        def failing(c, **kw):
-            return scipy.optimize.OptimizeResult(
-                status=4, success=False, message="solver gave up", x=None, fun=None,
-            )
-
-        monkeypatch.setattr(scipy.optimize, "milp", failing)
+        monkeypatch.setattr(lp_round, "_run_highs", lambda lp: ("solver gave up", None, None))
         p = build_restricted(binst("01", "10"), bseq("00").arr, on(2))
         with pytest.raises(NumericalFailure, match="^LP solver failed: solver gave up$"):
+            solve_lp(p)
+
+    @pytest.mark.parametrize("spoil, status", [
+        # d free to grow: minimizing -d is unbounded
+        (lambda lp: setattr(lp, "col_cost_", [-1.0] + [0.0] * (lp.num_col_ - 1)), "Unbounded"),
+        # the last position's weights, each at most 1, cannot sum to 3
+        (lambda lp: setattr(lp, "row_lower_", [*lp.row_lower_[:-1], 3.0]), "Infeasible"),
+        # a row index past the last row: passModel refuses the model
+        (lambda lp: setattr(lp.a_matrix_, "index_", [lp.num_row_, *lp.a_matrix_.index_[1:]]), "Model error"),
+    ], ids=["unbounded", "infeasible", "model-error"])
+    def test_non_optimal_highs_status_raises_numerical_failure(self, monkeypatch, spoil, status):
+        run_highs = lp_round._run_highs
+
+        def spoiled(lp):
+            spoil(lp)
+            return run_highs(lp)
+
+        monkeypatch.setattr(lp_round, "_run_highs", spoiled)
+        p = build_restricted(binst("01", "10"), bseq("00").arr, on(2))
+        with pytest.raises(NumericalFailure, match=f"^LP solver failed: {status}$"):
             solve_lp(p)
 
     def test_memory_linear_in_free_positions(self):
