@@ -8,8 +8,10 @@ before subsets, the rule the substring solvers share.
 The subsets run in one serial loop, in lexicographic order.  A subset
 whose restricted lower bound (`restricted_lower_bound`) already exceeds
 the best radius of the inputs and the subsets before it cannot hold that
-first minimum, so its restricted solve is skipped: no LP, no rounding, no
-patch sweep.
+first minimum, so its restricted solve is skipped: no restricted problem
+is built for it, and it gets no LP, no rounding and no patch sweep.  The
+bounds come from `subset_bounds`, one array pass over all subsets in
+chunks of bounded size, ahead of the loop that reads them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+import numpy as np
+
 from ._seeds import derive_seed
 from .core import CenterSolution, Seq, StringInstance
 from .errors import DomainError, EstimatorAtLeastOne, NumericalFailure
@@ -25,9 +29,12 @@ from .lp_round import (
     DEFAULT_ENUM_BUDGET,
     RoundingConfig,
     build_restricted,
-    restricted_lower_bound,
+    pair_bounds,
     solve_restricted,
 )
+
+# cap on the cells of each array one subset_bounds chunk holds
+_BOUND_CELLS = 1 << 18
 
 # the rounding errors a subset can end in; see solve_closest_string
 _ROUNDING_FAILURES = (EstimatorAtLeastOne, NumericalFailure)
@@ -48,6 +55,56 @@ def subset_candidates(inst: StringInstance, r: int) -> Iterator[tuple[int, ...]]
     if r > inst.n:
         raise DomainError(f"r={r} exceeds the number of strings n={inst.n}")
     return itertools.combinations(range(inst.n), r)
+
+
+def _masked_distances(matrix: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(S, n, n) int64 array: [s, i, j] counts the positions where the
+    (S, m) bool masks[s] holds and rows i and j of the (n, m) matrix differ.
+
+    One float64 matrix product per block of positions, a block's (n*n,
+    width) difference table holding at most about _BOUND_CELLS cells.
+    Sums of 0/1 products stay exact integers in float64.
+    """
+    n, m = matrix.shape
+    out = np.zeros((len(masks), n * n))
+    width = max(1, _BOUND_CELLS // (n * n + len(masks)))
+    for b in range(0, m, width):
+        block = matrix[:, b:b + width]
+        differ = (block[:, None, :] != block[None, :, :]).reshape(n * n, -1).astype(np.float64)
+        out += masks[:, b:b + width].astype(np.float64) @ differ.T
+    return out.astype(np.int64).reshape(-1, n, n)
+
+
+def subset_bounds(
+    inst: StringInstance, r: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The restricted lower bound of every r-subset, in chunks of subsets
+    in lexicographic order, without building a restricted problem.
+
+    Per chunk of S subsets, yields the (S, r) int64 subsets, whose first
+    member is the anchor; the (S, m) bool agreement masks Q; the (S, n)
+    int64 costs f of the anchor to each string on Q; and the (S,) int64
+    bounds, each what `restricted_lower_bound` gives for
+    build_restricted(inst, inst.matrix[subset[0]], Q).
+
+    f_i is the anchor's distance to string i less their distance on the
+    free positions P, so one distance table on P per subset gives both.
+    A chunk holds about _BOUND_CELLS cells per array, so memory does not
+    grow with the number of subsets.
+    """
+    matrix = inst.matrix
+    n, m = matrix.shape
+    subsets = subset_candidates(inst, r)
+    whole = _masked_distances(matrix, np.ones((1, m), dtype=bool))[0]
+    size = max(1, _BOUND_CELLS // (n * n + r * m))
+    while chunk := list(itertools.islice(subsets, size)):
+        chunk = np.array(chunk, dtype=np.int64)
+        rows = matrix[chunk]  # (S, r, m)
+        on_q = (rows == rows[:, :1]).all(axis=1)
+        d_free = _masked_distances(matrix, ~on_q)
+        anchors = chunk[:, 0]
+        fixed = whole[anchors] - d_free[np.arange(len(chunk)), anchors]
+        yield chunk, on_q, fixed, pair_bounds(fixed, d_free)
 
 
 def solve_closest_string(
@@ -81,24 +138,22 @@ def solve_closest_string(
         key=lambda c: c[0],
     )
     failed: list[tuple[int, Exception]] = []
-    for subset in subset_candidates(inst, r):
-        # subset members agree on all of Q, so the first one serves as the anchor
-        rows = inst.matrix[list(subset)]
-        on_q = (rows == rows[0]).all(axis=0)
-        p = build_restricted(inst, rows[0], on_q)
-        bound = restricted_lower_bound(p)
-        if bound > radius:
-            continue
-        seed = derive_seed(cfg.rounding.rng_seed, "subset", subset)
-        try:
-            center, cost = solve_restricted(
-                p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
-            )
-        except _ROUNDING_FAILURES as exc:
-            failed.append((bound, exc))
-            continue
-        if cost < radius:
-            radius, row = cost, center
+    for subsets, on_q, _, bounds in subset_bounds(inst, r):
+        for subset, mask, bound in zip(subsets.tolist(), on_q, bounds.tolist()):
+            if bound > radius:
+                continue
+            # subset members agree on all of Q, so the first one serves as the anchor
+            p = build_restricted(inst, inst.matrix[subset[0]], mask)
+            seed = derive_seed(cfg.rounding.rng_seed, "subset", tuple(subset))
+            try:
+                center, cost = solve_restricted(
+                    p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
+                )
+            except _ROUNDING_FAILURES as exc:
+                failed.append((bound, exc))
+                continue
+            if cost < radius:
+                radius, row = cost, center
     for bound, exc in failed:
         if bound <= radius:
             raise exc

@@ -13,7 +13,9 @@ reads.  Every patch routine returns a (|P|,) uint8 array of indices.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +95,15 @@ def build_restricted(inst: StringInstance, anchor: np.ndarray, on_q: np.ndarray)
     return p
 
 
+def pair_bounds(fixed: np.ndarray, d_free: np.ndarray) -> np.ndarray:
+    """The pair bound ceil(max over i, j of (f_i + f_j + d_P(s_i, s_j)) / 2)
+    of each problem in a batch, from the (..., n) int64 costs f on Q and
+    the (..., n, n) int64 distances d_P on P: an int64 array of the batch
+    shape.  restricted_lower_bound explains the bound."""
+    pair = d_free + fixed[..., :, None] + fixed[..., None, :]
+    return (pair.max(axis=(-2, -1)) + 1) // 2
+
+
 def restricted_lower_bound(p: RestrictedProblem) -> int:
     """Exact integer lower bound on the cost of every center of p.
 
@@ -102,26 +113,63 @@ def restricted_lower_bound(p: RestrictedProblem) -> int:
     ceil((f_i + f_j + d_P(s_i, s_j)) / 2) for every pair i, j; i = j
     gives f_i itself.
     """
-    rows, f = p.rows, p.fixed
-    pair = (rows[:, None, :] != rows[None, :, :]).sum(axis=2) + f[:, None] + f[None, :]
-    return int((pair.max() + 1) // 2)
+    rows = p.rows
+    return int(pair_bounds(p.fixed, (rows[:, None, :] != rows[None, :, :]).sum(axis=2)))
 
 
-def _run_highs(lp):
-    """Solve the HighsLp lp on a fresh HiGHS solver, console log and
-    presolve off.  Returns HiGHS's model status string, then the column
-    values and the objective, both None unless the model status is
-    optimal: an error from passModel or run fails the LP as well.
+class _ArrayLP(NamedTuple):
+    """The arguments of the array overload of HiGHS's passModel, in its
+    order: the matrix in compressed columns, a_start holding the first
+    entry of each of the num_col columns."""
 
-    A solver object serves one LP and is never reused, so no basis or
-    other state carries over from one LP to the next.
+    num_col: int
+    num_row: int
+    num_nz: int
+    a_format: object
+    sense: object
+    offset: float
+    col_cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    a_start: np.ndarray
+    a_index: np.ndarray
+    a_value: np.ndarray
+    integrality: np.ndarray
+
+
+_local = threading.local()
+
+
+def _thread_solver():
+    """This thread's HiGHS solver, made at the thread's first LP with
+    console log and presolve off.  A HiGHS object is not safe to share
+    between threads, so every thread that solves LPs gets its own."""
+    solver = getattr(_local, "solver", None)
+    if solver is None:
+        from scipy.optimize._highspy import _core as highs
+
+        solver = _local.solver = highs._Highs()
+        solver.setOptionValue("log_to_console", False)
+        solver.setOptionValue("presolve", "off")
+    return solver
+
+
+def _run_highs(lp: _ArrayLP):
+    """Solve lp on this thread's HiGHS solver.  Returns HiGHS's model
+    status string, then the column values and the objective, both None
+    unless the model status is optimal: an error from passModel or run
+    fails the LP as well.
+
+    passModel replaces the solver's model and drops its basis and
+    solution, so no state carries over from one LP to the next: an LP
+    returns the same vertex, bit for bit, whatever the solver ran before.
     """
     from scipy.optimize._highspy import _core as highs
 
-    solver = highs._Highs()
-    solver.setOptionValue("log_to_console", False)
-    solver.setOptionValue("presolve", "off")
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    solver = _thread_solver()
+    if solver.passModel(*lp) == highs.HighsStatus.kError:
         return solver.modelStatusToString(highs.HighsModelStatus.kModelError), None, None
     failed = solver.run() == highs.HighsStatus.kError
     status = solver.getModelStatus()
@@ -144,12 +192,17 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     Python front end costs more than HiGHS itself.  On the string_dna
     benchmark's LPs (about 52 rows and 161 columns; scipy 1.17.1, HiGHS
     1.12.0, 2-core machine) a call took 1.17 ms through scipy.optimize's
-    public mixed-integer LP function and takes 0.38 ms here; HiGHS's own
-    run is about 0.2 ms of either, and the front end's option checks,
-    input validation, sparse conversions and per-column result loops
-    made up most of the rest.  HiGHS gets the model and the options that
-    function gave it, less its all-continuous integrality list, and
-    returned the same vertex, bit for bit, on every LP compared.
+    public mixed-integer LP function; HiGHS's own run is about 0.2 ms of
+    it, and the front end's option checks, input validation, sparse
+    conversions and per-column result loops made up most of the rest.
+    HiGHS gets the model and the options that function gave it, and
+    returned the same vertex, bit for bit, on every LP compared.  The
+    arrays go in through passModel's array overload, with every column
+    continuous, and each thread reuses one solver object (`_run_highs`).
+    On those LPs, filling a HighsLp from lists and passing it took about
+    0.06 ms against 0.02 ms for the arrays, and a fresh solver per LP
+    added about 0.1 ms to build and to run cold; a solve_lp call now
+    takes about 0.27 ms, of which HiGHS's passModel and run take 0.17 ms.
 
     HiGHS runs without presolve, which costs more than it saves here:
     HiGHS's own run took 0.78 ms per LP with presolve.  The optimum value
@@ -180,20 +233,23 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     indices = np.concatenate([np.arange(n), np.where(row < n, row, n + var // k)])
     indptr = np.concatenate([[0], n + np.searchsorted(var, np.arange(np_ * k + 1))])
 
-    # the bindings copy lists into HiGHS's vectors faster than arrays
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = nvars
-    lp.num_row_ = lp.a_matrix_.num_row_ = n + np_
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = indptr.tolist()
-    lp.a_matrix_.index_ = indices.tolist()
-    lp.a_matrix_.value_ = [-1.0] * n + [1.0] * len(var)
-    lp.col_cost_ = [1.0] + [0.0] * (nvars - 1)
+    value = np.ones(len(indices))
+    value[:n] = -1.0
+    cost = np.zeros(nvars)
+    cost[0] = 1.0
     # d in [0, inf), every weight in [0, 1]
-    lp.col_lower_ = [0.0] * nvars
-    lp.col_upper_ = [math.inf] + [1.0] * (nvars - 1)
-    lp.row_lower_ = [-math.inf] * n + [1.0] * np_
-    lp.row_upper_ = (-p.fixed.astype(float)).tolist() + [1.0] * np_
+    upper = np.ones(nvars)
+    upper[0] = math.inf
+    row_lower = np.ones(n + np_)
+    row_lower[:n] = -math.inf
+    row_upper = np.ones(n + np_)
+    row_upper[:n] = -p.fixed.astype(np.float64)
+    lp = _ArrayLP(
+        nvars, n + np_, len(indices), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        cost, np.zeros(nvars), upper, row_lower, row_upper,
+        indptr[:-1].astype(np.int32), indices.astype(np.int32), value,
+        np.zeros(nvars, dtype=np.int32),  # every column continuous
+    )
 
     status, x, fun = _run_highs(lp)
     if x is None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +33,7 @@ from centerstring import (
     subset_candidates,
 )
 from centerstring import closest_string, lp_round
+from centerstring.closest_string import subset_bounds
 from centerstring._seeds import derive_seed
 from centerstring.errors import DomainError, EstimatorAtLeastOne, NumericalFailure
 from centerstring.lp_round import DEFAULT_ENUM_BUDGET
@@ -144,6 +146,52 @@ class TestSubsetCandidates:
             ClosestStringConfig(r=1)
 
 
+class TestSubsetBounds:
+    def test_matches_build_and_lower_bound(self, monkeypatch):
+        # a small cell cap puts chunk and position-block boundaries inside
+        # the cases
+        monkeypatch.setattr(closest_string, "_BOUND_CELLS", 600)
+        rng = np.random.default_rng(83)
+        chunked = 0
+        for t in range(48):
+            k, r = 2 + t % 3, 2 + t // 3 % 2
+            alphabet = "ACGT"[:k]
+            n = int(rng.integers(r, 21 if r == 2 else 13))
+            m = int(rng.integers(1, 40))
+            if t % 12 < 6:
+                inst = StringInstance(Alphabet.of(alphabet), rng.integers(0, k, (n, m)))
+            else:
+                inst = planted_instance(alphabet, n, m, int(rng.integers(0, m // 3 + 1)), t)
+            chunks = list(subset_bounds(inst, r))
+            chunked += len(chunks) > 1
+            subsets, masks, fixed, bounds = map(np.concatenate, zip(*chunks))
+            assert subsets.tolist() == [list(sub) for sub in subset_candidates(inst, r)]
+            assert fixed.dtype == bounds.dtype == np.int64
+            for sub, mask, f, bound in zip(subsets.tolist(), masks, fixed, bounds.tolist()):
+                q = agreement_mask(inst, sub)
+                p = build_restricted(inst, inst.matrix[sub[0]], q)
+                assert mask.tolist() == q.tolist()
+                assert f.tolist() == p.fixed.tolist()
+                assert bound == restricted_lower_bound(p)
+        assert chunked > 24
+
+    def test_memory_does_not_grow_with_subset_count(self):
+        # n = 60, r = 3: 34,220 subsets, so one (S, n, n) bool array over
+        # them all would hold 123 MB
+        rng = np.random.default_rng(89)
+        inst = StringInstance(Alphabet.of("ACGT"), rng.integers(0, 4, (60, 24)))
+        count = 0
+        tracemalloc.start()
+        try:
+            for subsets, *_ in subset_bounds(inst, 3):
+                count += len(subsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == math.comb(60, 3)
+        assert peak < count * 60 * 60 // 10
+
+
 class TestSolveClosestString:
     def test_identical_strings(self):
         from centerstring import DNA
@@ -212,26 +260,43 @@ class TestSolveClosestString:
                     )
 
     def test_subset_masks_match_agreement_positions(self, monkeypatch):
-        # each subset's anchor and mask, read from inst.matrix, are the
-        # first member's row and the agreement_positions of its Seqs
-        seen = []
-        build = closest_string.build_restricted
+        # each built subset's anchor and mask, read from inst.matrix, are
+        # the first member's row and the agreement_positions of its Seqs,
+        # and the subsets left unbuilt are exactly those whose bound exceeds
+        # the best radius at their turn
+        seen, costs = [], []
+        build, solve = closest_string.build_restricted, closest_string.solve_restricted
 
         def recording(inst, anchor, on_q):
             seen.append((anchor.tolist(), on_q.tolist()))
             return build(inst, anchor, on_q)
 
+        def solving(*args, **kwargs):
+            center, cost = solve(*args, **kwargs)
+            costs.append(cost)
+            return center, cost
+
         monkeypatch.setattr(closest_string, "build_restricted", recording)
+        monkeypatch.setattr(closest_string, "solve_restricted", solving)
         rng = np.random.default_rng(71)
+        built = skipped = 0
         for r in (2, 3):
-            inst = random_instance(rng, 5, 12)
-            seen.clear()
-            solve_closest_string(inst, ClosestStringConfig(r=r))
-            expected = [
-                (inst.matrix[sub[0]].tolist(), agreement_mask(inst, sub).tolist())
-                for sub in subset_candidates(inst, r)
-            ]
-            assert seen == expected
+            for inst in (random_instance(rng, 5, 12), planted_instance("01", 7, 30, 4, r)):
+                seen.clear()
+                costs.clear()
+                solve_closest_string(inst, ClosestStringConfig(r=r))
+                radius = min(cost_string(inst, s) for s in seqs(inst))
+                expected = []
+                for sub in subset_candidates(inst, r):
+                    anchor, mask = inst.matrix[sub[0]], agreement_mask(inst, sub)
+                    if restricted_lower_bound(build(inst, anchor, mask)) > radius:
+                        skipped += 1
+                        continue
+                    expected.append((anchor.tolist(), mask.tolist()))
+                    radius = min(radius, costs[len(expected) - 1])
+                assert seen == expected and len(costs) == len(expected)
+                built += len(expected)
+        assert built and skipped
 
     def test_first_minimum_in_enumeration_order(self):
         # candidates: the inputs, then one restricted solve per subset in

@@ -208,6 +208,25 @@ class TestBench:
         parallel = run_bench(suite, ["exact", "substring"], timing=False, parallel=True)
         assert serial.to_csv() == parallel.to_csv()
 
+    def test_parallel_lp_solves_match_serial(self, monkeypatch):
+        # planted DNA 12x200 sends most subsets through the LP, so the
+        # worker threads solve LPs side by side, each on its own HiGHS solver
+        suite = [(f"p{s}", planted_instance_file("ACGT", 12, 200, 200, 20, s)) for s in range(12)]
+        lps = []
+        solve_lp = lp_round.solve_lp
+
+        def counted(p):
+            lps.append(p)
+            return solve_lp(p)
+
+        monkeypatch.setattr(lp_round, "solve_lp", counted)
+        serial = run_bench(suite, ["string"], epsilon_prime=1.0, timing=False)
+        reached = len(lps)
+        parallel = run_bench(suite, ["string"], epsilon_prime=1.0, timing=False, parallel=True)
+        assert serial.to_csv() == parallel.to_csv()
+        assert reached > 100 and len(lps) == 2 * reached
+        assert all(row.status == "ok" for row in serial.rows)
+
     def test_error_rows_do_not_abort(self):
         bad = InstanceFile("01", ("0101", "1100"), None, None)  # unequal use below
         suite = [

@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -220,8 +222,9 @@ def expected_cost_center(p, weights, cut=0.0):
 
 
 def record_highs_solvers(monkeypatch):
-    """Make every HiGHS solver object solve_lp creates list itself in the
-    returned list, in order."""
+    """Make every HiGHS solver object solve_lp creates from now on list
+    itself in the returned list, in order.  A thread that solved an LP
+    before keeps the solver it made then."""
     from scipy.optimize._highspy import _core
 
     solvers = []
@@ -262,6 +265,25 @@ def linprog_solve_lp(p, presolve=False):
     w = np.clip(res.x[1:].reshape(np_, k), 0.0, 1.0)
     w /= w.sum(axis=1, keepdims=True)
     return FractionalCenter(p, w, float(objective))
+
+
+# changes to the arrays solve_lp hands HiGHS, each with the model status
+# HiGHS then reports
+SPOILERS = [
+    # d free to grow: minimizing -d is unbounded
+    (lambda lp: lp._replace(col_cost=-lp.col_cost), "Unbounded"),
+    # the last position's weights, each at most 1, cannot sum to 3
+    (lambda lp: lp._replace(row_lower=np.append(lp.row_lower[:-1], 3.0)), "Infeasible"),
+    # a row index past the last row: passModel refuses the model
+    (lambda lp: lp._replace(a_index=np.append(np.int32(lp.num_row), lp.a_index[1:])), "Model error"),
+]
+SPOILER_IDS = ["unbounded", "infeasible", "model-error"]
+
+
+def spoil_highs(monkeypatch, spoil):
+    """Make solve_lp hand HiGHS spoil(lp) in place of each LP lp."""
+    run_highs = lp_round._run_highs
+    monkeypatch.setattr(lp_round, "_run_highs", lambda lp: run_highs(spoil(lp)))
 
 
 class TestBuildRestricted:
@@ -346,8 +368,9 @@ class TestSolveLP:
         with pytest.raises(DomainError):
             solve_lp(p)
 
-    def test_matrices_match_loop_reference(self, monkeypatch):
-        solvers = record_highs_solvers(monkeypatch)
+    def test_matrices_match_loop_reference(self):
+        from scipy.optimize._highspy import _core
+
         dna = Alphabet.of("ACGT")
         inst = StringInstance.from_texts(dna, ["ACGTTA", "CCGTAA", "GTGTCA"])
         p = build_restricted(inst, inst.matrix[0], on(6, 2, 3))
@@ -364,7 +387,7 @@ class TestSolveLP:
                     if s[pos] != sym:
                         a[i, 1 + j * k + sym] = 1.0
         fixed = [sum(s[q] != inst.matrix[0][q] for q in (2, 3)) for s in inst.matrix]
-        (solver,) = solvers
+        solver = lp_round._thread_solver()
         lp = solver.getLp()  # the model HiGHS holds
         assert (lp.num_row_, lp.num_col_) == a.shape
         matrix = lp.a_matrix_
@@ -382,19 +405,62 @@ class TestSolveLP:
         assert np.array_equal(lp.col_cost_, [1.0] + [0.0] * (np_ * k))
         assert np.array_equal(lp.col_lower_, np.zeros(nvars))
         assert np.array_equal(lp.col_upper_, [np.inf] + [1.0] * (np_ * k))
-        assert len(lp.integrality_) == 0
+        assert list(lp.integrality_) == [_core.HighsVarType.kContinuous] * nvars
         assert solver.getOptionValue("presolve")[1] == "off"
         assert solver.getOptionValue("log_to_console")[1] is False
 
-    def test_every_lp_gets_a_fresh_solver(self, monkeypatch):
-        # no basis carries over: A solved after B gives A's first result
+    def test_no_state_carries_over_between_lps(self, monkeypatch):
+        # A solved after B on the same solver gives A's first result, and
+        # each thread makes its own solver once
         solvers = record_highs_solvers(monkeypatch)
         rng = np.random.default_rng(71)
         lp_a, lp_b = random_restricted(rng, 4, 25), random_restricted(rng, 4, 25)
-        first, _, again = solve_lp(lp_a), solve_lp(lp_b), solve_lp(lp_a)
+        results = {}
+
+        def run(name):
+            first, _, again = solve_lp(lp_a), solve_lp(lp_b), solve_lp(lp_a)
+            results[name] = first, again, lp_round._thread_solver()
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in "xy"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for first, again, _ in results.values():
+            assert again.weights.tobytes() == first.weights.tobytes()
+            assert repr(again.objective) == repr(first.objective)
+        assert results["x"][0].weights.tobytes() == results["y"][0].weights.tobytes()
+        assert sorted(map(id, solvers)) == sorted(id(r[2]) for r in results.values())
+        assert len(solvers) == 2
+
+    @pytest.mark.parametrize("spoil, status", SPOILERS, ids=SPOILER_IDS)
+    def test_spoiled_lp_leaves_nothing_behind(self, monkeypatch, spoil, status):
+        # after an LP that ends unbounded, infeasible or refused, the next
+        # good LP on the same solver returns its first result
+        good = random_restricted(np.random.default_rng(73), 3, 20)
+        first = solve_lp(good)
+        spoiled = build_restricted(binst("01", "10"), bseq("00").arr, on(2))
+        with monkeypatch.context() as m:
+            spoil_highs(m, spoil)
+            with pytest.raises(NumericalFailure, match=f"^LP solver failed: {status}$"):
+                solve_lp(spoiled)
+        again = solve_lp(good)
         assert again.weights.tobytes() == first.weights.tobytes()
         assert repr(again.objective) == repr(first.objective)
-        assert len({id(s) for s in solvers}) == 3
+
+    def test_threads_match_serial_bit_for_bit(self):
+        # every thread of a pool solves on its own solver and returns the
+        # vertex a serial run returns
+        rng = np.random.default_rng(79)
+        problems = [
+            random_restricted(rng, (2, 3, 4)[t % 3], int(rng.integers(1, 30))) for t in range(300)
+        ]
+        serial = [solve_lp(p) for p in problems]
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(solve_lp, problems))
+        for a, b in zip(serial, threaded):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert repr(a.objective) == repr(b.objective)
 
     def test_matches_linprog_reference_bit_for_bit(self):
         # the rounding layers read the exact LP vertex, so solve_lp must
@@ -422,22 +488,9 @@ class TestSolveLP:
         with pytest.raises(NumericalFailure, match="^LP solver failed: solver gave up$"):
             solve_lp(p)
 
-    @pytest.mark.parametrize("spoil, status", [
-        # d free to grow: minimizing -d is unbounded
-        (lambda lp: setattr(lp, "col_cost_", [-1.0] + [0.0] * (lp.num_col_ - 1)), "Unbounded"),
-        # the last position's weights, each at most 1, cannot sum to 3
-        (lambda lp: setattr(lp, "row_lower_", [*lp.row_lower_[:-1], 3.0]), "Infeasible"),
-        # a row index past the last row: passModel refuses the model
-        (lambda lp: setattr(lp.a_matrix_, "index_", [lp.num_row_, *lp.a_matrix_.index_[1:]]), "Model error"),
-    ], ids=["unbounded", "infeasible", "model-error"])
+    @pytest.mark.parametrize("spoil, status", SPOILERS, ids=SPOILER_IDS)
     def test_non_optimal_highs_status_raises_numerical_failure(self, monkeypatch, spoil, status):
-        run_highs = lp_round._run_highs
-
-        def spoiled(lp):
-            spoil(lp)
-            return run_highs(lp)
-
-        monkeypatch.setattr(lp_round, "_run_highs", spoiled)
+        spoil_highs(monkeypatch, spoil)
         p = build_restricted(binst("01", "10"), bseq("00").arr, on(2))
         with pytest.raises(NumericalFailure, match=f"^LP solver failed: {status}$"):
             solve_lp(p)
