@@ -30,7 +30,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -384,6 +383,10 @@ def run_bench(
         return rows
 
     if parallel and len(suite) > 1:
+        # imported here: concurrent.futures loads logging, a few ms of
+        # every start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor() as pool:
             per_instance = list(pool.map(work, suite))
     else:

@@ -12,7 +12,11 @@ reads.  Every patch routine returns a (|P|,) uint8 array of indices.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -139,7 +143,40 @@ class _ArrayLP(NamedTuple):
     integrality: np.ndarray
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_highs_lock = threading.Lock()
 _local = threading.local()
+
+
+def _highs():
+    """scipy's bundled HiGHS bindings, the extension module
+    scipy.optimize._highspy._core.
+
+    Importing it by that name runs scipy.optimize's __init__ first, which
+    loads over 500 modules and about 49 MB of resident memory to reach
+    this one file.  So unless scipy.optimize has loaded the module
+    already, the extension file is loaded on its own from scipy's
+    optimize/_highspy directory, under its full name, and registered in
+    sys.modules, where a later import of scipy.optimize finds and reuses
+    it: about 26 modules, 4.7 MB and 8 ms (scipy 1.17.1).  The lock
+    makes threads that reach their first LP together load it once.
+    """
+    module = sys.modules.get(_HIGHS_MODULE)
+    if module is not None:
+        return module
+    with _highs_lock:
+        module = sys.modules.get(_HIGHS_MODULE)
+        if module is None:
+            import scipy
+
+            where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+            spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, [where])
+            if spec is None:
+                raise ImportError(f"scipy {scipy.__version__} has no HiGHS extension _core in {where}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_HIGHS_MODULE] = module
+    return module
 
 
 def _thread_solver():
@@ -148,9 +185,7 @@ def _thread_solver():
     between threads, so every thread that solves LPs gets its own."""
     solver = getattr(_local, "solver", None)
     if solver is None:
-        from scipy.optimize._highspy import _core as highs
-
-        solver = _local.solver = highs._Highs()
+        solver = _local.solver = _highs()._Highs()
         solver.setOptionValue("log_to_console", False)
         solver.setOptionValue("presolve", "off")
     return solver
@@ -166,8 +201,7 @@ def _run_highs(lp: _ArrayLP):
     solution, so no state carries over from one LP to the next: an LP
     returns the same vertex, bit for bit, whatever the solver ran before.
     """
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     solver = _thread_solver()
     if solver.passModel(*lp) == highs.HighsStatus.kError:
         return solver.modelStatusToString(highs.HighsModelStatus.kModelError), None, None
@@ -184,9 +218,9 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     Variables are the objective d plus one weight per (position, symbol);
     any exact LP method over these |P|*|alphabet|+1 variables and n+|P|
     rows qualifies.  HiGHS solves it here (`_run_highs`), through the
-    HiGHS bindings bundled with scipy (`scipy.optimize._highspy`), from
-    one sparse column-wise matrix: the n string rows, then the |P|
-    simplex rows.  Nothing is declared integral.
+    HiGHS bindings bundled with scipy, loaded without scipy.optimize
+    (`_highs`), from one sparse column-wise matrix: the n string rows,
+    then the |P| simplex rows.  Nothing is declared integral.
 
     The bindings are called directly because on LPs this small scipy's
     Python front end costs more than HiGHS itself.  On the string_dna
@@ -201,8 +235,8 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     continuous, and each thread reuses one solver object (`_run_highs`).
     On those LPs, filling a HighsLp from lists and passing it took about
     0.06 ms against 0.02 ms for the arrays, and a fresh solver per LP
-    added about 0.1 ms to build and to run cold; a solve_lp call now
-    takes about 0.27 ms, of which HiGHS's passModel and run take 0.17 ms.
+    added about 0.1 ms to build and to run cold.  A solve_lp call now
+    takes about 0.25 ms, 0.04 ms of it outside `_run_highs`.
 
     HiGHS runs without presolve, which costs more than it saves here:
     HiGHS's own run took 0.78 ms per LP with presolve.  The optimum value
@@ -216,22 +250,30 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
         raise DomainError("solve_lp needs at least one free position")
     k = p.inst.alphabet.size
 
-    # imported here: scipy dominates the package's start-up time
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     nvars = 1 + np_ * k
     # Compressed columns straight from index arrays, so memory is linear
     # in |P|: a dense simplex block would hold |P|^2*k cells for its |P|*k
     # nonzeros.  Column 0 is d, -1 in every string row.  The weight of
     # symbol a at position j is column 1 + j*k + a: 1 in each string row
     # i with rows[i, j] != a (string i: sum chi*x - d <= -fixed_i), then 1
-    # in simplex row n + j (position j's k weights sum to 1).  In `entry`
-    # the simplex row of every weight column is the extra last row n.
-    entry = np.ones((n + 1, np_ * k), dtype=bool)
-    entry[:n] = (p.rows[:, :, None] != np.arange(k)).reshape(n, np_ * k)
-    var, row = np.nonzero(entry.T)  # column by column, rows ascending
-    indices = np.concatenate([np.arange(n), np.where(row < n, row, n + var // k)])
-    indptr = np.concatenate([[0], n + np.searchsorted(var, np.arange(np_ * k + 1))])
+    # in simplex row n + j (position j's k weights sum to 1).  Row v of
+    # `entry` marks the rows of weight column 1 + v, its simplex row as
+    # the extra last cell n, so its nonzeros in row-major order are the
+    # weight columns' entries column by column, rows ascending, each
+    # column's simplex entry last.
+    entry = np.ones((np_ * k, n + 1), dtype=bool)
+    entry[:, :n] = (p.rows.T[:, None, :] != np.arange(k)[:, None]).reshape(np_ * k, n)
+    row = np.flatnonzero(entry) % (n + 1)
+    last = np.flatnonzero(row == n)  # each weight column's simplex entry
+    indices = np.empty(n + len(row), dtype=np.int32)
+    indices[:n] = np.arange(n)
+    indices[n:] = row
+    indices[n + last] = n + np.arange(np_ * k) // k
+    a_start = np.empty(nvars, dtype=np.int32)
+    a_start[0] = 0
+    a_start[1:] = n
+    a_start[2:] += last[:-1] + 1  # column 1 + v starts past column v's simplex entry
 
     value = np.ones(len(indices))
     value[:n] = -1.0
@@ -247,7 +289,7 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     lp = _ArrayLP(
         nvars, n + np_, len(indices), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
         cost, np.zeros(nvars), upper, row_lower, row_upper,
-        indptr[:-1].astype(np.int32), indices.astype(np.int32), value,
+        a_start, indices, value,
         np.zeros(nvars, dtype=np.int32),  # every column continuous
     )
 

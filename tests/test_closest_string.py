@@ -453,7 +453,8 @@ class TestSubsetSkip:
 
     def test_sweep_path_leaves_scipy_unloaded(self):
         # every subset of this binary instance sweeps its patches; the bound
-        # and the skip must not load scipy (about 40 MB of resident memory)
+        # and the skip must not load scipy, whose HiGHS extension only the
+        # first LP needs (about 5 MB of resident memory and 8 ms to load)
         code = (
             "import sys; from centerstring import BINARY, StringInstance, solve_closest_string\n"
             "inst = StringInstance.from_texts(BINARY, ['0000001111', '0011110000', '1100000011', '0101010101'])\n"

@@ -575,6 +575,20 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: centerstring ")
 
+    def test_import_leaves_thread_pool_unloaded(self):
+        # only bench --parallel needs a thread pool; concurrent.futures
+        # loads logging, which every other start-up would pay for
+        code = (
+            "import centerstring, sys\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(io_cli.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_budget_help_names_what_it_caps(self, capsys):
         for command, text in (
             ("solve-string", "patch-sweep cap"),

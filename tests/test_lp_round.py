@@ -1,6 +1,7 @@
 """Restricted-problem machinery: LP relaxation, rounding, enumeration."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -27,6 +28,7 @@ from centerstring import (
     round_derandomized,
     round_randomized,
     sample_patch,
+    solve_closest_string,
     solve_lp,
     solve_restricted,
 )
@@ -225,16 +227,15 @@ def record_highs_solvers(monkeypatch):
     """Make every HiGHS solver object solve_lp creates from now on list
     itself in the returned list, in order.  A thread that solved an LP
     before keeps the solver it made then."""
-    from scipy.optimize._highspy import _core
-
+    highs = lp_round._highs()
     solvers = []
 
-    class Recording(_core._Highs):
+    class Recording(highs._Highs):
         def __init__(self):
             super().__init__()
             solvers.append(self)
 
-    monkeypatch.setattr(_core, "_Highs", Recording)
+    monkeypatch.setattr(highs, "_Highs", Recording)
     return solvers
 
 
@@ -369,8 +370,6 @@ class TestSolveLP:
             solve_lp(p)
 
     def test_matrices_match_loop_reference(self):
-        from scipy.optimize._highspy import _core
-
         dna = Alphabet.of("ACGT")
         inst = StringInstance.from_texts(dna, ["ACGTTA", "CCGTAA", "GTGTCA"])
         p = build_restricted(inst, inst.matrix[0], on(6, 2, 3))
@@ -405,9 +404,33 @@ class TestSolveLP:
         assert np.array_equal(lp.col_cost_, [1.0] + [0.0] * (np_ * k))
         assert np.array_equal(lp.col_lower_, np.zeros(nvars))
         assert np.array_equal(lp.col_upper_, [np.inf] + [1.0] * (np_ * k))
-        assert list(lp.integrality_) == [_core.HighsVarType.kContinuous] * nvars
+        assert list(lp.integrality_) == [lp_round._highs().HighsVarType.kContinuous] * nvars
         assert solver.getOptionValue("presolve")[1] == "off"
         assert solver.getOptionValue("log_to_console")[1] is False
+
+    def test_compressed_columns_match_loop_reference(self, monkeypatch):
+        # the start and row index arrays handed to HiGHS, against columns
+        # listed by loops, on random LPs down to one string and one free
+        # position
+        handed = []
+        run_highs = lp_round._run_highs
+        monkeypatch.setattr(lp_round, "_run_highs", lambda lp: handed.append(lp) or run_highs(lp))
+        rng = np.random.default_rng(83)
+        for t in range(60):
+            k, n, np_ = (2, 3, 4)[t % 3], 1 + t % 5, 1 + int(rng.integers(0, 12))
+            inst = StringInstance(Alphabet.of("ACGT"[:k]), rng.integers(0, k, (n, np_)))
+            p = build_restricted(inst, inst.matrix[0], np.zeros(np_, dtype=bool))
+            solve_lp(p)
+            columns = [list(range(n))]  # d
+            for j in range(np_):
+                for a in range(k):
+                    columns.append([i for i in range(n) if p.rows[i, j] != a] + [n + j])
+            lp = handed[-1]
+            starts = np.cumsum([0] + [len(c) for c in columns[:-1]])
+            assert lp.a_start.dtype == lp.a_index.dtype == np.int32
+            assert lp.a_start.tolist() == starts.tolist()
+            assert lp.a_index.tolist() == [i for c in columns for i in c]
+            assert lp.num_nz == len(lp.a_index) == len(lp.a_value)
 
     def test_no_state_carries_over_between_lps(self, monkeypatch):
         # A solved after B on the same solver gives A's first result, and
@@ -512,15 +535,127 @@ class TestSolveLP:
         assert peak < np_ * (1 + np_ * k) * 8 / 10
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy.optimize is most of the package's start-up time, so the
-        # LP solver is imported only when the first LP is solved
+        # scipy is most of the package's start-up time, so HiGHS is loaded
+        # only when the first LP is solved
         code = "import centerstring, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        env = {**os.environ, "PYTHONPATH": str(Path(lp_round.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-            check=True,
-        ).stdout
-        assert out.strip() == "[]"
+        assert run_fresh(code).strip() == "[]"
+
+
+def run_fresh(code):
+    """What `code` prints, run in a fresh interpreter that imports this
+    checkout's centerstring."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lp_round.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    ).stdout
+
+
+class TestHighsLoader:
+    """lp_round._highs loads scipy's HiGHS extension without scipy.optimize;
+    each case runs in a fresh interpreter, where nothing loaded it yet."""
+
+    def test_lp_path_solve_leaves_scipy_optimize_unloaded(self):
+        # a random DNA instance; at enum_budget=1 every subset solved with
+        # a free position takes the restricted LP
+        code = """
+import json, sys
+import numpy as np
+from centerstring import Alphabet, StringInstance, lp_round, solve_closest_string
+inst = StringInstance(Alphabet.of("ACGT"), np.random.default_rng(89).integers(0, 4, (5, 14)))
+lps = []
+run_highs = lp_round._run_highs
+lp_round._run_highs = lambda lp: lps.append(lp) or run_highs(lp)
+sol = solve_closest_string(inst, enum_budget=1)
+print(json.dumps([list(sol.center.data), sol.radius, list(sol.witnesses), len(lps)]))
+print('scipy.optimize' in sys.modules, lp_round._highs().__name__)
+"""
+        solved, loaded = run_fresh(code).splitlines()
+        center, radius, witnesses, lps = json.loads(solved)
+        inst = StringInstance(Alphabet.of("ACGT"), np.random.default_rng(89).integers(0, 4, (5, 14)))
+        sol = solve_closest_string(inst, enum_budget=1)
+        assert (center, radius, witnesses) == (list(sol.center.data), sol.radius, list(sol.witnesses))
+        assert lps > 0
+        assert loaded == "False scipy.optimize._highspy._core"
+
+    def test_scipy_optimize_after_the_loader_reuses_its_module(self):
+        code = (
+            "from centerstring import lp_round\n"
+            "highs = lp_round._highs()\n"
+            "from scipy.optimize import linprog\n"
+            "from scipy.optimize._highspy import _core\n"
+            "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method='highs')\n"
+            "print(_core is highs, res.status, res.x.tolist(), res.fun)\n"
+        )
+        assert run_fresh(code).split() == ["True", "0", "[1.0,", "0.0]", "1.0"]
+
+    def test_loader_after_scipy_optimize_returns_its_module(self):
+        code = (
+            "import scipy.optimize\n"
+            "from scipy.optimize._highspy import _core\n"
+            "from centerstring import lp_round\n"
+            "print(lp_round._highs() is _core)\n"
+        )
+        assert run_fresh(code).strip() == "True"
+
+    def test_threads_loading_at_once_share_one_module(self):
+        # four threads, more than the cores, reach their first LP at one
+        # barrier with a short switch interval; the extension is built
+        # into a module once, and every thread's weights equal a serial
+        # run's in the same process
+        code = """
+import importlib.util, json, sys, threading
+import numpy as np
+from centerstring import Alphabet, StringInstance, build_restricted, lp_round, solve_lp
+rng = np.random.default_rng(97)
+problems = []
+for t in range(4):
+    inst = StringInstance(Alphabet.of("ACGT"), rng.integers(0, 4, (6, 20)))
+    problems.append(build_restricted(inst, inst.matrix[0], rng.random(20) < 0.2))
+made = []
+module_from_spec = importlib.util.module_from_spec
+importlib.util.module_from_spec = lambda spec: made.append(spec.name) or module_from_spec(spec)
+barrier = threading.Barrier(4, timeout=30)
+results = [None] * 4
+def first_lp(t):
+    barrier.wait()
+    results[t] = solve_lp(problems[t]).weights.tobytes(), lp_round._highs()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=first_lp, args=(t,)) for t in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+finally:
+    sys.setswitchinterval(0.005)
+assert not any(th.is_alive() for th in threads)
+serial = [solve_lp(p).weights.tobytes() for p in problems]
+print(json.dumps([
+    made, len({id(r[1]) for r in results}), results[0][1] is sys.modules[lp_round._HIGHS_MODULE],
+    [r[0] == s for r, s in zip(results, serial)],
+]))
+"""
+        made, modules, registered, same = json.loads(run_fresh(code))
+        assert made == ["scipy.optimize._highspy._core"]
+        assert modules == 1 and registered
+        assert same == [True] * 4
+
+    def test_missing_extension_names_scipy_version_and_directory(self, tmp_path):
+        # a scipy whose optimize/_highspy holds no _core extension
+        code = (
+            "import scipy\n"
+            f"scipy.__file__ = {str(tmp_path / '__init__.py')!r}\n"
+            "from centerstring import lp_round\n"
+            "try:\n"
+            "    lp_round._highs()\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+        )
+        where = tmp_path / "optimize" / "_highspy"
+        import scipy
+
+        assert run_fresh(code).strip() == f"scipy {scipy.__version__} has no HiGHS extension _core in {where}"
 
 
 def as_tuple(result):
