@@ -76,10 +76,11 @@ def _masked_distances(matrix: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def subset_bounds(
-    inst: StringInstance, r: int
+    inst: StringInstance, r: int, whole: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The restricted lower bound of every r-subset, in chunks of subsets
-    in lexicographic order, without building a restricted problem.
+    in lexicographic order, without building a restricted problem, from
+    whole, the (n, n) int64 table of Hamming distances between the strings.
 
     Per chunk of S subsets, yields the (S, r) int64 subsets, whose first
     member is the anchor; the (S, m) bool agreement masks Q; the (S, n)
@@ -87,15 +88,15 @@ def subset_bounds(
     bounds, each what `restricted_lower_bound` gives for
     build_restricted(inst, inst.matrix[subset[0]], Q).
 
-    f_i is the anchor's distance to string i less their distance on the
-    free positions P, so one distance table on P per subset gives both.
+    f_i is the anchor's distance to string i, read from whole, less their
+    distance on the free positions P, so one distance table on P per subset
+    gives both.
     A chunk holds about _BOUND_CELLS cells per array, so memory does not
     grow with the number of subsets.
     """
     matrix = inst.matrix
     n, m = matrix.shape
     subsets = subset_candidates(inst, r)
-    whole = _masked_distances(matrix, np.ones((1, m), dtype=bool))[0]
     size = max(1, _BOUND_CELLS // (n * n + r * m))
     while chunk := list(itertools.islice(subsets, size)):
         chunk = np.array(chunk, dtype=np.int64)
@@ -119,6 +120,10 @@ def solve_closest_string(
     to n for small instances.  Deterministic for a fixed (instance,
     config) pair.
 
+    One (n, n) table of the distances between the inputs gives both the
+    inputs' costs, its row maxima, and the anchors' costs that
+    `subset_bounds` reads.
+
     A subset gets no restricted solve when its exact lower bound (see
     `restricted_lower_bound`) is strictly above the best radius reached
     so far, which starts at the best input's cost: its candidate could not
@@ -133,12 +138,12 @@ def solve_closest_string(
     if enum_budget < 1:
         raise DomainError("enum_budget must be >= 1")
     r = min(cfg.r, inst.n)
-    radius, row = min(
-        ((int((inst.matrix != s).sum(axis=1).max()), s) for s in inst.matrix),
-        key=lambda c: c[0],
-    )
+    whole = _masked_distances(inst.matrix, np.ones((1, inst.m), dtype=bool))[0]
+    costs = whole.max(axis=1)  # each input's cost as a center
+    best = int(np.argmin(costs))
+    radius, row = int(costs[best]), inst.matrix[best]
     failed: list[tuple[int, Exception]] = []
-    for subsets, on_q, _, bounds in subset_bounds(inst, r):
+    for subsets, on_q, _, bounds in subset_bounds(inst, r, whole):
         for subset, mask, bound in zip(subsets.tolist(), on_q, bounds.tolist()):
             if bound > radius:
                 continue

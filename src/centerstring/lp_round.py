@@ -222,28 +222,18 @@ def solve_lp(p: RestrictedProblem) -> FractionalCenter:
     (`_highs`), from one sparse column-wise matrix: the n string rows,
     then the |P| simplex rows.  Nothing is declared integral.
 
-    The bindings are called directly because on LPs this small scipy's
-    Python front end costs more than HiGHS itself.  On the string_dna
-    benchmark's LPs (about 52 rows and 161 columns; scipy 1.17.1, HiGHS
-    1.12.0, 2-core machine) a call took 1.17 ms through scipy.optimize's
-    public mixed-integer LP function; HiGHS's own run is about 0.2 ms of
-    it, and the front end's option checks, input validation, sparse
-    conversions and per-column result loops made up most of the rest.
-    HiGHS gets the model and the options that function gave it, and
-    returned the same vertex, bit for bit, on every LP compared.  The
-    arrays go in through passModel's array overload, with every column
-    continuous, and each thread reuses one solver object (`_run_highs`).
-    On those LPs, filling a HighsLp from lists and passing it took about
-    0.06 ms against 0.02 ms for the arrays, and a fresh solver per LP
-    added about 0.1 ms to build and to run cold.  A solve_lp call now
-    takes about 0.25 ms, 0.04 ms of it outside `_run_highs`.
+    The bindings are called directly, with the arrays going in through
+    passModel's array overload, because on LPs of a few dozen rows scipy's
+    Python front end costs more than HiGHS itself.  Each thread reuses one
+    solver object (`_thread_solver`), as a fresh one per LP costs a build
+    and a cold run.  HiGHS runs without presolve, which costs more than it
+    saves on these LPs.  The same LPs passed row-wise returned the same
+    vertices, bit for bit (965 LPs), but HiGHS took 8% longer on string_dna's.
 
-    HiGHS runs without presolve, which costs more than it saves here:
-    HiGHS's own run took 0.78 ms per LP with presolve.  The optimum value
-    does not depend on presolve or on the HiGHS version, but the optimal
-    vertex, and so the rounding that reads it, may; the ratio bound
-    holds for any optimal LP solution.  A solve that does not end optimal
-    raises NumericalFailure with HiGHS's model status.
+    The optimum value does not depend on presolve or on the HiGHS version,
+    but the optimal vertex, and so the rounding that reads it, may; the
+    ratio bound holds for any optimal LP solution.  A solve that does not
+    end optimal raises NumericalFailure with HiGHS's model status.
     """
     n, np_ = p.rows.shape
     if np_ < 1:
@@ -437,18 +427,17 @@ def _mismatch_table(mism: np.ndarray) -> np.ndarray:
 
 def sweep_patches(
     rows: np.ndarray, fixed: np.ndarray, k: int, starts: np.ndarray | None = None
-) -> tuple[int, np.ndarray] | tuple[np.ndarray, np.ndarray]:
-    """Exact min-max over every patch x in range(k)^|P|, |P| = rows.shape[1].
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact min-max over every patch x in range(k)^|P|, |P| = rows.shape[1],
+    under each of A seed rows, `fixed` of shape (A, nrows).
 
-    A patch scores the max over groups of the min over the group's rows of
-    fixed[row] + mismatches(row, x); `starts` lists each group's first row
-    (None makes every row its own group).  Patches run in lexicographic
-    order and the first minimum wins.  |P| = 0 is the single empty patch.
-    Returns (score, patch), the patch a (|P|,) uint8 array.
-
-    A batch of seed rows, `fixed` of shape (A, nrows), scores the rows
-    under each seed row as A calls with fixed[a] would, and returns an (A,)
-    int64 array of scores and an (A, |P|) uint8 array of patches.
+    Under seed row a, a patch scores the max over groups of the min over
+    the group's rows of fixed[a, row] + mismatches(row, x); `starts` lists
+    each group's first row (None makes every row its own group).  Patches
+    run in lexicographic order and the first minimum wins.  |P| = 0 is the
+    single empty patch.  Returns an (A,) int64 array of scores and an
+    (A, |P|) uint8 array of patches; one restricted problem is the batch
+    of one seed row, fixed[None].
 
     Split table: the first h = |P| // 2 positions and the other |P| - h
     each get a table of every row's mismatches against every patch over
@@ -460,8 +449,9 @@ def sweep_patches(
     being the low table's width.
     """
     nrows, np_ = rows.shape
-    seeds = np.asarray(fixed, dtype=np.int32).reshape(-1, nrows).T  # (nrows, A)
+    seeds = np.asarray(fixed, dtype=np.int32).T  # (nrows, A)
     if np_ == 0:
+        # the split table below gives the same; it took 41 instead of 12 us per substring_sampling solve
         worst = seeds if starts is None else np.minimum.reduceat(seeds, starts)
         scores, ids = worst.max(axis=0), np.zeros(seeds.shape[1], dtype=np.intp)
     else:
@@ -482,6 +472,7 @@ def sweep_patches(
             for a in range(0, n_hi, hi_step):
                 costs = hi[:, None, a:a + hi_step, None] + seeded[:, :, None, :]
                 if starts is None:
+                    # one-row groups give the same; they took 19% longer per string_sweep sweep
                     worst = costs.max(axis=0)
                 else:
                     # one slice-min per group, folded in place: np.minimum.reduceat
@@ -503,10 +494,9 @@ def sweep_patches(
                     best_id = np.where(better, a * n_lo + local, best_id)
             parts.append((best, best_id))
         scores, ids = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    # _guesses' numpy digit grid gives the same; it took 8% longer on substring_sampling's sweeps
     digits = range(np_ - 1, -1, -1)
     patches = np.array([[i // k ** e % k for e in digits] for i in ids.tolist()], dtype=np.uint8)
-    if np.ndim(fixed) == 1:
-        return int(scores[0]), patches[0]
     return scores.astype(np.int64), patches
 
 
@@ -521,7 +511,7 @@ def enumerate_small_P(p: RestrictedProblem, budget: int = DEFAULT_ENUM_BUDGET) -
     total = k ** np_
     if total > budget:
         raise BudgetExceeded(f"{k}^{np_} = {total} patches exceed budget {budget}")
-    return sweep_patches(p.rows, p.fixed, k)[1]
+    return sweep_patches(p.rows, p.fixed[None], k)[1][0]
 
 
 def enumeration_threshold(n: int, epsilon_prime: float) -> float:

@@ -69,6 +69,11 @@ def disjoint_instance(rng, n, m, d):
     return StringInstance(BINARY, rows)
 
 
+def pair_table(inst):
+    """The (n, n) Hamming distances between the instance's strings."""
+    return (inst.matrix[:, None, :] != inst.matrix[None, :, :]).sum(axis=2)
+
+
 def seqs(inst):
     """The instance's strings as Seqs, one per matrix row."""
     return [Seq(inst.alphabet, row) for row in inst.matrix]
@@ -162,7 +167,7 @@ class TestSubsetBounds:
                 inst = StringInstance(Alphabet.of(alphabet), rng.integers(0, k, (n, m)))
             else:
                 inst = planted_instance(alphabet, n, m, int(rng.integers(0, m // 3 + 1)), t)
-            chunks = list(subset_bounds(inst, r))
+            chunks = list(subset_bounds(inst, r, pair_table(inst)))
             chunked += len(chunks) > 1
             subsets, masks, fixed, bounds = map(np.concatenate, zip(*chunks))
             assert subsets.tolist() == [list(sub) for sub in subset_candidates(inst, r)]
@@ -180,10 +185,11 @@ class TestSubsetBounds:
         # them all would hold 123 MB
         rng = np.random.default_rng(89)
         inst = StringInstance(Alphabet.of("ACGT"), rng.integers(0, 4, (60, 24)))
+        whole = pair_table(inst)
         count = 0
         tracemalloc.start()
         try:
-            for subsets, *_ in subset_bounds(inst, 3):
+            for subsets, *_ in subset_bounds(inst, 3, whole):
                 count += len(subsets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -208,6 +214,12 @@ class TestSolveClosestString:
     def test_two_string_example(self):
         sol = solve_closest_string(binst("00", "11"), ClosestStringConfig(r=2))
         assert sol.radius == 1
+
+    def test_first_input_of_minimum_cost_wins(self):
+        # both inputs cost 1 and no subset does better: the first input is
+        # the center, ahead of the second and of the subset's patch "0"
+        sol = solve_closest_string(binst("1", "0"), ClosestStringConfig(r=2))
+        assert (sol.center.text, sol.radius) == ("1", 1)
 
     def test_r_clamped_to_small_n(self):
         sol = solve_closest_string(binst("01", "10"), ClosestStringConfig(r=5))

@@ -690,7 +690,7 @@ class TestBudgetHint:
         assert 0.4 < eps <= 1.0
         assert 2 ** sample_size(eps, 3, 40) <= cfg.y_budget
         assert 2 ** sample_size(eps - 1e-4, 3, 40) > cfg.y_budget
-        closest_substring._plan(inst, replace(cfg, epsilon=eps, mode="sampling"))  # no raise
+        closest_substring._plan(inst, replace(cfg, epsilon=eps, mode="sampling"), sample_size(eps, 3, 40))  # no raise
 
     def test_no_feasible_epsilon_names_a_budget(self):
         # binary 4 x 40, L = 20: epsilon = 1 still needs |R| = 21 > 16, and
@@ -703,7 +703,7 @@ class TestBudgetHint:
         assert "no epsilon in (0, 1] fits" in msg
         assert "epsilon >= 1.1265 would be needed" in msg
         assert msg.endswith("y_budget >= 2^20 would fit at epsilon 1.0")
-        closest_substring._plan(inst, replace(cfg, y_budget=2 ** 20, mode="sampling"))  # no raise
+        closest_substring._plan(inst, replace(cfg, y_budget=2 ** 20, mode="sampling"), sample_size(1.0, 4, 40))  # no raise
 
     def test_budget_below_alphabet_size(self):
         inst = bsub(["0011", "1100"], 4)
@@ -833,7 +833,7 @@ class TestSweepDedupe:
                             lambda *args: sweeps.append((args, sweep(*args))) or sweeps[-1][1])
         picks = list(enumerate_window_tuples(inst, 2))
         small = replace(cfg, mode="small_d")
-        swept, guessed = closest_substring._plan(inst, small)
+        swept, guessed = closest_substring._plan(inst, small, sample_size(cfg.epsilon, 4, 3))
         solve_substring(inst, small)
         # per kept tuple's picks: its sweep call and its seed row there
         kept = {
@@ -864,7 +864,7 @@ class TestSweepDedupe:
         # return 1011; the (radius, index) minimum is tuple 6's 0001.
         inst = bsub(["01010", "11001", "0011"], 4)
         picks = list(enumerate_window_tuples(inst, 2))
-        swept, _ = closest_substring._plan(inst, SubstringConfig(r=2, mode="small_d"))
+        swept, _ = closest_substring._plan(inst, SubstringConfig(r=2, mode="small_d"), sample_size(1.0, 3, 5))
         minima = []  # per mask in first-seen order: its (radius, index) minimum and center
         for group in swept.values():
             cands = []
@@ -894,13 +894,14 @@ class TestSweepDedupe:
         else:
             inst = bsub(texts, l)
         cfg = SubstringConfig(r=2)
+        size = sample_size(cfg.epsilon, inst.n, len(inst.strings[0]))
         tracemalloc.start()
         try:
-            swept, guessed_tuples = closest_substring._plan(inst, replace(cfg, mode=mode))
+            swept, guessed_tuples = closest_substring._plan(inst, replace(cfg, mode=mode), size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        limit = l if mode == "small_d" else sample_size(cfg.epsilon, inst.n, len(inst.strings[0]))
+        limit = l if mode == "small_d" else size
         first_index, tuples = {}, 0  # per swept (Q, anchor on Q) key, its first tuple
         for index, picks in enumerate(enumerate_window_tuples(inst, 2)):
             windows = picked_windows(inst, picks)

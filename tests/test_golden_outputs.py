@@ -50,7 +50,7 @@ from centerstring import (
     solve_small_substring,
     solve_substring,
 )
-from centerstring import closest_substring
+from centerstring import closest_substring, lp_round
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 # the guessed cases and their distinct window selections
@@ -117,22 +117,30 @@ def test_golden_covers_every_path():
 
 
 def test_guessed_cases_reach_the_restricted_lp(monkeypatch):
-    built = []
-    build = closest_substring.build_restricted
+    # a guessed tuple has |P| > |R| = ceil(4 ln(n*m) / eps^2) >= 4 ln(n) / eps^2,
+    # the enumeration threshold at eps' = eps, so its selections never sweep
+    built, solved = [], []
+    build, solve_lp = closest_substring.build_restricted, lp_round.solve_lp
 
     def recording(*args):
         built.append(args)
         return build(*args)
 
+    def swept(*args, **kwargs):
+        raise AssertionError("a window selection was swept")
+
     monkeypatch.setattr(closest_substring, "build_restricted", recording)
+    monkeypatch.setattr(lp_round, "enumerate_small_P", swept)
+    monkeypatch.setattr(lp_round, "solve_lp", lambda p: solved.append(p) or solve_lp(p))
     counts = {}
     for case in _cases():
         if case["id"] in GUESSED:
             built.clear()
+            solved.clear()
             _solve(case)
-            counts[case["id"]] = len(built)
-    # one restricted problem per distinct window selection
-    assert counts == GUESSED
+            counts[case["id"]] = (len(built), len(solved))
+    # one restricted problem and one LP per distinct window selection
+    assert counts == {case: (count, count) for case, count in GUESSED.items()}
 
 
 def _planted(rng, alphabet, lengths, width, d):

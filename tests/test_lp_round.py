@@ -658,12 +658,14 @@ print(json.dumps([
         assert run_fresh(code).strip() == f"scipy {scipy.__version__} has no HiGHS extension _core in {where}"
 
 
-def as_tuple(result):
-    """(score, patch) with the patch as a tuple of ints, once its dtype is
-    checked to be the uint8 every patch routine returns."""
-    score, patch = result
-    assert patch.dtype == np.uint8 and patch.ndim == 1
-    return score, tuple(patch.tolist())
+def sweep_one(rows, fixed, k, starts=None):
+    """(score, patch as a tuple of ints) of sweep_patches on a batch of one
+    seed row, once the batch's shapes and dtypes are checked: (1,) int64
+    scores and a (1, |P|) uint8 array of patches."""
+    scores, patches = sweep_patches(rows, np.asarray(fixed)[None], k, starts)
+    assert scores.shape == (1,) and scores.dtype == np.int64
+    assert patches.shape == (1, rows.shape[1]) and patches.dtype == np.uint8
+    return int(scores[0]), tuple(patches[0].tolist())
 
 
 class TestSweepPatches:
@@ -686,7 +688,7 @@ class TestSweepPatches:
             starts = None
         best = int(np.argmin(costs))
         expected = (int(costs[best]), tuple(int(v) for v in patches[best]))
-        assert as_tuple(sweep_patches(rows, fixed, 2, starts)) == expected
+        assert sweep_one(rows, fixed, 2, starts) == expected
 
     def test_cross_chunk_case_spans_two_chunks(self, monkeypatch):
         # the inputs of test_first_minimum_across_chunks: the winner and the
@@ -706,9 +708,9 @@ class TestSweepPatches:
         half = rng.integers(0, 2, (32, 15)).astype(np.int16)
         rows = np.stack([half, 1 - half], axis=1).reshape(64, 15)
         fixed = rng.integers(0, 3, 32).repeat(2)
-        expected = as_tuple(sweep_patches(rows, fixed, 2))
+        expected = sweep_one(rows, fixed, 2)
         monkeypatch.setattr(lp_round, "np", CountingNumpy())
-        assert as_tuple(sweep_patches(rows, fixed, 2)) == expected
+        assert sweep_one(rows, fixed, 2) == expected
         assert sum(chunk_lengths) == 2 ** 15
         winner = int("".join(map(str, expected[1])), 2)
         bounds = np.cumsum(chunk_lengths)
@@ -736,12 +738,12 @@ class TestSweepPatches:
                     ).max(axis=0)
                     best = int(np.argmin(scores))
                     expected = (int(scores[best]), tuple(int(v) for v in patches[best]))
-                    assert as_tuple(sweep_patches(rows, fixed, k, starts)) == expected, (np_, nrows, starts)
+                    assert sweep_one(rows, fixed, k, starts) == expected, (np_, nrows, starts)
 
     def test_empty_patch(self):
         rows = np.zeros((3, 0), dtype=np.int16)
-        assert as_tuple(sweep_patches(rows, np.array([2, 0, 1]), 4)) == (2, ())
-        assert as_tuple(sweep_patches(rows, np.array([2, 0, 1]), 4, np.array([0, 2]))) == (1, ())
+        assert sweep_one(rows, np.array([2, 0, 1]), 4) == (2, ())
+        assert sweep_one(rows, np.array([2, 0, 1]), 4, np.array([0, 2])) == (1, ())
 
     @pytest.mark.parametrize("cells", [1, 64, 1 << 20])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -771,7 +773,7 @@ class TestSweepPatches:
                         best = int(np.argmin(worst))
                         expected = (int(worst[best]), tuple(int(v) for v in patches[best]))
                         assert (int(scores[a]), tuple(got[a].tolist())) == expected, (np_, nrows, a)
-                        assert as_tuple(sweep_patches(rows, fixed, k, starts)) == expected
+                        assert sweep_one(rows, fixed, k, starts) == expected
 
     def test_seed_batch_keeps_first_minimum_across_chunks(self):
         # the complement rows of test_first_minimum_across_chunks, where
@@ -784,7 +786,7 @@ class TestSweepPatches:
         starts = np.arange(0, 64, 2)
         scores, patches = sweep_patches(rows, seeds, 2, starts)
         for a, fixed in enumerate(seeds):
-            assert (int(scores[a]), tuple(patches[a].tolist())) == as_tuple(sweep_patches(rows, fixed, 2, starts))
+            assert (int(scores[a]), tuple(patches[a].tolist())) == sweep_one(rows, fixed, 2, starts)
 
     def test_seed_batch_memory_stays_within_the_chunk_cap(self):
         # 16 rows over 2^18 patches: an nrows x k^|P| int32 table is 16.8 MB
@@ -799,7 +801,7 @@ class TestSweepPatches:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-        assert scores.tolist() == [sweep_patches(rows, fixed, 2, np.arange(0, 16, 4))[0] for fixed in seeds]
+        assert scores.tolist() == [sweep_one(rows, fixed, 2, np.arange(0, 16, 4))[0] for fixed in seeds]
 
 
 class TestEnumerate:
@@ -832,7 +834,10 @@ class TestEnumerate:
             anchor = rng.integers(0, 2, m).astype(np.uint8)
             mask = rng.random(m) < 0.4
             p = build_restricted(inst, anchor, mask)
-            assert patch_cost(p, enumerate_small_P(p)) == brute_force_patch_cost(p)
+            patch = enumerate_small_P(p)
+            assert patch_cost(p, patch) == brute_force_patch_cost(p)
+            # the sweep of a batch of one seed row, the anchor's costs on Q
+            assert patch.tolist() == sweep_patches(p.rows, p.fixed[None], 2)[1][0].tolist()
 
 
 class TestRestrictedLowerBound:
