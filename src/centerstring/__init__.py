@@ -17,7 +17,7 @@ from .core import (
     cost_string,
     cost_substring,
 )
-from .closest_string import ClosestStringConfig, solve_closest_string, subset_candidates
+from .closest_string import ClosestStringConfig, solve_closest_string
 from .closest_substring import (
     SubstringConfig,
     enumerate_window_tuples,
@@ -35,7 +35,6 @@ from .lp_round import (
     RoundingConfig,
     build_restricted,
     enumerate_small_P,
-    restricted_lower_bound,
     round_derandomized,
     round_randomized,
     sample_patch,
@@ -70,7 +69,6 @@ __all__ = [
     "exact_closest_string",
     "exact_closest_substring",
     "generate_planted",
-    "restricted_lower_bound",
     "round_derandomized",
     "round_randomized",
     "run_bench",
@@ -83,5 +81,4 @@ __all__ = [
     "solve_restricted",
     "solve_small_substring",
     "solve_substring",
-    "subset_candidates",
 ]

@@ -6,11 +6,11 @@ center directly.  The first candidate of minimum radius wins, inputs
 before subsets, the rule the substring solvers share.
 
 The subsets run in one serial loop, in lexicographic order.  A subset
-whose restricted lower bound (`restricted_lower_bound`) already exceeds
-the best radius of the inputs and the subsets before it cannot hold that
-first minimum, so its restricted solve is skipped: no restricted problem
-is built for it, and it gets no LP, no rounding and no patch sweep.  The
-bounds come from `subset_bounds`, one array pass over all subsets in
+whose lower bound already exceeds the best radius of the inputs and the
+subsets before it cannot hold that first minimum, so its restricted solve
+is skipped: no restricted problem is built for it, and it gets no LP, no
+rounding and no patch sweep.  The bounds come from `subset_bounds`, the
+one place that computes them, in one array pass over all subsets in
 chunks of bounded size, ahead of the loop that reads them.
 """
 
@@ -29,7 +29,6 @@ from .lp_round import (
     DEFAULT_ENUM_BUDGET,
     RoundingConfig,
     build_restricted,
-    pair_bounds,
     solve_restricted,
 )
 
@@ -48,13 +47,6 @@ class ClosestStringConfig:
     def __post_init__(self) -> None:
         if self.r < 2:
             raise DomainError("subset size r must be >= 2")
-
-
-def subset_candidates(inst: StringInstance, r: int) -> Iterator[tuple[int, ...]]:
-    """All strictly increasing r-tuples of string indices, lexicographic."""
-    if r > inst.n:
-        raise DomainError(f"r={r} exceeds the number of strings n={inst.n}")
-    return itertools.combinations(range(inst.n), r)
 
 
 def _masked_distances(matrix: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -78,25 +70,32 @@ def _masked_distances(matrix: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def subset_bounds(
     inst: StringInstance, r: int, whole: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The restricted lower bound of every r-subset, in chunks of subsets
-    in lexicographic order, without building a restricted problem, from
+    """A lower bound on the cost of every center of each r-subset's
+    restricted problem, for all r-subsets (r <= n) in chunks, in
+    lexicographic order, without building a restricted problem, from
     whole, the (n, n) int64 table of Hamming distances between the strings.
 
     Per chunk of S subsets, yields the (S, r) int64 subsets, whose first
     member is the anchor; the (S, m) bool agreement masks Q; the (S, n)
-    int64 costs f of the anchor to each string on Q; and the (S,) int64
-    bounds, each what `restricted_lower_bound` gives for
-    build_restricted(inst, inst.matrix[subset[0]], Q).
+    int64 costs f of the anchor to each string on Q, the fixed costs of
+    build_restricted(inst, inst.matrix[subset[0]], Q); and the (S,) int64
+    pair bounds ceil(max over i, j of (f_i + f_j + d_P(s_i, s_j)) / 2),
+    d_P counting the differences on the free positions P.
+
+    Why it bounds: a center c equals the anchor on Q, so its distance to
+    string i is f_i + d_P(c, s_i).  The triangle inequality on P gives
+    d_P(c, s_i) + d_P(c, s_j) >= d_P(s_i, s_j), so the larger of c's
+    distances to s_i and s_j, an integer, is at least half of
+    f_i + f_j + d_P(s_i, s_j), rounded up; i = j gives f_i itself.
 
     f_i is the anchor's distance to string i, read from whole, less their
-    distance on the free positions P, so one distance table on P per subset
-    gives both.
-    A chunk holds about _BOUND_CELLS cells per array, so memory does not
+    distance on P, so one distance table on P per subset gives both.  A
+    chunk holds about _BOUND_CELLS cells per array, so memory does not
     grow with the number of subsets.
     """
     matrix = inst.matrix
     n, m = matrix.shape
-    subsets = subset_candidates(inst, r)
+    subsets = itertools.combinations(range(n), r)
     size = max(1, _BOUND_CELLS // (n * n + r * m))
     while chunk := list(itertools.islice(subsets, size)):
         chunk = np.array(chunk, dtype=np.int64)
@@ -105,7 +104,8 @@ def subset_bounds(
         d_free = _masked_distances(matrix, ~on_q)
         anchors = chunk[:, 0]
         fixed = whole[anchors] - d_free[np.arange(len(chunk)), anchors]
-        yield chunk, on_q, fixed, pair_bounds(fixed, d_free)
+        pair = d_free + fixed[:, :, None] + fixed[:, None, :]
+        yield chunk, on_q, fixed, (pair.max(axis=(1, 2)) + 1) // 2
 
 
 def solve_closest_string(
@@ -124,10 +124,10 @@ def solve_closest_string(
     inputs' costs, its row maxima, and the anchors' costs that
     `subset_bounds` reads.
 
-    A subset gets no restricted solve when its exact lower bound (see
-    `restricted_lower_bound`) is strictly above the best radius reached
-    so far, which starts at the best input's cost: its candidate could not
-    be the first minimum.  A subset whose restricted solve fails
+    A subset gets no restricted solve when its lower bound from
+    `subset_bounds` is strictly above the best radius reached so far,
+    which starts at the best input's cost: its candidate could not be the
+    first minimum.  A subset whose restricted solve fails
     (EstimatorAtLeastOne under mode="derandomized", or NumericalFailure
     from the LP) fails the solve only when its lower bound is at most the
     radius found, so that a subset that could not win raises nothing

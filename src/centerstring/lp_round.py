@@ -6,8 +6,10 @@ fractional LP followed by randomized rounding or derandomization by
 conditional expectations with exact Poisson-binomial tail probabilities.
 
 A `RestrictedProblem` holds read-only arrays built once: the strings on P
-and their costs on Q, which every layer (lower bound, LP, rounding, sweep)
-reads.  Every patch routine returns a (|P|,) uint8 array of indices.
+and their costs on Q, which every layer (LP, rounding, sweep) reads.
+Every patch routine returns a (|P|,) uint8 array of indices.  The lower
+bound by which the whole-string solver skips a subset needs no restricted
+problem: it lives in `closest_string.subset_bounds`.
 """
 
 from __future__ import annotations
@@ -97,28 +99,6 @@ def build_restricted(inst: StringInstance, anchor: np.ndarray, on_q: np.ndarray)
     for a in (p.P, p.anchor, p.rows, p.fixed):  # all fresh arrays
         a.flags.writeable = False
     return p
-
-
-def pair_bounds(fixed: np.ndarray, d_free: np.ndarray) -> np.ndarray:
-    """The pair bound ceil(max over i, j of (f_i + f_j + d_P(s_i, s_j)) / 2)
-    of each problem in a batch, from the (..., n) int64 costs f on Q and
-    the (..., n, n) int64 distances d_P on P: an int64 array of the batch
-    shape.  restricted_lower_bound explains the bound."""
-    pair = d_free + fixed[..., :, None] + fixed[..., None, :]
-    return (pair.max(axis=(-2, -1)) + 1) // 2
-
-
-def restricted_lower_bound(p: RestrictedProblem) -> int:
-    """Exact integer lower bound on the cost of every center of p.
-
-    A center equals the anchor on Q, so its distance to string i is
-    fixed[i] plus its distance to rows[i] on P.  The triangle
-    inequality on P then bounds the cost of any center by
-    ceil((f_i + f_j + d_P(s_i, s_j)) / 2) for every pair i, j; i = j
-    gives f_i itself.
-    """
-    rows = p.rows
-    return int(pair_bounds(p.fixed, (rows[:, None, :] != rows[None, :, :]).sum(axis=2)))
 
 
 class _ArrayLP(NamedTuple):

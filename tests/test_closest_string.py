@@ -27,16 +27,15 @@ from centerstring import (
     cost_string,
     exact_closest_string,
     generate_planted,
-    restricted_lower_bound,
     solve_closest_string,
     solve_restricted,
-    subset_candidates,
 )
 from centerstring import closest_string, lp_round
 from centerstring.closest_string import subset_bounds
 from centerstring._seeds import derive_seed
 from centerstring.errors import DomainError, EstimatorAtLeastOne, NumericalFailure
 from centerstring.lp_round import DEFAULT_ENUM_BUDGET
+from test_lp_round import pair_bound
 
 
 def binst(*texts):
@@ -88,7 +87,7 @@ def reference_candidates(inst, cfg, enum_budget=DEFAULT_ENUM_BUDGET):
     """Every candidate of the solver, none skipped: the inputs, then one
     restricted solve per subset in lexicographic order."""
     candidates = [(cost_string(inst, s), s) for s in seqs(inst)]
-    for sub in subset_candidates(inst, min(cfg.r, inst.n)):
+    for sub in itertools.combinations(range(inst.n), min(cfg.r, inst.n)):
         rounding = replace(cfg.rounding, rng_seed=derive_seed(cfg.rounding.rng_seed, "subset", sub))
         p = build_restricted(inst, inst.matrix[sub[0]], agreement_mask(inst, sub))
         row, cost = solve_restricted(p, rounding, enum_budget=enum_budget)
@@ -125,7 +124,7 @@ def inject_lp_failures(monkeypatch, fails):
         return f"injected at LP {len(reached) - 1}", None, None
 
     def failing_solve_lp(p):
-        reached.append(restricted_lower_bound(p))
+        reached.append(pair_bound(p))
         if not fails(len(reached) - 1, reached[-1]):
             return solve_lp(p)
         with monkeypatch.context() as m:
@@ -136,15 +135,18 @@ def inject_lp_failures(monkeypatch, fails):
     return reached
 
 
+def enumerated_subsets(inst, r):
+    """The subsets subset_bounds yields, in its order, as tuples."""
+    chunks = subset_bounds(inst, r, pair_table(inst))
+    return [tuple(sub) for subsets, *_ in chunks for sub in subsets.tolist()]
+
+
 class TestSubsetCandidates:
     def test_examples(self):
-        assert list(subset_candidates(binst("0", "0", "0"), 2)) == [(0, 1), (0, 2), (1, 2)]
-        assert list(subset_candidates(binst("0", "0"), 2)) == [(0, 1)]
-        assert len(list(subset_candidates(binst("0", "0", "0", "0"), 3))) == 4
-
-    def test_r_above_n_rejected(self):
-        with pytest.raises(DomainError):
-            list(subset_candidates(binst("0", "1"), 3))
+        # the solver's subsets: strictly increasing r-tuples, lexicographic
+        assert enumerated_subsets(binst("0", "0", "0"), 2) == [(0, 1), (0, 2), (1, 2)]
+        assert enumerated_subsets(binst("0", "0"), 2) == [(0, 1)]
+        assert len(enumerated_subsets(binst("0", "0", "0", "0"), 3)) == 4
 
     def test_r_below_two_rejected(self):
         with pytest.raises(DomainError, match="subset size r must be >= 2"):
@@ -170,14 +172,14 @@ class TestSubsetBounds:
             chunks = list(subset_bounds(inst, r, pair_table(inst)))
             chunked += len(chunks) > 1
             subsets, masks, fixed, bounds = map(np.concatenate, zip(*chunks))
-            assert subsets.tolist() == [list(sub) for sub in subset_candidates(inst, r)]
+            assert subsets.tolist() == [list(sub) for sub in itertools.combinations(range(n), r)]
             assert fixed.dtype == bounds.dtype == np.int64
             for sub, mask, f, bound in zip(subsets.tolist(), masks, fixed, bounds.tolist()):
                 q = agreement_mask(inst, sub)
                 p = build_restricted(inst, inst.matrix[sub[0]], q)
                 assert mask.tolist() == q.tolist()
                 assert f.tolist() == p.fixed.tolist()
-                assert bound == restricted_lower_bound(p)
+                assert bound == pair_bound(p)
         assert chunked > 24
 
     def test_memory_does_not_grow_with_subset_count(self):
@@ -263,7 +265,7 @@ class TestSolveClosestString:
             inst = random_instance(rng, 4, 8)
             opt = exact_closest_string(inst).radius
             for r in (2, 3):
-                for sub in subset_candidates(inst, r):
+                for sub in itertools.combinations(range(inst.n), r):
                     q = agreement_mask(inst, sub)
                     assert inst.m - int(q.sum()) <= r * opt
                     # every position where two members differ is free
@@ -299,9 +301,9 @@ class TestSolveClosestString:
                 solve_closest_string(inst, ClosestStringConfig(r=r))
                 radius = min(cost_string(inst, s) for s in seqs(inst))
                 expected = []
-                for sub in subset_candidates(inst, r):
+                for sub in itertools.combinations(range(inst.n), r):
                     anchor, mask = inst.matrix[sub[0]], agreement_mask(inst, sub)
-                    if restricted_lower_bound(build(inst, anchor, mask)) > radius:
+                    if pair_bound(build(inst, anchor, mask)) > radius:
                         skipped += 1
                         continue
                     expected.append((anchor.tolist(), mask.tolist()))
@@ -416,13 +418,13 @@ class TestSubsetSkip:
             r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1)
         )
         failing = []
-        for sub in subset_candidates(inst, 2):
+        for sub in itertools.combinations(range(inst.n), 2):
             rounding = replace(cfg.rounding, rng_seed=derive_seed(0, "subset", sub))
             p = build_restricted(inst, inst.matrix[sub[0]], agreement_mask(inst, sub))
             try:
                 solve_restricted(p, rounding, enum_budget=1)
             except EstimatorAtLeastOne:
-                failing.append(restricted_lower_bound(p))
+                failing.append(pair_bound(p))
         sol = solve_closest_string(inst, cfg, enum_budget=1)
         assert sol.radius == cost_string(inst, sol.center) == 2
         assert failing and min(failing) > sol.radius

@@ -24,7 +24,6 @@ from centerstring import (
     build_restricted,
     cost_string,
     enumerate_small_P,
-    restricted_lower_bound,
     round_derandomized,
     round_randomized,
     sample_patch,
@@ -41,6 +40,7 @@ from centerstring.errors import (
 )
 from centerstring import lp_round
 from centerstring._seeds import MASK64
+from centerstring.closest_string import subset_bounds
 from centerstring.lp_round import enumeration_threshold, sweep_patches
 
 
@@ -76,6 +76,22 @@ def brute_force_patch_cost(problem):
             worst = max(worst, sum(1 for x, y in zip(row, digits) if x != y) + fixed)
         if best is None or worst < best:
             best = worst
+    return best
+
+
+def pair_bound(p):
+    """The pair bound of p by plain loops over string pairs and positions,
+    from the instance's strings, the anchor and the free positions P alone:
+    the largest ceil((f_i + f_j + d_P(s_i, s_j)) / 2) over pairs i, j,
+    i = j included, f_i counting string i's mismatches with the anchor
+    off P and d_P the pair's differences on P."""
+    strings, anchor, free = p.inst.matrix.tolist(), p.anchor.tolist(), p.P.tolist()
+    fixed = [sum(s[c] != anchor[c] for c in range(len(anchor)) if c not in free) for s in strings]
+    best = 0
+    for i, si in enumerate(strings):
+        for j, sj in enumerate(strings):
+            d = sum(si[c] != sj[c] for c in free)
+            best = max(best, -(-(fixed[i] + fixed[j] + d) // 2))
     return best
 
 
@@ -844,39 +860,37 @@ class TestRestrictedLowerBound:
     def test_examples(self):
         # d_P = 3 between the two rows: ceil(3 / 2) = 2, the optimum
         p = build_restricted(binst("000", "111"), bseq("000").arr, on(3))
-        assert restricted_lower_bound(p) == 2 == brute_force_patch_cost(p)
+        assert pair_bound(p) == 2 == brute_force_patch_cost(p)
         # no free positions: the bound is the anchor's own cost
         p = build_restricted(binst("0011", "0101"), bseq("0000").arr, on(4, 0, 1, 2, 3))
-        assert restricted_lower_bound(p) == 2 == cost_string(p.inst, bseq("0000"))
+        assert pair_bound(p) == 2 == cost_string(p.inst, bseq("0000"))
         # equal rows on P, fixed costs (0, 2): a single fixed cost is a bound
         p = build_restricted(binst("0000", "0011"), bseq("0000").arr, on(4, 2, 3))
         assert p.fixed.tolist() == [0, 2]
-        assert restricted_lower_bound(p) == 2 == brute_force_patch_cost(p)
+        assert pair_bound(p) == 2 == brute_force_patch_cost(p)
         # fixed costs (1, 1) and d_P = 1: ceil((1 + 1 + 1) / 2) = 2
         p = build_restricted(binst("100", "011"), bseq("000").arr, on(3, 0, 1))
         assert p.fixed.tolist() == [1, 1]
-        assert restricted_lower_bound(p) == 2 == brute_force_patch_cost(p)
+        assert pair_bound(p) == 2 == brute_force_patch_cost(p)
 
     def test_below_exact_restricted_optimum(self):
+        # the bound the solver skips subsets by, subset_bounds', against the
+        # exact optimum of each subset's restricted problem
         rng = np.random.default_rng(19)
         met = strict = 0
-        for trial in range(300):
-            k = (2, 3, 4)[trial % 3]
-            alphabet = Alphabet.of("ACGT"[:k])
-            np_ = int(rng.integers(0, 9))
-            m = max(1, np_ + int(rng.integers(0, 5)))
-            n = int(rng.integers(1, 8))
-            inst = StringInstance(
-                alphabet, [rng.integers(0, k, m) for _ in range(n)]
-            )
-            anchor = rng.integers(0, k, m).astype(np.uint8)
-            p = build_restricted(inst, anchor, on(m, *rng.choice(m, m - np_, replace=False)))
-            optimum = patch_cost(p, enumerate_small_P(p))
-            bound = restricted_lower_bound(p)
-            assert bound <= optimum, (trial, bound, optimum)
-            met += bound == optimum
-            strict += bound < optimum
-        assert met > 50 and strict > 0
+        for trial in range(120):
+            k, r = (2, 3, 4)[trial % 3], 2 + trial // 3 % 2
+            n, m = int(rng.integers(r, 9)), int(rng.integers(1, 9))
+            inst = StringInstance(Alphabet.of("ACGT"[:k]), rng.integers(0, k, (n, m)))
+            whole = (inst.matrix[:, None, :] != inst.matrix[None, :, :]).sum(axis=2)
+            for subsets, masks, _, bounds in subset_bounds(inst, r, whole):
+                for subset, mask, bound in zip(subsets.tolist(), masks, bounds.tolist()):
+                    p = build_restricted(inst, inst.matrix[subset[0]], mask)
+                    optimum = patch_cost(p, enumerate_small_P(p))
+                    assert bound <= optimum, (trial, subset, bound, optimum)
+                    met += bound == optimum
+                    strict += bound < optimum
+        assert met > strict > 0, (met, strict)
 
 
 class TestRounding:
