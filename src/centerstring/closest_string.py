@@ -24,7 +24,7 @@ import numpy as np
 
 from ._seeds import derive_seed
 from .core import CenterSolution, Seq, StringInstance
-from .errors import DomainError, EstimatorAtLeastOne, NumericalFailure
+from .errors import BudgetExceeded, DomainError, EstimatorAtLeastOne, NumericalFailure
 from .lp_round import (
     DEFAULT_ENUM_BUDGET,
     RoundingConfig,
@@ -36,17 +36,24 @@ from .lp_round import (
 _BOUND_CELLS = 1 << 18
 
 # the rounding errors a subset can end in; see solve_closest_string
-_ROUNDING_FAILURES = (EstimatorAtLeastOne, NumericalFailure)
+_ROUNDING_FAILURES = (EstimatorAtLeastOne, BudgetExceeded, NumericalFailure)
 
 
 @dataclass(frozen=True)
 class ClosestStringConfig:
+    """Settings of the whole-string solver: the subset size r, the
+    rounding of each subset's LP, and enum_budget, the most patches a
+    subset sweeps exactly before it takes the LP path instead."""
+
     r: int = 2
     rounding: RoundingConfig = RoundingConfig()
+    enum_budget: int = DEFAULT_ENUM_BUDGET
 
     def __post_init__(self) -> None:
         if self.r < 2:
             raise DomainError("subset size r must be >= 2")
+        if self.enum_budget < 1:
+            raise DomainError("enum_budget must be >= 1")
 
 
 def _masked_distances(matrix: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -109,16 +116,15 @@ def subset_bounds(
 
 
 def solve_closest_string(
-    inst: StringInstance,
-    cfg: ClosestStringConfig = ClosestStringConfig(),
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
+    inst: StringInstance, cfg: ClosestStringConfig = ClosestStringConfig()
 ) -> CenterSolution:
     """Approximate center string with ratio at most 1 + 1/(2r-1) + r*eps'.
 
     The candidates are the input strings, then one center per r-subset in
     lexicographic order; the first of minimum radius wins.  r is clamped
     to n for small instances.  Deterministic for a fixed (instance,
-    config) pair.
+    config) pair; every setting, each subset's enum_budget included, is
+    in cfg and was checked when cfg was built.
 
     One (n, n) table of the distances between the inputs gives both the
     inputs' costs, its row maxima, and the anchors' costs that
@@ -127,16 +133,13 @@ def solve_closest_string(
     A subset gets no restricted solve when its lower bound from
     `subset_bounds` is strictly above the best radius reached so far,
     which starts at the best input's cost: its candidate could not be the
-    first minimum.  A subset whose restricted solve fails
-    (EstimatorAtLeastOne under mode="derandomized", or NumericalFailure
-    from the LP) fails the solve only when its lower bound is at most the
-    radius found, so that a subset that could not win raises nothing
-    whether or not it was skipped; of several such subsets the first
-    raises.  An enum_budget below 1 raises DomainError before any subset
-    is solved.
+    first minimum.  A subset whose restricted solve fails (under
+    mode="derandomized", EstimatorAtLeastOne or a BudgetExceeded of its
+    tail table; NumericalFailure from the LP) fails the solve only when
+    its lower bound is at most the radius found, so that a subset that
+    could not win raises nothing whether or not it was skipped; of
+    several such subsets the first raises.
     """
-    if enum_budget < 1:
-        raise DomainError("enum_budget must be >= 1")
     r = min(cfg.r, inst.n)
     whole = _masked_distances(inst.matrix, np.ones((1, inst.m), dtype=bool))[0]
     costs = whole.max(axis=1)  # each input's cost as a center
@@ -151,9 +154,7 @@ def solve_closest_string(
             p = build_restricted(inst, inst.matrix[subset[0]], mask)
             seed = derive_seed(cfg.rounding.rng_seed, "subset", tuple(subset))
             try:
-                center, cost = solve_restricted(
-                    p, replace(cfg.rounding, rng_seed=seed), enum_budget=enum_budget
-                )
+                center, cost = solve_restricted(p, replace(cfg.rounding, rng_seed=seed), cfg.enum_budget)
             except _ROUNDING_FAILURES as exc:
                 failed.append((bound, exc))
                 continue

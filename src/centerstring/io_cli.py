@@ -5,7 +5,8 @@ JSON schema:
     {"alphabet": "...", "strings": [...], "L": optional int,
      "planted": optional {"center": "...", "d": int, "offsets": [...]}}
 FASTA: `>`-header records, sequence lines concatenated, symbols upper-cased;
-the alphabet is the sorted distinct symbol set unless supplied explicitly.
+the alphabet is the sorted distinct symbol set unless supplied explicitly,
+and a supplied one is upper-cased too.
 
 Solution JSON of the solve and exact subcommands:
     {"algo": "string" | "substring" | "exact", "center": "...", "radius": int,
@@ -42,7 +43,7 @@ from .closest_substring import SubstringConfig, solve_substring
 from .core import Alphabet, CenterSolution, Seq, StringInstance, SubstringInstance
 from .errors import CenterStringError, DomainError
 from .exact import DEFAULT_EXACT_BUDGET, exact_closest_string, exact_closest_substring
-from .lp_round import _ROUNDING_MODES, DEFAULT_ENUM_BUDGET, RoundingConfig
+from .lp_round import _ROUNDING_MODES, RoundingConfig
 
 ALGOS = ("exact", "string", "substring")
 
@@ -109,7 +110,8 @@ class InstanceFile:
             strings.append("".join(current))
         if not strings:
             raise DomainError("no sequences found in FASTA input")
-        alpha = alphabet or _infer_alphabet(tuple(strings))
+        # the records are upper-cased, so a declared alphabet is too
+        alpha = alphabet.upper() if alphabet else _infer_alphabet(tuple(strings))
         return cls(alpha, tuple(strings))
 
     @classmethod
@@ -467,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve-string", help="approximate Closest String")
     p.add_argument("file")
     _add_common_flags(p, string=True, substring=False)
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+    p.add_argument("--budget", type=int, default=ClosestStringConfig.enum_budget,
                    help="patch-sweep cap of a restricted solve")
     p.add_argument("--mode", choices=_ROUNDING_MODES, default=RoundingConfig.mode,
                    help="rounding mode")
@@ -559,14 +561,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "solve-string":
         rounding = RoundingConfig(mode=args.mode, trials=args.trials,
                                   epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
-        cfg = ClosestStringConfig(r=args.r, rounding=rounding)
+        cfg = ClosestStringConfig(r=args.r, rounding=rounding, enum_budget=args.budget)
         inst = f.as_string_instance()
-        sol = solve_closest_string(inst, cfg, enum_budget=args.budget)
+        sol = solve_closest_string(inst, cfg)
         # the solver clamps r to n, so epsilon is the ratio term of the r that ran
         algo, params = "string", {
             "r": args.r, "epsilon_prime": args.epsilon_prime,
             "epsilon": min(args.r, inst.n) * args.epsilon_prime, "mode": args.mode,
-            "trials": args.trials, "budget": args.budget, "seed": args.seed,
+            "trials": args.trials, "budget": cfg.enum_budget, "seed": args.seed,
         }
     elif args.command == "solve-substring":
         if f.window is None:

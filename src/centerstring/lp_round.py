@@ -35,6 +35,8 @@ LP_TOLERANCE = 1e-9
 DEFAULT_ENUM_BUDGET = 1 << 20
 # cap on the row x patch cells one sweep chunk scores
 _SWEEP_CELLS = 1 << 20
+# cap on the cells of round_derandomized's tail table: 1 GiB of float64
+_TAIL_CELLS = 1 << 27
 
 _ROUNDING_MODES = ("randomized", "derandomized", "auto")
 
@@ -334,6 +336,8 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
     positions can give), so a threshold t is looked up at clip(t, 0, |P|+1).
     Position j scores all k symbols with one (k, #live) lookup in
     tails[j+1]; ties go to the larger weight, then the smaller symbol.
+    A table of more than _TAIL_CELLS cells raises BudgetExceeded before
+    it is allocated; the table grows as |P|^2 times #live.
     """
     if not 0.0 < epsilon_prime <= 1.0:
         raise DomainError("epsilon_prime must be in (0, 1]")
@@ -352,6 +356,9 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
         return np.argmax(w, axis=1).astype(np.uint8)
     thresholds, rows = thresholds[live], p.rows[live]
     n = len(rows)
+    cells = (np_ + 1) * n * (np_ + 2)
+    if cells > _TAIL_CELLS:
+        raise BudgetExceeded(f"derandomized tail table of {cells} cells exceeds cap {_TAIL_CELLS}")
 
     # per-string mismatch probability at each position under the weights
     q = 1.0 - w[np.arange(np_)[None, :], rows]  # (n, |P|)
@@ -515,7 +522,11 @@ def solve_restricted(
     Dispatch: below the enumeration threshold the patch is found exactly,
     unless its k^|P| patches exceed enum_budget; otherwise the LP is solved
     and rounded per cfg.mode (auto attempts the derandomized rounding and
-    falls back to randomized when the estimator starts at >= 1).
+    falls back to randomized when the estimator starts at >= 1 or the
+    tail table exceeds its cap).  Under mode="derandomized" either case
+    raises: EstimatorAtLeastOne or BudgetExceeded.  The whole-string
+    solver passes its ClosestStringConfig.enum_budget, checked to be >= 1
+    when that config was built; a guessed substring tuple keeps the default.
     """
     np_ = len(p.P)
     small = np_ < enumeration_threshold(p.inst.n, cfg.epsilon_prime)
@@ -530,7 +541,7 @@ def solve_restricted(
         else:
             try:
                 patch = round_derandomized(frac, cfg.epsilon_prime)
-            except EstimatorAtLeastOne:
+            except (EstimatorAtLeastOne, BudgetExceeded):
                 patch = round_randomized(frac, cfg)
     row = p.anchor.copy()
     row[p.P] = patch

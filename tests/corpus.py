@@ -74,9 +74,9 @@ def _string_cases() -> Iterator[tuple[str, Callable]]:
         else:
             inst = StringInstance(Alphabet.of(alphabet), rng.integers(0, k, (n, m)))
             kind = "random"
-        cfg = ClosestStringConfig(r, RoundingConfig(mode, epsilon_prime=eps, rng_seed=seed))
+        cfg = ClosestStringConfig(r, RoundingConfig(mode, epsilon_prime=eps, rng_seed=seed), enum_budget=1)
         yield (f"string-{i:03d}-{kind}-k{k}-n{n}-m{m}-r{r}-e{eps}-{mode}",
-               lambda inst=inst, cfg=cfg: solve_closest_string(inst, cfg, enum_budget=1))
+               lambda inst=inst, cfg=cfg: solve_closest_string(inst, cfg))
 
 
 def _tight_cases() -> Iterator[tuple[str, Callable]]:
@@ -88,9 +88,9 @@ def _tight_cases() -> Iterator[tuple[str, Callable]]:
         eps = (0.1, 0.2)[i // 3 % 2]
         inst = StringInstance(binary, rng.integers(0, 2, (n, m)))
         seed = int(rng.integers(1 << 31))
-        cfg = ClosestStringConfig(2, RoundingConfig(mode, epsilon_prime=eps, rng_seed=seed))
+        cfg = ClosestStringConfig(2, RoundingConfig(mode, epsilon_prime=eps, rng_seed=seed), enum_budget=1)
         yield (f"tight-{i:03d}-n{n}-m{m}-e{eps}-{mode}",
-               lambda inst=inst, cfg=cfg: solve_closest_string(inst, cfg, enum_budget=1))
+               lambda inst=inst, cfg=cfg: solve_closest_string(inst, cfg))
 
 
 def _guessed_cases() -> Iterator[tuple[str, Callable]]:

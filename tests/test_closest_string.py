@@ -33,9 +33,9 @@ from centerstring import (
 from centerstring import closest_string, lp_round
 from centerstring.closest_string import subset_bounds
 from centerstring._seeds import derive_seed
-from centerstring.errors import DomainError, EstimatorAtLeastOne, NumericalFailure
+from centerstring.errors import BudgetExceeded, DomainError, EstimatorAtLeastOne, NumericalFailure
 from centerstring.lp_round import DEFAULT_ENUM_BUDGET
-from test_lp_round import pair_bound
+from test_lp_round import pair_bound, tail_cells
 
 
 def binst(*texts):
@@ -328,22 +328,27 @@ class TestSolveClosestString:
             assert (sol.radius, sol.center) == (best, first)
         assert tied  # the rule must have picked among distinct centers
 
-    def test_sweep_over_enum_budget_falls_back_to_lp(self):
+    def test_sweep_over_enum_budget_falls_back_to_lp(self, monkeypatch):
         # every subset's |P| lies under the enumeration threshold, but its
         # 2^|P| patches exceed the budget, so the LP with rounding runs
+        lps = []
+        solve_lp = lp_round.solve_lp
+        monkeypatch.setattr(lp_round, "solve_lp", lambda p: lps.append(p) or solve_lp(p))
         inst = binst("00000000", "11110000", "00111100")
-        sol = solve_closest_string(inst, ClosestStringConfig(r=2), enum_budget=4)
+        sol = solve_closest_string(inst, ClosestStringConfig(r=2, enum_budget=4))
         assert sol.radius == cost_string(inst, sol.center)
         assert sol.radius <= exact_closest_string(inst).radius * 2
+        assert lps
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_enum_budget_below_one_refused_before_any_subset(self, monkeypatch, budget):
-        # identical strings give a subset with |P| = 0, whose one empty
-        # patch used to surface as a BudgetExceeded of 2^0 > budget
+        # the config refuses it when built, so no solve starts, not even on
+        # identical strings, whose subset with |P| = 0 and one empty patch
+        # used to surface as a BudgetExceeded of 2^0 > budget
         calls = count_restricted_solves(monkeypatch)
         for inst in (binst("0110", "0110", "0110"), binst("0110", "1001", "0011")):
             with pytest.raises(DomainError, match="enum_budget must be >= 1"):
-                solve_closest_string(inst, enum_budget=budget)
+                solve_closest_string(inst, ClosestStringConfig(enum_budget=budget))
         assert calls == []
 
     def test_deterministic(self):
@@ -415,7 +420,7 @@ class TestSubsetSkip:
         # presolve on or off, so it does not hang on one LP vertex)
         inst = binst("10000", "10100", "00110", "01010", "10010")
         cfg = ClosestStringConfig(
-            r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1)
+            r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1), enum_budget=1
         )
         failing = []
         for sub in itertools.combinations(range(inst.n), 2):
@@ -425,7 +430,7 @@ class TestSubsetSkip:
                 solve_restricted(p, rounding, enum_budget=1)
             except EstimatorAtLeastOne:
                 failing.append(pair_bound(p))
-        sol = solve_closest_string(inst, cfg, enum_budget=1)
+        sol = solve_closest_string(inst, cfg)
         assert sol.radius == cost_string(inst, sol.center) == 2
         assert failing and min(failing) > sol.radius
 
@@ -435,10 +440,10 @@ class TestSubsetSkip:
         # error of the unpruned reference
         inst = binst("0001111", "0000010", "0001100", "0110100")
         cfg = ClosestStringConfig(
-            r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1)
+            r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1), enum_budget=1
         )
         with pytest.raises(EstimatorAtLeastOne) as exc:
-            solve_closest_string(inst, cfg, enum_budget=1)
+            solve_closest_string(inst, cfg)
         with pytest.raises(EstimatorAtLeastOne) as expected:
             reference_solve_closest_string(inst, cfg, enum_budget=1)
         assert str(exc.value) == str(expected.value)
@@ -448,11 +453,46 @@ class TestSubsetSkip:
         # two subsets with bound 3 are solved before it is reached, so
         # their failures cannot have changed the answer
         inst = binst("1000010", "0011110", "1010010", "1001011")
-        expected = solve_closest_string(inst, enum_budget=1)
+        cfg = ClosestStringConfig(enum_budget=1)
+        expected = solve_closest_string(inst, cfg)
         reached = inject_lp_failures(monkeypatch, lambda i, bound: bound > expected.radius)
-        sol = solve_closest_string(inst, enum_budget=1)
+        sol = solve_closest_string(inst, cfg)
         assert sol.center == expected.center and sol.radius == expected.radius == 2
         assert reached == [2, 3, 3, 2, 2, 2]
+
+    def test_tail_table_refusal_waits_for_the_radius(self, monkeypatch):
+        # budget 1 sends every subset to the LP.  Under a cap just below
+        # the largest tail table only that subset's rounding is refused;
+        # its bound lies above the radius found, so the solve is unchanged.
+        # Under a cap below a table whose subset could win, the solve raises
+        inst = binst("0100110", "1010010", "1011011", "0111111")
+        cfg = ClosestStringConfig(rounding=RoundingConfig(mode="derandomized"), enum_budget=1)
+        expected = solve_closest_string(inst, cfg)
+        tables, refused = [], []
+        round_derandomized = lp_round.round_derandomized
+
+        def recorded(frac, eps):
+            tables.append((pair_bound(frac.problem), tail_cells(frac, eps)))
+            try:
+                return round_derandomized(frac, eps)
+            except BudgetExceeded:
+                refused.append(tables[-1])
+                raise
+
+        monkeypatch.setattr(lp_round, "round_derandomized", recorded)
+        assert solve_closest_string(inst, cfg) == expected and not refused
+        cells = sorted(c for _, c in tables)
+        loser = next(t for t in tables if t[1] == cells[-1])
+        assert cells[-2] < cells[-1] and loser[0] > expected.radius
+        monkeypatch.setattr(lp_round, "_TAIL_CELLS", cells[-1] - 1)
+        assert solve_closest_string(inst, cfg) == expected
+        assert refused == [loser]
+
+        winner = max(c for bound, c in tables if bound <= expected.radius)
+        assert winner > 0
+        monkeypatch.setattr(lp_round, "_TAIL_CELLS", winner - 1)
+        with pytest.raises(BudgetExceeded, match=f"^derandomized tail table of {winner} cells"):
+            solve_closest_string(inst, cfg)
 
     @pytest.mark.parametrize("failing", [(5,), (0, 3, 5)])
     def test_lp_failure_of_possible_winner_is_raised(self, monkeypatch, failing):
@@ -462,7 +502,7 @@ class TestSubsetSkip:
         inst = binst("1000010", "0011110", "1010010", "1001011")
         reached = inject_lp_failures(monkeypatch, lambda i, bound: i in failing)
         with pytest.raises(NumericalFailure, match=f"^LP solver failed: injected at LP {failing[0]}$"):
-            solve_closest_string(inst, enum_budget=1)
+            solve_closest_string(inst, ClosestStringConfig(enum_budget=1))
         assert reached == [2, 3, 3, 2, 2, 2]
 
     def test_sweep_path_leaves_scipy_unloaded(self):

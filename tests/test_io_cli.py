@@ -93,6 +93,43 @@ class TestFastaFormat:
         with pytest.raises(AlphabetMismatch):
             f.to_instance()
 
+    LOWER = ">a\nacgtac\n>b\nacgaac\n>c\nccgtac\n"
+
+    def test_declared_alphabet_upper_cased_with_the_records(self):
+        f = InstanceFile.parse_fasta(self.LOWER, alphabet="acgt")
+        assert f == InstanceFile("ACGT", ("ACGTAC", "ACGAAC", "CCGTAC"))
+        inst, inferred = f.to_instance(), InstanceFile.parse_fasta(self.LOWER).to_instance()
+        assert inst.alphabet == inferred.alphabet
+        assert np.array_equal(inst.matrix, inferred.matrix)
+
+    @pytest.mark.parametrize("command", [
+        ["exact"], ["exact", "--L", "3"], ["solve-string"], ["bench", "--no-timing"],
+    ])
+    def test_lower_case_alphabet_solves(self, command, tmp_path, capsys):
+        path = tmp_path / "low.fa"
+        path.write_text(self.LOWER)
+        assert main([command[0], str(path), "--alphabet", "acgt", *command[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command[0] == "bench":
+            assert captured.out.count(" ok") == 3
+        else:
+            assert json.loads(captured.out)["radius"] == 1
+
+    def test_alphabet_collapsing_under_upper_case_refused(self, tmp_path, capsys):
+        f = InstanceFile.parse_fasta(">x\naAAa\n", alphabet="aA")
+        with pytest.raises(DomainError, match="^alphabet symbols must be distinct$"):
+            f.to_instance()
+        path = tmp_path / "x.fa"
+        path.write_text(">x\naAAa\n>y\nAAAA\n")
+        assert main(["exact", str(path), "--alphabet", "aA"]) == 2
+        assert capsys.readouterr().err == "error: alphabet symbols must be distinct\n"
+
+    def test_undeclared_symbol_under_lower_case_alphabet_rejected(self):
+        f = InstanceFile.parse_fasta(">x\nACGN\n", alphabet="acgt")
+        with pytest.raises(AlphabetMismatch, match="^symbol 'N' not in alphabet 'ACGT'$"):
+            f.to_instance()
+
     def test_blank_lines_and_headerless_body(self):
         f = InstanceFile.parse_fasta("\n>one\n\nAC\n  \nGT\n\n>two\nTTGA\n")
         assert f.strings == ("ACGT", "TTGA")
@@ -386,6 +423,7 @@ CONFIG_FLAGS = {
         "trials": [(RoundingConfig, "trials")],
         "seed": [(RoundingConfig, "rng_seed")],
         "mode": [(RoundingConfig, "mode")],
+        "budget": [(ClosestStringConfig, "enum_budget")],
     },
     "solve-substring": {
         "r": [(SubstringConfig, "r")],

@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from centerstring import (
     BINARY,
     Alphabet,
+    ClosestStringConfig,
     FractionalCenter,
     RoundingConfig,
     Seq,
@@ -237,6 +239,26 @@ def expected_cost_center(p, weights, cut=0.0):
     expected = (1.0 - weights[np.arange(len(p.P)), rows]).sum(axis=1) + p.fixed
     objective = max(0.0, float(expected.max()) - cut)
     return FractionalCenter(p, weights, objective)
+
+
+def tail_cells(frac, epsilon_prime):
+    """The cells of round_derandomized's tail table for frac, (|P|+1) *
+    #live * (|P|+2), the live strings counted from their thresholds; 0
+    when no string is live and no table is built."""
+    np_ = len(frac.problem.P)
+    bound = frac.objective + epsilon_prime * np_
+    live = int((np.floor(bound - frac.problem.fixed + 1e-12) + 1 <= np_).sum())
+    return (np_ + 1) * live * (np_ + 2) if live else 0
+
+
+def tail_capped(rng):
+    """An LP solution of a random binary 8 x 400 problem, every position
+    free, whose tail table at eps' = 0.5 has live strings, and its cells."""
+    inst = StringInstance(BINARY, rng.integers(0, 2, (8, 400)))
+    frac = solve_lp(build_restricted(inst, inst.matrix[0], np.zeros(400, dtype=bool)))
+    cells = tail_cells(frac, 0.5)
+    assert cells > 0
+    return frac, cells
 
 
 def record_highs_solvers(monkeypatch):
@@ -577,19 +599,19 @@ class TestHighsLoader:
         code = """
 import json, sys
 import numpy as np
-from centerstring import Alphabet, StringInstance, lp_round, solve_closest_string
+from centerstring import Alphabet, ClosestStringConfig, StringInstance, lp_round, solve_closest_string
 inst = StringInstance(Alphabet.of("ACGT"), np.random.default_rng(89).integers(0, 4, (5, 14)))
 lps = []
 run_highs = lp_round._run_highs
 lp_round._run_highs = lambda lp: lps.append(lp) or run_highs(lp)
-sol = solve_closest_string(inst, enum_budget=1)
+sol = solve_closest_string(inst, ClosestStringConfig(enum_budget=1))
 print(json.dumps([list(sol.center.data), sol.radius, list(sol.witnesses), len(lps)]))
 print('scipy.optimize' in sys.modules, lp_round._highs().__name__)
 """
         solved, loaded = run_fresh(code).splitlines()
         center, radius, witnesses, lps = json.loads(solved)
         inst = StringInstance(Alphabet.of("ACGT"), np.random.default_rng(89).integers(0, 4, (5, 14)))
-        sol = solve_closest_string(inst, enum_budget=1)
+        sol = solve_closest_string(inst, ClosestStringConfig(enum_budget=1))
         assert (center, radius, witnesses) == (list(sol.center.data), sol.radius, list(sol.witnesses))
         assert lps > 0
         assert loaded == "False scipy.optimize._highspy._core"
@@ -672,6 +694,35 @@ print(json.dumps([
         import scipy
 
         assert run_fresh(code).strip() == f"scipy {scipy.__version__} has no HiGHS extension _core in {where}"
+
+
+    def test_first_lp_without_extension_raises_import_error(self):
+        # a path finder that finds no HiGHS extension in scipy's directory:
+        # the first LP raises ImportError naming scipy's version and that
+        # directory, and no solver is made
+        code = """
+import importlib.machinery, os
+import numpy as np
+import scipy
+from centerstring import BINARY, StringInstance, build_restricted, lp_round, solve_lp
+find_spec = importlib.machinery.PathFinder.find_spec
+def no_highs(name, path=None, target=None):
+    return None if name == lp_round._HIGHS_MODULE else find_spec(name, path, target)
+importlib.machinery.PathFinder.find_spec = no_highs
+inst = StringInstance.from_texts(BINARY, ["0011", "0101"])
+try:
+    solve_lp(build_restricted(inst, inst.matrix[0], np.zeros(4, dtype=bool)))
+except ImportError as exc:
+    print(exc)
+print(os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
+print(getattr(lp_round._local, "solver", None))
+"""
+        import scipy
+
+        message, where, solver = run_fresh(code).splitlines()
+        assert message == f"scipy {scipy.__version__} has no HiGHS extension _core in {where}"
+        assert Path(where) == Path(scipy.__file__).parent / "optimize" / "_highspy"
+        assert solver == "None"
 
 
 def sweep_one(rows, fixed, k, starts=None):
@@ -1067,6 +1118,46 @@ class TestRounding:
         patch = round_derandomized(frac, 1.0)
         assert patch.tolist() == [1, 0, 2, 0] and patch.dtype == np.uint8
         assert np.array_equal(reference_round_derandomized(frac, 1.0), patch)
+
+    def test_derandomized_empty_patch(self):
+        # every position agrees, so |P| = 0: the one patch is empty
+        p = build_restricted(binst("0110", "0111"), bseq("0110").arr, on(4, 0, 1, 2, 3))
+        patch = round_derandomized(FractionalCenter(p, np.zeros((0, 2)), 1.0), 0.5)
+        assert patch.shape == (0,) and patch.dtype == np.uint8
+
+    def test_tail_table_over_cap_refused_before_allocating(self, monkeypatch):
+        frac, cells = tail_capped(np.random.default_rng(71))
+        monkeypatch.setattr(lp_round, "_TAIL_CELLS", cells - 1)
+        tracemalloc.start()
+        try:
+            message = f"^derandomized tail table of {cells} cells exceeds cap {cells - 1}$"
+            with pytest.raises(BudgetExceeded, match=message):
+                round_derandomized(frac, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cells * 8 / 10
+        # at the cap itself the table is built
+        monkeypatch.setattr(lp_round, "_TAIL_CELLS", cells)
+        assert round_derandomized(frac, 0.5).shape == (400,)
+
+    def test_auto_falls_back_to_randomized_over_tail_cap(self, monkeypatch):
+        frac, cells = tail_capped(np.random.default_rng(73))
+        p = frac.problem
+        cfg = RoundingConfig(mode="auto", epsilon_prime=0.5, rng_seed=11)
+        monkeypatch.setattr(lp_round, "_TAIL_CELLS", cells - 1)
+        row, cost = solve_restricted(p, cfg)
+        randomized = round_randomized(frac, cfg)
+        assert row[p.P].tobytes() == randomized.tobytes()
+        assert cost == patch_cost(p, randomized)
+        with pytest.raises(BudgetExceeded):
+            solve_restricted(p, replace(cfg, mode="derandomized"))
+        # under the cap auto keeps the derandomized patch, another one here
+        monkeypatch.setattr(lp_round, "_TAIL_CELLS", cells)
+        row, _ = solve_restricted(p, cfg)
+        derandomized = round_derandomized(frac, 0.5)
+        assert np.array_equal(row[p.P], derandomized)
+        assert not np.array_equal(derandomized, randomized)
 
     def test_estimator_of_exactly_one_raises(self):
         # the only string mismatches the one free position with certainty,
