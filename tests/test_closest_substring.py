@@ -459,42 +459,47 @@ class TestSamplingSolver:
             solve_closest_substring(inst, cfg)
 
 
-def reference_sampled_solve(inst, cfg):
-    """The sampling solver with every window tuple on the guess loop: R is
-    all of P when the requested size reaches |P| (or is 0) and a seeded
-    draw otherwise, and every guess y on R selects windows whose
-    restricted solve gives a candidate; the first minimum wins."""
+def reference_guessed_centers(inst, cfg, picks):
+    """The guess loop of one window tuple: R is all of P when the requested
+    size reaches |P| (or is 0) and a seeded draw otherwise, and every guess
+    y on R selects windows whose restricted solve gives a center, yielded
+    once per guess."""
     k = inst.alphabet.size
-    l = inst.window
     size = sample_size(cfg.epsilon, inst.n, max(len(s) for s in inst.strings))
     rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
+    windows = picked_windows(inst, picks)
+    q = agreement_positions(windows)
+    p = np.flatnonzero(~q)
+    if size <= 0 or size >= len(p):
+        r_idx = p
+    else:
+        rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
+        r_idx = np.sort(p[rng.integers(0, len(p), size=size)])
+    anchor_q = Seq(inst.alphabet, windows[0].arr[q])
+    memo = {}
+    for y in itertools.product(range(k), repeat=len(r_idx)):
+        offsets = reference_select_windows(inst, Seq(inst.alphabet, y), r_idx, anchor_q, q)
+        selected = windows_at(inst, offsets)
+        key = tuple(t.data for t in selected)
+        if key not in memo:
+            sub = StringInstance(inst.alphabet, [t.arr for t in selected])
+            seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
+            row, _ = solve_restricted(
+                build_restricted(sub, windows[0].arr, q), replace(rounding, rng_seed=seed)
+            )
+            memo[key] = Seq(inst.alphabet, row)
+        yield memo[key]
+
+
+def reference_sampled_solve(inst, cfg):
+    """The sampling solver with every window tuple on the guess loop
+    (reference_guessed_centers); the first minimum wins."""
 
     def candidates():
-        for off in range(len(inst.strings[0]) - l + 1):
+        for off in range(len(inst.strings[0]) - inst.window + 1):
             yield window(inst, 0, off)
         for picks in enumerate_window_tuples(inst, cfg.r):
-            windows = picked_windows(inst, picks)
-            q = agreement_positions(windows)
-            p = np.flatnonzero(~q)
-            if size <= 0 or size >= len(p):
-                r_idx = p
-            else:
-                rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
-                r_idx = np.sort(p[rng.integers(0, len(p), size=size)])
-            anchor_q = Seq(inst.alphabet, windows[0].arr[q])
-            memo = {}
-            for y in itertools.product(range(k), repeat=len(r_idx)):
-                offsets = reference_select_windows(inst, Seq(inst.alphabet, y), r_idx, anchor_q, q)
-                selected = windows_at(inst, offsets)
-                key = tuple(t.data for t in selected)
-                if key not in memo:
-                    sub = StringInstance(inst.alphabet, [t.arr for t in selected])
-                    seed = derive_seed(cfg.rng_seed, "round", picks, tuple(map(tuple, key)))
-                    row, _ = solve_restricted(
-                        build_restricted(sub, windows[0].arr, q), replace(rounding, rng_seed=seed)
-                    )
-                    memo[key] = Seq(inst.alphabet, row)
-                yield memo[key]
+            yield from reference_guessed_centers(inst, cfg, picks)
 
     best = None
     for center in candidates():
@@ -502,6 +507,41 @@ def reference_sampled_solve(inst, cfg):
         if best is None or cost < best[0]:
             best = (cost, center)
     return (best[1], *cost_substring(inst, best[1]))
+
+
+def reference_substring(inst, cfg):
+    """solve_substring with no tuple skipped: every window tuple in
+    enumeration order is swept by reference_sweep when its |P| is within
+    cfg.mode's sweep limit and guessed by reference_guessed_centers
+    otherwise, and the first minimum wins.  Raises BudgetExceeded wherever
+    a tuple's patches or guesses exceed cfg.y_budget.  Returns (center,
+    radius, witnesses, guessed tuple count)."""
+    k = inst.alphabet.size
+    size = sample_size(cfg.epsilon, inst.n, max(len(s) for s in inst.strings))
+    fits = 0  # the largest c with k^c <= y_budget
+    while k ** (fits + 1) <= cfg.y_budget:
+        fits += 1
+    limit = {"small_d": inst.window, "sampling": size, "auto": fits}[cfg.mode]
+    tuples = []  # (picks, anchor window, free positions, swept?)
+    for picks in enumerate_window_tuples(inst, cfg.r):
+        windows = picked_windows(inst, picks)
+        p = np.flatnonzero(~agreement_positions(windows))
+        swept = len(p) <= limit
+        if (len(p) if swept else size) > fits:
+            raise BudgetExceeded(f"tuple {picks} over budget {cfg.y_budget}")
+        tuples.append((picks, windows[0], p, swept))
+    best = None
+    for picks, anchor, p, swept in tuples:
+        if swept:
+            costs, center = reference_sweep(inst, anchor, p)
+            candidates = [(int(costs.min()), center)]
+        else:
+            candidates = ((cost_substring(inst, c)[0], c) for c in reference_guessed_centers(inst, cfg, picks))
+        for cost, center in candidates:
+            if best is None or cost < best[0]:
+                best = (cost, center)
+    guessed = sum(not swept for *_, swept in tuples)
+    return (best[1], *cost_substring(inst, best[1]), guessed)
 
 
 def planted_texts(rng, alphabet, lengths, width, d):
@@ -561,6 +601,68 @@ def swept_rows(sweeps):
     return sum(len(args[1]) for args in sweeps)
 
 
+def q_bound(inst, anchor, q):
+    """The Q-cost bound of a tuple, by plain loops: the largest, over
+    strings, of the smallest number of anchor mismatches on Q among that
+    string's windows."""
+    return max(
+        min(int((window(inst, i, off).arr[q] != anchor.arr[q]).sum()) for off in range(len(s) - inst.window + 1))
+        for i, s in enumerate(inst.strings)
+    )
+
+
+def sweep_signature(inst, anchor, q):
+    """How a swept (Q, anchor on Q) key shows in a sweep_patches call:
+    every window on P, and the anchor's mismatches with each window on Q
+    (its seed row).  Keys of one Q differ in their seed rows, as each
+    anchor's own window costs it 0 and the other anchors more."""
+    wins = [window(inst, i, off) for i, s in enumerate(inst.strings) for off in range(len(s) - inst.window + 1)]
+    return (
+        tuple(tuple(w.arr[~q].tolist()) for w in wins),
+        tuple(int((w.arr[q] != anchor.arr[q]).sum()) for w in wins),
+    )
+
+
+def bound_kept_keys(inst, r):
+    """The swept (Q, anchor on Q) keys the Q-cost bound keeps on an
+    instance whose every tuple is swept, by plain loops.  Masks go in
+    first-seen order, each key at its first tuple's index.  A key is kept
+    unless (q_bound, index) is above the best (radius, index) over the
+    keys kept in earlier masks, a kept key's radius being reference_sweep's
+    minimum.  Returns, per mask with a kept key, the sweep_signature of
+    each kept key."""
+    groups = {}  # per mask: per anchor on Q, (first index, anchor, Q)
+    for index, picks in enumerate(enumerate_window_tuples(inst, r)):
+        windows = picked_windows(inst, picks)
+        q = agreement_positions(windows)
+        groups.setdefault(q.tobytes(), {}).setdefault(windows[0].arr[q].tobytes(), (index, windows[0], q))
+    best, kept = (math.inf, 0), []
+    for group in groups.values():
+        survivors = [(index, a, q) for index, a, q in group.values() if (q_bound(inst, a, q), index) <= best]
+        for index, anchor, q in survivors:
+            costs, _ = reference_sweep(inst, anchor, np.flatnonzero(~q))
+            best = min(best, (int(costs.min()), index))
+        if survivors:
+            kept.append([sweep_signature(inst, a, q) for _, a, q in survivors])
+    return kept
+
+
+def swept_signatures(sweeps):
+    """Per recorded sweep_patches call, the sweep_signature of each seed row."""
+    return [[(tuple(map(tuple, rows.tolist())), tuple(seed)) for seed in fixed.tolist()] for rows, fixed, *_ in sweeps]
+
+
+def swept_keys_are_bound_kept(inst, sweeps):
+    """Asserts that the recorded sweeps scored exactly
+    bound_kept_keys(inst, 2), in order and one call per mask, so no key
+    was swept twice.  Returns the number of keys swept."""
+    kept = bound_kept_keys(inst, 2)
+    flat = [key for group in kept for key in group]
+    assert len(set(flat)) == len(flat)
+    assert swept_signatures(sweeps) == kept
+    return len(flat)
+
+
 class TestCoveredSampleSweep:
     # (alphabet, string lengths, L, d): every tuple's sample covers its P
     SHAPES = (
@@ -596,14 +698,14 @@ class TestCoveredSampleSweep:
         planted, _ = generate_planted("01", 3, 8, 5, 1, 4)
         # |R| = ceil(4 ln 28) = 14 = |P| on the pair tuple: still covered
         boundary = bsub(["0" * 14, "1" * 14], 14)
-        for inst in (planted, boundary):
+        # the bound skips some of planted's keys; each of boundary's three
+        # keys could still win when it is reached
+        for inst, skipped in ((planted, True), (boundary, False)):
             sweeps.clear()
             sol = solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0))
             assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
             assert seeds == []
-            keys = distinct_sweep_keys(inst, 2)
-            assert swept_rows(sweeps) == len(keys)
-            assert len(sweeps) == len(distinct_masks(keys))
+            assert (swept_keys_are_bound_kept(inst, sweeps) < len(distinct_sweep_keys(inst, 2))) == skipped
         assert sweeps[-1][0].shape == (2, 14)
 
     def test_uncovered_tuple_keeps_guess_loop(self, monkeypatch):
@@ -636,20 +738,54 @@ class TestCoveredSampleSweep:
             assert len(sweeps) == 1
             monkeypatch.undo()
 
-    def test_repeated_guessed_tuples_finish_quickly(self):
-        # six guessed tuples of 2^16 guesses each under auto; scored one
-        # guess at a time, with one Seq and one select_windows call per
-        # guess, this took about 35 s
-        inst = bsub(["01" * 9] * 3, 17)
+    def test_repeated_guessed_tuples_finish_quickly(self, monkeypatch):
+        # eight guessed tuples of 2^16 guesses each under auto, the window
+        # pairs of the complementary strings, each reached: their empty Q
+        # bounds them by 0, below every radius found (17 by the swept
+        # tuples, then 9).  Scored one guess at a time, with one Seq and one
+        # select_windows call per guess, six such tuples took about 35 s
+        selections = spy(monkeypatch, closest_substring, "select_windows")
+        inst = bsub(["0" * 18, "1" * 18, "0" * 18], 17)
         start = time.perf_counter()
         sol = solve_substring(inst, SubstringConfig(r=2, mode="auto"))
         assert time.perf_counter() - start < 10.0
-        assert (sol.center.text, sol.radius) == ("01" * 8 + "0", 0)
+        assert (sol.radius, sol.guessed_tuples) == (9, 8)
+        assert len(selections) == 8 * 4  # four blocks of 2^14 guesses per tuple
 
-    def test_guess_memory_stays_flat(self):
-        # two guessed tuples of 2^18 guesses each: scoring every guess of a
-        # tuple at once peaks near 20 MB, blocks of guesses near 2 MB
-        inst = bsub(["01" * 20, "10" * 20], 39)
+    def test_guessed_tuples_that_cannot_win_are_skipped(self, monkeypatch):
+        # the six guessed tuples pair complementary windows, so Q is empty
+        # and bounds them by 0; the single windows come first and already
+        # reach radius 0, so no guessed tuple draws R, selects windows or
+        # solves an LP, and guessed_tuples still counts all six
+        forbid(monkeypatch, closest_substring, "select_windows")
+        forbid(monkeypatch, lp_round, "solve_lp")
+        seeds = spy(monkeypatch, closest_substring, "derive_seed")
+        inst = bsub(["01" * 9] * 3, 17)
+        sol = solve_substring(inst, SubstringConfig(r=2, mode="auto"))
+        assert (sol.center.text, sol.radius, sol.witnesses, sol.guessed_tuples) == ("01" * 8 + "0", 0, (0, 0, 0), 6)
+        assert seeds == []
+
+    def test_guessed_tuple_below_the_best_radius_is_solved(self, monkeypatch):
+        # the single windows reach radius 1 (s0 against s1's second
+        # window); the complementary pair's tuple comes later, guessed, and
+        # its bound 0 on the empty Q is below 1, so it still goes through
+        # its guesses and its LPs, one per distinct selection of s1's two
+        # windows: a bound one too high would skip it
+        selections = spy(monkeypatch, closest_substring, "select_windows")
+        lps = spy(monkeypatch, lp_round, "solve_lp")
+        inst = bsub(["01" * 7 + "0", "10" * 7 + "11"], 15)
+        sol = solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0))
+        assert (sol.radius, sol.guessed_tuples) == (1, 1)
+        assert [args[1].shape for args in selections] == [(2 ** 14, 14)]
+        assert len(lps) == 2
+
+    def test_guess_memory_stays_flat(self, monkeypatch):
+        # one guessed tuple of 2^18 guesses, the complementary pair, whose
+        # empty Q bounds it by 0, below the single windows' radius 40:
+        # scoring every guess of a tuple at once peaks near 20 MB for two
+        # such tuples, blocks of guesses near 2 MB
+        selections = spy(monkeypatch, closest_substring, "select_windows")
+        inst = bsub(["01" * 20, "10" * 20], 40)
         cfg = SubstringConfig(r=2, epsilon=1.0, y_budget=2 ** 18, mode="sampling")
         assert sample_size(cfg.epsilon, 2, 40) == 18
         tracemalloc.start()
@@ -659,7 +795,8 @@ class TestCoveredSampleSweep:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-        assert sol.radius == 0
+        assert len(selections) == 2 ** 18 // 2 ** 14
+        assert sol.radius == 20
 
     def test_budget_checked_before_any_work(self, monkeypatch):
         # the single-window tuples come first and fit; the pair tuple's
@@ -815,8 +952,7 @@ class TestSweepDedupe:
             sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
             sol = solve_small_substring(inst, SubstringConfig(r=2))
             keys = distinct_sweep_keys(inst, 2)
-            assert swept_rows(sweeps) == len(keys)
-            assert len(sweeps) == len(distinct_masks(keys))
+            assert swept_keys_are_bound_kept(inst, sweeps) < len(keys)
             assert 2 * len(keys) <= len(list(enumerate_window_tuples(inst, 2)))
             assert sol.center == reference_small_substring(inst, 2)[0]
             monkeypatch.undo()

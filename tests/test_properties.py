@@ -1,5 +1,6 @@
 """Property tests: every solver's radius lies between the exact oracle and
-its declared ratio bound, and is the recomputed cost of its center.
+its declared ratio bound, and is the recomputed cost of its center; the
+substring solver's skip of tuples that cannot win changes no output.
 
 Hypothesis runs derandomized, so the examples are the same on every run.
 """
@@ -7,6 +8,8 @@ Hypothesis runs derandomized, so the examples are the same on every run.
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,8 @@ from centerstring import (
     solve_closest_string,
     solve_substring,
 )
+from centerstring.errors import BudgetExceeded
+from test_closest_substring import planted_texts, reference_substring
 
 SYMBOLS = {2: "01", 3: "012", 4: "ACGT"}
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -101,3 +106,59 @@ def test_string_radius_between_oracle_and_bound(case):
     bound = 1 + Fraction(1, 2 * r - 1) + r * Fraction(cfg.rounding.epsilon_prime)
     assert opt <= sol.radius <= ceil_bound(bound, opt)
     assert sol.radius == cost_string(inst, sol.center)
+
+
+@st.composite
+def skip_cases(draw):
+    """Substring instances whose strings differ in length, with r, y_budget
+    and rng_seed.  A shifted pair with its extra bit at y_budget 2^14,
+    where its |P| = 15 tuple is guessed under sampling and auto (small_d
+    refuses it), or at 2^16; or k = 2/3/4 strings with L <= 5, random or
+    planted, at y_budget k^3, which refuses every tuple with |P| > 3, or
+    2^16."""
+    r, seed = draw(st.integers(2, 3)), draw(st.integers(0, 2 ** 16))
+    if draw(st.integers(0, 3)) == 0:
+        bits = draw(st.lists(st.integers(0, 1), min_size=15, max_size=15))
+        inst = shifted_pair(bits, [draw(st.integers(0, 1))])
+        return inst, r, draw(st.sampled_from((2 ** 14, 2 ** 16))), seed
+    k = draw(st.sampled_from(sorted(SYMBOLS)))
+    l = draw(st.integers(1, 5 if k < 4 else 4))
+    lengths = draw(st.lists(st.integers(l, l + 3), min_size=2, max_size=4).filter(lambda ms: len(set(ms)) > 1))
+    if draw(st.booleans()):
+        # a planted center d away from a window of each string: the pair
+        # tuples then often beat the single windows at their bound
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        texts = planted_texts(rng, SYMBOLS[k], lengths, l, draw(st.integers(1, max(1, l // 2))))
+    else:
+        texts = [
+            "".join(SYMBOLS[k][v] for v in draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+            for m in lengths
+        ]
+    inst = SubstringInstance.from_texts(Alphabet.of(SYMBOLS[k]), texts, l)
+    return inst, r, draw(st.sampled_from((k ** 3, 2 ** 16))), seed
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(skip_cases(), st.sampled_from(["small_d", "sampling", "auto"]))
+# the alternating pair: a single window already reaches radius 0, so the
+# guessed tuple, bounded by 0 on its empty Q, is skipped
+@example((shifted_pair([0, 1] * 7 + [0], [0]), 2, 2 ** 14, 0), "sampling")
+# the winning tuple's bound equals its radius 1, one below the radius 2 a
+# single window reached first: a bound one too high ties that at a larger
+# index and skips the winner
+@example((SubstringInstance.from_texts(Alphabet.of("01"), ["100101", "10100", "1110111"], 5), 2, 2 ** 16, 0), "small_d")
+@example((SubstringInstance.from_texts(Alphabet.of("ACGT"), ["TTTTGTA", "CTTGTG", "CCTATC"], 4), 3, 2 ** 16, 0), "auto")
+def test_substring_skip_is_exact(case, mode):
+    # the solver skips the tuples whose Q-cost bound already loses; the
+    # reference solves every tuple, so the two must agree byte for byte,
+    # guessed_tuples included, and refuse the same budgets
+    inst, r, y_budget, seed = case
+    cfg = SubstringConfig(r=r, mode=mode, y_budget=y_budget, rng_seed=seed)
+    try:
+        expected = reference_substring(inst, cfg)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            solve_substring(inst, cfg)
+        return
+    sol = solve_substring(inst, cfg)
+    assert (sol.center, sol.radius, sol.witnesses, sol.guessed_tuples) == expected
