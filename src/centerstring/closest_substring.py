@@ -1,6 +1,6 @@
 """Closest Substring solvers.
 
-`solve_substring` runs one per-tuple loop for every mode; the paper's two
+`solve_substring` runs one solve path for every mode; the paper's two
 algorithms, `solve_small_substring` and `solve_closest_substring`, are it
 with the mode fixed to small_d or sampling.  Each window tuple either has
 its free positions P solved exactly or has its center guessed on a random
@@ -18,21 +18,24 @@ the small_d one when none was guessed, the sampling one else.
 Both run on the tuple's anchor row and boolean agreement mask Q, and a
 candidate is a (radius, center row) pair.  A repeated candidate can never
 win, as its first copy has a smaller index, so the pre-pass `_plan`
-returns the swept tuples grouped by mask Q, one per (Q, anchor on Q)
-pair, all a swept candidate depends on, and the guessed tuples in
-enumeration order.  Swept tuples with the same Q share P, so one sweep
-per mask scores all of its anchors; a guessed tuple solves each distinct
-window selection once.
+keeps one swept tuple per (Q, anchor on Q) pair, all a swept candidate
+depends on.  It reads the tuples in array blocks, one per string subset
+(the single windows all in one), and returns the kept swept tuples as
+arrays, one row each (mask, anchor and enumeration index), grouped by
+mask Q, with the guessed tuples as a list in enumeration order.  Swept
+tuples with the same Q share P, so one sweep per mask scores all of its
+anchors; a guessed tuple solves each distinct window selection once.
 
 Both kinds of tuple keep the anchor on Q, so every candidate of a tuple
 has radius at least its Q-cost bound: the largest, over strings, of the
 smallest number of anchor mismatches on Q among that string's windows.
-A tuple whose (bound, index) is above the best (radius, index) found so
-far is skipped, a swept anchor before its mask's sweep and a guessed
-tuple before it draws R.  The skip is exact: the best only falls, so each
-skipped candidate's (radius, index) is above the final winner's and
-could never have won; centers, radii and witnesses are those of scoring
-every tuple.
+The bounds of all kept swept tuples are computed before any sweep, in
+array chunks.  A tuple whose (bound, index) is above the best (radius,
+index) found so far is skipped, a swept anchor before its mask's sweep
+and a guessed tuple before it draws R.  The skip is exact: the best only
+falls, so each skipped candidate's (radius, index) is above the final
+winner's and could never have won; centers, radii and witnesses are
+those of scoring every tuple.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -56,6 +59,11 @@ _SUBSTRING_MODES = ("small_d", "sampling", "auto")
 _GUESS_BLOCK = 1 << 14
 # (guess x window x |R|) compares select_windows holds at once
 _SELECT_CELLS = 1 << 18
+# (tuple x L) mask cells of one _plan block or of the swept tuples it piles
+# up between deduplications, and (tuple x window x L) compares of one chunk
+# of solve_substring's Q costs: memory stays flat in the number of tuples
+_TUPLE_CELLS = 1 << 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -103,21 +111,32 @@ def enumerate_window_tuples(inst: SubstringInstance, r: int) -> Iterator[Picks]:
                 yield tuple(zip(subset, offsets))
 
 
-Swept = dict[bytes, dict[bytes, tuple[int, np.ndarray]]]
+class SweptTuples(NamedTuple):
+    """The swept tuples a plan keeps, one row each, grouped by agreement
+    mask: group g is rows edges[g]:edges[g + 1], the groups in first-seen
+    order of their masks and each group's rows in enumeration order."""
+
+    masks: np.ndarray  # (T, L) bool: each tuple's agreement mask Q
+    anchors: np.ndarray  # (T, L) uint8: each tuple's anchor window
+    indices: np.ndarray  # (T,) int64: each tuple's enumeration index
+    edges: list[int]  # G + 1 group bounds
+
+
 Guessed = list[tuple[int, Picks, np.ndarray, np.ndarray]]
 
 
-def _plan(inst: SubstringInstance, cfg: SubstringConfig, size: int) -> tuple[Swept, Guessed]:
+def _plan(inst: SubstringInstance, cfg: SubstringConfig, size: int) -> tuple[SweptTuples, Guessed]:
     """The pre-pass over the window tuples, each named by its enumeration
     index and read as its anchor row and boolean agreement mask on_q (the
     positions Q where every picked window equals the anchor), for the
     sample size |R| = size.
 
-    Returns the swept tuples grouped by mask, masks in first-seen order:
-    per mask Q (as bytes), the (index, anchor) of its tuples keyed by the
-    anchor's letters on Q, so a group keeps the first tuple of each
-    (Q, anchor on Q) pair, all that a swept candidate depends on.  And the
-    guessed tuples as (index, picks, anchor, on_q), in enumeration order.
+    Returns the swept tuples as SweptTuples, compact (T, L) masks and
+    anchors and (T,) enumeration indices: the first tuple of each
+    (Q, anchor on Q) pair, all that a swept candidate depends on, grouped
+    by mask, masks in first-seen order.  And the guessed tuples as
+    (index, picks, anchor, on_q), in enumeration order, with picks of
+    Python ints, as the per-tuple seeds hash their repr.
 
     A tuple is swept over its k^|P| patches when its free-position count
     |P| is at most cfg.mode's sweep limit: L for small_d (every tuple), the
@@ -127,44 +146,89 @@ def _plan(inst: SubstringInstance, cfg: SubstringConfig, size: int) -> tuple[Swe
     overrun surfaces before any sweep, window selection or LP runs; outside
     small_d the message ends with how to make every tuple fit.
 
-    The masks are built in bulk, one block per string subset and anchor
-    offset: the tuples of a block share their anchor window, so one
-    broadcast compare per other string gives every mask of the block, and
-    a block holds the product of the other strings' window counts x L
-    cells.  The kept tuples of a block share one anchor array.
+    The tuples are read in array blocks: all single windows, then one
+    block per string subset, split by anchor offset where a block would
+    pass _TUPLE_CELLS mask cells.  One broadcast compare per other string
+    of the subset gives every mask of the block, and a lookup of each
+    mask's size in a per-|Q| table finds its first tuple over budget.  One
+    _first_distinct_rows pass over the swept tuples keeps the first of
+    each (Q, anchor on Q) pair; it also runs whenever _TUPLE_CELLS mask
+    cells of new swept tuples have piled up, so memory follows the
+    distinct pairs, not the tuples.  A stable sort on the first kept row
+    of each mask groups the rows.
     """
     k = inst.alphabet.size
     l = inst.window
     fits = _max_exponent(k, cfg.y_budget)  # the largest count c with k^c <= y_budget
-    limit = {"small_d": l, "sampling": size, "auto": fits}[cfg.mode]
-    swept: Swept = {}
+    # every |P| is at most L, so the cap decides nothing; it keeps a huge |R| out of numpy
+    limit = min(l, {"small_d": l, "sampling": size, "auto": fits}[cfg.mode])
+    counts = [len(w) for w in inst.windows]
+    # per |Q| = 0..L, whether a tuple agreeing on that many positions is over budget
+    p_sizes = l - np.arange(l + 1)
+    over_at = np.where(p_sizes <= limit, p_sizes > fits, size > fits)
+    # a single window agrees with itself everywhere, so the single-window
+    # tuples, first in enumeration order, form one block, all swept at
+    # |P| = 0: one block per string took a substring_sampling plan from
+    # about 150 to 190 us
+    wins = np.concatenate(inst.windows)
+    parts = [(np.ones(wins.shape, dtype=bool), wins, np.arange(len(wins)))]  # (masks, anchors, indices)
+    fresh = len(wins)  # swept tuples piled up since the last deduplication
+    start = len(wins)  # the enumeration index of the next block's first tuple
     guessed: Guessed = []
-    t = end = 0
-    for index, picks in enumerate(enumerate_window_tuples(inst, cfg.r)):
-        if t == end:
-            # a new block: the tuples of this tuple's strings and anchor offset
-            (i, o), *rest = picks
-            anchor = inst.windows[i][o].copy()
-            on_q = np.ones((1, l), dtype=bool)
-            for j, _ in rest:
-                on_q = (on_q[:, None, :] & (inst.windows[j] == anchor)).reshape(-1, l)
-            free = (l - on_q.sum(axis=1)).tolist()
-            # the Q mask and the anchor on Q of every tuple, l bytes each
-            masks, letters = on_q.tobytes(), np.where(on_q, anchor, 0).tobytes()
-            t, end = 0, len(free)
-        p_size = free[t]
-        sweep = p_size <= limit
-        if (p_size if sweep else size) > fits:
-            work = f"|P|={p_size} needs {k}^{p_size} patches" if sweep else f"|R|={size} needs {k}^{size} guesses"
-            hint = "" if cfg.mode == "small_d" else "; " + _budget_hint(inst, cfg.y_budget, cfg.epsilon)
-            raise BudgetExceeded(f"{work}, over budget {cfg.y_budget}{hint}")
-        if sweep:
-            group = swept.setdefault(masks[t * l:(t + 1) * l], {})
-            group.setdefault(letters[t * l:(t + 1) * l], (index, anchor))
-        else:
-            guessed.append((index, picks, anchor, on_q[t]))
-        t += 1
-    return swept, guessed
+    for width in range(2, min(cfg.r, inst.n) + 1):
+        for subset in itertools.combinations(range(inst.n), width):
+            first, *rest = subset
+            per_anchor = math.prod(counts[j] for j in rest)
+            step = max(1, _TUPLE_CELLS // (per_anchor * l))
+            for o in range(0, counts[first], step):
+                anchor = inst.windows[first][o:o + step]
+                on_q = np.ones((len(anchor), 1, l), dtype=bool)
+                for j in rest:
+                    agree = anchor[:, None, :] == inst.windows[j]
+                    on_q = (on_q[:, :, None, :] & agree[:, None, :, :]).reshape(len(anchor), -1, l)
+                on_q = on_q.reshape(-1, l)
+                agreed = on_q.sum(axis=1)
+                over = np.flatnonzero(over_at[agreed])
+                if len(over):
+                    p_size = l - int(agreed[over[0]])
+                    if p_size <= limit:
+                        work = f"|P|={p_size} needs {k}^{p_size} patches"
+                    else:
+                        work = f"|R|={size} needs {k}^{size} guesses"
+                    hint = "" if cfg.mode == "small_d" else "; " + _budget_hint(inst, cfg.y_budget, cfg.epsilon)
+                    raise BudgetExceeded(f"{work}, over budget {cfg.y_budget}{hint}")
+                sweep = agreed >= l - limit
+                rows = np.flatnonzero(sweep)
+                parts.append((on_q[rows], anchor[rows // per_anchor], start + rows))
+                fresh += len(rows)
+                if fresh * l > _TUPLE_CELLS:
+                    # memory follows the distinct pairs, not the tuples
+                    parts, fresh = [_first_of_each_key(parts, k)], 0
+                if len(rows) < len(on_q):
+                    lost = np.flatnonzero(~sweep)
+                    offsets = np.stack(np.unravel_index(lost, [len(anchor)] + [counts[j] for j in rest]), axis=1)
+                    offsets[:, 0] += o
+                    for index, picked, a, q in zip(
+                        (start + lost).tolist(), offsets.tolist(), anchor[lost // per_anchor], on_q[lost]
+                    ):
+                        guessed.append((index, tuple(zip(subset, picked)), a, q))
+                start += len(on_q)
+    masks, anchors, indices = _first_of_each_key(parts, k)
+    _, seen, mask_of = np.unique(_row_keys(masks, [2] * l), return_index=True, return_inverse=True)
+    first_seen = seen[mask_of]  # per tuple, the first tuple with its mask
+    order = np.argsort(first_seen, kind="stable")
+    cuts = np.flatnonzero(np.diff(first_seen[order])) + 1
+    return SweptTuples(masks[order], anchors[order], indices[order], [0, *cuts.tolist(), len(order)]), guessed
+
+
+def _first_of_each_key(parts: list, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (masks, anchors, indices) of parts, swept tuples in enumeration
+    order, concatenated, keeping each (Q, anchor on Q) pair's first tuple:
+    each row keyed as its anchor's letter + 1 on Q and 0 off it."""
+    masks, anchors, indices = map(np.concatenate, zip(*parts))
+    letters = np.where(masks, anchors + np.int16(1), 0)
+    first = _first_distinct_rows(letters, [k + 1] * masks.shape[1])
+    return masks[first], anchors[first], indices[first]
 
 
 def sample_size(epsilon: float, n: int, m: int) -> int:
@@ -257,25 +321,39 @@ def _budget_hint(inst: SubstringInstance, y_budget: int, epsilon: float) -> str:
     return f"no epsilon in (0, 1] fits ({needed}); y_budget >= {k}^{size} would fit at epsilon {epsilon}"
 
 
-def _first_distinct_rows(offsets: np.ndarray, counts: list[int]) -> np.ndarray:
-    """Sorted indices of the first occurrence of each distinct row of the
-    (g, n) offsets, whose column i ranges over counts[i] windows.
+def _row_keys(rows: np.ndarray, counts: list[int]) -> np.ndarray:
+    """One int64 per row of the (g, c) integer array rows, whose column i
+    ranges over counts[i] values, equal exactly where the rows are.
 
-    Each row is keyed as one int64 in mixed radix, column by column; the
-    keys are re-ranked densely whenever the next column could overflow
-    them, so distinct rows keep distinct keys.  np.unique(offsets, axis=0,
-    return_index=True) gives the same indices but took 9-13x as long on
-    guess blocks of 6,561 and 16,384 rows.
+    Each row is keyed in mixed radix, column by column; the keys are
+    re-ranked densely whenever the next column could overflow them, so
+    distinct rows keep distinct keys.
     """
-    key = np.zeros(len(offsets), dtype=np.int64)
+    key = np.zeros(len(rows), dtype=np.int64)
     span = 1  # every key is below span
-    for column, count in zip(offsets.T, counts):
-        if span > np.iinfo(np.int64).max // count:
+    for column, count in zip(rows.T, counts):
+        if span > _INT64_MAX // count:
             ranks, key = np.unique(key, return_inverse=True)
             span = len(ranks)
         key = key * count + column
         span *= count
-    return np.sort(np.unique(key, return_index=True)[1])
+    return key
+
+
+def _first_distinct_rows(rows: np.ndarray, counts: list[int]) -> np.ndarray:
+    """Sorted indices of the first occurrence of each distinct row of the
+    (g, c) integer array rows, whose column i ranges over counts[i] values.
+    np.unique(rows, axis=0, return_index=True) gives the same indices but
+    took 9-13x as long on guess offsets of 6,561 and 16,384 rows."""
+    return np.sort(np.unique(_row_keys(rows, counts), return_index=True)[1])
+
+
+def _q_costs(wins_t: np.ndarray, masks: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """(t, W) int32: each of the (t, L) anchors' mismatches on its agreement
+    mask with each window, masks (t, L) or one shared (L,) row.  The
+    windows come position-major, as the (L, W) wins_t, so the compares run
+    along the windows: on (T, W, L) they took 3-4x as long at L = 6 and 8."""
+    return ((anchors[:, :, None] != wins_t) & masks[..., None]).sum(axis=1, dtype=np.int32)
 
 
 def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()) -> CenterSolution:
@@ -288,7 +366,10 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     charged its distance to the anchor on Q; a string's rows form one
     group, so the sweep scores a patch by max over strings of min over
     windows, the candidate's substring radius.  One sweep per mask Q
-    scores all of its swept tuples' anchors, one seed row each.
+    scores all of its swept tuples' anchors, one seed row each.  The
+    Q-cost bounds of all of _plan's swept tuples come first, in chunks of
+    at most _TUPLE_CELLS (tuple x window x L) compares; the loop over the
+    masks then only slices them, skips and sweeps.
 
     A guessed tuple draws R from P (seeded per tuple).  Its selections are
     keyed by window contents; each new one is solved as the StringInstance
@@ -317,20 +398,25 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     wins = np.concatenate(inst.windows)
     counts = [len(w) for w in inst.windows]
     starts = np.cumsum([0] + counts[:-1])
+    wins_t = np.ascontiguousarray(wins.T)
+    bounds = np.empty(len(swept.indices), dtype=np.int32)  # each swept tuple's Q-cost bound
+    step = max(1, _TUPLE_CELLS // wins.size)
+    for a in range(0, len(bounds), step):
+        q_costs = _q_costs(wins_t, swept.masks[a:a + step], swept.anchors[a:a + step])
+        bounds[a:a + step] = np.minimum.reduceat(q_costs, starts, axis=1).max(axis=1)
     best = (math.inf, 0, None)  # (radius, enumeration index, center row)
-    for mask, group in swept.items():
-        indices, anchors = map(np.array, zip(*group.values()))
-        on_q = np.frombuffer(mask, dtype=bool)
-        fixed = (wins[:, on_q] != anchors[:, None, on_q]).sum(axis=2, dtype=np.int32)
+    edges = swept.edges
+    for b, e in zip(edges, edges[1:]):
         # skip each anchor whose (Q-cost bound, index) is above the best so
         # far: sweeps per solve go from 53.6 to about 19 on substring_small_d
         # and from 10.4 to 4.9 on substring_sampling
-        bounds = np.minimum.reduceat(fixed, starts, axis=1).max(axis=1)
-        keep = (bounds < best[0]) | ((bounds == best[0]) & (indices < best[1]))
+        indices = swept.indices[b:e]
+        keep = (bounds[b:e] < best[0]) | ((bounds[b:e] == best[0]) & (indices < best[1]))
         if not keep.any():
             continue
-        indices, centers = indices[keep], anchors[keep]
-        costs, centers[:, ~on_q] = sweep_patches(wins[:, ~on_q], fixed[keep], k, starts)
+        on_q = swept.masks[b]
+        indices, centers = indices[keep], swept.anchors[b:e][keep]
+        costs, centers[:, ~on_q] = sweep_patches(wins[:, ~on_q], _q_costs(wins_t, on_q, centers), k, starts)
         a = int(np.argmin(costs))  # indices ascend, so this is the group's minimum
         radius = int(costs[a])
         if (radius, indices[a]) < best[:2]:
@@ -341,8 +427,8 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     for index, picks, anchor, on_q in guessed:
         # the same skip: no benchmark workload guesses, but on three copies
         # of 01x9 at L = 17 all six guessed tuples go, and 0.68 s becomes 1 ms
-        q_costs = (wins[:, on_q] != anchor[on_q]).sum(axis=1)
-        if (int(np.minimum.reduceat(q_costs, starts).max()), index) > best[:2]:
+        bound = int(np.minimum.reduceat(_q_costs(wins_t, on_q, anchor[None])[0], starts).max())
+        if (bound, index) > best[:2]:
             continue
         free = np.flatnonzero(~on_q)
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))

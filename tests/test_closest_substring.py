@@ -971,16 +971,16 @@ class TestSweepDedupe:
         small = replace(cfg, mode="small_d")
         swept, guessed = closest_substring._plan(inst, small, sample_size(cfg.epsilon, 4, 3))
         solve_substring(inst, small)
-        # per kept tuple's picks: its sweep call and its seed row there
+        # per kept tuple's picks: its sweep call (its mask group) and its seed row there
         kept = {
             picks[index]: (call, row)
-            for call, group in enumerate(swept.values())
-            for row, (index, _) in enumerate(group.values())
+            for call, (b, e) in enumerate(zip(swept.edges, swept.edges[1:]))
+            for row, index in enumerate(swept.indices[b:e].tolist())
         }
         first, second = ((0, 0), (1, 0)), ((2, 0), (3, 0))
         keys = distinct_sweep_keys(inst, 2)
         assert swept_rows(args for args, _ in sweeps) == len(keys) == len(picks) - 1 == len(kept)
-        assert len(sweeps) == len(swept) == len(distinct_masks(keys))
+        assert len(sweeps) == len(swept.edges) - 1 == len(distinct_masks(keys))
         assert not guessed
         assert first in kept and second not in kept
         windows = picked_windows(inst, first)
@@ -1002,9 +1002,9 @@ class TestSweepDedupe:
         picks = list(enumerate_window_tuples(inst, 2))
         swept, _ = closest_substring._plan(inst, SubstringConfig(r=2, mode="small_d"), sample_size(1.0, 3, 5))
         minima = []  # per mask in first-seen order: its (radius, index) minimum and center
-        for group in swept.values():
+        for b, e in zip(swept.edges, swept.edges[1:]):
             cands = []
-            for index, _ in group.values():
+            for index in swept.indices[b:e].tolist():
                 windows = picked_windows(inst, picks[index])
                 costs, center = reference_sweep(inst, windows[0], np.flatnonzero(~agreement_positions(windows)))
                 cands.append((int(costs.min()), index, center.text))
@@ -1046,19 +1046,69 @@ class TestSweepDedupe:
             if l - int(q.sum()) <= limit:
                 first_index.setdefault((q.tobytes(), windows[0].arr[q].tobytes()), index)
         kept = {
-            (mask, anchor[np.frombuffer(mask, dtype=bool)].tobytes()): (index, anchor)
-            for mask, group in swept.items()
-            for index, anchor in group.values()
+            (q.tobytes(), anchor[q].tobytes()): index
+            for q, anchor, index in zip(swept.masks, swept.anchors, swept.indices.tolist())
         }
         assert len(guessed_tuples) == guessed
         # one kept tuple per (Q, anchor on Q) key, the first with that key
-        assert sum(map(len, swept.values())) == len(kept) == len(first_index)
-        assert {key: index for key, (index, _) in kept.items()} == first_index
+        assert len(swept.indices) == len(kept) == len(first_index)
+        assert kept == first_index
         assert len(kept) + guessed < tuples
-        # every kept anchor is its own small array, not a view of the tuple's rows
-        anchors = [anchor for _, anchor in kept.values()] + [anchor for _, _, anchor, _ in guessed_tuples]
-        assert all(anchor.base is None for anchor in anchors)
+        # the kept anchors are one compact array that owns its data, not
+        # views of the tuples' rows; a guessed anchor is its own array or a
+        # row of one that holds only guessed anchors
+        assert swept.anchors.flags.owndata and swept.anchors.shape == (len(kept), l)
+        for _, _, anchor, _ in guessed_tuples:
+            owner = anchor if anchor.base is None else anchor.base
+            assert owner.flags.owndata and len(owner) <= len(guessed_tuples)
         assert peak < 3e6
+
+    def test_r3_solve_memory_stays_flat(self):
+        # planted DNA 6x24, L = 8, r = 3: 102,697 window tuples keep 1,595
+        # swept rows.  Deduplicating the swept tuples once, after the last
+        # block, took the peak to 10.2 MB; with the pile-up pass it is 4.8 MB
+        inst, _ = generate_planted("ACGT", 6, 24, 8, 1, 0)
+        tracemalloc.start()
+        try:
+            sol = solve_substring(inst, SubstringConfig(r=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sol.center.text, sol.radius, sol.guessed_tuples) == ("TGGCCAAA", 1, 0)
+        assert peak <= 6e6
+        # small blocks, pile-ups and bound chunks give the same solution
+        with mock.patch.object(closest_substring, "_TUPLE_CELLS", 1 << 10):
+            assert solve_substring(inst, SubstringConfig(r=3)) == sol
+
+
+def reference_plan(inst, cfg, size):
+    """_plan by a plain loop over enumerate_window_tuples, rows as bytes:
+    per mask group, groups in first-seen order, the (index, anchor, Q) of
+    the first swept tuple of each (Q, anchor on Q) pair; and the guessed
+    tuples as (index, picks, anchor, Q).  Raises _plan's BudgetExceeded
+    message at the first tuple over budget."""
+    k, l = inst.alphabet.size, inst.window
+    fits = 0  # the largest c with k^c <= y_budget
+    while k ** (fits + 1) <= cfg.y_budget:
+        fits += 1
+    limit = {"small_d": l, "sampling": size, "auto": fits}[cfg.mode]
+    groups, guessed = {}, []
+    for index, picks in enumerate(enumerate_window_tuples(inst, cfg.r)):
+        windows = picked_windows(inst, picks)
+        q, anchor = agreement_positions(windows), windows[0].arr
+        free = l - int(q.sum())
+        if free <= limit and free <= fits:
+            group = groups.setdefault(q.tobytes(), {})
+            group.setdefault(anchor[q].tobytes(), (index, anchor.tobytes(), q.tobytes()))
+        elif free > limit and size <= fits:
+            guessed.append((index, picks, anchor.tobytes(), q.tobytes()))
+        else:
+            work = f"|P|={free} needs {k}^{free} patches" if free <= limit else f"|R|={size} needs {k}^{size} guesses"
+            hint = ""
+            if cfg.mode != "small_d":
+                hint = "; " + closest_substring._budget_hint(inst, cfg.y_budget, cfg.epsilon)
+            raise BudgetExceeded(f"{work}, over budget {cfg.y_budget}{hint}")
+    return [list(group.values()) for group in groups.values()], guessed
 
 
 @st.composite
@@ -1099,3 +1149,32 @@ def test_modes_match_references(case):
         sol = solve_substring(inst, mode_cfg)
         assert sol.center == center
         assert sol.radius <= reference_sampled_solve(inst, mode_cfg)[1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(unequal_length_cases(), st.sampled_from(["small_d", "sampling", "auto"]), st.integers(0, 6), st.booleans())
+def test_plan_matches_a_per_tuple_loop(case, mode, size, small_blocks):
+    # the sample size is drawn, not derived from the instance, so that
+    # sampling guesses too; small blocks split a subset by anchor offset
+    # and deduplicate the swept tuples as they pile up
+    inst, r, y_budget, _ = case
+    cfg = SubstringConfig(r=r, y_budget=y_budget, mode=mode)
+    cells = 8 if small_blocks else closest_substring._TUPLE_CELLS
+    with mock.patch.object(closest_substring, "_TUPLE_CELLS", cells):
+        try:
+            groups, guessed = reference_plan(inst, cfg, size)
+        except BudgetExceeded as err:
+            with pytest.raises(BudgetExceeded) as raised:
+                closest_substring._plan(inst, cfg, size)
+            assert str(raised.value) == str(err)
+            return
+        swept, planned = closest_substring._plan(inst, cfg, size)
+    assert (swept.masks.dtype, swept.anchors.dtype) == (np.dtype(bool), np.dtype(np.uint8))
+    assert [
+        [(index, anchor.tobytes(), q.tobytes())
+         for index, anchor, q in zip(swept.indices[b:e].tolist(), swept.anchors[b:e], swept.masks[b:e])]
+        for b, e in zip(swept.edges, swept.edges[1:])
+    ] == groups
+    assert [(index, picks, anchor.tobytes(), q.tobytes()) for index, picks, anchor, q in planned] == guessed
+    # Python ints only: the seeds hash repr(picks), and numpy 2 reprs a scalar as np.int64(3)
+    assert all(type(v) is int for index, picks, _, _ in planned for v in (index, *itertools.chain(*picks)))
