@@ -1,8 +1,10 @@
 """Exponential-time exact solvers used as ground truth for the PTAS suite.
 
-Kept independent of the lp_round enumeration machinery on purpose: these
-certify the approximation algorithms, so they must not share a code path
-with them.
+Closest Substring and short whole strings are swept over every candidate
+center.  Past the sweep, whole strings get one integer program over their
+distinct columns, solved by scipy.optimize.milp, which is imported there
+only.  Kept independent of the lp_round machinery on purpose: these certify
+the approximation algorithms, so they must not share a code path with them.
 """
 
 from __future__ import annotations
@@ -36,96 +38,76 @@ def _chunk_digits(lo: int, hi: int, base: int, width: int) -> np.ndarray:
 
 
 def exact_closest_string(inst: StringInstance, budget: int = DEFAULT_EXACT_BUDGET) -> CenterSolution:
-    """True minimum-radius center; ties pick the lexicographically smallest.
+    """True minimum-radius center.
 
-    The instance picks the path, and both give that center: the plain
-    sweep over all |alphabet|^m candidates when they fit in `budget`, else
-    the prefix search of _bnb_center, which spends `budget` in pair cells.
+    The instance picks the path.  When the |alphabet|^m candidates fit in
+    `budget`, the plain sweep returns the lexicographically first optimum.
+    Past it, _program_center returns an optimum of the column-type integer
+    program; it is the lexicographically smallest only among centers with
+    its per-type symbol counts, so it may differ from the sweep's at the
+    same radius.  BudgetExceeded when the program is over `budget` or not
+    proven optimal within it: an unproven incumbent is never returned.
     """
     k, m = inst.alphabet.size, inst.m
     if k ** m <= budget:
         # one window per string: the substring sweep, in the same order
         whole = SubstringInstance(inst.alphabet, inst.matrix, m)
         center = exact_closest_substring(whole, budget).center
+        radius = cost_string(inst, center)
     else:
         try:
-            center = Seq(inst.alphabet, _bnb_center(inst.matrix, k, m, budget))
+            data, d = _program_center(inst.matrix, k, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"{k}^{m} candidates exceed budget {budget}; {exc}") from None
-    radius = cost_string(inst, center)
+        center = Seq(inst.alphabet, data)
+        radius = cost_string(inst, center)
+        assert radius == d, "the program's center misses its optimum"
     return CenterSolution(center, radius, (0,) * inst.n)
 
 
-def _bnb_center(mat: np.ndarray, k: int, m: int, budget: int) -> tuple[int, ...]:
-    """Depth-first search over prefixes, symbols in increasing order.
+def _program_center(mat: np.ndarray, k: int, budget: int) -> tuple[np.ndarray, int]:
+    """An optimal center and its radius from one integer program over the
+    distinct columns (Gramm, Niedermeier and Rossmanith, Algorithmica 37).
 
-    A loop with an explicit per-depth symbol counter rather than one call
-    per position, so m is not limited by the interpreter's recursion depth.
-    The bound starts at the best input string's cost + 1, above the
-    optimum, so the search prunes from the first descent on.  A prefix of
-    length t with mism_i mismatches to string i is bounded by the largest
-    ceil((mism_i + mism_j + d(s_i[t:], s_j[t:])) / 2) over pairs i, j: a
-    completion's distances to s_i and s_j sum to at least that numerator
-    (triangle inequality on the suffix), and i = j gives max mism_i.
-    `budget` counts pair cells in n x n blocks, m + 1 for the suffix table, then
-    one per prefix checked; BudgetExceeded at the first block past it, so an
-    oversized table is never built.
+    Equal columns are interchangeable, so a center needs only x[t, a]: how
+    many positions of column type t take symbol a, for each symbol present
+    in t (any other symbol mismatches every string there).  Minimize d
+    subject to sum_a x[t, a] = count_t and, per string i,
+    sum over a != type_t[i] of x[t, a] <= d.  Each type's positions, in
+    order, take its symbols in ascending order.  `budget` caps variables x
+    rows, refused before the matrix is built, and branch-and-bound nodes
+    at budget // (variables x rows); only a proven optimum is returned.
     """
-    n = len(mat)
-    left = budget // (n * n) - (m + 1)  # prefixes the budget allows past the table
-    if left < 0:
-        raise BudgetExceeded(f"the prefix search's {m + 1}x{n}x{n} suffix table exceeds budget {budget}")
-    best_radius = min(int((mat != row).sum(axis=1).max()) for row in mat) + 1
-    best: tuple[int, ...] | None = None
-    prefix = [0] * m
-    mism = np.zeros(n, dtype=np.int64)
-    # suffix[t][i, j] = d(s_i[t:], s_j[t:]), built once per call
-    suffix = np.zeros((m + 1, n, n), dtype=np.int32)
-    for t in range(m - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + (mat[:, None, t] != mat[None, :, t])
+    n, m = mat.shape
+    types, inverse, counts = np.unique(mat.T, axis=0, return_inverse=True, return_counts=True)
+    present = np.zeros((len(types), k), dtype=bool)
+    present[np.arange(len(types))[:, None], types] = True
+    var_type, var_symbol = np.nonzero(present)  # by type, symbols ascending
+    nvar, nrow = len(var_type) + 1, len(types) + n  # d is the last variable
+    if nvar * nrow > budget:
+        raise BudgetExceeded(
+            f"the column-type program's {nvar} variables x {nrow} rows exceed budget {budget}")
+    from scipy.optimize import milp
 
-    def expand(depth: int) -> bool:
-        """Check the node prefix[:depth]; True when its children are to be tried."""
-        nonlocal best_radius, best, left
-        left -= 1
-        if left < 0:
-            raise BudgetExceeded(f"the prefix search ran out of budget {budget} pair cells")
-        bound = (int((mism[:, None] + mism + suffix[depth]).max()) + 1) // 2
-        # no leaf below the node beats the bound, and leaves come in
-        # lexicographic order, so a later leaf of equal radius never wins;
-        # at a leaf the bound is the radius
-        if bound >= best_radius:
-            return False
-        if depth == m:
-            best_radius = bound
-            best = tuple(prefix)
-            return False
-        return True
-
-    # nxt[d]: the next symbol to try at position d of the open node
-    # prefix[:d]; added[d]: the mismatches position d's symbol added to mism.
-    # The open nodes are prefix[:0] .. prefix[:depth].
-    nxt = [0] * m
-    added: list[np.ndarray | None] = [None] * m
-    depth = 0 if expand(0) else -1
-    while depth >= 0:
-        if nxt[depth] == k:
-            # every child tried: close the node and undo the symbol that led to it
-            depth -= 1
-            if depth >= 0:
-                mism -= added[depth]
-            continue
-        prefix[depth] = nxt[depth]
-        nxt[depth] += 1
-        added[depth] = (mat[:, depth] != prefix[depth]).astype(np.int64)
-        mism += added[depth]
-        if expand(depth + 1):
-            depth += 1
-            nxt[depth] = 0
-        else:
-            mism -= added[depth]
-    assert best is not None
-    return best
+    # dense: the string rows miss most symbols, and the budget caps the cells
+    lhs = np.zeros((nrow, nvar))
+    lhs[var_type, np.arange(nvar - 1)] = 1
+    lhs[len(types):, :-1] = types[var_type].T != var_symbol
+    lhs[len(types):, -1] = -1
+    nodes = budget // (nvar * nrow)
+    res = milp(
+        np.r_[np.zeros(nvar - 1), 1], integrality=1,
+        constraints=(lhs, np.r_[counts, np.full(n, -np.inf)], np.r_[counts, np.zeros(n)]),
+        options={"mip_rel_gap": 0, "node_limit": nodes},
+    )
+    if res.status != 0:
+        raise BudgetExceeded(
+            f"the column-type program was not proven optimal within budget {budget} // "
+            f"({nvar} variables x {nrow} rows) = {nodes} branch-and-bound nodes")
+    x = np.rint(res.x).astype(np.int64)
+    center = np.empty(m, dtype=np.uint8)
+    center[np.argsort(inverse, kind="stable")] = np.repeat(var_symbol, x[:-1])
+    return center, int(x[-1])
 
 
 def exact_closest_substring(

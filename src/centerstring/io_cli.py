@@ -487,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("exact", help="exact oracle (exponential time)")
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
-                   help="the plain sweep's candidate cap; past it, whole strings get the "
-                        "prefix search, whose pair cells it caps too")
+                   help="the plain sweep's candidate cap; past it, whole strings get the column-type "
+                        "integer program, whose variables x rows and branch-and-bound nodes it caps")
     p.add_argument("--L", type=int, default=None,
                    help="window length (Closest Substring); without one, or at L = m, the strings are whole")
     _add_io_flags(p)
@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, string=True, substring=True,
                       out_help="also write the report as CSV here; the table still goes to stdout")
     p.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
-                   help="the oracle's candidate cap, and its pair-cell cap past it")
+                   help="the oracle's candidate cap, and past it its program's size and nodes, as for exact")
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--no-timing", action="store_true",
                    help="blank the ms column for byte-stable reports")

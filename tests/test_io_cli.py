@@ -247,7 +247,9 @@ class TestBench:
 
     def test_parallel_lp_solves_match_serial(self, monkeypatch):
         # planted DNA 12x200 sends most subsets through the LP, so the
-        # worker threads solve LPs side by side, each on its own HiGHS solver
+        # worker threads solve LPs side by side, each on its own HiGHS solver;
+        # past the 4^200 sweep the oracle's column-type programs certify
+        # every instance at the planted d = 20, in the threads as well
         suite = [(f"p{s}", planted_instance_file("ACGT", 12, 200, 200, 20, s)) for s in range(12)]
         lps = []
         solve_lp = lp_round.solve_lp
@@ -257,12 +259,13 @@ class TestBench:
             return solve_lp(p)
 
         monkeypatch.setattr(lp_round, "solve_lp", counted)
-        serial = run_bench(suite, ["string"], epsilon_prime=1.0, timing=False)
+        serial = run_bench(suite, ["exact", "string"], epsilon_prime=1.0, timing=False)
         reached = len(lps)
-        parallel = run_bench(suite, ["string"], epsilon_prime=1.0, timing=False, parallel=True)
+        parallel = run_bench(suite, ["exact", "string"], epsilon_prime=1.0, timing=False, parallel=True)
         assert serial.to_csv() == parallel.to_csv()
         assert reached > 100 and len(lps) == 2 * reached
-        assert all(row.status == "ok" for row in serial.rows)
+        assert all(row.status == "ok" and row.oracle == 20 for row in serial.rows)
+        assert serial.bounds_ok
 
     def test_error_rows_do_not_abort(self):
         bad = InstanceFile("01", ("0101", "1100"), None, None)  # unequal use below
@@ -340,20 +343,21 @@ class TestBench:
 
         for name in ("exact_closest_string", "exact_closest_substring"):
             monkeypatch.setattr(io_cli, name, counting(getattr(io_cli, name)))
+        # past the sweep: the 32 distinct 5-bit columns, each string eight
+        # times, give a 63 x 72 program, also over the budget
+        bits = tuple("".join(str(j >> i & 1) for j in range(32)) for i in range(5))
         suite = [
             ("sub", planted_instance_file("01", 3, 8, 5, 1, 2)),
             ("whole", InstanceFile("ACGT", ("ACGTAC", "ACGAAC", "TCGTAG"))),
-            # past the sweep, and 20 strings give the prefix search a
-            # 14 x 20 x 20 suffix table, also over the budget
-            ("over", InstanceFile("01", ("0" * 13, "1" * 13) * 10)),
+            ("over", InstanceFile("01", bits * 8)),
         ]
         report = run_bench(suite, ["exact", "substring"], timing=False, oracle_budget=1 << 12)
         assert calls == ["exact_closest_substring", "exact_closest_string", "exact_closest_string"]
         exact_rows = [row for row in report.rows if row.algo == "exact"]
         assert [row.radius for row in exact_rows] == [row.oracle for row in exact_rows]
         assert exact_rows[2].status == (
-            "error: 2^13 candidates exceed budget 4096; "
-            "the prefix search's 14x20x20 suffix table exceeds budget 4096"
+            "error: 2^32 candidates exceed budget 4096; "
+            "the column-type program's 63 variables x 72 rows exceed budget 4096"
         )
         assert exact_rows[2].oracle is None and report.rows[5].status == "ok"
 
@@ -465,7 +469,8 @@ class TestCli:
         assert result["center"] == "001" and result["radius"] == 2
 
     def test_exact_branch_and_bound_long_strings(self, tmp_path, capsys):
-        # 2^1200 candidates: past the sweep, the prefix search answers
+        # 2^1200 candidates: past the sweep, the column-type program answers;
+        # each column holds one symbol, so its center is the string
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"alphabet": "01", "strings": ["0" * 1200] * 2}))
         assert main(["exact", str(path)]) == 0
@@ -474,17 +479,16 @@ class TestCli:
 
     def test_exact_branch_and_bound_reads_whole_strings(self, tmp_path, capsys):
         # with L = m the strings are whole, so past the sweep's budget the
-        # prefix search runs on them; with a shorter L only the substring
-        # sweep applies, and it refuses
+        # column-type program runs on them; with a shorter L only the
+        # substring sweep applies, and it refuses
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"alphabet": "01", "strings": ["01" * 6, "10" * 6], "L": 12}))
         assert main(["exact", str(path), "--budget", "1024"]) == 0
-        result = json.loads(capsys.readouterr().out)
-        assert (result["center"], result["radius"]) == ("0" * 12, 6)
+        assert json.loads(capsys.readouterr().out)["radius"] == 6
         assert main(["exact", str(path), "--budget", "16"]) == 2
         assert capsys.readouterr().err == (
             "error: 2^12 candidates exceed budget 16; "
-            "the prefix search's 13x2x2 suffix table exceeds budget 16\n"
+            "the column-type program's 5 variables x 4 rows exceed budget 16\n"
         )
         strings = ["01" * 11, "10" * 11]
         path.write_text(json.dumps({"alphabet": "01", "strings": strings, "L": 21}))
@@ -492,7 +496,7 @@ class TestCli:
         assert capsys.readouterr().err == "error: 2^21 = 2097152 candidates exceed budget 1024\n"
 
     def test_exact_has_no_branch_and_bound_flag(self, tmp_path, capsys):
-        # the instance picks the sweep or the prefix search, so no flag does
+        # the instance picks the sweep or the column-type program, so no flag does
         path = tmp_path / "s.json"
         path.write_text('{"alphabet":"01","strings":["000","111"]}')
         with pytest.raises(SystemExit) as exc:
@@ -522,20 +526,22 @@ class TestCli:
     def test_exact_params_name_only_the_cap_that_applied(self, tmp_path, capsys):
         # one budget caps both paths, so params hold it whichever ran: the
         # sweep fits 2^3 candidates in 2^20 or 64; 2^12 candidates exceed
-        # 1024, and the prefix search fits in it with 152 pair cells
+        # 1024, and the column-type program fits in it with 5 x 4 cells.
+        # Past the sweep only the radius is checked: the program's center
+        # is one optimum, not the lexicographically first
         path = tmp_path / "s.json"
         short = {"alphabet": "01", "strings": ["000", "111"]}
         long = {"alphabet": "01", "strings": ["01" * 6, "10" * 6]}
-        for inst, extra, budget, answer in (
-            (short, [], 1 << 20, ("001", 2)),
-            (short, ["--budget", "64"], 64, ("001", 2)),
-            (long, ["--budget", "1024"], 1024, ("0" * 12, 6)),
+        for inst, extra, budget, center, radius in (
+            (short, [], 1 << 20, "001", 2),
+            (short, ["--budget", "64"], 64, "001", 2),
+            (long, ["--budget", "1024"], 1024, None, 6),
         ):
             path.write_text(json.dumps(inst))
             assert main(["exact", str(path), *extra]) == 0
             result = json.loads(capsys.readouterr().out)
             assert result["params"] == {"budget": budget}
-            assert (result["center"], result["radius"]) == answer
+            assert result["radius"] == radius and center in (None, result["center"])
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_solve_string_refuses_budget_below_one(self, budget, tmp_path, capsys):
@@ -630,9 +636,9 @@ class TestCli:
     def test_budget_help_names_what_it_caps(self, capsys):
         for command, text in (
             ("solve-string", "patch-sweep cap"),
-            ("bench", "oracle's candidate cap"),
-            ("exact", "the plain sweep's candidate cap; past it, whole strings get the prefix search, "
-                      "whose pair cells it caps too"),
+            ("bench", "oracle's candidate cap, and past it its program's size and nodes, as for exact"),
+            ("exact", "the plain sweep's candidate cap; past it, whole strings get the column-type "
+                      "integer program, whose variables x rows and branch-and-bound nodes it caps"),
         ):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
