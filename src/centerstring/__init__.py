@@ -1,8 +1,9 @@
 """Solvers for the Closest String and Closest Substring problems.
 
 Approximation pipelines (agreement-set decomposition, restricted LP with
-randomized/derandomized rounding, random position sampling) together with
-exponential-time exact oracles that certify the ratios at desk scale.
+derandomized rounding and its randomized fallback, random position
+sampling) together with exponential-time exact oracles that certify the
+ratios at desk scale.
 """
 
 from .core import (

@@ -12,6 +12,13 @@ is skipped: no restricted problem is built for it, and it gets no LP, no
 rounding and no patch sweep.  The bounds come from `subset_bounds`, the
 one place that computes them, in one array pass over all subsets in
 chunks of bounded size, ahead of the loop that reads them.
+
+A solved subset's LP is rounded by the one rule of
+`lp_round.solve_restricted`: derandomized rounding, with randomized
+rounding as its fallback, so no rounding error reaches this loop.  Only
+an LP that does not end optimal (NumericalFailure) can fail a subset,
+and that failure is deferred until the final radius shows whether the
+subset could have won.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from ._seeds import derive_seed
 from .core import CenterSolution, Seq, StringInstance
-from .errors import BudgetExceeded, DomainError, EstimatorAtLeastOne, NumericalFailure
+from .errors import DomainError, NumericalFailure
 from .lp_round import (
     DEFAULT_ENUM_BUDGET,
     RoundingConfig,
@@ -34,9 +41,6 @@ from .lp_round import (
 
 # cap on the cells of each array one subset_bounds chunk holds
 _BOUND_CELLS = 1 << 18
-
-# the rounding errors a subset can end in; see solve_closest_string
-_ROUNDING_FAILURES = (EstimatorAtLeastOne, BudgetExceeded, NumericalFailure)
 
 
 @dataclass(frozen=True)
@@ -133,12 +137,10 @@ def solve_closest_string(
     A subset gets no restricted solve when its lower bound from
     `subset_bounds` is strictly above the best radius reached so far,
     which starts at the best input's cost: its candidate could not be the
-    first minimum.  A subset whose restricted solve fails (under
-    mode="derandomized", EstimatorAtLeastOne or a BudgetExceeded of its
-    tail table; NumericalFailure from the LP) fails the solve only when
-    its lower bound is at most the radius found, so that a subset that
-    could not win raises nothing whether or not it was skipped; of
-    several such subsets the first raises.
+    first minimum.  A subset whose LP fails (NumericalFailure) fails the
+    solve only when its lower bound is at most the radius found, so that a
+    subset that could not win raises nothing whether or not it was
+    skipped; of several such subsets the first raises.
     """
     r = min(cfg.r, inst.n)
     whole = _masked_distances(inst.matrix, np.ones((1, inst.m), dtype=bool))[0]
@@ -155,7 +157,7 @@ def solve_closest_string(
             seed = derive_seed(cfg.rounding.rng_seed, "subset", tuple(subset))
             try:
                 center, cost = solve_restricted(p, replace(cfg.rounding, rng_seed=seed), cfg.enum_budget)
-            except _ROUNDING_FAILURES as exc:
+            except NumericalFailure as exc:
                 failed.append((bound, exc))
                 continue
             if cost < radius:

@@ -9,11 +9,12 @@ patch-sweep kernel shared with the Closest String solver) when |P| is at
 most the mode's sweep limit: L for small_d, |R| for sampling, and the
 largest c with k^c <= y_budget for auto.  Otherwise every guess y on R
 selects one window per input string by a scaled proxy score, and the
-selected windows go to the restricted LP machinery.  The candidate of
-smallest (radius, enumeration index) wins, whatever order the candidates
-are scored in.  The solution counts the guessed tuples
-(`CenterSolution.guessed_tuples`), so it says itself which ratio holds:
-the small_d one when none was guessed, the sampling one else.
+selected windows go to the restricted LP machinery, whose one rounding
+rule is derandomized rounding with randomized rounding as its fallback.
+The candidate of smallest (radius, enumeration index) wins, whatever
+order the candidates are scored in.  The solution counts the guessed
+tuples (`CenterSolution.guessed_tuples`), so it says itself which ratio
+holds: the small_d one when none was guessed, the sampling one else.
 
 Both run on the tuple's anchor row and boolean agreement mask Q, and a
 candidate is a (radius, center row) pair.  A repeated candidate can never
@@ -69,12 +70,12 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 @dataclass(frozen=True)
 class SubstringConfig:
     """Knobs of the substring solvers.  The LP stage of a guessed tuple
-    rounds in rounding_mode with `trials` attempts, at epsilon' = epsilon
-    and with seeds derived from rng_seed."""
+    rounds by `lp_round.solve_restricted`'s one rule at epsilon' = epsilon;
+    its randomized fallback makes `trials` attempts, with seeds derived
+    from rng_seed."""
 
     r: int = 2
     epsilon: float = 1.0
-    rounding_mode: str = "auto"
     trials: int = 32
     y_budget: int = 1 << 16
     mode: str = "auto"
@@ -85,7 +86,7 @@ class SubstringConfig:
             raise DomainError("subset size r must be >= 2")
         if not 0.0 < self.epsilon <= 1.0:
             raise DomainError("epsilon must be in (0, 1]")
-        RoundingConfig(mode=self.rounding_mode, trials=self.trials)  # raises with its messages
+        RoundingConfig(trials=self.trials)  # raises with its message
         if self.y_budget < 1:
             raise DomainError("y_budget must be >= 1")
         if self.mode not in _SUBSTRING_MODES:
@@ -389,8 +390,7 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     Swept anchors and guessed tuples whose Q-cost bound already loses to
     the best (radius, index) so far are skipped (see the module
     docstring), with no sweep for a mask that has no anchor left; the
-    output is unchanged, but a skipped guessed tuple runs no LP, so under
-    rounding_mode="derandomized" it can no longer raise.
+    output is unchanged, and a skipped guessed tuple runs no LP.
     """
     size = _sample_size_of(inst, cfg.epsilon)
     swept, guessed = _plan(inst, cfg, size)
@@ -423,7 +423,7 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
             best = (radius, int(indices[a]), centers[a])
 
     # the LP stage must stay within error epsilon*|P| overall
-    rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
+    rounding = RoundingConfig(trials=cfg.trials, epsilon_prime=cfg.epsilon)
     for index, picks, anchor, on_q in guessed:
         # the same skip: no benchmark workload guesses, but on three copies
         # of 01x9 at L = 17 all six guessed tuples go, and 0.68 s becomes 1 ms

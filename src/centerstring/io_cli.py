@@ -43,7 +43,7 @@ from .closest_substring import SubstringConfig, solve_substring
 from .core import Alphabet, CenterSolution, Seq, StringInstance, SubstringInstance
 from .errors import CenterStringError, DomainError
 from .exact import DEFAULT_EXACT_BUDGET, exact_closest_string, exact_closest_substring
-from .lp_round import _ROUNDING_MODES, RoundingConfig
+from .lp_round import RoundingConfig
 
 ALGOS = ("exact", "string", "substring")
 
@@ -301,7 +301,7 @@ def _bench_algos(
         raise DomainError(f"no algorithm given; choose from {','.join(ALGOS)}")
 
     def string() -> Callable[[InstanceFile], CenterSolution]:
-        rounding = RoundingConfig(mode="auto", trials=trials, epsilon_prime=epsilon_prime, rng_seed=seed)
+        rounding = RoundingConfig(trials=trials, epsilon_prime=epsilon_prime, rng_seed=seed)
         cfg = ClosestStringConfig(r=r, rounding=rounding)
         return lambda f: solve_closest_string(f.as_string_instance(), cfg)
 
@@ -471,14 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, string=True, substring=False)
     p.add_argument("--budget", type=int, default=ClosestStringConfig.enum_budget,
                    help="patch-sweep cap of a restricted solve")
-    p.add_argument("--mode", choices=_ROUNDING_MODES, default=RoundingConfig.mode,
-                   help="rounding mode")
 
     p = subs.add_parser("solve-substring", help="approximate Closest Substring")
     p.add_argument("file")
     _add_common_flags(p, string=False, substring=True)
     p.add_argument("--L", type=int, default=None, help="window length (required for FASTA)")
-    p.add_argument("--rounding-mode", choices=_ROUNDING_MODES, default=SubstringConfig.rounding_mode)
     p.add_argument("--y-budget", type=int, default=SubstringConfig.y_budget,
                    help="cap per window tuple on the patches swept or the center "
                         "guesses made; a tuple whose patches fit it is swept, any "
@@ -559,26 +556,25 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     f = _load(args)
     if args.command == "solve-string":
-        rounding = RoundingConfig(mode=args.mode, trials=args.trials,
-                                  epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
+        rounding = RoundingConfig(trials=args.trials, epsilon_prime=args.epsilon_prime, rng_seed=args.seed)
         cfg = ClosestStringConfig(r=args.r, rounding=rounding, enum_budget=args.budget)
         inst = f.as_string_instance()
         sol = solve_closest_string(inst, cfg)
         # the solver clamps r to n, so epsilon is the ratio term of the r that ran
         algo, params = "string", {
             "r": args.r, "epsilon_prime": args.epsilon_prime,
-            "epsilon": min(args.r, inst.n) * args.epsilon_prime, "mode": args.mode,
+            "epsilon": min(args.r, inst.n) * args.epsilon_prime,
             "trials": args.trials, "budget": cfg.enum_budget, "seed": args.seed,
         }
     elif args.command == "solve-substring":
         if f.window is None:
             raise DomainError("window length missing: provide --L or a JSON 'L' field")
         # the LP stage runs at epsilon' = epsilon, so no --epsilon-prime here
-        cfg = SubstringConfig(r=args.r, epsilon=args.epsilon, rounding_mode=args.rounding_mode,
-                              trials=args.trials, y_budget=args.y_budget, rng_seed=args.seed)
+        cfg = SubstringConfig(r=args.r, epsilon=args.epsilon, trials=args.trials,
+                              y_budget=args.y_budget, rng_seed=args.seed)
         sol = solve_substring(f.as_substring_instance(), cfg)
         algo, params = "substring", {
-            "r": args.r, "epsilon": args.epsilon, "rounding_mode": args.rounding_mode,
+            "r": args.r, "epsilon": args.epsilon,
             "trials": args.trials, "y_budget": args.y_budget, "seed": args.seed,
         }
     else:  # exact

@@ -2,8 +2,10 @@
 
 Given an anchor row fixed on an agreement set Q, the remaining free
 positions P are optimized either exhaustively (small P) or through the
-fractional LP followed by randomized rounding or derandomization by
-conditional expectations with exact Poisson-binomial tail probabilities.
+fractional LP and one rounding rule: derandomization by conditional
+expectations with exact Poisson-binomial tail probabilities, falling back
+to the best of several randomized roundings where that derandomization
+certifies nothing or its table is over its cap (see `solve_restricted`).
 
 A `RestrictedProblem` holds read-only arrays built once: the strings on P
 and their costs on Q, which every layer (LP, rounding, sweep) reads.
@@ -38,21 +40,17 @@ _SWEEP_CELLS = 1 << 20
 # cap on the cells of round_derandomized's tail table: 1 GiB of float64
 _TAIL_CELLS = 1 << 27
 
-_ROUNDING_MODES = ("randomized", "derandomized", "auto")
-
 
 @dataclass(frozen=True)
 class RoundingConfig:
-    """Knobs for the rounding stage of the restricted solve."""
+    """Knobs for the rounding stage of the restricted solve: the accuracy
+    epsilon_prime, and the trials and seed of the randomized fallback."""
 
-    mode: str = "auto"
     trials: int = 32
     epsilon_prime: float = 0.5
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in _ROUNDING_MODES:
-            raise DomainError(f"mode must be one of {_ROUNDING_MODES}")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if not 0.0 < self.epsilon_prime <= 1.0:
@@ -521,12 +519,12 @@ def solve_restricted(
 
     Dispatch: below the enumeration threshold the patch is found exactly,
     unless its k^|P| patches exceed enum_budget; otherwise the LP is solved
-    and rounded per cfg.mode (auto attempts the derandomized rounding and
-    falls back to randomized when the estimator starts at >= 1 or the
-    tail table exceeds its cap).  Under mode="derandomized" either case
-    raises: EstimatorAtLeastOne or BudgetExceeded.  The whole-string
-    solver passes its ClosestStringConfig.enum_budget, checked to be >= 1
-    when that config was built; a guessed substring tuple keeps the default.
+    and rounded by the one rounding rule: derandomized rounding, falling
+    back to the best of cfg.trials randomized roundings when the failure
+    estimator starts at >= 1 or the tail table exceeds _TAIL_CELLS.  The
+    whole-string solver passes its ClosestStringConfig.enum_budget, checked
+    to be >= 1 when that config was built; a guessed substring tuple keeps
+    the default.
     """
     np_ = len(p.P)
     small = np_ < enumeration_threshold(p.inst.n, cfg.epsilon_prime)
@@ -534,16 +532,15 @@ def solve_restricted(
         patch = enumerate_small_P(p, budget=enum_budget)
     else:
         frac = solve_lp(p)
-        if cfg.mode == "randomized":
-            patch = round_randomized(frac, cfg)
-        elif cfg.mode == "derandomized":
+        try:
             patch = round_derandomized(frac, cfg.epsilon_prime)
-        else:
-            try:
-                patch = round_derandomized(frac, cfg.epsilon_prime)
-            except (EstimatorAtLeastOne, BudgetExceeded):
-                patch = round_randomized(frac, cfg)
+        except (EstimatorAtLeastOne, BudgetExceeded):
+            # At |P| >= 4 ln(n) / eps'^2, the paper's threshold, Hoeffding
+            # bounds the starting estimator by n * exp(-2 eps'^2 |P|) < 1
+            # (at most n^-7 for n >= 2).  So the estimator fallback fires
+            # only for an LP run below that threshold because k^|P| >
+            # enum_budget, and the table fallback only past _TAIL_CELLS.
+            patch = round_randomized(frac, cfg)
     row = p.anchor.copy()
     row[p.P] = patch
     return row, int((p.fixed + (p.rows != patch).sum(axis=1)).max())
-

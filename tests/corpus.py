@@ -3,17 +3,15 @@
 Three groups of seeded cases, each with its id:
 - `string-*`: whole-string solves at enum_budget 1, so every subset with a
   free position takes the LP path; random and planted, k 2-4, r 2-3,
-  epsilon' 0.1-1, all three rounding modes;
+  epsilon' 0.1-1;
 - `tight-*`: the same at r = 2 on random binary instances of 6-10
   strings at epsilon' 0.1 or 0.2, where the derandomized estimator often
-  starts at >= 1, so derandomized solves end in EstimatorAtLeastOne and
-  auto ones fall back to randomized rounding;
+  starts at >= 1 and the rounding falls back to randomized rounding;
 - `guessed-*`: binary pairs of a string and its complement, m 15 or 16,
   L = 15, at y_budget 2^14, where the tuples of two opposite windows are
   guessed on a 14-position sample and reach the restricted LP;
 - `substring-*`: random substring solves with unequal lengths, k 2-4,
-  r 2-3, y_budget 2^3-2^16 and all three rounding modes, some of them
-  refused with BudgetExceeded.
+  r 2-3 and y_budget 2^3-2^16, some of them refused with BudgetExceeded.
 
 A case's digest hashes (center, radius, witnesses, guessed_tuples), or
 (error class, message) when the solve raises, so each id names the case
@@ -51,7 +49,6 @@ from centerstring.errors import CenterStringError
 
 DIGESTS = Path(__file__).with_name("corpus_digests.json")
 ALPHABETS = ("01", "012", "ACGT")
-MODES = ("randomized", "derandomized", "auto")
 EPSILONS = (0.1, 0.2, 0.3, 0.5, 0.75, 1.0)
 
 
@@ -60,7 +57,6 @@ def _string_cases() -> Iterator[tuple[str, Callable]]:
     for i in range(360):
         alphabet = ALPHABETS[i % 3]
         k = len(alphabet)
-        mode = MODES[i // 3 % 3]
         planted = i % 2 == 1
         n, m = int(rng.integers(3, 7)), int(rng.integers(6, 41))
         r = int(rng.integers(2, 4))
@@ -74,8 +70,8 @@ def _string_cases() -> Iterator[tuple[str, Callable]]:
         else:
             inst = StringInstance(Alphabet.of(alphabet), rng.integers(0, k, (n, m)))
             kind = "random"
-        cfg = ClosestStringConfig(r, RoundingConfig(mode, epsilon_prime=eps, rng_seed=seed), enum_budget=1)
-        yield (f"string-{i:03d}-{kind}-k{k}-n{n}-m{m}-r{r}-e{eps}-{mode}",
+        cfg = ClosestStringConfig(r, RoundingConfig(epsilon_prime=eps, rng_seed=seed), enum_budget=1)
+        yield (f"string-{i:03d}-{kind}-k{k}-n{n}-m{m}-r{r}-e{eps}",
                lambda inst=inst, cfg=cfg: solve_closest_string(inst, cfg))
 
 
@@ -83,13 +79,12 @@ def _tight_cases() -> Iterator[tuple[str, Callable]]:
     rng = np.random.default_rng(2030)
     binary = Alphabet.of("01")
     for i in range(36):
-        mode = MODES[i % 3]
         n, m = int(rng.integers(6, 11)), int(rng.integers(10, 31))
         eps = (0.1, 0.2)[i // 3 % 2]
         inst = StringInstance(binary, rng.integers(0, 2, (n, m)))
         seed = int(rng.integers(1 << 31))
-        cfg = ClosestStringConfig(2, RoundingConfig(mode, epsilon_prime=eps, rng_seed=seed), enum_budget=1)
-        yield (f"tight-{i:03d}-n{n}-m{m}-e{eps}-{mode}",
+        cfg = ClosestStringConfig(2, RoundingConfig(epsilon_prime=eps, rng_seed=seed), enum_budget=1)
+        yield (f"tight-{i:03d}-n{n}-m{m}-e{eps}",
                lambda inst=inst, cfg=cfg: solve_closest_string(inst, cfg))
 
 
@@ -98,11 +93,10 @@ def _guessed_cases() -> Iterator[tuple[str, Callable]]:
     binary = Alphabet.of("01")
     for i in range(48):
         m = 15 + i % 2
-        mode = MODES[i // 2 % 3]
         s = rng.integers(0, 2, m)
         inst = SubstringInstance(binary, (s, 1 - s), 15)
-        cfg = SubstringConfig(rounding_mode=mode, y_budget=1 << 14, rng_seed=int(rng.integers(1 << 31)))
-        yield f"guessed-{i:03d}-m{m}-{mode}", lambda inst=inst, cfg=cfg: solve_substring(inst, cfg)
+        cfg = SubstringConfig(y_budget=1 << 14, rng_seed=int(rng.integers(1 << 31)))
+        yield f"guessed-{i:03d}-m{m}", lambda inst=inst, cfg=cfg: solve_substring(inst, cfg)
 
 
 def _substring_cases() -> Iterator[tuple[str, Callable]]:
@@ -110,7 +104,6 @@ def _substring_cases() -> Iterator[tuple[str, Callable]]:
     for i in range(240):
         alphabet = ALPHABETS[i % 3]
         k = len(alphabet)
-        mode = MODES[i // 3 % 3]
         n, window = int(rng.integers(2, 5)), int(rng.integers(2, 8))
         lengths = rng.integers(window, window + 5, n)
         strings = tuple(rng.integers(0, k, int(size)) for size in lengths)
@@ -118,10 +111,10 @@ def _substring_cases() -> Iterator[tuple[str, Callable]]:
         budget = 1 << int(rng.integers(3, 17))
         cfg = SubstringConfig(
             r=int(rng.integers(2, 4)), epsilon=EPSILONS[int(rng.integers(len(EPSILONS)))],
-            rounding_mode=mode, y_budget=budget, rng_seed=int(rng.integers(1 << 31)),
+            y_budget=budget, rng_seed=int(rng.integers(1 << 31)),
         )
         shape = "x".join(map(str, lengths.tolist()))
-        yield (f"substring-{i:03d}-k{k}-{shape}-L{window}-r{cfg.r}-e{cfg.epsilon}-b{budget}-{mode}",
+        yield (f"substring-{i:03d}-k{k}-{shape}-L{window}-r{cfg.r}-e{cfg.epsilon}-b{budget}",
                lambda inst=inst, cfg=cfg: solve_substring(inst, cfg))
 
 

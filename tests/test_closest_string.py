@@ -33,7 +33,7 @@ from centerstring import (
 from centerstring import closest_string, lp_round
 from centerstring.closest_string import subset_bounds
 from centerstring._seeds import derive_seed
-from centerstring.errors import BudgetExceeded, DomainError, EstimatorAtLeastOne, NumericalFailure
+from centerstring.errors import BudgetExceeded, DomainError, NumericalFailure
 from centerstring.lp_round import DEFAULT_ENUM_BUDGET
 from test_lp_round import pair_bound, tail_cells
 
@@ -370,10 +370,7 @@ class TestSolveClosestString:
 
 class TestSubsetSkip:
     CONFIGS = [
-        RoundingConfig(mode=mode, epsilon_prime=eps, rng_seed=seed)
-        for seed, (mode, eps) in enumerate(
-            itertools.product(("randomized", "derandomized", "auto"), (0.5, 1.0))
-        )
+        RoundingConfig(epsilon_prime=eps, rng_seed=seed) for seed, eps in enumerate((0.5, 1.0) * 3)
     ]
 
     def test_matches_unpruned_reference(self, monkeypatch):
@@ -413,41 +410,6 @@ class TestSubsetSkip:
         assert len(calls) == math.comb(inst.n, 2)
         assert sol.radius == 6
 
-    def test_derandomized_failure_of_losing_subset_is_not_raised(self):
-        # budget 1 sends every subset to the LP; at eps' = 0.1 the estimator
-        # of some subsets starts above 1, but none of them could win (found
-        # by a seeded search over random binary 5x5..7; it holds with HiGHS
-        # presolve on or off, so it does not hang on one LP vertex)
-        inst = binst("10000", "10100", "00110", "01010", "10010")
-        cfg = ClosestStringConfig(
-            r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1), enum_budget=1
-        )
-        failing = []
-        for sub in itertools.combinations(range(inst.n), 2):
-            rounding = replace(cfg.rounding, rng_seed=derive_seed(0, "subset", sub))
-            p = build_restricted(inst, inst.matrix[sub[0]], agreement_mask(inst, sub))
-            try:
-                solve_restricted(p, rounding, enum_budget=1)
-            except EstimatorAtLeastOne:
-                failing.append(pair_bound(p))
-        sol = solve_closest_string(inst, cfg)
-        assert sol.radius == cost_string(inst, sol.center) == 2
-        assert failing and min(failing) > sol.radius
-
-    def test_derandomized_failure_of_possible_winner_is_raised(self):
-        # here a failing subset's bound is at most the radius of the other
-        # candidates, so it might have won: the solve raises, with the
-        # error of the unpruned reference
-        inst = binst("0001111", "0000010", "0001100", "0110100")
-        cfg = ClosestStringConfig(
-            r=2, rounding=RoundingConfig(mode="derandomized", epsilon_prime=0.1), enum_budget=1
-        )
-        with pytest.raises(EstimatorAtLeastOne) as exc:
-            solve_closest_string(inst, cfg)
-        with pytest.raises(EstimatorAtLeastOne) as expected:
-            reference_solve_closest_string(inst, cfg, enum_budget=1)
-        assert str(exc.value) == str(expected.value)
-
     def test_lp_failure_of_losing_subset_is_not_raised(self, monkeypatch):
         # budget 1 sends every subset to the LP; the final radius is 2 and
         # two subsets with bound 3 are solved before it is reached, so
@@ -460,16 +422,19 @@ class TestSubsetSkip:
         assert sol.center == expected.center and sol.radius == expected.radius == 2
         assert reached == [2, 3, 3, 2, 2, 2]
 
-    def test_tail_table_refusal_waits_for_the_radius(self, monkeypatch):
-        # budget 1 sends every subset to the LP.  Under a cap just below
-        # the largest tail table only that subset's rounding is refused;
-        # its bound lies above the radius found, so the solve is unchanged.
-        # Under a cap below a table whose subset could win, the solve raises
+    def test_tail_table_refusal_falls_back_to_randomized(self, monkeypatch):
+        # budget 1 sends every subset to the LP.  A tail table over the cap
+        # is refused and that subset's LP is rounded at random instead, so
+        # no cap fails the solve.  Under a cap just below the largest table
+        # only that subset falls back; its bound lies above the radius
+        # found, so the solve is unchanged.  Under a cap below every table
+        # each subset with a live string falls back, and the solve is the
+        # unpruned reference's under the same cap
         inst = binst("0100110", "1010010", "1011011", "0111111")
-        cfg = ClosestStringConfig(rounding=RoundingConfig(mode="derandomized"), enum_budget=1)
+        cfg = ClosestStringConfig(enum_budget=1)
         expected = solve_closest_string(inst, cfg)
         tables, refused = [], []
-        round_derandomized = lp_round.round_derandomized
+        round_derandomized, round_randomized = lp_round.round_derandomized, lp_round.round_randomized
 
         def recorded(frac, eps):
             tables.append((pair_bound(frac.problem), tail_cells(frac, eps)))
@@ -479,20 +444,28 @@ class TestSubsetSkip:
                 refused.append(tables[-1])
                 raise
 
+        def fallback(frac, rounding):
+            fallbacks.append(pair_bound(frac.problem))
+            return round_randomized(frac, rounding)
+
+        fallbacks = []
         monkeypatch.setattr(lp_round, "round_derandomized", recorded)
-        assert solve_closest_string(inst, cfg) == expected and not refused
+        monkeypatch.setattr(lp_round, "round_randomized", fallback)
+        assert solve_closest_string(inst, cfg) == expected and not refused and not fallbacks
         cells = sorted(c for _, c in tables)
         loser = next(t for t in tables if t[1] == cells[-1])
         assert cells[-2] < cells[-1] and loser[0] > expected.radius
         monkeypatch.setattr(lp_round, "_TAIL_CELLS", cells[-1] - 1)
         assert solve_closest_string(inst, cfg) == expected
-        assert refused == [loser]
+        assert refused == [loser] and fallbacks == [loser[0]]
 
-        winner = max(c for bound, c in tables if bound <= expected.radius)
-        assert winner > 0
-        monkeypatch.setattr(lp_round, "_TAIL_CELLS", winner - 1)
-        with pytest.raises(BudgetExceeded, match=f"^derandomized tail table of {winner} cells"):
-            solve_closest_string(inst, cfg)
+        # a refused subset that could have won no longer fails the solve
+        refused.clear()
+        monkeypatch.setattr(lp_round, "_TAIL_CELLS", 0)
+        sol = solve_closest_string(inst, cfg)
+        assert any(bound <= sol.radius for bound, _ in refused)
+        assert sol == reference_solve_closest_string(inst, cfg, enum_budget=1)
+        assert sol.radius == cost_string(inst, sol.center)
 
     @pytest.mark.parametrize("failing", [(5,), (0, 3, 5)])
     def test_lp_failure_of_possible_winner_is_raised(self, monkeypatch, failing):

@@ -104,11 +104,12 @@ class TestSampleSize:
 
 class TestSubstringConfig:
     def test_rounding_fields_validated_at_construction(self):
-        with pytest.raises(DomainError, match="mode must be one of"):
-            SubstringConfig(rounding_mode="exact")
         with pytest.raises(DomainError, match="trials must be >= 1"):
             SubstringConfig(trials=0)
-        SubstringConfig(rounding_mode="derandomized", trials=1)  # no raise
+        SubstringConfig(trials=1)  # no raise
+        # the LP stage rounds by the one rule: no field chooses a rounding
+        with pytest.raises(TypeError, match="rounding_mode"):
+            SubstringConfig(rounding_mode="auto")
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"r": 1}, "subset size r must be >= 2"),
@@ -466,7 +467,7 @@ def reference_guessed_centers(inst, cfg, picks):
     once per guess."""
     k = inst.alphabet.size
     size = sample_size(cfg.epsilon, inst.n, max(len(s) for s in inst.strings))
-    rounding = RoundingConfig(cfg.rounding_mode, cfg.trials, epsilon_prime=cfg.epsilon)
+    rounding = RoundingConfig(trials=cfg.trials, epsilon_prime=cfg.epsilon)
     windows = picked_windows(inst, picks)
     q = agreement_positions(windows)
     p = np.flatnonzero(~q)

@@ -6,18 +6,18 @@ and `auto-01-40` were re-recorded when the sampling solver began sweeping
 the tuples its sample covers (same radius, another center), and
 `string_lp-012-15` when the whole-string solver began taking the first
 candidate of minimum radius in enumeration order (same radius, another
-center).  The cases cover the whole-string sweep and LP paths (every
-rounding mode) and the substring `small_d`, `sampling` and `auto` paths,
-over alphabets of size 2, 3 and 4 and substring inputs of unequal length.
+center).  The cases cover the whole-string sweep and LP paths and the
+substring `small_d`, `sampling` and `auto` paths, over alphabets of size
+2, 3 and 4 and substring inputs of unequal length.
 `sampling-01-41` and `sampling-01-42`, appended later and recorded on the
 code before the restricted problem became arrays, `sampling-01-43` and
 `sampling-01-44`, recorded on the code before guesses were scored in
 blocks, and `sampling-012-45`, `auto-012-46`, `sampling-01-47` and
 `auto-01-48`, recorded on the code before instances became arrays, are
 the only cases whose window tuples are guessed, so they alone pin window
-selection and the LP stage of a guessed tuple.  Between them they round
-in all three modes (`derandomized` in 45-47), cover k = 2 and k = 3,
-and reach the guessed path of `auto` through a small y_budget (46, 48).
+selection and the LP stage of a guessed tuple.  Between them they cover
+k = 2 and k = 3, and reach the guessed path of `auto` through a small
+y_budget (46, 48).
 Cases 43, 44, 47 and 48 give 4 or 5 distinct window selections, so they
 also pin the order in which the selections are solved.  A refactor that
 keeps results must keep these bytes.
@@ -28,6 +28,12 @@ the restricted LP began running HiGHS without presolve: HiGHS returned
 another optimal vertex, which rounds to another center of the same radius
 and witnesses.  The LP-path cases hang on HiGHS's vertex choice, so a
 scipy release that changes it can move them too.
+
+`sampling-01-42` was re-recorded when rounding became one rule
+(derandomized, falling back to randomized): it had been recorded under
+randomized rounding, and moved to another center of the same radius.  The
+spec rows that then differed only in their rounding mode are kept, so
+every case keeps its seeds and id.
 
 Run `python tests/test_golden_outputs.py` to rebuild the file from the
 current code; do that only for a change meant to alter solver output.
@@ -65,7 +71,6 @@ def _solve(case):
     cfg = case["config"]
     if case["solver"] == "string":
         rounding = RoundingConfig(
-            mode=cfg["rounding_mode"],
             trials=cfg["trials"],
             epsilon_prime=cfg["epsilon_prime"],
             rng_seed=cfg["seed"],
@@ -74,8 +79,7 @@ def _solve(case):
         return solve_closest_string(inst, ClosestStringConfig(r=cfg["r"], rounding=rounding))
     inst = SubstringInstance.from_texts(alpha, case["strings"], case["L"])
     sub_cfg = SubstringConfig(
-        r=cfg["r"], epsilon=cfg["epsilon"], rounding_mode=cfg["rounding_mode"],
-        trials=cfg["trials"], mode=cfg["mode"], rng_seed=cfg["seed"],
+        r=cfg["r"], epsilon=cfg["epsilon"], trials=cfg["trials"], mode=cfg["mode"], rng_seed=cfg["seed"],
         y_budget=cfg.get("y_budget", SubstringConfig.y_budget),
     )
     solver = {
@@ -170,34 +174,34 @@ def _shifted_pair(rng, alphabet, lengths):
 
 def _build_cases():
     specs = []
-    # (path, alphabet, n, m, L, d, r, mode, rounding mode, eps', eps, count)
+    # (path, alphabet, n, m, L, d, r, mode, eps', eps, count)
     string_specs = [
-        ("string_sweep", "01", 4, 14, None, 3, 2, "", "auto", 0.5, 1.0, 4),
-        ("string_sweep", "01", 5, 12, None, 2, 3, "", "auto", 0.5, 1.0, 2),
-        ("string_sweep", "012", 4, 10, None, 2, 2, "", "auto", 0.5, 1.0, 2),
-        ("string_sweep", "ACGT", 4, 8, None, 2, 2, "", "auto", 0.5, 1.0, 2),
-        ("string_lp", "ACGT", 6, 30, None, 5, 2, "", "auto", 1.0, 1.0, 2),
-        ("string_lp", "ACGT", 6, 30, None, 5, 2, "", "derandomized", 1.0, 1.0, 1),
-        ("string_lp", "01", 6, 30, None, 5, 2, "", "randomized", 1.0, 1.0, 2),
-        ("string_lp", "012", 5, 24, None, 4, 2, "", "auto", 1.0, 1.0, 1),
+        ("string_sweep", "01", 4, 14, None, 3, 2, "", 0.5, 1.0, 4),
+        ("string_sweep", "01", 5, 12, None, 2, 3, "", 0.5, 1.0, 2),
+        ("string_sweep", "012", 4, 10, None, 2, 2, "", 0.5, 1.0, 2),
+        ("string_sweep", "ACGT", 4, 8, None, 2, 2, "", 0.5, 1.0, 2),
+        ("string_lp", "ACGT", 6, 30, None, 5, 2, "", 1.0, 1.0, 2),
+        ("string_lp", "ACGT", 6, 30, None, 5, 2, "", 1.0, 1.0, 1),
+        ("string_lp", "01", 6, 30, None, 5, 2, "", 1.0, 1.0, 2),
+        ("string_lp", "012", 5, 24, None, 4, 2, "", 1.0, 1.0, 1),
     ]
     substring_specs = [
-        ("small_d", "01", 3, (8, 9, 7), 5, 1, 2, "small_d", "auto", 0.5, 1.0, 4),
-        ("small_d", "012", 3, (7, 8, 6), 4, 1, 2, "small_d", "auto", 0.5, 1.0, 3),
-        ("small_d", "ACGT", 4, (9, 7, 8, 10), 5, 1, 2, "small_d", "auto", 0.5, 1.0, 3),
-        ("small_d", "01", 4, (7, 8, 7, 9), 5, 2, 3, "small_d", "auto", 0.5, 1.0, 2),
-        ("sampling", "01", 3, (7, 8, 7), 5, 1, 2, "sampling", "auto", 0.5, 1.0, 4),
-        ("sampling", "012", 3, (6, 7, 6), 4, 1, 2, "sampling", "randomized", 0.5, 1.0, 2),
-        ("auto", "01", 3, (8, 7, 9), 5, 0, 2, "auto", "auto", 0.5, 1.0, 2),
-        ("auto", "ACGT", 3, (8, 9, 8), 5, 2, 2, "auto", "auto", 0.5, 1.0, 2),
-        ("auto", "01", 2, (6, 6), 6, 3, 2, "auto", "auto", 0.5, 1.0, 3),
+        ("small_d", "01", 3, (8, 9, 7), 5, 1, 2, "small_d", 0.5, 1.0, 4),
+        ("small_d", "012", 3, (7, 8, 6), 4, 1, 2, "small_d", 0.5, 1.0, 3),
+        ("small_d", "ACGT", 4, (9, 7, 8, 10), 5, 1, 2, "small_d", 0.5, 1.0, 3),
+        ("small_d", "01", 4, (7, 8, 7, 9), 5, 2, 3, "small_d", 0.5, 1.0, 2),
+        ("sampling", "01", 3, (7, 8, 7), 5, 1, 2, "sampling", 0.5, 1.0, 4),
+        ("sampling", "012", 3, (6, 7, 6), 4, 1, 2, "sampling", 0.5, 1.0, 2),
+        ("auto", "01", 3, (8, 7, 9), 5, 0, 2, "auto", 0.5, 1.0, 2),
+        ("auto", "ACGT", 3, (8, 9, 8), 5, 2, 2, "auto", 0.5, 1.0, 2),
+        ("auto", "01", 2, (6, 6), 6, 3, 2, "auto", 0.5, 1.0, 3),
         # d=None: a complementary pair, |P| = L = 15 > |R| = 14, so its one
         # window tuple is guessed and its selected windows reach the LP
-        ("sampling", "01", 2, (15, 15), 15, None, 2, "sampling", "auto", 0.5, 1.0, 1),
-        ("sampling", "01", 2, (15, 15), 15, None, 2, "sampling", "randomized", 0.5, 1.0, 1),
+        ("sampling", "01", 2, (15, 15), 15, None, 2, "sampling", 0.5, 1.0, 1),
+        ("sampling", "01", 2, (15, 15), 15, None, 2, "sampling", 0.5, 1.0, 1),
     ]
     for index, spec in enumerate(string_specs + substring_specs):
-        path, alphabet, n, m, l, d, r, mode, rmode, eps_p, eps, count = spec
+        path, alphabet, n, m, l, d, r, mode, eps_p, eps, count = spec
         for seed in range(count):
             rng = np.random.default_rng([index, seed])
             if l is None:
@@ -214,7 +218,7 @@ def _build_cases():
                 "strings": strings,
                 "L": l,
                 "config": {
-                    "r": r, "mode": mode, "rounding_mode": rmode, "trials": 8,
+                    "r": r, "mode": mode, "trials": 8,
                     "epsilon_prime": eps_p, "epsilon": eps, "seed": 1000 + seed,
                 },
             }
@@ -235,7 +239,7 @@ def _build_cases():
             "strings": strings,
             "L": 15,
             "config": {
-                "r": 2, "mode": "sampling", "rounding_mode": "auto", "trials": 8,
+                "r": 2, "mode": "sampling", "trials": 8,
                 "epsilon_prime": 0.5, "epsilon": 1.0, "seed": seed,
             },
         }
@@ -247,11 +251,11 @@ def _build_cases():
     # differ at all 15 positions and sweeps the others.  A guessed tuple
     # makes k^|R| guesses, and |R| >= 14 whenever a window is longer than
     # |R|, so a k = 4 case (4^14 guesses) would take minutes
-    for alphabet, lengths, width, mode, rmode, y_budget in (
-        ("012", (15, 15), 15, "sampling", "derandomized", 3 ** 14),
-        ("012", (16, 16), 16, "auto", "derandomized", 3 ** 14),
-        ("01", (16, 16), 15, "sampling", "derandomized", 1 << 16),
-        ("01", (16, 16), 15, "auto", "auto", 1 << 14),
+    for alphabet, lengths, width, mode, y_budget in (
+        ("012", (15, 15), 15, "sampling", 3 ** 14),
+        ("012", (16, 16), 16, "auto", 3 ** 14),
+        ("01", (16, 16), 15, "sampling", 1 << 16),
+        ("01", (16, 16), 15, "auto", 1 << 14),
     ):
         rng = np.random.default_rng([len(specs)])
         case = {
@@ -262,7 +266,7 @@ def _build_cases():
             "strings": _shifted_pair(rng, alphabet, lengths),
             "L": width,
             "config": {
-                "r": 2, "mode": mode, "rounding_mode": rmode, "trials": 8,
+                "r": 2, "mode": mode, "trials": 8,
                 "epsilon_prime": 0.5, "epsilon": 1.0, "seed": len(specs), "y_budget": y_budget,
             },
         }

@@ -426,7 +426,6 @@ CONFIG_FLAGS = {
         "epsilon_prime": [(RoundingConfig, "epsilon_prime")],
         "trials": [(RoundingConfig, "trials")],
         "seed": [(RoundingConfig, "rng_seed")],
-        "mode": [(RoundingConfig, "mode")],
         "budget": [(ClosestStringConfig, "enum_budget")],
     },
     "solve-substring": {
@@ -434,7 +433,6 @@ CONFIG_FLAGS = {
         "epsilon": [(SubstringConfig, "epsilon")],
         "trials": [(SubstringConfig, "trials")],
         "seed": [(SubstringConfig, "rng_seed")],
-        "rounding_mode": [(SubstringConfig, "rounding_mode")],
         "y_budget": [(SubstringConfig, "y_budget")],
     },
     "bench": {
@@ -651,9 +649,8 @@ class TestCli:
         for dest, feeds in CONFIG_FLAGS[command].items():
             for cfg, name in feeds:
                 assert actions[dest].default == getattr(cfg(), name), (dest, cfg.__name__)
-        modes = {"mode": lp_round._ROUNDING_MODES, "rounding_mode": lp_round._ROUNDING_MODES}
-        for dest in modes.keys() & actions.keys():
-            assert actions[dest].choices == modes[dest], dest
+        # rounding has one rule, so no flag chooses it
+        assert not {"mode", "rounding_mode"} & actions.keys()
         if command == "bench":
             keywords = inspect.signature(run_bench).parameters
             for dest in CONFIG_FLAGS[command]:
@@ -671,16 +668,24 @@ class TestCli:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_solve_substring_has_no_mode_flag(self, tmp_path, capsys):
-        # the solution's guessed_tuples says which ratio holds, so no flag picks it
-        with pytest.raises(SystemExit):
-            main(["solve-substring", "--help"])
-        assert "--mode" not in capsys.readouterr().out
+        # the solution's guessed_tuples says which ratio holds, so no flag
+        # picks the substring mode; rounding has one rule, so neither solve
+        # command has a flag that picks a rounding
+        for command in ("solve-string", "solve-substring"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "-mode" not in capsys.readouterr().out
         path = tmp_path / "s.json"
         path.write_text('{"alphabet":"01","strings":["0000","1111"],"L":2}')
-        with pytest.raises(SystemExit) as exc:
-            main(["solve-substring", str(path), "--mode", "small_d"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --mode small_d" in capsys.readouterr().err
+        for command, flag, value in (
+            ("solve-substring", "--mode", "small_d"),
+            ("solve-string", "--mode", "derandomized"),
+            ("solve-substring", "--rounding-mode", "auto"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(path), flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_solution_json_records_settings_and_guessed_tuples(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -690,7 +695,7 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert (result["algo"], result["guessed_tuples"]) == ("string", 0)
         assert result["params"] == {
-            "r": 5, "epsilon_prime": 0.5, "epsilon": 1.5, "mode": "auto",
+            "r": 5, "epsilon_prime": 0.5, "epsilon": 1.5,
             "trials": 32, "budget": 1 << 20, "seed": 0,
         }
         assert main(["exact", str(path)]) == 0
@@ -703,9 +708,25 @@ class TestCli:
             result = json.loads(capsys.readouterr().out)
             assert (result["algo"], result["guessed_tuples"]) == ("substring", guessed)
             assert result["params"] == {
-                "r": 2, "epsilon": 1.0, "rounding_mode": "auto",
+                "r": 2, "epsilon": 1.0,
                 "trials": 32, "y_budget": y_budget, "seed": 0,
             }
+
+    def test_solve_string_falls_back_to_randomized_rounding(self, tmp_path, capsys, monkeypatch):
+        # budget 1 sends every subset to the LP, below the enumeration
+        # threshold at eps' = 0.1; there the estimator of some subset that
+        # could win starts at >= 1, so its LP is rounded at random, and the
+        # solve still reaches the optimum, radius 3
+        fallbacks = []
+        round_randomized = lp_round.round_randomized
+        monkeypatch.setattr(lp_round, "round_randomized", lambda *a: fallbacks.append(a) or round_randomized(*a))
+        path = tmp_path / "f.json"
+        path.write_text('{"alphabet": "01", "strings": ["0001111", "0000010", "0001100", "0110100"]}')
+        assert main(["solve-string", str(path), "--budget", "1", "--epsilon-prime", "0.1"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["radius"] == 3 and "mode" not in result["params"] and fallbacks
+        assert main(["exact", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["radius"] == 3
 
     def test_solve_string_has_no_parallel_flag(self, tmp_path, capsys):
         # the whole-string solver is one serial loop; only bench runs threads

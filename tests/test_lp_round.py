@@ -9,7 +9,6 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1142,17 +1141,19 @@ class TestRounding:
         assert round_derandomized(frac, 0.5).shape == (400,)
 
     def test_auto_falls_back_to_randomized_over_tail_cap(self, monkeypatch):
+        # solve_restricted's one rounding rule falls back on its own; a
+        # direct caller of round_derandomized still gets the refusal
         frac, cells = tail_capped(np.random.default_rng(73))
         p = frac.problem
-        cfg = RoundingConfig(mode="auto", epsilon_prime=0.5, rng_seed=11)
+        cfg = RoundingConfig(epsilon_prime=0.5, rng_seed=11)
         monkeypatch.setattr(lp_round, "_TAIL_CELLS", cells - 1)
         row, cost = solve_restricted(p, cfg)
         randomized = round_randomized(frac, cfg)
         assert row[p.P].tobytes() == randomized.tobytes()
         assert cost == patch_cost(p, randomized)
         with pytest.raises(BudgetExceeded):
-            solve_restricted(p, replace(cfg, mode="derandomized"))
-        # under the cap auto keeps the derandomized patch, another one here
+            round_derandomized(frac, cfg.epsilon_prime)
+        # under the cap the rule keeps the derandomized patch, another one here
         monkeypatch.setattr(lp_round, "_TAIL_CELLS", cells)
         row, _ = solve_restricted(p, cfg)
         derandomized = round_derandomized(frac, 0.5)
@@ -1238,17 +1239,21 @@ class TestSolveRestricted:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(lp_round, name, spy)
         # at eps' = 0.3 every |P| <= 11 lies under the enumeration threshold;
-        # budget 1 sends every |P| >= 1 problem to the LP, where at eps' = 0.1
-        # auto meets estimators that start at >= 1 and falls back
-        mode, eps, budget = {
-            "sweep": ("auto", 0.3, lp_round.DEFAULT_ENUM_BUDGET),
-            "derandomized": ("derandomized", 1.0, 1),
-            "randomized": ("randomized", 1.0, 1),
-            "fallback": ("auto", 0.1, 1),
+        # budget 1 sends every |P| >= 1 problem to the LP, where at eps' = 1
+        # no string is live and the derandomized rounding always holds; a
+        # tail cap of 0 refuses every table with a live string, and at
+        # eps' = 0.1 estimators often start at >= 1: those two fall back to
+        # randomized rounding
+        eps, budget, cap = {
+            "sweep": (0.3, lp_round.DEFAULT_ENUM_BUDGET, lp_round._TAIL_CELLS),
+            "derandomized": (1.0, 1, lp_round._TAIL_CELLS),
+            "randomized": (0.5, 1, 0),
+            "fallback": (0.1, 1, lp_round._TAIL_CELLS),
         }[path]
-        cfg = RoundingConfig(mode=mode, trials=4, epsilon_prime=eps, rng_seed=5)
+        monkeypatch.setattr(lp_round, "_TAIL_CELLS", cap)
+        cfg = RoundingConfig(trials=4, epsilon_prime=eps, rng_seed=5)
         rng = np.random.default_rng(61)
-        solved = fallbacks = 0
+        derandomized = fallbacks = 0
         for _ in range(30):
             k = int(rng.integers(2, 5))
             alpha = Alphabet.of("ABCD"[:k])
@@ -1258,34 +1263,62 @@ class TestSolveRestricted:
             on_q = rng.random(m) < 0.4
             p = build_restricted(inst, anchor, on_q)
             taken.clear()
-            try:
-                row, cost = solve_restricted(p, cfg, enum_budget=budget)
-            except EstimatorAtLeastOne:
-                continue
-            if len(p.P) and path == "fallback":
-                # the patch is the derandomized one if its estimator starts
-                # below 1, else the randomized one, never the LP argmax
+            row, cost = solve_restricted(p, cfg, enum_budget=budget)
+            if len(p.P) and path == "sweep":
+                assert taken == ["enumerate_small_P"]
+            elif len(p.P):
+                # the patch is the derandomized one if that rounding holds,
+                # else the randomized one, never the LP argmax
                 if taken == ["round_derandomized"]:
                     patch = round_derandomized(solve_lp(p), eps)
+                    derandomized += 1
                 else:
                     assert taken == ["round_derandomized", "round_randomized"]
                     patch = round_randomized(solve_lp(p), cfg)
                     fallbacks += 1
                 assert np.array_equal(row[p.P], patch)
-            elif len(p.P):
-                assert taken[-1] == ("enumerate_small_P" if path == "sweep" else f"round_{path}")
-            solved += 1
             assert row.shape == (m,) and row.dtype == np.uint8
             assert np.array_equal(row[on_q], anchor[on_q])
             assert cost == cost_string(inst, Seq(alpha, row))
-        assert solved >= 10
-        assert path != "fallback" or fallbacks >= 5
+        if path == "derandomized":
+            assert derandomized >= 10 and not fallbacks
+        elif path != "sweep":
+            assert fallbacks >= 5
 
-    def test_deterministic_across_modes_with_seed(self):
+    def test_deterministic_with_seed_on_both_rounding_paths(self, monkeypatch):
         inst = binst("010101010101", "101010101010", "001100110011")
         p = build_restricted(inst, inst.matrix[0], on(12))
-        for mode in ("randomized", "derandomized", "auto"):
-            cfg = RoundingConfig(mode=mode, trials=8, epsilon_prime=1.0, rng_seed=99)
-            a = solve_restricted(p, cfg)
-            b = solve_restricted(p, cfg)
+        cfg = RoundingConfig(trials=8, epsilon_prime=0.3, rng_seed=99)
+        frac = solve_lp(p)
+        # the derandomized rounding holds at the default cap; a cap of 0
+        # refuses its table (every string is live) for the randomized fallback
+        for cap, rounded in ((lp_round._TAIL_CELLS, round_derandomized(frac, 0.3)),
+                             (0, round_randomized(frac, cfg))):
+            monkeypatch.setattr(lp_round, "_TAIL_CELLS", cap)
+            a = solve_restricted(p, cfg, enum_budget=1)
+            b = solve_restricted(p, cfg, enum_budget=1)
             assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+            assert np.array_equal(a[0], rounded)
+
+    def test_derandomized_holds_at_the_enumeration_threshold(self):
+        # at |P| >= 4 ln(n) / eps'^2 Hoeffding bounds the starting estimator
+        # by n * exp(-2 eps'^2 |P|) < 1, so the randomized fallback is never
+        # needed there: round_derandomized on solve_lp's weights never
+        # raises EstimatorAtLeastOne, and its patch meets objective + eps'|P|
+        rng = np.random.default_rng(83)
+        live = 0
+        for _ in range(400):
+            k, n = int(rng.integers(2, 5)), int(rng.integers(2, 12))
+            eps = float(rng.choice([0.5, 0.6, 0.75, 0.9]))
+            size = math.ceil(enumeration_threshold(n, eps)) + int(rng.integers(0, 4))
+            rows = rng.integers(0, k, (n, size))
+            if rng.random() < 0.5:  # planted: every string near one center
+                rows = np.where(rng.random((n, size)) < 0.2, rows, rows[0])
+            inst = StringInstance(Alphabet.of("ABCD"[:k]), rows)
+            on_q = np.zeros(size, dtype=bool)
+            p = build_restricted(inst, rows[0].astype(np.uint8), on_q)
+            frac = solve_lp(p)
+            patch = round_derandomized(frac, eps)
+            assert patch_cost(p, patch) <= frac.objective + eps * size
+            live += tail_cells(frac, eps) > 0
+        assert live >= 150  # the estimator was not trivially 0
