@@ -30,13 +30,20 @@ anchors; a guessed tuple solves each distinct window selection once.
 Both kinds of tuple keep the anchor on Q, so every candidate of a tuple
 has radius at least its Q-cost bound: the largest, over strings, of the
 smallest number of anchor mismatches on Q among that string's windows.
-The bounds of all kept swept tuples are computed before any sweep, in
-array chunks.  A tuple whose (bound, index) is above the best (radius,
-index) found so far is skipped, a swept anchor before its mask's sweep
-and a guessed tuple before it draws R.  The skip is exact: the best only
-falls, so each skipped candidate's (radius, index) is above the final
-winner's and could never have won; centers, radii and witnesses are
-those of scoring every tuple.
+No candidate at all has radius below the instance bound: half the
+largest, over string pairs, of the pair's smallest window-to-window
+distance, rounded up (0 with one string).  For that pair (i, j) and a
+center's nearest windows w_i and w_j, d(c, w_i) + d(c, w_j) is at least
+d(w_i, w_j), so the larger of the two is at least the bound.  _plan
+reads it off the agreement counts of its pair blocks.  A tuple's bound
+is the larger of the two terms; the bounds of all kept swept tuples are
+computed before any sweep, in array chunks.  A tuple whose (bound,
+index) is above the best (radius, index) found so far is skipped, a
+swept anchor before its mask's sweep and a guessed tuple before it draws
+R, so once the best radius reaches the instance bound every later tuple
+goes.  The skip is exact: the best only falls, so each skipped
+candidate's (radius, index) is above the final winner's and could never
+have won; centers, radii and witnesses are those of scoring every tuple.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ class SweptTuples(NamedTuple):
 Guessed = list[tuple[int, Picks, np.ndarray, np.ndarray]]
 
 
-def _plan(inst: SubstringInstance, cfg: SubstringConfig, size: int) -> tuple[SweptTuples, Guessed]:
+def _plan(inst: SubstringInstance, cfg: SubstringConfig, size: int) -> tuple[SweptTuples, Guessed, int]:
     """The pre-pass over the window tuples, each named by its enumeration
     index and read as its anchor row and boolean agreement mask on_q (the
     positions Q where every picked window equals the anchor), for the
@@ -135,9 +142,12 @@ def _plan(inst: SubstringInstance, cfg: SubstringConfig, size: int) -> tuple[Swe
     Returns the swept tuples as SweptTuples, compact (T, L) masks and
     anchors and (T,) enumeration indices: the first tuple of each
     (Q, anchor on Q) pair, all that a swept candidate depends on, grouped
-    by mask, masks in first-seen order.  And the guessed tuples as
+    by mask, masks in first-seen order.  The guessed tuples as
     (index, picks, anchor, on_q), in enumeration order, with picks of
-    Python ints, as the per-tuple seeds hash their repr.
+    Python ints, as the per-tuple seeds hash their repr.  And the instance
+    bound (see the module docstring): a pair block's agreement counts are
+    L minus its window-to-window distances, so each string pair's
+    smallest distance is L minus the largest count of its blocks.
 
     A tuple is swept over its k^|P| patches when its free-position count
     |P| is at most cfg.mode's sweep limit: L for small_d (every tuple), the
@@ -176,9 +186,11 @@ def _plan(inst: SubstringInstance, cfg: SubstringConfig, size: int) -> tuple[Swe
     fresh = len(wins)  # swept tuples piled up since the last deduplication
     start = len(wins)  # the enumeration index of the next block's first tuple
     guessed: Guessed = []
+    gap = 0  # the largest, over string pairs, of the pair's smallest window distance
     for width in range(2, min(cfg.r, inst.n) + 1):
         for subset in itertools.combinations(range(inst.n), width):
             first, *rest = subset
+            most = 0  # the most positions any window pair of this string pair agrees on
             per_anchor = math.prod(counts[j] for j in rest)
             step = max(1, _TUPLE_CELLS // (per_anchor * l))
             for o in range(0, counts[first], step):
@@ -189,6 +201,8 @@ def _plan(inst: SubstringInstance, cfg: SubstringConfig, size: int) -> tuple[Swe
                     on_q = (on_q[:, :, None, :] & agree[:, None, :, :]).reshape(len(anchor), -1, l)
                 on_q = on_q.reshape(-1, l)
                 agreed = on_q.sum(axis=1)
+                if width == 2:
+                    most = max(most, int(agreed.max()))
                 over = np.flatnonzero(over_at[agreed])
                 if len(over):
                     p_size = l - int(agreed[over[0]])
@@ -214,12 +228,15 @@ def _plan(inst: SubstringInstance, cfg: SubstringConfig, size: int) -> tuple[Swe
                     ):
                         guessed.append((index, tuple(zip(subset, picked)), a, q))
                 start += len(on_q)
+            if width == 2:
+                gap = max(gap, l - most)
     masks, anchors, indices = _first_of_each_key(parts, k)
     _, seen, mask_of = np.unique(_row_keys(masks, [2] * l), return_index=True, return_inverse=True)
     first_seen = seen[mask_of]  # per tuple, the first tuple with its mask
     order = np.argsort(first_seen, kind="stable")
     cuts = np.flatnonzero(np.diff(first_seen[order])) + 1
-    return SweptTuples(masks[order], anchors[order], indices[order], [0, *cuts.tolist(), len(order)]), guessed
+    swept = SweptTuples(masks[order], anchors[order], indices[order], [0, *cuts.tolist(), len(order)])
+    return swept, guessed, (gap + 1) // 2
 
 
 def _first_of_each_key(parts: list, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -369,8 +386,9 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     windows, the candidate's substring radius.  One sweep per mask Q
     scores all of its swept tuples' anchors, one seed row each.  The
     Q-cost bounds of all of _plan's swept tuples come first, in chunks of
-    at most _TUPLE_CELLS (tuple x window x L) compares; the loop over the
-    masks then only slices them, skips and sweeps.
+    at most _TUPLE_CELLS (tuple x window x L) compares, each raised to the
+    instance bound; the loop over the masks then only slices them, skips
+    and sweeps.
 
     A guessed tuple draws R from P (seeded per tuple).  Its selections are
     keyed by window contents; each new one is solved as the StringInstance
@@ -387,29 +405,33 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     guessed_tuples says which: it counts the tuples the plan guesses,
     whether skipped or not.
 
-    Swept anchors and guessed tuples whose Q-cost bound already loses to
-    the best (radius, index) so far are skipped (see the module
-    docstring), with no sweep for a mask that has no anchor left; the
-    output is unchanged, and a skipped guessed tuple runs no LP.
+    Swept anchors and guessed tuples whose bound, the larger of their
+    Q-cost bound and the instance bound, already loses to the best
+    (radius, index) so far are skipped (see the module docstring), with no
+    sweep for a mask that has no anchor left; the output is unchanged, and
+    a skipped guessed tuple runs no LP.  Once the best radius reaches the
+    instance bound, no later mask is swept.
     """
     size = _sample_size_of(inst, cfg.epsilon)
-    swept, guessed = _plan(inst, cfg, size)
+    swept, guessed, instance_bound = _plan(inst, cfg, size)
     k = inst.alphabet.size
     wins = np.concatenate(inst.windows)
     counts = [len(w) for w in inst.windows]
     starts = np.cumsum([0] + counts[:-1])
     wins_t = np.ascontiguousarray(wins.T)
-    bounds = np.empty(len(swept.indices), dtype=np.int32)  # each swept tuple's Q-cost bound
+    bounds = np.empty(len(swept.indices), dtype=np.int32)  # each swept tuple's bound
     step = max(1, _TUPLE_CELLS // wins.size)
     for a in range(0, len(bounds), step):
         q_costs = _q_costs(wins_t, swept.masks[a:a + step], swept.anchors[a:a + step])
         bounds[a:a + step] = np.minimum.reduceat(q_costs, starts, axis=1).max(axis=1)
+    np.maximum(bounds, instance_bound, out=bounds)  # the larger of its Q-cost bound and the instance bound
     best = (math.inf, 0, None)  # (radius, enumeration index, center row)
     edges = swept.edges
     for b, e in zip(edges, edges[1:]):
-        # skip each anchor whose (Q-cost bound, index) is above the best so
-        # far: sweeps per solve go from 53.6 to about 19 on substring_small_d
-        # and from 10.4 to 4.9 on substring_sampling
+        # skip each anchor whose (bound, index) is above the best so far:
+        # sweeps per solve went from 53.6 to about 19 on substring_small_d
+        # and from 10.4 to 4.9 on substring_sampling with the Q-cost term
+        # alone, and go to about 3.1 and 1.9 with the instance bound
         indices = swept.indices[b:e]
         keep = (bounds[b:e] < best[0]) | ((bounds[b:e] == best[0]) & (indices < best[1]))
         if not keep.any():
@@ -427,7 +449,7 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     for index, picks, anchor, on_q in guessed:
         # the same skip: no benchmark workload guesses, but on three copies
         # of 01x9 at L = 17 all six guessed tuples go, and 0.68 s becomes 1 ms
-        bound = int(np.minimum.reduceat(_q_costs(wins_t, on_q, anchor[None])[0], starts).max())
+        bound = max(instance_bound, int(np.minimum.reduceat(_q_costs(wins_t, on_q, anchor[None])[0], starts).max()))
         if (bound, index) > best[:2]:
             continue
         free = np.flatnonzero(~on_q)

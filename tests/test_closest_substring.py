@@ -612,6 +612,15 @@ def q_bound(inst, anchor, q):
     )
 
 
+def reference_instance_bound(inst):
+    """The instance bound, by plain loops over window pairs: half the
+    largest, over string pairs, of the pair's smallest window-to-window
+    distance, rounded up; 0 with one string."""
+    windows = [[window(inst, i, off) for off in range(len(s) - inst.window + 1)] for i, s in enumerate(inst.strings)]
+    gaps = [min(dist(a, b) for a in ws for b in vs) for ws, vs in itertools.combinations(windows, 2)]
+    return math.ceil(max(gaps, default=0) / 2)
+
+
 def sweep_signature(inst, anchor, q):
     """How a swept (Q, anchor on Q) key shows in a sweep_patches call:
     every window on P, and the anchor's mismatches with each window on Q
@@ -625,11 +634,12 @@ def sweep_signature(inst, anchor, q):
 
 
 def bound_kept_keys(inst, r):
-    """The swept (Q, anchor on Q) keys the Q-cost bound keeps on an
-    instance whose every tuple is swept, by plain loops.  Masks go in
-    first-seen order, each key at its first tuple's index.  A key is kept
-    unless (q_bound, index) is above the best (radius, index) over the
-    keys kept in earlier masks, a kept key's radius being reference_sweep's
+    """The swept (Q, anchor on Q) keys the bound keeps on an instance
+    whose every tuple is swept, by plain loops.  Masks go in first-seen
+    order, each key at its first tuple's index.  A key's bound is the
+    larger of its q_bound and the reference_instance_bound; it is kept
+    unless (bound, index) is above the best (radius, index) over the keys
+    kept in earlier masks, a kept key's radius being reference_sweep's
     minimum.  Returns, per mask with a kept key, the sweep_signature of
     each kept key."""
     groups = {}  # per mask: per anchor on Q, (first index, anchor, Q)
@@ -637,9 +647,11 @@ def bound_kept_keys(inst, r):
         windows = picked_windows(inst, picks)
         q = agreement_positions(windows)
         groups.setdefault(q.tobytes(), {}).setdefault(windows[0].arr[q].tobytes(), (index, windows[0], q))
-    best, kept = (math.inf, 0), []
+    best, kept, floor = (math.inf, 0), [], reference_instance_bound(inst)
     for group in groups.values():
-        survivors = [(index, a, q) for index, a, q in group.values() if (q_bound(inst, a, q), index) <= best]
+        survivors = [
+            (index, a, q) for index, a, q in group.values() if (max(floor, q_bound(inst, a, q)), index) <= best
+        ]
         for index, anchor, q in survivors:
             costs, _ = reference_sweep(inst, anchor, np.flatnonzero(~q))
             best = min(best, (int(costs.min()), index))
@@ -739,19 +751,27 @@ class TestCoveredSampleSweep:
             assert len(sweeps) == 1
             monkeypatch.undo()
 
+    # each of s0's two windows has its complement as the one window of s1
+    # or s2, so every center is 9 from one string: the optimum is 9, while
+    # the closest windows of each string pair are 16 apart, an instance
+    # bound of 8
+    SPLIT = ["0" * 17 + "1", "1" * 17, "1" * 16 + "0"]
+
     def test_repeated_guessed_tuples_finish_quickly(self, monkeypatch):
-        # eight guessed tuples of 2^16 guesses each under auto, the window
-        # pairs of the complementary strings, each reached: their empty Q
-        # bounds them by 0, below every radius found (17 by the swept
-        # tuples, then 9).  Scored one guess at a time, with one Seq and one
-        # select_windows call per guess, six such tuples took about 35 s
+        # four guessed tuples of 2^16 guesses each under auto at r = 3, the
+        # two window pairs and the two window triples that hold a
+        # complementary pair, each reached: their bound, the larger of the
+        # instance bound 8 and a Q-cost bound of 0 on the empty Q, is below
+        # every radius found (16 by the single windows, then 9).  Scored
+        # one guess at a time, with one Seq and one select_windows call per
+        # guess, six such tuples took about 35 s
         selections = spy(monkeypatch, closest_substring, "select_windows")
-        inst = bsub(["0" * 18, "1" * 18, "0" * 18], 17)
+        inst = bsub(self.SPLIT, 17)
         start = time.perf_counter()
-        sol = solve_substring(inst, SubstringConfig(r=2, mode="auto"))
+        sol = solve_substring(inst, SubstringConfig(r=3, mode="auto"))
         assert time.perf_counter() - start < 10.0
-        assert (sol.radius, sol.guessed_tuples) == (9, 8)
-        assert len(selections) == 8 * 4  # four blocks of 2^14 guesses per tuple
+        assert (sol.radius, sol.guessed_tuples) == (9, 4)
+        assert len(selections) == 4 * 4  # four blocks of 2^14 guesses per tuple
 
     def test_guessed_tuples_that_cannot_win_are_skipped(self, monkeypatch):
         # the six guessed tuples pair complementary windows, so Q is empty
@@ -767,18 +787,19 @@ class TestCoveredSampleSweep:
         assert seeds == []
 
     def test_guessed_tuple_below_the_best_radius_is_solved(self, monkeypatch):
-        # the single windows reach radius 1 (s0 against s1's second
-        # window); the complementary pair's tuple comes later, guessed, and
-        # its bound 0 on the empty Q is below 1, so it still goes through
-        # its guesses and its LPs, one per distinct selection of s1's two
-        # windows: a bound one too high would skip it
+        # the swept tuples reach radius 9, the optimum; the two
+        # complementary pairs' tuples are guessed (|P| = 17 > |R| = 16),
+        # and their bound, the larger of the instance bound 8 and a Q-cost
+        # bound of 0 on the empty Q, is below 9, so both go through their
+        # guesses and their LPs, two distinct selections each: an instance
+        # bound one too high would skip the later one
         selections = spy(monkeypatch, closest_substring, "select_windows")
         lps = spy(monkeypatch, lp_round, "solve_lp")
-        inst = bsub(["01" * 7 + "0", "10" * 7 + "11"], 15)
+        inst = bsub(self.SPLIT, 17)
         sol = solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0))
-        assert (sol.radius, sol.guessed_tuples) == (1, 1)
-        assert [args[1].shape for args in selections] == [(2 ** 14, 14)]
-        assert len(lps) == 2
+        assert (sol.radius, sol.guessed_tuples) == (9, 2)
+        assert [args[1].shape for args in selections] == [(2 ** 14, 16)] * 8
+        assert len(lps) == 4
 
     def test_guess_memory_stays_flat(self, monkeypatch):
         # one guessed tuple of 2^18 guesses, the complementary pair, whose
@@ -970,7 +991,7 @@ class TestSweepDedupe:
                             lambda *args: sweeps.append((args, sweep(*args))) or sweeps[-1][1])
         picks = list(enumerate_window_tuples(inst, 2))
         small = replace(cfg, mode="small_d")
-        swept, guessed = closest_substring._plan(inst, small, sample_size(cfg.epsilon, 4, 3))
+        swept, guessed, _ = closest_substring._plan(inst, small, sample_size(cfg.epsilon, 4, 3))
         solve_substring(inst, small)
         # per kept tuple's picks: its sweep call (its mask group) and its seed row there
         kept = {
@@ -1001,7 +1022,7 @@ class TestSweepDedupe:
         # return 1011; the (radius, index) minimum is tuple 6's 0001.
         inst = bsub(["01010", "11001", "0011"], 4)
         picks = list(enumerate_window_tuples(inst, 2))
-        swept, _ = closest_substring._plan(inst, SubstringConfig(r=2, mode="small_d"), sample_size(1.0, 3, 5))
+        swept, _, _ = closest_substring._plan(inst, SubstringConfig(r=2, mode="small_d"), sample_size(1.0, 3, 5))
         minima = []  # per mask in first-seen order: its (radius, index) minimum and center
         for b, e in zip(swept.edges, swept.edges[1:]):
             cands = []
@@ -1034,7 +1055,7 @@ class TestSweepDedupe:
         size = sample_size(cfg.epsilon, inst.n, len(inst.strings[0]))
         tracemalloc.start()
         try:
-            swept, guessed_tuples = closest_substring._plan(inst, replace(cfg, mode=mode), size)
+            swept, guessed_tuples, _ = closest_substring._plan(inst, replace(cfg, mode=mode), size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1080,6 +1101,62 @@ class TestSweepDedupe:
         # small blocks, pile-ups and bound chunks give the same solution
         with mock.patch.object(closest_substring, "_TUPLE_CELLS", 1 << 10):
             assert solve_substring(inst, SubstringConfig(r=3)) == sol
+
+
+class TestInstanceBound:
+    def test_sweeps_stop_once_the_single_windows_reach_it(self, monkeypatch):
+        # the string pairs' closest windows are 1, 1 and 2 apart, an
+        # instance bound of 1, and s0's window 0000 reaches it: of the nine
+        # masks only the single windows' full one is swept, though four
+        # later keys have a Q-cost bound of 0 and would be swept without
+        # the instance term
+        inst = bsub(["0000", "00011", "11000"], 4)
+        assert reference_instance_bound(inst) == 1
+        assert len(distinct_masks(distinct_sweep_keys(inst, 2))) == 9
+        unbounded = set()  # the keys whose Q-cost bound is 0
+        for picks in enumerate_window_tuples(inst, 2):
+            windows = picked_windows(inst, picks)
+            q = agreement_positions(windows)
+            if q_bound(inst, windows[0], q) == 0:
+                unbounded.add((q.tobytes(), windows[0].arr[q].tobytes()))
+        assert len(unbounded) == 4
+        for mode in ("small_d", "sampling", "auto"):
+            sweeps = []
+            sweep = closest_substring.sweep_patches
+            monkeypatch.setattr(closest_substring, "sweep_patches",
+                                lambda *args: sweeps.append((args, sweep(*args))) or sweeps[-1][1])
+            sol = solve_substring(inst, SubstringConfig(r=2, mode=mode))
+            assert (sol.center.text, sol.radius, sol.guessed_tuples) == ("0000", 1, 0)
+            assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
+            # one call: every window on the empty P, one seed row per single window
+            [(args, (costs, _))] = sweeps
+            assert args[0].shape == (5, 0) and args[1].shape == (5, 5)
+            assert int(costs.min()) == cost_substring(inst, sol.center)[0]
+            assert swept_keys_are_bound_kept(inst, [args for args, _ in sweeps]) == 5
+            monkeypatch.undo()
+
+
+@st.composite
+def bound_cases(draw):
+    """Random k = 2/3/4 substring instances of 1 to 5 strings of lengths
+    drawn apart, with L <= 6."""
+    symbols = draw(st.sampled_from(("01", "012", "ACGT")))
+    l = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(l, l + 3), min_size=n, max_size=n))
+    texts = ["".join(draw(st.lists(st.sampled_from(symbols), min_size=m, max_size=m))) for m in lengths]
+    return SubstringInstance.from_texts(Alphabet.of(symbols), texts, l)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(bound_cases())
+def test_instance_bound_is_a_lower_bound(inst):
+    # no center of length L is closer than the bound to every string
+    cfg = SubstringConfig(r=2, mode="small_d")
+    _, _, bound = closest_substring._plan(inst, cfg, closest_substring._sample_size_of(inst, cfg.epsilon))
+    assert bound <= exact_closest_substring(inst).radius
+    if inst.n == 1:
+        assert bound == 0
 
 
 def reference_plan(inst, cfg, size):
@@ -1169,7 +1246,8 @@ def test_plan_matches_a_per_tuple_loop(case, mode, size, small_blocks):
                 closest_substring._plan(inst, cfg, size)
             assert str(raised.value) == str(err)
             return
-        swept, planned = closest_substring._plan(inst, cfg, size)
+        swept, planned, bound = closest_substring._plan(inst, cfg, size)
+    assert bound == reference_instance_bound(inst)
     assert (swept.masks.dtype, swept.anchors.dtype) == (np.dtype(bool), np.dtype(np.uint8))
     assert [
         [(index, anchor.tobytes(), q.tobytes())

@@ -18,9 +18,11 @@ the only cases whose window tuples are guessed, so they alone pin window
 selection and the LP stage of a guessed tuple.  Between them they cover
 k = 2 and k = 3, and reach the guessed path of `auto` through a small
 y_budget (46, 48).
-Cases 43, 44, 47 and 48 give 4 or 5 distinct window selections, so they
-also pin the order in which the selections are solved.  A refactor that
-keeps results must keep these bytes.
+Cases 43, 44, 47 and 48 have two guessed tuples each.  The first solves
+2 or 3 distinct window selections, so these cases also pin the order in
+which the selections are solved; the second is skipped, as the first
+already reaches the instance bound.  Before that skip they solved 4 or 5
+selections.  A refactor that keeps results must keep these bytes.
 
 `string_lp-01-13`, `sampling-01-41`, `sampling-01-42`, `sampling-01-43`,
 `sampling-01-44`, `sampling-01-47` and `auto-01-48` were re-recorded when
@@ -59,10 +61,10 @@ from centerstring import (
 from centerstring import closest_substring, lp_round
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
-# the guessed cases and their distinct window selections
+# the guessed cases and the distinct window selections they solve
 GUESSED = {
-    "sampling-01-41": 1, "sampling-01-42": 1, "sampling-01-43": 4, "sampling-01-44": 5,
-    "sampling-012-45": 1, "auto-012-46": 1, "sampling-01-47": 4, "auto-01-48": 4,
+    "sampling-01-41": 1, "sampling-01-42": 1, "sampling-01-43": 2, "sampling-01-44": 3,
+    "sampling-012-45": 1, "auto-012-46": 1, "sampling-01-47": 2, "auto-01-48": 2,
 }
 
 

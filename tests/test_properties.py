@@ -149,8 +149,9 @@ def skip_cases(draw):
 @example((SubstringInstance.from_texts(Alphabet.of("01"), ["100101", "10100", "1110111"], 5), 2, 2 ** 16, 0), "small_d")
 @example((SubstringInstance.from_texts(Alphabet.of("ACGT"), ["TTTTGTA", "CTTGTG", "CCTATC"], 4), 3, 2 ** 16, 0), "auto")
 def test_substring_skip_is_exact(case, mode):
-    # the solver skips the tuples whose Q-cost bound already loses; the
-    # reference solves every tuple, so the two must agree byte for byte,
+    # the solver skips the tuples whose bound, the larger of the Q-cost
+    # bound and the instance bound, already loses; the reference solves
+    # every tuple, so the two must agree byte for byte,
     # guessed_tuples included, and refuse the same budgets
     inst, r, y_budget, seed = case
     cfg = SubstringConfig(r=r, mode=mode, y_budget=y_budget, rng_seed=seed)
