@@ -27,23 +27,19 @@ mask Q, with the guessed tuples as a list in enumeration order.  Swept
 tuples with the same Q share P, so one sweep per mask scores all of its
 anchors; a guessed tuple solves each distinct window selection once.
 
-Both kinds of tuple keep the anchor on Q, so every candidate of a tuple
-has radius at least its Q-cost bound: the largest, over strings, of the
-smallest number of anchor mismatches on Q among that string's windows.
-No candidate at all has radius below the instance bound: half the
-largest, over string pairs, of the pair's smallest window-to-window
-distance, rounded up (0 with one string).  For that pair (i, j) and a
-center's nearest windows w_i and w_j, d(c, w_i) + d(c, w_j) is at least
+No candidate has radius below the instance bound: half the largest,
+over string pairs, of the pair's smallest window-to-window distance,
+rounded up (0 with one string).  For that pair (i, j) and a center's
+nearest windows w_i and w_j, d(c, w_i) + d(c, w_j) is at least
 d(w_i, w_j), so the larger of the two is at least the bound.  _plan
-reads it off the agreement counts of its pair blocks.  A tuple's bound
-is the larger of the two terms; the bounds of all kept swept tuples are
-computed before any sweep, in array chunks.  A tuple whose (bound,
-index) is above the best (radius, index) found so far is skipped, a
-swept anchor before its mask's sweep and a guessed tuple before it draws
-R, so once the best radius reaches the instance bound every later tuple
-goes.  The skip is exact: the best only falls, so each skipped
-candidate's (radius, index) is above the final winner's and could never
-have won; centers, radii and witnesses are those of scoring every tuple.
+reads it off the agreement counts of its pair blocks.  A tuple whose
+(instance bound, index) is above the best (radius, index) found so far
+is skipped, a swept anchor before its mask's sweep and a guessed tuple
+before it draws R: once the best radius reaches the instance bound,
+every later tuple goes.  The skip is exact: the best only falls, so each
+skipped candidate's (radius, index) is above the final winner's and
+could never have won; centers, radii and witnesses are those of scoring
+every tuple.
 """
 
 from __future__ import annotations
@@ -68,8 +64,7 @@ _GUESS_BLOCK = 1 << 14
 # (guess x window x |R|) compares select_windows holds at once
 _SELECT_CELLS = 1 << 18
 # (tuple x L) mask cells of one _plan block or of the swept tuples it piles
-# up between deduplications, and (tuple x window x L) compares of one chunk
-# of solve_substring's Q costs: memory stays flat in the number of tuples
+# up between deduplications: memory stays flat in the number of tuples
 _TUPLE_CELLS = 1 << 18
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -366,12 +361,12 @@ def _first_distinct_rows(rows: np.ndarray, counts: list[int]) -> np.ndarray:
     return np.sort(np.unique(_row_keys(rows, counts), return_index=True)[1])
 
 
-def _q_costs(wins_t: np.ndarray, masks: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """(t, W) int32: each of the (t, L) anchors' mismatches on its agreement
-    mask with each window, masks (t, L) or one shared (L,) row.  The
+def _q_costs(wins_t: np.ndarray, on_q: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """(t, W) int32: each of the (t, L) anchors' mismatches with each window
+    on the shared (L,) agreement mask on_q, a sweep's seed rows.  The
     windows come position-major, as the (L, W) wins_t, so the compares run
     along the windows: on (T, W, L) they took 3-4x as long at L = 6 and 8."""
-    return ((anchors[:, :, None] != wins_t) & masks[..., None]).sum(axis=1, dtype=np.int32)
+    return ((anchors[:, :, None] != wins_t) & on_q[:, None]).sum(axis=1, dtype=np.int32)
 
 
 def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringConfig()) -> CenterSolution:
@@ -384,11 +379,7 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     charged its distance to the anchor on Q; a string's rows form one
     group, so the sweep scores a patch by max over strings of min over
     windows, the candidate's substring radius.  One sweep per mask Q
-    scores all of its swept tuples' anchors, one seed row each.  The
-    Q-cost bounds of all of _plan's swept tuples come first, in chunks of
-    at most _TUPLE_CELLS (tuple x window x L) compares, each raised to the
-    instance bound; the loop over the masks then only slices them, skips
-    and sweeps.
+    scores all of its swept tuples' anchors, one seed row each.
 
     A guessed tuple draws R from P (seeded per tuple).  Its selections are
     keyed by window contents; each new one is solved as the StringInstance
@@ -405,12 +396,12 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     guessed_tuples says which: it counts the tuples the plan guesses,
     whether skipped or not.
 
-    Swept anchors and guessed tuples whose bound, the larger of their
-    Q-cost bound and the instance bound, already loses to the best
-    (radius, index) so far are skipped (see the module docstring), with no
-    sweep for a mask that has no anchor left; the output is unchanged, and
-    a skipped guessed tuple runs no LP.  Once the best radius reaches the
-    instance bound, no later mask is swept.
+    Swept anchors and guessed tuples whose (instance bound, index) already
+    loses to the best (radius, index) so far are skipped (see the module
+    docstring), with no sweep for a mask that has no anchor left; the
+    output is unchanged, and a skipped guessed tuple runs no LP.  Once the
+    best radius reaches the instance bound, only anchors of a smaller
+    index than the best's are swept.
     """
     size = _sample_size_of(inst, cfg.epsilon)
     swept, guessed, instance_bound = _plan(inst, cfg, size)
@@ -419,21 +410,16 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     counts = [len(w) for w in inst.windows]
     starts = np.cumsum([0] + counts[:-1])
     wins_t = np.ascontiguousarray(wins.T)
-    bounds = np.empty(len(swept.indices), dtype=np.int32)  # each swept tuple's bound
-    step = max(1, _TUPLE_CELLS // wins.size)
-    for a in range(0, len(bounds), step):
-        q_costs = _q_costs(wins_t, swept.masks[a:a + step], swept.anchors[a:a + step])
-        bounds[a:a + step] = np.minimum.reduceat(q_costs, starts, axis=1).max(axis=1)
-    np.maximum(bounds, instance_bound, out=bounds)  # the larger of its Q-cost bound and the instance bound
     best = (math.inf, 0, None)  # (radius, enumeration index, center row)
     edges = swept.edges
     for b, e in zip(edges, edges[1:]):
-        # skip each anchor whose (bound, index) is above the best so far:
-        # sweeps per solve went from 53.6 to about 19 on substring_small_d
-        # and from 10.4 to 4.9 on substring_sampling with the Q-cost term
-        # alone, and go to about 3.1 and 1.9 with the instance bound
+        # skip each anchor whose (instance bound, index) is above the best
+        # (radius, index) so far; the bound is at most every radius, so that
+        # is every anchor past the best index once the best radius reaches
+        # it: sweeps per solve go from 53.6 to about 3.2 on substring_small_d
+        # and from 10.4 to 2.1 on substring_sampling
         indices = swept.indices[b:e]
-        keep = (bounds[b:e] < best[0]) | ((bounds[b:e] == best[0]) & (indices < best[1]))
+        keep = (best[0] > instance_bound) | (indices < best[1])
         if not keep.any():
             continue
         on_q = swept.masks[b]
@@ -449,8 +435,7 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     for index, picks, anchor, on_q in guessed:
         # the same skip: no benchmark workload guesses, but on three copies
         # of 01x9 at L = 17 all six guessed tuples go, and 0.68 s becomes 1 ms
-        bound = max(instance_bound, int(np.minimum.reduceat(_q_costs(wins_t, on_q, anchor[None])[0], starts).max()))
-        if (bound, index) > best[:2]:
+        if (instance_bound, index) > best[:2]:
             continue
         free = np.flatnonzero(~on_q)
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))

@@ -19,7 +19,7 @@ from .core import (
     cost_string,
     cost_substring,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NumericalFailure
 
 DEFAULT_EXACT_BUDGET = 1 << 20
 _CHUNK = 1 << 14
@@ -47,6 +47,8 @@ def exact_closest_string(inst: StringInstance, budget: int = DEFAULT_EXACT_BUDGE
     its per-type symbol counts, so it may differ from the sweep's at the
     same radius.  BudgetExceeded when the program is over `budget` or not
     proven optimal within it: an unproven incumbent is never returned.
+    NumericalFailure when the program's center misses the optimum it
+    reports, checked also under `python -O`.
     """
     k, m = inst.alphabet.size, inst.m
     if k ** m <= budget:
@@ -61,7 +63,8 @@ def exact_closest_string(inst: StringInstance, budget: int = DEFAULT_EXACT_BUDGE
             raise BudgetExceeded(f"{k}^{m} candidates exceed budget {budget}; {exc}") from None
         center = Seq(inst.alphabet, data)
         radius = cost_string(inst, center)
-        assert radius == d, "the program's center misses its optimum"
+        if radius != d:
+            raise NumericalFailure(f"the program's center has radius {radius}, not its optimum {d}")
     return CenterSolution(center, radius, (0,) * inst.n)
 
 

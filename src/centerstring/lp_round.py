@@ -350,6 +350,9 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
     # violation for string i means final count >= k_i
     thresholds = np.floor(bound - p.fixed + 1e-12).astype(np.int64) + 1
     live = thresholds <= np_
+    # all 3,302 roundings of string_dna's seed-1 batch return here; going
+    # on to the empty table took that batch from 17-19 to 34-36 ms per
+    # solve (min of 3 passes, 3 alternating runs), with identical outputs
     if not live.any():
         return np.argmax(w, axis=1).astype(np.uint8)
     thresholds, rows = thresholds[live], p.rows[live]

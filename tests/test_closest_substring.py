@@ -602,16 +602,6 @@ def swept_rows(sweeps):
     return sum(len(args[1]) for args in sweeps)
 
 
-def q_bound(inst, anchor, q):
-    """The Q-cost bound of a tuple, by plain loops: the largest, over
-    strings, of the smallest number of anchor mismatches on Q among that
-    string's windows."""
-    return max(
-        min(int((window(inst, i, off).arr[q] != anchor.arr[q]).sum()) for off in range(len(s) - inst.window + 1))
-        for i, s in enumerate(inst.strings)
-    )
-
-
 def reference_instance_bound(inst):
     """The instance bound, by plain loops over window pairs: half the
     largest, over string pairs, of the pair's smallest window-to-window
@@ -636,12 +626,11 @@ def sweep_signature(inst, anchor, q):
 def bound_kept_keys(inst, r):
     """The swept (Q, anchor on Q) keys the bound keeps on an instance
     whose every tuple is swept, by plain loops.  Masks go in first-seen
-    order, each key at its first tuple's index.  A key's bound is the
-    larger of its q_bound and the reference_instance_bound; it is kept
-    unless (bound, index) is above the best (radius, index) over the keys
-    kept in earlier masks, a kept key's radius being reference_sweep's
-    minimum.  Returns, per mask with a kept key, the sweep_signature of
-    each kept key."""
+    order, each key at its first tuple's index.  A key is kept unless
+    (reference_instance_bound, index) is above the best (radius, index)
+    over the keys kept in earlier masks, a kept key's radius being
+    reference_sweep's minimum.  Returns, per mask with a kept key, the
+    sweep_signature of each kept key."""
     groups = {}  # per mask: per anchor on Q, (first index, anchor, Q)
     for index, picks in enumerate(enumerate_window_tuples(inst, r)):
         windows = picked_windows(inst, picks)
@@ -649,9 +638,7 @@ def bound_kept_keys(inst, r):
         groups.setdefault(q.tobytes(), {}).setdefault(windows[0].arr[q].tobytes(), (index, windows[0], q))
     best, kept, floor = (math.inf, 0), [], reference_instance_bound(inst)
     for group in groups.values():
-        survivors = [
-            (index, a, q) for index, a, q in group.values() if (max(floor, q_bound(inst, a, q)), index) <= best
-        ]
+        survivors = [(index, a, q) for index, a, q in group.values() if (floor, index) <= best]
         for index, anchor, q in survivors:
             costs, _ = reference_sweep(inst, anchor, np.flatnonzero(~q))
             best = min(best, (int(costs.min()), index))
@@ -760,8 +747,7 @@ class TestCoveredSampleSweep:
     def test_repeated_guessed_tuples_finish_quickly(self, monkeypatch):
         # four guessed tuples of 2^16 guesses each under auto at r = 3, the
         # two window pairs and the two window triples that hold a
-        # complementary pair, each reached: their bound, the larger of the
-        # instance bound 8 and a Q-cost bound of 0 on the empty Q, is below
+        # complementary pair, each reached: the instance bound 8 is below
         # every radius found (16 by the single windows, then 9).  Scored
         # one guess at a time, with one Seq and one select_windows call per
         # guess, six such tuples took about 35 s
@@ -774,10 +760,11 @@ class TestCoveredSampleSweep:
         assert len(selections) == 4 * 4  # four blocks of 2^14 guesses per tuple
 
     def test_guessed_tuples_that_cannot_win_are_skipped(self, monkeypatch):
-        # the six guessed tuples pair complementary windows, so Q is empty
-        # and bounds them by 0; the single windows come first and already
-        # reach radius 0, so no guessed tuple draws R, selects windows or
-        # solves an LP, and guessed_tuples still counts all six
+        # the six guessed tuples pair complementary windows; the strings
+        # are equal, so the instance bound is 0, and the single windows
+        # come first and already reach radius 0, so no guessed tuple draws
+        # R, selects windows or solves an LP, and guessed_tuples still
+        # counts all six
         forbid(monkeypatch, closest_substring, "select_windows")
         forbid(monkeypatch, lp_round, "solve_lp")
         seeds = spy(monkeypatch, closest_substring, "derive_seed")
@@ -789,8 +776,7 @@ class TestCoveredSampleSweep:
     def test_guessed_tuple_below_the_best_radius_is_solved(self, monkeypatch):
         # the swept tuples reach radius 9, the optimum; the two
         # complementary pairs' tuples are guessed (|P| = 17 > |R| = 16),
-        # and their bound, the larger of the instance bound 8 and a Q-cost
-        # bound of 0 on the empty Q, is below 9, so both go through their
+        # and the instance bound 8 is below 9, so both go through their
         # guesses and their LPs, two distinct selections each: an instance
         # bound one too high would skip the later one
         selections = spy(monkeypatch, closest_substring, "select_windows")
@@ -803,7 +789,7 @@ class TestCoveredSampleSweep:
 
     def test_guess_memory_stays_flat(self, monkeypatch):
         # one guessed tuple of 2^18 guesses, the complementary pair, whose
-        # empty Q bounds it by 0, below the single windows' radius 40:
+        # instance bound 20 is below the single windows' radius 40:
         # scoring every guess of a tuple at once peaks near 20 MB for two
         # such tuples, blocks of guesses near 2 MB
         selections = spy(monkeypatch, closest_substring, "select_windows")
@@ -1098,7 +1084,7 @@ class TestSweepDedupe:
             tracemalloc.stop()
         assert (sol.center.text, sol.radius, sol.guessed_tuples) == ("TGGCCAAA", 1, 0)
         assert peak <= 6e6
-        # small blocks, pile-ups and bound chunks give the same solution
+        # small blocks and pile-ups give the same solution
         with mock.patch.object(closest_substring, "_TUPLE_CELLS", 1 << 10):
             assert solve_substring(inst, SubstringConfig(r=3)) == sol
 
@@ -1107,19 +1093,10 @@ class TestInstanceBound:
     def test_sweeps_stop_once_the_single_windows_reach_it(self, monkeypatch):
         # the string pairs' closest windows are 1, 1 and 2 apart, an
         # instance bound of 1, and s0's window 0000 reaches it: of the nine
-        # masks only the single windows' full one is swept, though four
-        # later keys have a Q-cost bound of 0 and would be swept without
-        # the instance term
+        # masks only the single windows' full one is swept
         inst = bsub(["0000", "00011", "11000"], 4)
         assert reference_instance_bound(inst) == 1
         assert len(distinct_masks(distinct_sweep_keys(inst, 2))) == 9
-        unbounded = set()  # the keys whose Q-cost bound is 0
-        for picks in enumerate_window_tuples(inst, 2):
-            windows = picked_windows(inst, picks)
-            q = agreement_positions(windows)
-            if q_bound(inst, windows[0], q) == 0:
-                unbounded.add((q.tobytes(), windows[0].arr[q].tobytes()))
-        assert len(unbounded) == 4
         for mode in ("small_d", "sampling", "auto"):
             sweeps = []
             sweep = closest_substring.sweep_patches
@@ -1133,6 +1110,27 @@ class TestInstanceBound:
             assert args[0].shape == (5, 0) and args[1].shape == (5, 5)
             assert int(costs.min()) == cost_substring(inst, sol.center)[0]
             assert swept_keys_are_bound_kept(inst, [args for args, _ in sweeps]) == 5
+            monkeypatch.undo()
+
+    def test_q_costs_only_seed_the_sweeps(self, monkeypatch):
+        # the instance bound is the skip's one term, so Q costs are taken
+        # only for each sweep's seed rows, on its one shared mask: none for
+        # a skipped anchor, a skipped guessed tuple (three copies of 01x9)
+        # or a solved one (the pair of 0^15 and 1^15 under sampling)
+        planted, _ = generate_planted("ACGT", 10, 60, 8, 1, 0)
+        cases = (
+            (planted, SubstringConfig(r=2)),
+            (bsub(["01" * 9] * 3, 17), SubstringConfig(r=2)),
+            (bsub(["0" * 15, "1" * 15], 15), SubstringConfig(r=2, mode="sampling")),
+        )
+        for inst, cfg in cases:
+            q_costs = spy(monkeypatch, closest_substring, "_q_costs")
+            sweeps = spy(monkeypatch, closest_substring, "sweep_patches")
+            sol = solve_substring(inst, cfg)
+            assert (sol.radius, sol.witnesses) == cost_substring(inst, sol.center)
+            assert len(q_costs) == len(sweeps) > 0
+            for (_, on_q, anchors), (_, fixed, *_) in zip(q_costs, sweeps):
+                assert on_q.shape == (inst.window,) and len(anchors) == len(fixed)
             monkeypatch.undo()
 
 

@@ -25,7 +25,7 @@ from centerstring import (
     solve_closest_string,
 )
 from centerstring import exact
-from centerstring.errors import BudgetExceeded
+from centerstring.errors import BudgetExceeded, NumericalFailure
 from centerstring.exact import DEFAULT_EXACT_BUDGET, _program_center
 
 
@@ -139,6 +139,43 @@ class TestExactClosestString:
         ):
             exact_closest_string(inst)
         assert time.perf_counter() - start < 5.0
+
+    def test_program_center_is_checked_against_its_optimum(self, monkeypatch):
+        # a center whose radius is not the program's reported optimum is
+        # refused, in-process and under python -O, which strips asserts
+        program = exact._program_center
+
+        def one_below(*args):
+            center, d = program(*args)
+            return center, d - 1
+
+        monkeypatch.setattr(exact, "_program_center", one_below)
+        inst = binst("0" * 12, "1" * 12)
+        with pytest.raises(NumericalFailure, match="^the program's center has radius 6, not its optimum 5$"):
+            exact_closest_string(inst, budget=1000)
+        code = """
+import sys
+from centerstring import BINARY, StringInstance, exact
+from centerstring.errors import NumericalFailure
+program = exact._program_center
+
+def one_below(*args):
+    center, d = program(*args)
+    return center, d - 1
+
+exact._program_center = one_below
+print(sys.flags.optimize)
+try:
+    exact.exact_closest_string(StringInstance.from_texts(BINARY, ["0" * 12, "1" * 12]), budget=1000)
+except NumericalFailure as exc:
+    print(exc)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(exact.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            check=True,
+        ).stdout
+        assert out.splitlines() == ["1", "the program's center has radius 6, not its optimum 5"]
 
     def test_program_between_pair_bound_and_approximation(self):
         # past the sweep: ceil(max pair distance / 2) <= oracle <= PTAS

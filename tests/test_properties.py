@@ -140,19 +140,18 @@ def skip_cases(draw):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(skip_cases(), st.sampled_from(["small_d", "sampling", "auto"]))
-# the alternating pair: a single window already reaches radius 0, so the
-# guessed tuple, bounded by 0 on its empty Q, is skipped
+# the alternating pair: a single window already reaches the instance bound
+# 0, so the later guessed tuple is skipped
 @example((shifted_pair([0, 1] * 7 + [0], [0]), 2, 2 ** 14, 0), "sampling")
-# the winning tuple's bound equals its radius 1, one below the radius 2 a
-# single window reached first: a bound one too high ties that at a larger
-# index and skips the winner
+# the instance bound equals the winning tuple's radius 1, one below the
+# radius 2 a single window reached first: a bound one too high ties that at
+# a larger index and skips the winner
 @example((SubstringInstance.from_texts(Alphabet.of("01"), ["100101", "10100", "1110111"], 5), 2, 2 ** 16, 0), "small_d")
 @example((SubstringInstance.from_texts(Alphabet.of("ACGT"), ["TTTTGTA", "CTTGTG", "CCTATC"], 4), 3, 2 ** 16, 0), "auto")
 def test_substring_skip_is_exact(case, mode):
-    # the solver skips the tuples whose bound, the larger of the Q-cost
-    # bound and the instance bound, already loses; the reference solves
-    # every tuple, so the two must agree byte for byte,
-    # guessed_tuples included, and refuse the same budgets
+    # the solver skips the tuples whose (instance bound, index) already
+    # loses; the reference solves every tuple, so the two must agree byte
+    # for byte, guessed_tuples included, and refuse the same budgets
     inst, r, y_budget, seed = case
     cfg = SubstringConfig(r=r, mode=mode, y_budget=y_budget, rng_seed=seed)
     try:
