@@ -32,14 +32,13 @@ over string pairs, of the pair's smallest window-to-window distance,
 rounded up (0 with one string).  For that pair (i, j) and a center's
 nearest windows w_i and w_j, d(c, w_i) + d(c, w_j) is at least
 d(w_i, w_j), so the larger of the two is at least the bound.  _plan
-reads it off the agreement counts of its pair blocks.  A tuple whose
-(instance bound, index) is above the best (radius, index) found so far
-is skipped, a swept anchor before its mask's sweep and a guessed tuple
-before it draws R: once the best radius reaches the instance bound,
-every later tuple goes.  The skip is exact: the best only falls, so each
-skipped candidate's (radius, index) is above the final winner's and
-could never have won; centers, radii and witnesses are those of scoring
-every tuple.
+reads it off the agreement counts of its pair blocks.  The swept masks,
+by ascending first index, and then the guessed tuples stop at the first
+whose (instance bound, first index) is above the best (radius, index) so
+far, and the rows of a mask, ascending too, stop at the same test.  The
+stop is exact: the bound is at most every radius, the best only falls
+and the indices past the stop only rise, so no later candidate could
+win; centers, radii and witnesses are those of scoring every tuple.
 """
 
 from __future__ import annotations
@@ -117,7 +116,8 @@ def enumerate_window_tuples(inst: SubstringInstance, r: int) -> Iterator[Picks]:
 class SweptTuples(NamedTuple):
     """The swept tuples a plan keeps, one row each, grouped by agreement
     mask: group g is rows edges[g]:edges[g + 1], the groups in first-seen
-    order of their masks and each group's rows in enumeration order."""
+    order of their masks, so each group's first index is strictly above
+    the previous group's, and each group's rows in enumeration order."""
 
     masks: np.ndarray  # (T, L) bool: each tuple's agreement mask Q
     anchors: np.ndarray  # (T, L) uint8: each tuple's anchor window
@@ -396,12 +396,9 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     guessed_tuples says which: it counts the tuples the plan guesses,
     whether skipped or not.
 
-    Swept anchors and guessed tuples whose (instance bound, index) already
-    loses to the best (radius, index) so far are skipped (see the module
-    docstring), with no sweep for a mask that has no anchor left; the
-    output is unchanged, and a skipped guessed tuple runs no LP.  Once the
-    best radius reaches the instance bound, only anchors of a smaller
-    index than the best's are swept.
+    The swept masks, their rows and then the guessed tuples stop at the
+    instance bound (see the module docstring); the output is unchanged,
+    and a guessed tuple past the stop runs no LP.
     """
     size = _sample_size_of(inst, cfg.epsilon)
     swept, guessed, instance_bound = _plan(inst, cfg, size)
@@ -413,17 +410,18 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     best = (math.inf, 0, None)  # (radius, enumeration index, center row)
     edges = swept.edges
     for b, e in zip(edges, edges[1:]):
-        # skip each anchor whose (instance bound, index) is above the best
-        # (radius, index) so far; the bound is at most every radius, so that
-        # is every anchor past the best index once the best radius reaches
-        # it: sweeps per solve go from 53.6 to about 3.2 on substring_small_d
-        # and from 10.4 to 2.1 on substring_sampling
-        indices = swept.indices[b:e]
-        keep = (best[0] > instance_bound) | (indices < best[1])
-        if not keep.any():
-            continue
-        on_q = swept.masks[b]
-        indices, centers = indices[keep], swept.anchors[b:e][keep]
+        # stop at the first mask whose (instance bound, first index) is above
+        # the best (radius, index): sweeps per solve go from 53.6 to 3.2 on
+        # substring_small_d and from 10.4 to 2.1 on substring_sampling
+        if (instance_bound, swept.indices[b]) > best[:2]:
+            break
+        if best[0] == instance_bound:
+            # and cut the mask's rows, which ascend, at the same test: planted
+            # DNA 20x100, L = 8 then sweeps 2,148 seed rows, not 2,945, in
+            # 1.2 s instead of 3.0 s
+            e = b + int(np.searchsorted(swept.indices[b:e], best[1]))
+        on_q, indices = swept.masks[b], swept.indices[b:e]
+        centers = swept.anchors[b:e].copy()
         costs, centers[:, ~on_q] = sweep_patches(wins[:, ~on_q], _q_costs(wins_t, on_q, centers), k, starts)
         a = int(np.argmin(costs))  # indices ascend, so this is the group's minimum
         radius = int(costs[a])
@@ -433,10 +431,10 @@ def solve_substring(inst: SubstringInstance, cfg: SubstringConfig = SubstringCon
     # the LP stage must stay within error epsilon*|P| overall
     rounding = RoundingConfig(trials=cfg.trials, epsilon_prime=cfg.epsilon)
     for index, picks, anchor, on_q in guessed:
-        # the same skip: no benchmark workload guesses, but on three copies
+        # the same stop: no benchmark workload guesses, but on three copies
         # of 01x9 at L = 17 all six guessed tuples go, and 0.68 s becomes 1 ms
         if (instance_bound, index) > best[:2]:
-            continue
+            break
         free = np.flatnonzero(~on_q)
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, "sample", picks))
         r_idx = np.sort(free[rng.integers(0, len(free), size=size)])

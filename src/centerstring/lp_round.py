@@ -364,18 +364,15 @@ def round_derandomized(frac: FractionalCenter, epsilon_prime: float) -> np.ndarr
     # per-string mismatch probability at each position under the weights
     q = 1.0 - w[np.arange(np_)[None, :], rows]  # (n, |P|)
 
-    # filled with pmf[j, i, t] = Pr[#mismatches of string i over positions
-    # j.. == t] by the backward recurrence, then summed in place into tails
+    # the backward recurrence of the tails themselves: at least t mismatches
+    # over j.. is a mismatch at j and t - 1 over j+1.., or a match and t
     last = np_ + 1
     tails = np.zeros((np_ + 1, n, last + 1))
-    tails[np_, :, 0] = 1.0
+    tails[:, :, 0] = 1.0
     for j in range(np_ - 1, -1, -1):
         qj = q[:, j][:, None]
-        np.multiply(tails[j + 1], 1.0 - qj, out=tails[j])
+        np.multiply(tails[j + 1, :, 1:], 1.0 - qj, out=tails[j, :, 1:])
         tails[j, :, 1:] += tails[j + 1, :, :-1] * qj
-    rev = tails[:, :, ::-1]
-    np.cumsum(rev, axis=2, out=rev)
-    tails[:, :, 0] = 1.0
     strings = np.arange(n)
 
     estimator = float(tails[0, strings, np.clip(thresholds, 0, last)].sum())

@@ -626,24 +626,26 @@ def sweep_signature(inst, anchor, q):
 def bound_kept_keys(inst, r):
     """The swept (Q, anchor on Q) keys the bound keeps on an instance
     whose every tuple is swept, by plain loops.  Masks go in first-seen
-    order, each key at its first tuple's index.  A key is kept unless
-    (reference_instance_bound, index) is above the best (radius, index)
-    over the keys kept in earlier masks, a kept key's radius being
-    reference_sweep's minimum.  Returns, per mask with a kept key, the
-    sweep_signature of each kept key."""
+    order, each key at its first tuple's index.  The walk stops at the
+    first mask whose (reference_instance_bound, first index) is above the
+    best (radius, index) over the masks before it, a key's radius being
+    reference_sweep's minimum; a mask it reaches keeps its keys whose
+    (reference_instance_bound, index) is not above that best.  Returns,
+    per mask reached, the sweep_signature of each kept key."""
     groups = {}  # per mask: per anchor on Q, (first index, anchor, Q)
     for index, picks in enumerate(enumerate_window_tuples(inst, r)):
         windows = picked_windows(inst, picks)
         q = agreement_positions(windows)
         groups.setdefault(q.tobytes(), {}).setdefault(windows[0].arr[q].tobytes(), (index, windows[0], q))
     best, kept, floor = (math.inf, 0), [], reference_instance_bound(inst)
-    for group in groups.values():
-        survivors = [(index, a, q) for index, a, q in group.values() if (floor, index) <= best]
-        for index, anchor, q in survivors:
+    for group in [list(keys.values()) for keys in groups.values()]:
+        if (floor, group[0][0]) > best:
+            break
+        group = [(index, a, q) for index, a, q in group if (floor, index) <= best]
+        for index, anchor, q in group:
             costs, _ = reference_sweep(inst, anchor, np.flatnonzero(~q))
             best = min(best, (int(costs.min()), index))
-        if survivors:
-            kept.append([sweep_signature(inst, a, q) for _, a, q in survivors])
+        kept.append([sweep_signature(inst, a, q) for _, a, q in group])
     return kept
 
 
@@ -772,6 +774,19 @@ class TestCoveredSampleSweep:
         sol = solve_substring(inst, SubstringConfig(r=2, mode="auto"))
         assert (sol.center.text, sol.radius, sol.witnesses, sol.guessed_tuples) == ("01" * 8 + "0", 0, (0, 0, 0), 6)
         assert seeds == []
+
+    def test_guessed_loop_stops_at_its_first_skipped_tuple(self, monkeypatch):
+        # each string's two windows are 0^15 or 1^15, so the four pair
+        # tuples are guessed (|P| = 15 > |R| = 14); the single windows reach
+        # radius 15, the first pair tuple the instance bound 8, and the
+        # other three, of larger index, draw no R and select no windows
+        selections = spy(monkeypatch, closest_substring, "select_windows")
+        seeds = spy(monkeypatch, closest_substring, "derive_seed")
+        inst = bsub(["0" * 16, "1" * 16], 15)
+        sol = solve_closest_substring(inst, SubstringConfig(r=2, epsilon=1.0))
+        assert (sol.radius, sol.guessed_tuples) == (8, 4)
+        assert [args[1:] for args in seeds if args[1] == "sample"] == [("sample", ((0, 0), (1, 0)))]
+        assert len(selections) == 1
 
     def test_guessed_tuple_below_the_best_radius_is_solved(self, monkeypatch):
         # the swept tuples reach radius 9, the optimum; the two
@@ -1246,6 +1261,8 @@ def test_plan_matches_a_per_tuple_loop(case, mode, size, small_blocks):
             return
         swept, planned, bound = closest_substring._plan(inst, cfg, size)
     assert bound == reference_instance_bound(inst)
+    # the solve's stop relies on this: each group's first index is above the last group's
+    assert (np.diff(swept.indices[swept.edges[:-1]]) > 0).all()
     assert (swept.masks.dtype, swept.anchors.dtype) == (np.dtype(bool), np.dtype(np.uint8))
     assert [
         [(index, anchor.tobytes(), q.tobytes())

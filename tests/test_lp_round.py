@@ -1084,6 +1084,21 @@ class TestRounding:
                         rounded["none" if live == 0 else "all" if live == p.inst.n else "some"] += 1
         assert min(rounded.values()) > 50, rounded
 
+    def test_derandomized_matches_full_table_reference_at_400_positions(self):
+        # the random cases above stop at |P| <= 40; here live strings meet a
+        # 400-position table, at the LP vertex and at weights perturbed off it
+        rng = np.random.default_rng(79)
+        frac, _ = tail_capped(rng)
+        p = frac.problem
+        cases = [frac]
+        for mix in (0.05, 0.3):
+            weights = (1 - mix) * frac.weights + mix * rng.dirichlet(np.ones(2), len(p.P))
+            cases.append(expected_cost_center(p, weights))
+        for case in cases:
+            for eps in (0.2, 0.5):
+                assert tail_cells(case, eps) > 0
+                assert np.array_equal(round_derandomized(case, eps), full_table_round_derandomized(case, eps))
+
     def test_derandomized_without_live_strings_builds_no_table(self):
         # on an LP solution at eps' = 1 every threshold exceeds |P|, as the
         # objective is at least every fixed cost, so no string is live; a
